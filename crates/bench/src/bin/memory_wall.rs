@@ -1,19 +1,14 @@
 //! The §IV memory-failure narrative: the combinatorial parallel algorithm
 //! (Algorithm 2) aborts when the per-node footprint exceeds local memory
 //! ("the computation had to be abandoned at the 59th iteration, two
-//! iterations before completion"), and four recoveries are demonstrated:
+//! iterations before completion"), and three recoveries are demonstrated:
 //!
-//! 1. **streaming generation** — the same unsplit enumeration completes
-//!    under the same per-node cap once candidate generation runs through
-//!    the bounded streaming pipeline (the legacy path materializes the
-//!    whole unfiltered pair stripe, and that transient is what breaches
-//!    the cap);
-//! 2. the manual recovery of the paper — re-run as Algorithm 3 over a
+//! 1. the manual recovery of the paper — re-run as Algorithm 3 over a
 //!    given partition, every subset fitting under the cap;
-//! 3. checkpoint/resume — the capped legacy run snapshots every iteration,
-//!    aborts with a typed `MemoryExceeded`, and is resumed from the last
-//!    completed iteration on an uncapped cluster, byte-identical;
-//! 4. automatic escalation — `enumerate_with_escalation` turns the abort
+//! 2. checkpoint/resume — the capped unsplit run snapshots every
+//!    iteration, aborts with a typed `MemoryExceeded`, and is resumed from
+//!    the last completed iteration on an uncapped cluster, byte-identical;
+//! 3. automatic escalation — `enumerate_with_escalation` turns the abort
 //!    into a divide-and-conquer re-launch without operator intervention.
 //!
 //! ```text
@@ -21,16 +16,16 @@
 //!             [--partition R54r,R90r,R60r]
 //! ```
 //!
-//! Without `--limit`, the harness measures the charged per-node peaks of
-//! the legacy (materialize-then-filter) and streaming unsplit runs plus
-//! the worst split subset, and sets the cap halfway between "roomy enough
-//! for streaming and every subset" and "too tight for the legacy run".
+//! Without `--limit`, the harness measures the charged per-node peak of
+//! the unsplit run and of the worst split subset, and sets the cap halfway
+//! between them: too tight for the replicated unsplit mode matrix, roomy
+//! enough for every subset.
 
 use efm_bench::{flag, harness_options, network_ii, parse_cli, pick_partition, Scale};
 use efm_core::{
     enumerate_divide_conquer_with_scalar, enumerate_resumable_with_scalar,
     enumerate_with_escalation_scalar, enumerate_with_scalar, Backend, CheckpointConfig, EfmError,
-    EfmOptions, EngineCheckpoint,
+    EngineCheckpoint,
 };
 use efm_numeric::F64Tol;
 
@@ -52,51 +47,25 @@ fn main() {
     }
     let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     let opts = harness_options();
-    let legacy_opts = EfmOptions { streaming: false, ..opts.clone() };
+    let cluster = || Backend::Cluster(efm_cluster::ClusterConfig::new(nodes));
 
-    // Phase 1: unlimited runs to measure the charged per-node peaks. The
-    // legacy path materializes the full unfiltered candidate stripe each
-    // iteration and charges it; the streaming path holds (and charges) at
-    // most one batch of it.
+    // Phase 1: unlimited runs to measure the charged per-node peaks: the
+    // replicated mode matrix plus the bounded generation batch, the
+    // survivor stripe and the merge.
     println!("== phase 1: measure per-node peaks (no memory cap) ==");
-    let legacy = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &legacy_opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(nodes)),
-    )
-    .expect("unsplit legacy run failed");
+    let unsplit =
+        enumerate_with_scalar::<F64Tol>(&net, &opts, &cluster()).expect("unsplit run failed");
     println!(
-        "unsplit legacy:    {} EFMs, peak {} accounted bytes/node \
-         (transient high-water {} B)",
-        legacy.efms.len(),
-        legacy.stats.peak_bytes,
-        legacy.stats.peak_transient_bytes
-    );
-    let streaming = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(nodes)),
-    )
-    .expect("unsplit streaming run failed");
-    assert_eq!(
-        streaming.efms, legacy.efms,
-        "streaming and legacy generation disagree on the EFM set"
-    );
-    println!(
-        "unsplit streaming: {} EFMs, peak {} accounted bytes/node \
+        "unsplit: {} EFMs, peak {} accounted bytes/node \
          (transient high-water {} B, {} batches)",
-        streaming.efms.len(),
-        streaming.stats.peak_bytes,
-        streaming.stats.peak_transient_bytes,
-        streaming.stats.stream_batches
+        unsplit.efms.len(),
+        unsplit.stats.peak_bytes,
+        unsplit.stats.peak_transient_bytes,
+        unsplit.stats.stream_batches
     );
-    let split = enumerate_divide_conquer_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &names,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(nodes)),
-    )
-    .expect("split run failed");
+    let split = enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &names, &cluster())
+        .expect("split run failed");
+    assert_eq!(split.efms, unsplit.efms, "split and unsplit runs disagree on the EFM set");
     let split_bytes = split.subsets.iter().map(|s| s.stats.peak_bytes).max().unwrap_or(0);
     println!(
         "split {{{}}}: {} EFMs, worst subset peak {} accounted bytes/node",
@@ -106,22 +75,22 @@ fn main() {
     );
 
     // Phase 2: cap between the measured peaks (or user-provided). The cap
-    // must admit the streaming unsplit run and every subset of the split,
-    // yet be breached by the legacy unsplit run; every quantity is guarded
-    // so a degenerate measurement (zero or inverted peaks, as on the toy
-    // scale) degrades to a loose-but-valid cap instead of a zero or
-    // underflowed one.
-    let fits = streaming.stats.peak_bytes.max(split_bytes);
+    // must admit every subset of the split, yet be breached by the unsplit
+    // run; a degenerate measurement (the unsplit peak not above the worst
+    // subset's, as on the toy scale) degrades to a loose-but-valid cap
+    // instead of a zero or underflowed one.
     let limit: u64 = match flag(&flags, "limit") {
         Some(v) => v.parse().expect("bad --limit"),
-        None if legacy.stats.peak_bytes > fits => fits + (legacy.stats.peak_bytes - fits) / 2,
-        None => fits.saturating_mul(2).max(1),
+        None if unsplit.stats.peak_bytes > split_bytes => {
+            split_bytes + (unsplit.stats.peak_bytes - split_bytes) / 2
+        }
+        None => split_bytes.saturating_mul(2).max(1),
     };
-    if legacy.stats.peak_bytes <= fits {
+    if unsplit.stats.peak_bytes <= split_bytes {
         println!(
-            "note: legacy peak {} B does not exceed the streaming/split peak {} B at this \
-             scale; the cap {limit} B will not reproduce the abort",
-            legacy.stats.peak_bytes, fits
+            "note: the unsplit peak {} B does not exceed the worst subset's {split_bytes} B at \
+             this scale; the cap {limit} B will not reproduce the abort",
+            unsplit.stats.peak_bytes
         );
     }
     println!("\n== phase 2: per-node capacity {limit} bytes ==");
@@ -133,7 +102,7 @@ fn main() {
     let mut aborted = false;
     match enumerate_resumable_with_scalar::<F64Tol>(
         &net,
-        &legacy_opts,
+        &opts,
         &Backend::Cluster(capped.clone()),
         None,
         Some(&ck_cfg),
@@ -146,50 +115,38 @@ fn main() {
         })) => {
             aborted = true;
             println!(
-                "unsplit legacy Algorithm 2: ABORTED in {:.2}s — rank {rank} exceeded {limit} B \
+                "unsplit Algorithm 2:  ABORTED in {:.2}s — rank {rank} exceeded {limit} B \
                  (had {in_use} B) [reproduces the paper's abandoned run]",
                 t0.elapsed().as_secs_f64()
             );
         }
         Ok(out) => println!(
-            "unsplit legacy Algorithm 2: completed under the cap ({} EFMs) — raise --limit \
-             pressure",
+            "unsplit Algorithm 2:  completed under the cap ({} EFMs) — lower --limit",
             out.efms.len()
         ),
-        Err(e) => println!("unsplit legacy Algorithm 2: failed differently: {e}"),
-    }
-    match enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Cluster(capped.clone())) {
-        Ok(out) => {
-            assert_eq!(
-                out.efms, legacy.efms,
-                "capped streaming enumeration diverged from the uncapped run"
-            );
-            println!(
-                "unsplit streaming:          completed under the same cap ({} EFMs, identical \
-                 to the uncapped run) [bounded generation closes the memory hole]",
-                out.efms.len()
-            );
-        }
-        Err(e) => println!("unsplit streaming: failed under the cap: {e} — raise --limit"),
+        Err(e) => println!("unsplit Algorithm 2:  failed differently: {e}"),
     }
     match enumerate_divide_conquer_with_scalar::<F64Tol>(
         &net,
         &opts,
         &names,
-        &Backend::Cluster(capped),
+        &Backend::Cluster(capped.clone()),
     ) {
-        Ok(out) => println!(
-            "combined Algorithm 3:       completed under the same cap ({} EFMs across {} \
-             subsets) [the paper's fix]",
-            out.efms.len(),
-            out.subsets.len()
-        ),
+        Ok(out) => {
+            assert_eq!(out.efms, unsplit.efms, "capped split run diverged from the uncapped run");
+            println!(
+                "combined Algorithm 3: completed under the same cap ({} EFMs across {} \
+                 subsets) [the paper's fix]",
+                out.efms.len(),
+                out.subsets.len()
+            );
+        }
         Err(e) => {
             println!("combined Algorithm 3: failed: {e} — refine the partition (paper adds R22r)")
         }
     }
 
-    // Phase 3: resume the aborted legacy run from its last checkpoint.
+    // Phase 3: resume the aborted run from its last checkpoint.
     println!("\n== phase 3: checkpoint/resume of the aborted run ==");
     if aborted {
         match EngineCheckpoint::load(&ck_path) {
@@ -201,14 +158,14 @@ fn main() {
                 );
                 let resumed = enumerate_resumable_with_scalar::<F64Tol>(
                     &net,
-                    &legacy_opts,
-                    &Backend::Cluster(efm_cluster::ClusterConfig::new(nodes)),
+                    &opts,
+                    &cluster(),
                     Some(&ck),
                     None,
                 )
                 .expect("resumed run failed");
                 assert_eq!(
-                    resumed.efms, legacy.efms,
+                    resumed.efms, unsplit.efms,
                     "resume-from-checkpoint diverged from the uninterrupted run"
                 );
                 println!(
@@ -222,24 +179,14 @@ fn main() {
         println!("skipped: the capped run did not abort");
     }
 
-    // Phase 4: automatic escalation — abort -> suggested split -> complete.
-    // Streaming closes the *transient* hole, but the replicated mode matrix
-    // itself can still outgrow a node, so the cap here is tightened below
-    // the streaming unsplit peak (while staying above the worst subset):
-    // the direct attempt aborts and the ladder recovers it without
-    // operator intervention.
-    let esc_limit = if streaming.stats.peak_bytes > split_bytes {
-        split_bytes + (streaming.stats.peak_bytes - split_bytes) / 2
-    } else {
-        limit
-    };
-    println!("\n== phase 4: automatic divide-and-conquer escalation ({esc_limit} B/node) ==");
-    let esc_capped = efm_cluster::ClusterConfig::new(nodes).with_memory_limit(esc_limit);
+    // Phase 4: automatic escalation under the same cap — abort -> suggested
+    // split -> complete, without operator intervention.
+    println!("\n== phase 4: automatic divide-and-conquer escalation ({limit} B/node) ==");
     let t1 = std::time::Instant::now();
     match enumerate_with_escalation_scalar::<F64Tol>(
         &net,
         &opts,
-        &Backend::Cluster(esc_capped),
+        &Backend::Cluster(capped),
         partition.len().max(2),
     ) {
         Ok(out) => {
@@ -255,7 +202,7 @@ fn main() {
                 }
             }
             assert_eq!(
-                out.outcome.efms, legacy.efms,
+                out.outcome.efms, unsplit.efms,
                 "escalated enumeration diverged from the uninterrupted run"
             );
             println!(

@@ -1180,21 +1180,31 @@ impl<'a> NodeCtx<'a> {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            if self.abort.is_flagged() {
-                return Err(self.aborted());
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let timeout_err =
-                || ClusterError::Timeout { rank: self.rank, phase: format!("recv from {src}") };
-            if remaining.is_zero() {
-                return Err(timeout_err());
-            }
-            let packet = match self.mailbox.recv_timeout(remaining) {
-                Ok(p) => p,
-                Err(RecvTimeoutError::Timeout) => return Err(timeout_err()),
-                // All senders gone: only possible when the run is tearing
-                // down, which implies an abort is in flight.
-                Err(RecvTimeoutError::Disconnected) => return Err(self.aborted()),
+            let packet = if self.abort.is_flagged() {
+                // Drain what already arrived before honouring the abort:
+                // a peer that finished this collective and then failed
+                // further on sent its data *before* its abort, so the
+                // payload is queued (per-sender FIFO) and this rank can
+                // still complete a round every rank finished — e.g. rank 0
+                // writing the snapshot of the last complete iteration.
+                match self.mailbox.try_recv() {
+                    Ok(p) => p,
+                    Err(_) => return Err(self.aborted()),
+                }
+            } else {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                let timeout_err =
+                    || ClusterError::Timeout { rank: self.rank, phase: format!("recv from {src}") };
+                if remaining.is_zero() {
+                    return Err(timeout_err());
+                }
+                match self.mailbox.recv_timeout(remaining) {
+                    Ok(p) => p,
+                    Err(RecvTimeoutError::Timeout) => return Err(timeout_err()),
+                    // All senders gone: only possible when the run is
+                    // tearing down, which implies an abort is in flight.
+                    Err(RecvTimeoutError::Disconnected) => return Err(self.aborted()),
+                }
             };
             if packet.crc != frame_crc(packet.from, packet.seq, packet.epoch, packet.flow) {
                 return Err(ClusterError::CorruptFrame {
@@ -1937,6 +1947,37 @@ mod tests {
                 assert!(reason.contains("memory capacity exceeded"), "{reason}");
             }
             other => panic!("peer saw {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payload_sent_before_an_abort_still_reaches_a_late_receiver() {
+        // Rank 1 sends, then trips its cap; rank 0 only starts receiving
+        // once the abort flag is up. The payload that left before the abort
+        // must still be delivered, and the abort surfaces on the next
+        // collective.
+        let observed = Mutex::new(None);
+        let cfg = ClusterConfig::new(2).with_memory_limit(10);
+        let err = run_cluster(&cfg, |ctx| {
+            if ctx.rank() == 1 {
+                ctx.send(0, 42u32)?;
+                ctx.memory().alloc(64)?;
+                return Ok(());
+            }
+            while !ctx.abort.is_flagged() {
+                std::thread::yield_now();
+            }
+            let payload = ctx.recv::<u32>(1);
+            let next = ctx.allgather(0u8).map(drop);
+            *observed.lock() = Some((payload, next.clone()));
+            next
+        })
+        .unwrap_err();
+        assert!(matches!(err, ClusterError::MemoryExceeded { rank: 1, .. }));
+        let seen = observed.lock().take();
+        match seen {
+            Some((Ok(42), Err(ClusterError::Aborted { origin: 1, .. }))) => {}
+            other => panic!("late receiver saw {other:?}"),
         }
     }
 

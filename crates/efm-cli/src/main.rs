@@ -18,10 +18,6 @@
 //!   --ordering <paper|nnz|asis|random> row ordering      [default: paper]
 //!   --test <rank|adjacency>         elementarity test    [default: rank]
 //!   --float                         f64 arithmetic instead of exact
-//!   --no-streaming                  materialize-then-filter candidate generation
-//!                                   (legacy; transient buffer breaches memory caps)
-//!   --streaming-batch <PAIRS>       pair-batch size of the streaming pipeline
-//!                                   [default: 65536]
 //!   --spill-budget <BYTES>          compress finished divide-and-conquer subsets
 //!                                   and spill them to disk beyond BYTES resident
 //!   --max-modes <N>                 abort beyond N intermediate modes
@@ -83,8 +79,6 @@ struct Args {
     test: String,
     kernel: String,
     float: bool,
-    no_streaming: bool,
-    streaming_batch: Option<u64>,
     spill_budget: Option<u64>,
     max_modes: Option<usize>,
     print_modes: usize,
@@ -119,8 +113,7 @@ fn usage() -> ! {
          \x20                 [--dnc-schedule serial|static|steal] [--dnc-workers N]\n\
          \x20                 [--ordering paper|nnz|asis|random] [--test rank|adjacency]\n\
          \x20                 [--kernel auto|scalar|simd]\n\
-         \x20                 [--float] [--no-streaming] [--streaming-batch PAIRS]\n\
-         \x20                 [--spill-budget BYTES]\n\
+         \x20                 [--float] [--spill-budget BYTES]\n\
          \x20                 [--max-modes N] [--print-modes N] [--coefficients]\n\
          \x20                 [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n\
          \x20                 [--auto-escalate K] [--supervise] [--max-restarts N]\n\
@@ -145,8 +138,6 @@ fn parse_args() -> Args {
         test: "rank".into(),
         kernel: "auto".into(),
         float: false,
-        no_streaming: false,
-        streaming_batch: None,
         spill_budget: None,
         max_modes: None,
         print_modes: 20,
@@ -194,10 +185,6 @@ fn parse_args() -> Args {
             "--test" => args.test = val(&mut it),
             "--kernel" => args.kernel = val(&mut it),
             "--float" => args.float = true,
-            "--no-streaming" => args.no_streaming = true,
-            "--streaming-batch" => {
-                args.streaming_batch = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
             "--spill-budget" => {
                 args.spill_budget = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
             }
@@ -290,18 +277,14 @@ fn run<S: efm_core::EfmScalar>(
         eprintln!("error: {e}");
         usage();
     });
-    let mut opts = EfmOptions {
+    let opts = EfmOptions {
         ordering,
         test,
         kernel,
         max_modes: args.max_modes,
-        streaming: !args.no_streaming,
         spill_budget: args.spill_budget,
         ..Default::default()
     };
-    if let Some(batch) = args.streaming_batch {
-        opts.streaming_batch = batch.max(1);
-    }
     let dnc_schedule = DncSchedule::parse(&args.dnc_schedule).unwrap_or_else(|| {
         eprintln!("error: bad --dnc-schedule {} (want serial|static|steal)", args.dnc_schedule);
         usage();

@@ -6,22 +6,23 @@
 //! iteration:
 //!
 //! 1. `ParallelGenerateEFMCands` — the rank processes its contiguous stripe
-//!    of the `pos × neg` pair grid;
-//! 2. `Sort&RemoveDuplicates` — locally;
-//! 3. `RankTests` — locally;
-//! 4. `Communicate&Merge` — allgather of the local survivor buffers, then a
-//!    global sort+dedup (duplicates *across* ranks are possible);
+//!    of the `pos × neg` pair grid in bounded batches;
+//! 2. `Sort&RemoveDuplicates` — locally, per batch;
+//! 3. `RankTests` — locally, per batch;
+//! 4. `Communicate&Merge` — the local survivor buffers are exchanged and
+//!    folded into one sorted merge as they arrive (duplicates *across*
+//!    ranks are possible and collapse there);
 //! 5. `RemoveNegColumns` + append — every rank advances to the identical
 //!    next state.
 //!
 //! Phase wall-times and per-phase work counters are recorded through the
 //! cluster's instrumentation. The memory meter charges the replicated mode
-//! matrix, the rank's **local stripe buffers** (whose size varies across
-//! ranks), and the merged candidate buffer; a failing charge on any single
-//! rank aborts the whole run through the cluster's cooperative abort
-//! propagation — peers blocked in the allgather are woken with
-//! [`ClusterError::Aborted`] and `run_cluster` reports the originating
-//! `MemoryExceeded`.
+//! matrix, every generation batch, the rank's **local stripe buffers**
+//! (whose size varies across ranks), and the merged candidate buffer; a
+//! failing charge on any single rank aborts the whole run through the
+//! cluster's cooperative abort propagation — peers blocked in the
+//! allgather are woken with [`ClusterError::Aborted`] and `run_cluster`
+//! reports the originating `MemoryExceeded`.
 //!
 //! Rank 0 can additionally write an iteration-boundary
 //! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) after each
@@ -30,9 +31,9 @@
 
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
-use crate::engine::{CandidateBuf, CandidateSet, Engine};
+use crate::engine::{CandidateBuf, CandidateSet, Engine, STREAM_BATCH_PAIRS};
 use crate::problem::EfmProblem;
-use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
+use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
 use std::time::{Duration, Instant};
@@ -303,281 +304,134 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // microsecond between setup and finalize.
         let _iter_span = efm_obs::span("iteration");
         ctx.fault_point("iteration", iter_no)?;
-        let mut rec = IterationStats {
-            position: eng.cursor,
-            reaction: eng.name_at[eng.cursor].clone(),
-            reversible: eng.reversible_at[eng.cursor],
-            ..Default::default()
-        };
-        let new_stride = eng.candidate_stride();
-        if opts.streaming_enabled() {
-            // --- Streaming pipeline: generation, sort/dedup, tree filter
-            // and the per-candidate rank test run fused per bounded batch
-            // (`EfmOptions::streaming_batch` pairs), and every batch's
-            // transient footprint is *charged* against the node capacity —
-            // the accounting hole the legacy path below deliberately leaves
-            // open (see the `transient` comment there) is closed here.
-            let part = eng.partition();
-            let pairs = part.pairs();
-            let (start, end) = stripe_bounds(pairs, nodes, rank, opts.stripe_weights.as_deref());
-            rec.pos = part.pos.len();
-            rec.neg = part.neg.len();
-            rec.zero = part.zero.len();
-            rec.pairs = end - start;
-            ctx.add_work(phases::GENERATE, end - start);
-            let zero_tree =
-                (eng.pattern_trees && !part.zero.is_empty()).then(|| eng.zero_support_tree(&part));
-            let modes_bytes = eng.modes.approx_bytes();
-            let mut local = CandidateSet::<P>::default();
-            let mut transient_now: u64 = 0;
-            let ss = {
-                let meter = ctx.memory();
-                let mut charge = |t: u64| -> Result<(), EfmError> {
-                    meter.realloc(modes_bytes + transient_now, modes_bytes + t)?;
-                    transient_now = t;
-                    Ok(())
-                };
-                eng.stream_range(
-                    &part,
-                    start,
-                    end,
-                    opts.streaming_batch,
-                    zero_tree.as_ref(),
-                    true,
-                    &mut local,
-                    &mut arena,
-                    &mut charge,
-                )
-            }
-            .map_err(|e| match e {
-                EfmError::Cluster(c) => c,
-                other => as_protocol(other),
-            })?;
-            accounted = modes_bytes + transient_now;
-            ctx.add_time(phases::GENERATE, ss.t_generate);
-            ctx.add_time(phases::DEDUP, ss.t_dedup);
-            ctx.add_time(phases::TREE, ss.t_tree);
-            ctx.add_time(phases::RANK, ss.t_test);
-            ctx.add_work(phases::RANK, ss.tested);
-            efm_obs::hist::record("rank test batch us", ss.t_test.as_micros() as u64);
-            rec.prefiltered = ss.prefiltered;
-            rec.numeric_pass = local.numeric_pass;
-            rec.deduped = ss.tested;
-            eng.note_kernel_counters(
-                local.blocks,
-                rec.pairs - rec.numeric_pass,
-                arena.approx_bytes(),
-            );
-            eng.stats.stream_batches += ss.batches;
-            eng.stats.peak_transient_bytes = eng.stats.peak_transient_bytes.max(ss.transient_peak);
-            efm_obs::gauge_max("peak transient bytes", ss.transient_peak);
-            ctx.fault_point("generate", iter_no)?;
-            ctx.fault_point("dedup", iter_no)?;
-            // --- RankTests: already applied per batch for the rank test;
-            // the cross-candidate adjacency test needs the merged stripe.
-            let local_buf = {
-                let _t = ctx.timed(phases::RANK);
-                rec.accepted = if matches!(eng.test, CandidateTest::Rank) {
-                    local.len() as u64
-                } else {
-                    eng.elementarity_filter_with(&mut local, &part, zero_tree.as_ref())
-                };
-                eng.materialize(&local)
+        // --- Generation, sort/dedup, tree filter and the per-candidate
+        // rank test run fused per bounded batch over this rank's stripe of
+        // the pair grid, and every batch's transient footprint is charged
+        // against the node capacity.
+        let part = eng.partition();
+        let (start, end) = stripe_bounds(part.pairs(), nodes, rank, opts.stripe_weights.as_deref());
+        ctx.add_work(phases::GENERATE, end - start);
+        let zero_tree = eng.zero_support_tree(&part);
+        let modes_bytes = eng.modes.approx_bytes();
+        let mut local = CandidateSet::<P>::default();
+        let mut transient_now: u64 = 0;
+        let mut pass = {
+            let meter = ctx.memory();
+            let mut charge = |t: u64| -> Result<(), EfmError> {
+                meter.realloc(modes_bytes + transient_now, modes_bytes + t)?;
+                transient_now = t;
+                Ok(())
             };
-            drop(local);
-            track(ctx, &mut accounted, eng.modes.approx_bytes() + local_buf.approx_bytes())?;
-            ctx.fault_point("rank", iter_no)?;
-            // --- Communicate & Merge, folded: stripes arrive one at a time
-            // in rank order and merge into the accumulator as they land, so
-            // no rank ever materializes all `nodes` survivor buffers at
-            // once. The high-water mark is the mode matrix plus the growing
-            // merge plus ONE in-flight stripe — and every step of it is
-            // charged against the memory meter.
-            let out_bytes = local_buf.approx_bytes();
-            ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
-            eng.stats.comm_messages += nodes - 1;
-            eng.stats.comm_bytes += out_bytes * (nodes - 1);
-            if efm_obs::enabled() {
-                for dst in 0..nodes as usize {
-                    if dst != ctx.rank() {
-                        ctx.note_traffic(dst, out_bytes);
-                    }
-                }
-            }
-            let my_rank = ctx.rank();
-            let t_comm = Instant::now();
-            let mut t_merge = Duration::ZERO;
-            let merged = {
-                let meter = ctx.memory();
-                let mut charged = accounted;
-                // The outgoing buffer is handed to the fabric and consumed
-                // when the fold reaches `my_rank`; until then its bytes stay
-                // charged on top of accumulator + incoming stripe.
-                let held = |src: usize| if src < my_rank { out_bytes } else { 0 };
-                let sp = efm_obs::span(phases::COMMUNICATE);
-                let folded = ctx.allgather_fold(
-                    local_buf,
-                    None::<CandidateBuf<P, S>>,
-                    |acc, src, incoming| {
-                        let Some(acc) = acc else {
-                            let now = modes_bytes + incoming.approx_bytes() + held(src);
-                            meter.realloc(charged, now)?;
-                            charged = now;
-                            return Ok(Some(incoming));
-                        };
-                        let now =
-                            modes_bytes + acc.approx_bytes() + incoming.approx_bytes() + held(src);
-                        meter.realloc(charged, now)?;
-                        charged = now;
-                        let t0 = Instant::now();
-                        let msp = efm_obs::span(phases::MERGE);
-                        let m = CandidateBuf::merge_sorted(acc, incoming);
-                        drop(msp);
-                        t_merge += t0.elapsed();
-                        let now = modes_bytes + m.approx_bytes() + held(src);
-                        meter.realloc(charged, now)?;
-                        charged = now;
-                        Ok(Some(m))
-                    },
-                )?;
-                drop(sp);
-                accounted = charged;
-                folded.expect("cluster size is at least one rank")
-            };
-            ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
-            ctx.add_time(phases::MERGE, t_merge);
-            ctx.fault_point("communicate", iter_no)?;
-            {
-                let t0 = Instant::now();
-                let msp = efm_obs::span(phases::MERGE);
-                eng.advance(&part, merged);
-                drop(msp);
-                ctx.add_time(phases::MERGE, t0.elapsed());
-            }
-            track(ctx, &mut accounted, eng.modes.approx_bytes())?;
-            ctx.fault_point("merge", iter_no)?;
-        } else {
-            // --- ParallelGenerateEFMCands: my stripe of the pair grid.
-            let (part, mut local) = {
-                let _t = ctx.timed(phases::GENERATE);
-                let part = eng.partition();
-                let pairs = part.pairs();
-                let (start, end) =
-                    stripe_bounds(pairs, nodes, rank, opts.stripe_weights.as_deref());
-                rec.pos = part.pos.len();
-                rec.neg = part.neg.len();
-                rec.zero = part.zero.len();
-                rec.pairs = end - start;
-                ctx.add_work(phases::GENERATE, end - start);
-                let mut set = CandidateSet::<P>::default();
-                rec.prefiltered = eng.generate_range(&part, start, end, &mut set, &mut arena);
-                (part, set)
-            };
-            rec.numeric_pass = local.numeric_pass;
-            eng.note_kernel_counters(
-                local.blocks,
-                rec.pairs - rec.numeric_pass,
-                arena.approx_bytes(),
-            );
-            // The raw generation output is transient, but it is real per-node
-            // memory — the whole unfiltered stripe is resident until the rank
-            // tests below — so it is charged against the node capacity: an
-            // undersized node aborts here with a typed `MemoryExceeded`
-            // instead of silently overcommitting (the accounting hole the
-            // streaming path above never opens, because it holds at most one
-            // batch). The dedicated gauge keeps the transient visible
-            // separately from the surviving-stripe charge.
-            let transient = local.approx_bytes();
-            eng.stats.peak_transient_bytes = eng.stats.peak_transient_bytes.max(transient);
-            efm_obs::gauge_max("peak transient bytes", transient);
-            track(ctx, &mut accounted, eng.modes.approx_bytes() + transient)?;
-            ctx.fault_point("generate", iter_no)?;
-            // --- Sort&RemoveDuplicates (local).
-            {
-                let _t = ctx.timed(phases::DEDUP);
-                local.sort_dedup();
-            }
-            ctx.fault_point("dedup", iter_no)?;
-            // --- Tree filter: drop candidates duplicating existing rays. The
-            // zero-mode support tree is built once and reused by the
-            // elementarity test below.
-            let zero_tree = {
-                let _t = ctx.timed(phases::TREE);
-                let zero_tree = (eng.pattern_trees && !part.zero.is_empty())
-                    .then(|| eng.zero_support_tree(&part));
-                match &zero_tree {
-                    Some(tree) => {
-                        eng.drop_duplicates_with_tree(&mut local, tree);
-                    }
-                    None => {
-                        eng.drop_duplicates_of_existing(&mut local, &part);
-                    }
-                }
-                rec.deduped = local.len() as u64;
-                zero_tree
-            };
-            // --- RankTests (local).
-            let t_rank = Instant::now();
-            let local_buf = {
-                let _t = ctx.timed(phases::RANK);
-                ctx.add_work(phases::RANK, local.len() as u64);
-                rec.accepted = eng.elementarity_filter_with(&mut local, &part, zero_tree.as_ref());
-                eng.materialize(&local)
-            };
-            efm_obs::hist::record("rank test batch us", t_rank.elapsed().as_micros() as u64);
-            drop(local);
-            // The materialized survivor stripe is this rank's private memory
-            // load — it differs across ranks, so a capacity failure here is
-            // *asymmetric* and relies on the abort propagation to release the
-            // peers from the collectives below.
-            track(ctx, &mut accounted, eng.modes.approx_bytes() + local_buf.approx_bytes())?;
-            ctx.fault_point("rank", iter_no)?;
-            // --- Communicate.
-            let all = {
-                let _t = ctx.timed(phases::COMMUNICATE);
-                // Under an α/β network model every rank ships its survivor
-                // buffer to all peers; record the outgoing volume.
-                let out_bytes = local_buf.approx_bytes();
-                ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
-                eng.stats.comm_messages += nodes - 1;
-                eng.stats.comm_bytes += out_bytes * (nodes - 1);
-                if efm_obs::enabled() {
-                    for dst in 0..nodes as usize {
-                        if dst != ctx.rank() {
-                            ctx.note_traffic(dst, out_bytes);
-                        }
-                    }
-                }
-                ctx.allgather(local_buf)?
-            };
-            ctx.fault_point("communicate", iter_no)?;
-            // --- Merge: identical on every rank.
-            {
-                let _t = ctx.timed(phases::MERGE);
-                // Every rank's buffer arrives sorted (the local sort is
-                // order-preserved by all later gather passes), so the global
-                // combine is a pairwise merge of sorted runs — no re-sort.
-                let merged = CandidateBuf::<P, S>::merge_sorted_many(all, new_stride);
-                // Cross-rank duplicates may pass the test on two ranks; the
-                // merge drops them on key collision. The merged buffer plus the
-                // mode matrix is the per-node memory high-water mark.
-                track(ctx, &mut accounted, eng.modes.approx_bytes() + merged.approx_bytes())?;
-                eng.advance(&part, merged);
-                track(ctx, &mut accounted, eng.modes.approx_bytes())?;
-            }
-            ctx.fault_point("merge", iter_no)?;
+            eng.stream_range(
+                &part,
+                start,
+                end,
+                STREAM_BATCH_PAIRS,
+                zero_tree.as_ref(),
+                &mut local,
+                &mut arena,
+                &mut charge,
+            )
         }
-        rec.modes_after = eng.modes.len();
-        eng.stats.candidates_generated += rec.pairs;
-        eng.stats.tree_pruned += rec.pairs - rec.prefiltered;
-        eng.stats.dedup_hits += rec.prefiltered - rec.deduped;
-        eng.stats.rank_tests += rec.deduped;
-        efm_obs::counter_add("dedup hits", rec.prefiltered - rec.deduped);
-        eng.note_iteration_counters(&rec);
+        .map_err(|e| match e {
+            EfmError::Cluster(c) => c,
+            other => as_protocol(other),
+        })?;
+        accounted = modes_bytes + transient_now;
+        ctx.add_time(phases::GENERATE, pass.t_generate);
+        ctx.add_time(phases::DEDUP, pass.t_dedup);
+        ctx.add_time(phases::TREE, pass.t_tree);
+        ctx.add_time(phases::RANK, pass.t_test);
+        ctx.add_work(phases::RANK, pass.tested);
+        ctx.fault_point("generate", iter_no)?;
+        ctx.fault_point("dedup", iter_no)?;
+        // --- RankTests: already applied per batch for the rank test; the
+        // cross-candidate adjacency test needs the merged stripe.
+        let (accepted, local_buf) = {
+            let _t = ctx.timed(phases::RANK);
+            let t_accept = Instant::now();
+            let accepted = eng.accept_survivors(&mut local, &part, zero_tree.as_ref());
+            pass.t_test += t_accept.elapsed();
+            (accepted, eng.materialize(&local))
+        };
+        drop(local);
+        // The materialized survivor stripe is this rank's private memory
+        // load — it differs across ranks, so a capacity failure here is
+        // *asymmetric* and relies on the abort propagation to release the
+        // peers from the collectives below.
+        track(ctx, &mut accounted, eng.modes.approx_bytes() + local_buf.approx_bytes())?;
+        ctx.fault_point("rank", iter_no)?;
+        // --- Communicate & Merge, folded: stripes arrive one at a time in
+        // rank order and merge into the accumulator as they land, so no
+        // rank ever materializes all `nodes` survivor buffers at once. The
+        // high-water mark is the mode matrix plus the growing merge plus
+        // ONE in-flight stripe — and every step of it is charged against
+        // the memory meter. Cross-rank duplicates may pass the test on two
+        // ranks; the sorted merge drops them on key collision.
+        let out_bytes = local_buf.approx_bytes();
+        ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
+        eng.stats.comm_messages += nodes - 1;
+        eng.stats.comm_bytes += out_bytes * (nodes - 1);
+        if efm_obs::enabled() {
+            for dst in 0..nodes as usize {
+                if dst != ctx.rank() {
+                    ctx.note_traffic(dst, out_bytes);
+                }
+            }
+        }
+        let my_rank = ctx.rank();
+        let t_comm = Instant::now();
+        let mut t_merge = Duration::ZERO;
+        let merged = {
+            let meter = ctx.memory();
+            let mut charged = accounted;
+            // The outgoing buffer is handed to the fabric and consumed
+            // when the fold reaches `my_rank`; until then its bytes stay
+            // charged on top of accumulator + incoming stripe.
+            let held = |src: usize| if src < my_rank { out_bytes } else { 0 };
+            let sp = efm_obs::span(phases::COMMUNICATE);
+            let folded =
+                ctx.allgather_fold(local_buf, None::<CandidateBuf<P, S>>, |acc, src, incoming| {
+                    let Some(acc) = acc else {
+                        let now = modes_bytes + incoming.approx_bytes() + held(src);
+                        meter.realloc(charged, now)?;
+                        charged = now;
+                        return Ok(Some(incoming));
+                    };
+                    let now =
+                        modes_bytes + acc.approx_bytes() + incoming.approx_bytes() + held(src);
+                    meter.realloc(charged, now)?;
+                    charged = now;
+                    let t0 = Instant::now();
+                    let msp = efm_obs::span(phases::MERGE);
+                    let m = CandidateBuf::merge_sorted(acc, incoming);
+                    drop(msp);
+                    t_merge += t0.elapsed();
+                    let now = modes_bytes + m.approx_bytes() + held(src);
+                    meter.realloc(charged, now)?;
+                    charged = now;
+                    Ok(Some(m))
+                })?;
+            drop(sp);
+            accounted = charged;
+            folded.expect("cluster size is at least one rank")
+        };
+        ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
+        ctx.add_time(phases::MERGE, t_merge);
+        ctx.fault_point("communicate", iter_no)?;
+        {
+            let t0 = Instant::now();
+            let msp = efm_obs::span(phases::MERGE);
+            eng.advance(&part, merged);
+            drop(msp);
+            ctx.add_time(phases::MERGE, t0.elapsed());
+        }
+        track(ctx, &mut accounted, eng.modes.approx_bytes())?;
+        ctx.fault_point("merge", iter_no)?;
+        eng.record_iteration(&part, end - start, modes_bytes, accepted, &pass);
         if ctx.rank() == 0 {
             crate::drivers::note_progress(&eng);
         }
-        eng.stats.iterations.push(rec);
         // --- Iteration boundary: the state is again identical on every
         // rank, so rank 0's snapshot stands for all.
         if let (Some(c), Some(w)) = (ckpt, writer.as_mut()) {

@@ -3,12 +3,12 @@
 
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
-use crate::engine::{CandidateSet, Engine};
+use crate::engine::{CandidateSet, Engine, GenArena, StreamStats, STREAM_BATCH_PAIRS};
 use crate::problem::EfmProblem;
-use crate::types::{CandidateTest, EfmError, EfmOptions, RunStats};
+use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
 use efm_bitset::BitPattern;
 use rayon::prelude::*;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Supports (in reduced-network reaction indices) plus run statistics.
 pub type SupportsAndStats = (Vec<Vec<usize>>, RunStats);
@@ -135,16 +135,9 @@ pub fn serial_supports_resumable<P: BitPattern, S: EfmScalar>(
 ) -> Result<SupportsAndStats, EfmError> {
     // One arena for the whole run: reset (not freed) each iteration, so
     // steady-state iterations perform no candidate-buffer allocation.
-    let mut arena = crate::engine::GenArena::new();
-    let streaming = opts.streaming_enabled();
-    let batch = opts.streaming_batch;
+    let mut arena = GenArena::new();
     run_resumable::<P, S>(problem, opts, resume, ckpt, move |eng| {
-        if streaming {
-            eng.step_streaming(&mut arena, batch, &mut |_| Ok(())).map(|_| ())
-        } else {
-            eng.step_with(&mut arena);
-            Ok(())
-        }
+        eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(())).map(drop)
     })
 }
 
@@ -153,54 +146,41 @@ pub fn serial_supports_resumable<P: BitPattern, S: EfmScalar>(
 pub fn serial_supports_traced<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
-    mut on_iteration: impl FnMut(&crate::types::IterationStats),
+    mut on_iteration: impl FnMut(&IterationStats),
 ) -> Result<SupportsAndStats, EfmError> {
-    let t0 = Instant::now();
-    let mut eng = Engine::<P, S>::new(problem, opts)?;
-    let mut arena = crate::engine::GenArena::new();
-    while !eng.done() {
-        check_limit(&eng, opts)?;
-        let rec = eng.step_with(&mut arena);
-        on_iteration(&rec);
-    }
-    Ok(finalize(problem, eng, t0))
+    let mut arena = GenArena::new();
+    run_resumable::<P, S>(problem, opts, None, None, move |eng| {
+        on_iteration(&eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(()))?);
+        Ok(())
+    })
 }
 
 /// Serial Algorithm 1 that can *grow* mid-run: once `grow()` first returns
-/// true the remaining iterations run as [`rayon_step`]s on the shared
-/// pool. The divide-and-conquer scheduler uses this as its straggler path
-/// for the serial backend — while other subsets are queued, each runs
+/// true the remaining iterations run as [`rayon_step_streaming`]s on the
+/// shared pool. The divide-and-conquer scheduler uses this as its straggler
+/// path for the serial backend — while other subsets are queued, each runs
 /// single-threaded (maximum throughput across subsets); when workers go
 /// idle because the queue is drained, the survivors' pair grids are
 /// re-split across the pool instead of leaving cores parked. The serial
-/// and rayon steps advance the engine through identical states (property-
-/// tested), so the switch point cannot change the result.
+/// and rayon steps advance the engine through identical states, so the
+/// switch point cannot change the result.
 pub fn adaptive_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     mut grow: impl FnMut() -> bool,
 ) -> Result<SupportsAndStats, EfmError> {
     let mut grown = false;
-    let mut arena = crate::engine::GenArena::new();
-    let streaming = opts.streaming_enabled();
-    let batch = opts.streaming_batch;
+    let mut arena = GenArena::new();
     run_resumable::<P, S>(problem, opts, None, None, move |eng| {
         if !grown && grow() {
             grown = true;
             efm_obs::instant("dnc grow to pool");
             efm_obs::counter_add("dnc resplits", 1);
         }
-        match (grown, streaming) {
-            (true, true) => rayon_step_streaming::<P, S>(eng, batch),
-            (true, false) => {
-                rayon_step::<P, S>(eng);
-                Ok(())
-            }
-            (false, true) => eng.step_streaming(&mut arena, batch, &mut |_| Ok(())).map(|_| ()),
-            (false, false) => {
-                eng.step_with(&mut arena);
-                Ok(())
-            }
+        if grown {
+            rayon_step_streaming::<P, S>(eng)
+        } else {
+            eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(())).map(drop)
         }
     })
 }
@@ -222,16 +202,7 @@ pub fn rayon_supports_resumable<P: BitPattern, S: EfmScalar>(
     resume: Option<&EngineCheckpoint>,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<SupportsAndStats, EfmError> {
-    let streaming = opts.streaming_enabled();
-    let batch = opts.streaming_batch;
-    run_resumable::<P, S>(problem, opts, resume, ckpt, move |eng| {
-        if streaming {
-            rayon_step_streaming::<P, S>(eng, batch)
-        } else {
-            rayon_step::<P, S>(eng);
-            Ok(())
-        }
-    })
+    run_resumable::<P, S>(problem, opts, resume, ckpt, rayon_step_streaming::<P, S>)
 }
 
 /// Block size for parallel per-candidate work: small enough that uneven
@@ -280,250 +251,62 @@ where
     keeps.into_iter().flatten().collect()
 }
 
-/// One parallel iteration (exposed for tests).
-///
-/// Pipeline: chunked pair generation with per-chunk local sorts, parallel
-/// pairwise merge of the sorted runs (no serial whole-set sort barrier),
-/// tree-backed duplicate drop, then the elementarity test on fine-grained
-/// parallel blocks.
-pub fn rayon_step<P: BitPattern, S: EfmScalar>(eng: &mut Engine<P, S>) {
-    let mut rec = crate::types::IterationStats {
-        position: eng.cursor,
-        reaction: eng.name_at[eng.cursor].clone(),
-        reversible: eng.reversible_at[eng.cursor],
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::GENERATE);
-    let part = eng.partition();
-    rec.pos = part.pos.len();
-    rec.neg = part.neg.len();
-    rec.zero = part.zero.len();
-    rec.pairs = part.pairs();
-
-    let pairs = part.pairs();
-    let nchunks = (rayon::current_num_threads() * 4).max(1) as u64;
-    let chunk = pairs.div_ceil(nchunks).max(1);
-    let results: Vec<(CandidateSet<P>, u64, u64, u64)> = (0..nchunks)
-        .into_par_iter()
-        .map(|c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(pairs);
-            let mut set = CandidateSet::default();
-            let mut arena = crate::engine::GenArena::new();
-            let survivors = if start < end {
-                eng.generate_range(&part, start, end, &mut set, &mut arena)
-            } else {
-                0
-            };
-            let raw = set.len() as u64;
-            // Local sort while the chunk is still cache-resident: the
-            // runs leave this map already sorted, so the join below is a
-            // merge, not a re-sort.
-            set.sort_dedup();
-            (set, survivors, raw, arena.approx_bytes())
-        })
-        .collect();
-    let mut runs = Vec::with_capacity(results.len());
-    let mut raw = 0u64;
-    let mut arena_bytes = 0u64;
-    for (b, s, r, a) in results {
-        rec.prefiltered += s;
-        raw += r;
-        arena_bytes = arena_bytes.max(a);
-        runs.push(b);
-    }
-    drop(sp);
-    let t1 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
-    let mut set = merge_runs_parallel(runs);
-    rec.numeric_pass = set.numeric_pass;
-    let blocks = set.blocks;
-    drop(sp);
-    let t2 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::TREE);
-
-    // One shared tree over the zero-row mode supports, built once per
-    // iteration and queried from all workers concurrently — first for the
-    // duplicate drop, then again by the adjacency test below.
-    let zero_tree =
-        (eng.pattern_trees && !part.zero.is_empty()).then(|| eng.zero_support_tree(&part));
-    if !set.is_empty() && !part.zero.is_empty() {
-        if let Some(tree) = &zero_tree {
-            let keep = par_blocks(set.len(), |range| {
-                range
-                    .filter(|&i| !tree.contains(&eng.candidate_support(&set, i)))
-                    .map(|i| i as u32)
-                    .collect()
-            });
-            if keep.len() < set.len() {
-                set.gather(&keep);
-            }
-        } else {
-            eng.drop_duplicates_of_existing(&mut set, &part);
-        }
-    }
-    rec.deduped = set.len() as u64;
-    drop(sp);
-    let t3 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::RANK);
-
-    match eng.test {
-        CandidateTest::Rank => {
-            // Fine-grained blocks (not one coarse chunk per thread): rank
-            // tests have highly variable cost per candidate, so small blocks
-            // claimed dynamically keep every worker busy until the end.
-            let keep = par_blocks(set.len(), |range| eng.rank_filter_range(&set, range));
-            rec.accepted = keep.len() as u64;
-            set.gather(&keep);
-        }
-        CandidateTest::Adjacency if eng.pattern_trees => {
-            let n = set.len();
-            let zero_tree = zero_tree.unwrap_or_default();
-            let block = rank_block_size(n);
-            let sup_blocks: Vec<Vec<P>> = (0..n.div_ceil(block))
-                .into_par_iter()
-                .map(|b| {
-                    (b * block..((b + 1) * block).min(n))
-                        .map(|i| eng.candidate_support(&set, i))
-                        .collect()
-                })
-                .collect();
-            let cand_sups: Vec<P> = sup_blocks.into_iter().flatten().collect();
-            let cand_tree = efm_bitset::PatternTree::from_patterns(cand_sups.clone());
-            let keep = par_blocks(n, |range| {
-                eng.adjacency_keep_range(&zero_tree, &cand_tree, &cand_sups, range)
-            });
-            rec.accepted = keep.len() as u64;
-            set.gather(&keep);
-        }
-        CandidateTest::Adjacency => {
-            rec.accepted = eng.elementarity_filter(&mut set, &part);
-        }
-    }
-    drop(sp);
-    let t4 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
-    let buf = eng.materialize(&set);
-    eng.advance(&part, buf);
-    drop(sp);
-    let t5 = Instant::now();
-    rec.modes_after = eng.modes.len();
-    rec.t_generate = t1 - t0;
-    rec.t_merge = t2 - t1;
-    rec.t_tree_filter = t3 - t2;
-    rec.t_dedup = t3 - t1;
-    rec.t_test = t5 - t3;
-    eng.stats.phases.generate += t1 - t0;
-    eng.stats.phases.dedup += t2 - t1;
-    eng.stats.phases.tree_filter += t3 - t2;
-    eng.stats.phases.rank_test += t4 - t3;
-    efm_obs::hist::record("rank test batch us", (t4 - t3).as_micros() as u64);
-    eng.stats.candidates_generated += rec.pairs;
-    eng.stats.tree_pruned += rec.pairs - rec.prefiltered;
-    eng.stats.dedup_hits += raw - rec.deduped;
-    eng.stats.rank_tests += rec.deduped;
-    efm_obs::counter_add("dedup hits", raw - rec.deduped);
-    eng.note_kernel_counters(blocks, rec.pairs - rec.numeric_pass, arena_bytes);
-    eng.note_iteration_counters(&rec);
-    eng.stats.iterations.push(rec);
-}
-
-/// Per-chunk result of the parallel streaming sweep: surviving candidate
-/// set, its stream stats, and the chunk's transient high-water mark.
-type StreamChunk<P> = (CandidateSet<P>, crate::engine::StreamStats, u64);
-
 /// One parallel iteration through the bounded streaming pipeline
 /// ([`Engine::stream_range`]): each chunk of the pair grid flows batch by
 /// batch through generate → dedup → duplicate drop → rank test on its
 /// worker, so no worker ever materializes its full chunk. The per-worker
 /// transient peaks are *summed* into the charged footprint (chunks run
-/// concurrently), and survivor runs merge in parallel pairwise rounds
-/// exactly like [`rayon_step`] — the surviving set is identical.
-pub fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
+/// concurrently), and the sorted survivor runs merge in parallel pairwise
+/// rounds.
+fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     eng: &mut Engine<P, S>,
-    batch_pairs: u64,
 ) -> Result<(), EfmError> {
-    use crate::engine::StreamStats;
-    let mut rec = crate::types::IterationStats {
-        position: eng.cursor,
-        reaction: eng.name_at[eng.cursor].clone(),
-        reversible: eng.reversible_at[eng.cursor],
-        ..Default::default()
-    };
     let t0 = Instant::now();
     let part = eng.partition();
-    rec.pos = part.pos.len();
-    rec.neg = part.neg.len();
-    rec.zero = part.zero.len();
-    rec.pairs = part.pairs();
-    let modes_bytes = eng.modes.approx_bytes();
+    let resident = eng.modes.approx_bytes();
     // One shared tree over the zero-row mode supports, queried from all
     // workers concurrently by the per-batch duplicate drop.
-    let zero_tree =
-        (eng.pattern_trees && !part.zero.is_empty()).then(|| eng.zero_support_tree(&part));
+    let zero_tree = eng.zero_support_tree(&part);
 
     let pairs = part.pairs();
     let nchunks = (rayon::current_num_threads() * 4).max(1) as u64;
     let chunk = pairs.div_ceil(nchunks).max(1);
-    let results: Vec<Result<StreamChunk<P>, EfmError>> = (0..nchunks)
+    let results: Vec<Result<(CandidateSet<P>, StreamStats), EfmError>> = (0..nchunks)
         .into_par_iter()
         .map(|c| {
-            let start = c * chunk;
+            let start = (c * chunk).min(pairs);
             let end = (start + chunk).min(pairs);
             let mut set = CandidateSet::default();
-            let mut arena = crate::engine::GenArena::new();
-            let ss = if start < end {
-                eng.stream_range(
-                    &part,
-                    start,
-                    end,
-                    batch_pairs,
-                    zero_tree.as_ref(),
-                    true,
-                    &mut set,
-                    &mut arena,
-                    &mut |_| Ok(()),
-                )?
-            } else {
-                StreamStats::default()
-            };
-            Ok((set, ss, arena.approx_bytes()))
+            let ss = eng.stream_range(
+                &part,
+                start,
+                end,
+                STREAM_BATCH_PAIRS,
+                zero_tree.as_ref(),
+                &mut set,
+                &mut GenArena::new(),
+                &mut |_| Ok(()),
+            )?;
+            Ok((set, ss))
         })
         .collect();
     let mut runs = Vec::with_capacity(results.len());
-    let mut ss_tot = StreamStats::default();
-    let mut transient_total = 0u64;
-    let mut arena_bytes = 0u64;
+    let mut pass = StreamStats::default();
     for r in results {
-        let (set, ss, ab) = r?;
-        ss_tot.batches += ss.batches;
-        ss_tot.prefiltered += ss.prefiltered;
-        ss_tot.tested += ss.tested;
-        transient_total += ss.transient_peak;
-        ss_tot.t_generate += ss.t_generate;
-        ss_tot.t_dedup += ss.t_dedup;
-        ss_tot.t_tree += ss.t_tree;
-        ss_tot.t_test += ss.t_test;
-        arena_bytes = arena_bytes.max(ab);
+        let (set, ss) = r?;
+        pass.absorb(&ss);
         runs.push(set);
     }
-    rec.prefiltered = ss_tot.prefiltered;
-    rec.deduped = ss_tot.tested;
     let t1 = Instant::now();
     let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
     let mut set = merge_runs_parallel(runs);
-    rec.numeric_pass = set.numeric_pass;
-    let blocks = set.blocks;
     drop(sp);
     let t2 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::RANK);
-    match eng.test {
-        // Rank verdicts are batch-local; survivors are already filtered.
-        CandidateTest::Rank => rec.accepted = set.len() as u64,
+    let accepted = match eng.test {
         // Adjacency is cross-candidate: run it on the merged set, with the
-        // same shared trees as the materialized path.
+        // shared zero tree and one candidate tree queried in parallel.
         CandidateTest::Adjacency if eng.pattern_trees => {
+            let _sp = efm_obs::span(crate::cluster_algo::phases::RANK);
             let n = set.len();
             let zero_tree = zero_tree.unwrap_or_default();
             let block = rank_block_size(n);
@@ -540,60 +323,32 @@ pub fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
             let keep = par_blocks(n, |range| {
                 eng.adjacency_keep_range(&zero_tree, &cand_tree, &cand_sups, range)
             });
-            rec.accepted = keep.len() as u64;
             set.gather(&keep);
+            keep.len() as u64
         }
-        CandidateTest::Adjacency => {
-            rec.accepted = eng.elementarity_filter(&mut set, &part);
-        }
-    }
-    drop(sp);
+        _ => eng.accept_survivors(&mut set, &part, None),
+    };
     let t3 = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
-    let buf = eng.materialize(&set);
-    eng.advance(&part, buf);
-    drop(sp);
-    let t4 = Instant::now();
-    rec.modes_after = eng.modes.len();
     // The streaming phases interleave inside the parallel section, so the
     // wall time of that section is attributed proportionally to the summed
     // per-worker phase durations.
     let wall = t1 - t0;
-    let sums = ss_tot.t_generate + ss_tot.t_dedup + ss_tot.t_tree + ss_tot.t_test;
-    let scale = |d: std::time::Duration| {
+    let sums = pass.t_generate + pass.t_dedup + pass.t_tree + pass.t_test;
+    let scale = |d: Duration| {
         if sums.is_zero() {
-            std::time::Duration::ZERO
+            Duration::ZERO
         } else {
             wall.mul_f64(d.as_secs_f64() / sums.as_secs_f64())
         }
     };
-    rec.t_generate = scale(ss_tot.t_generate);
-    rec.t_merge = scale(ss_tot.t_dedup) + (t2 - t1);
-    rec.t_tree_filter = scale(ss_tot.t_tree);
-    rec.t_dedup = rec.t_merge + rec.t_tree_filter;
-    rec.t_test = scale(ss_tot.t_test) + (t3 - t2) + (t4 - t3);
-    eng.stats.phases.generate += rec.t_generate;
-    eng.stats.phases.dedup += rec.t_merge;
-    eng.stats.phases.tree_filter += rec.t_tree_filter;
-    eng.stats.phases.rank_test += scale(ss_tot.t_test) + (t3 - t2);
-    efm_obs::hist::record(
-        "rank test batch us",
-        (scale(ss_tot.t_test) + (t3 - t2)).as_micros() as u64,
-    );
-    eng.stats.candidates_generated += rec.pairs;
-    eng.stats.tree_pruned += rec.pairs - rec.prefiltered;
-    eng.stats.dedup_hits += ss_tot.prefiltered - ss_tot.tested;
-    eng.stats.rank_tests += ss_tot.tested;
-    eng.stats.stream_batches += ss_tot.batches;
-    eng.stats.peak_transient_bytes = eng.stats.peak_transient_bytes.max(transient_total);
-    let resident = eng.modes.approx_bytes();
-    eng.stats.peak_bytes = eng.stats.peak_bytes.max(modes_bytes + transient_total).max(resident);
-    efm_obs::counter_add("dedup hits", ss_tot.prefiltered - ss_tot.tested);
-    if efm_obs::enabled() {
-        efm_obs::gauge_max("peak transient bytes", transient_total);
-    }
-    eng.note_kernel_counters(blocks, rec.pairs - rec.numeric_pass, arena_bytes);
-    eng.note_iteration_counters(&rec);
-    eng.stats.iterations.push(rec);
+    pass.t_generate = scale(pass.t_generate);
+    pass.t_dedup = scale(pass.t_dedup) + (t2 - t1);
+    pass.t_tree = scale(pass.t_tree);
+    pass.t_test = scale(pass.t_test) + (t3 - t2);
+    let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
+    let buf = eng.materialize(&set);
+    eng.advance(&part, buf);
+    drop(sp);
+    eng.record_iteration(&part, pairs, resident, accepted, &pass);
     Ok(())
 }

@@ -38,6 +38,11 @@ use efm_linalg::{nullity_of_cols, Mat};
 /// max-scaled first).
 pub const RANK_TOL: f64 = 1e-9;
 
+/// Pairs per batch of the streaming pipeline ([`Engine::stream_range`]):
+/// small enough to bound the transient buffer, large enough that the
+/// per-batch sorted merge stays cheap.
+pub(crate) const STREAM_BATCH_PAIRS: u64 = 1 << 16;
+
 use efm_numeric::Scalar;
 
 /// Struct-of-arrays storage for intermediate modes.
@@ -241,23 +246,6 @@ impl<P: BitPattern, S: Scalar> CandidateBuf<P, S> {
         out
     }
 
-    /// Merges any number of sorted buffers by pairwise rounds.
-    pub fn merge_sorted_many(bufs: Vec<CandidateBuf<P, S>>, stride: usize) -> CandidateBuf<P, S> {
-        let mut runs = bufs;
-        while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(CandidateBuf::merge_sorted(a, b)),
-                    None => next.push(a),
-                }
-            }
-            runs = next;
-        }
-        runs.pop().unwrap_or_else(|| CandidateBuf::new(stride))
-    }
-
     /// Approximate resident bytes.
     pub fn approx_bytes(&self) -> u64 {
         (self.patterns.len() * 2 * std::mem::size_of::<P>()
@@ -292,12 +280,6 @@ pub struct CandidateSet<P> {
     pub val_sups: Vec<P>,
     /// `(positive parent, negative parent)` mode indices.
     pub parents: Vec<(u32, u32)>,
-    /// Pairs that reached the numeric combination pass (prefilter hits) —
-    /// instrumentation for tuning the cheap bounds.
-    pub numeric_pass: u64,
-    /// Cache blocks the generation kernel processed to produce this set —
-    /// instrumentation for the blocked sweep (merged like `numeric_pass`).
-    pub blocks: u64,
 }
 
 impl<P: BitPattern> CandidateSet<P> {
@@ -316,8 +298,6 @@ impl<P: BitPattern> CandidateSet<P> {
         self.patterns.append(&mut other.patterns);
         self.val_sups.append(&mut other.val_sups);
         self.parents.append(&mut other.parents);
-        self.numeric_pass += other.numeric_pass;
-        self.blocks += other.blocks;
     }
 
     /// Sorts by `(pattern, value support)` and removes duplicates.
@@ -379,21 +359,17 @@ impl<P: BitPattern> CandidateSet<P> {
     pub fn merge_sorted(a: CandidateSet<P>, b: CandidateSet<P>) -> CandidateSet<P> {
         debug_assert!(is_sorted_by_key(&a.patterns, &a.val_sups));
         debug_assert!(is_sorted_by_key(&b.patterns, &b.val_sups));
-        let numeric_pass = a.numeric_pass + b.numeric_pass;
-        let blocks = a.blocks + b.blocks;
         if a.is_empty() {
-            return CandidateSet { numeric_pass, blocks, ..b };
+            return b;
         }
         if b.is_empty() {
-            return CandidateSet { numeric_pass, blocks, ..a };
+            return a;
         }
         let cap = a.len() + b.len();
         let mut out = CandidateSet {
             patterns: Vec::with_capacity(cap),
             val_sups: Vec::with_capacity(cap),
             parents: Vec::with_capacity(cap),
-            numeric_pass,
-            blocks,
         };
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() || j < b.len() {
@@ -524,12 +500,19 @@ impl<P, S> GenArena<P, S> {
 /// ([`Engine::stream_range`]).
 ///
 /// The pass interleaves all pipeline phases per batch, so timings are
-/// accumulated here and folded into the driver's phase breakdown afterwards
-/// (an RAII phase timer per batch would misattribute the interleaving).
+/// accumulated here and folded into the run statistics afterwards by
+/// `Engine::record_iteration` (an RAII phase timer per batch would
+/// misattribute the interleaving).
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
     /// Bounded batches processed.
     pub batches: u64,
+    /// Pairs that reached the numeric combination pass (prefilter hits).
+    pub numeric_pass: u64,
+    /// Cache blocks the generation kernel processed.
+    pub blocks: u64,
+    /// Resident bytes of the generation arena after the pass.
+    pub arena_bytes: u64,
     /// Pairs that survived the summary rejection (raw candidates).
     pub prefiltered: u64,
     /// Candidates reaching the elementarity test after per-batch dedup and
@@ -548,6 +531,26 @@ pub struct StreamStats {
     pub t_tree: std::time::Duration,
     /// Time spent in the per-batch elementarity test.
     pub t_test: std::time::Duration,
+}
+
+impl StreamStats {
+    /// Folds in the stats of a pass that ran *concurrently* with this one
+    /// (another worker's chunk of the same pair grid): counters and times
+    /// add up, and so do the transient peaks, since both buffers were live
+    /// at once; arenas are per worker, so their footprint is a maximum.
+    pub(crate) fn absorb(&mut self, other: &StreamStats) {
+        self.batches += other.batches;
+        self.numeric_pass += other.numeric_pass;
+        self.blocks += other.blocks;
+        self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
+        self.prefiltered += other.prefiltered;
+        self.tested += other.tested;
+        self.transient_peak += other.transient_peak;
+        self.t_generate += other.t_generate;
+        self.t_dedup += other.t_dedup;
+        self.t_tree += other.t_tree;
+        self.t_test += other.t_test;
+    }
 }
 
 /// The engine: problem data plus evolving mode matrix.
@@ -739,8 +742,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// Generates candidates for the pair-index range `[start, end)` of the
     /// `pos × neg` grid (pair `k` = `(pos[k / |neg|], neg[k % |neg|])`).
-    /// Survivors of the summary rejection are appended to `out`.
-    /// Returns the number of surviving pairs.
+    /// Survivors of the summary rejection are appended to `out`; their
+    /// number, the pairs that reached the numeric pass and the cache
+    /// blocks swept are added to `stats`.
     ///
     /// The sweep is cache-blocked: the range decomposes into a leading
     /// partial row, a body of full rows and a trailing partial row; each
@@ -758,10 +762,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         end: u64,
         out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
-    ) -> u64 {
+        stats: &mut StreamStats,
+    ) {
         let nneg = part.neg.len() as u64;
         if nneg == 0 || start >= end {
-            return 0;
+            return;
         }
         let head = self.modes.rev_len;
         let a0 = (start / nneg) as usize;
@@ -784,12 +789,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
         let nneg = nneg as usize;
         if a0 == a1 {
-            self.generate_tiles(part, a0..a0 + 1, b0, b1, out, arena)
+            self.generate_tiles(part, a0..a0 + 1, b0, b1, out, arena, stats);
         } else {
-            let mut survivors = self.generate_tiles(part, a0..a0 + 1, b0, nneg, out, arena);
-            survivors += self.generate_tiles(part, a0 + 1..a1, 0, nneg, out, arena);
-            survivors += self.generate_tiles(part, a1..a1 + 1, 0, b1, out, arena);
-            survivors
+            self.generate_tiles(part, a0..a0 + 1, b0, nneg, out, arena, stats);
+            self.generate_tiles(part, a0 + 1..a1, 0, nneg, out, arena, stats);
+            self.generate_tiles(part, a1..a1 + 1, 0, b1, out, arena, stats);
         }
     }
 
@@ -809,9 +813,10 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         cb: usize,
         out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
-    ) -> u64 {
+        stats: &mut StreamStats,
+    ) {
         if rows.is_empty() || ca >= cb {
-            return 0;
+            return;
         }
         let stride = self.modes.stride();
         let head = self.modes.rev_len;
@@ -824,7 +829,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let mut cs = ca;
         while cs < cb {
             let ce = (cs + block).min(cb);
-            out.blocks += 1;
+            stats.blocks += 1;
             let negs = &part.neg_pats[cs..ce];
             let nsups = &part.neg_tail_sups[cs..ce];
             for a in rows.clone() {
@@ -845,7 +850,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                     bounds,
                     hits,
                 );
-                out.numeric_pass += hits.len() as u64;
+                stats.numeric_pass += hits.len() as u64;
                 // Numeric pass on prefilter survivors only; values go to
                 // the arena scratch — only the support bits are recorded.
                 'hits: for &bidx in hits.iter() {
@@ -889,51 +894,46 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             }
             cs = ce;
         }
-        survivors
+        stats.prefiltered += survivors;
     }
 
-    /// [`Engine::drop_duplicates_of_existing`] against a prebuilt support
-    /// set — the hash-set fallback the streaming pass builds once per call
-    /// instead of once per batch.
-    fn drop_duplicates_with_set(
-        &self,
-        buf: &mut CandidateSet<P>,
-        zero_sups: &std::collections::HashSet<P>,
-    ) -> u64 {
-        if buf.is_empty() || zero_sups.is_empty() {
-            return 0;
-        }
+    /// Drops candidates whose full support is already the support of a
+    /// zero-row mode (`existing`): cancellation at processed reversible
+    /// rows can make a combination reproduce an existing ray (both have
+    /// nullity-1 supports, hence are the same ray). Positive/negative modes
+    /// carry the current-row position and can never collide.
+    fn drop_existing(&self, buf: &mut CandidateSet<P>, existing: impl Fn(&P) -> bool) {
         let keep: Vec<u32> = (0..buf.len())
-            .filter(|&i| !zero_sups.contains(&self.candidate_support(buf, i)))
+            .filter(|&i| !existing(&self.candidate_support(buf, i)))
             .map(|i| i as u32)
             .collect();
-        let dropped = buf.len() as u64 - keep.len() as u64;
-        if dropped > 0 {
+        if keep.len() < buf.len() {
             buf.gather(&keep);
         }
-        dropped
     }
 
-    /// Streaming counterpart of [`Engine::generate_range`]: the pair range
-    /// is processed in bounded batches of at most `batch_pairs` pairs, and
-    /// each batch flows through sort/dedup → duplicate-of-existing drop →
-    /// (for the rank test) the per-candidate elementarity test *before* the
-    /// next batch is generated. Only survivors accumulate in `out`, so the
-    /// transient footprint is one batch plus the accumulated survivor set
-    /// — not the full materialized pair range.
+    /// The iteration's pipeline over the pair-index range `[start, end)`:
+    /// the range is processed in bounded batches of at most `batch_pairs`
+    /// pairs, and each batch flows through sort/dedup → duplicate-of-
+    /// existing drop → (for the rank test) the per-candidate elementarity
+    /// test *before* the next batch is generated. Only survivors
+    /// accumulate in `out`, so the transient footprint is one batch plus
+    /// the accumulated survivor set — not the full materialized pair range.
     ///
     /// `charge` is invoked once per batch with the current transient
     /// footprint in bytes (survivors + in-flight batch + arena); a driver
     /// charges it against its memory meter and returns an error to abort
     /// generation with a typed failure instead of OOM-ing.
     ///
-    /// The surviving set is identical to the materialize-then-filter path:
-    /// the rank test is a per-candidate function of the support columns, so
-    /// batch-local verdicts agree with global ones, and cross-batch
-    /// duplicates receive equal verdicts and collapse in the sorted merge
-    /// (which keeps the first copy, exactly like the global sort+dedup).
-    /// The cross-candidate adjacency test cannot run batch-locally, so with
-    /// `filter` set it is deferred to the caller on the merged set.
+    /// Batch size never changes the surviving set, so one batch covering
+    /// the whole range — materialize, then filter — is the reference the
+    /// tests hold small batches to: the rank test is a per-candidate
+    /// function of the support columns, so batch-local verdicts agree with
+    /// global ones, and cross-batch duplicates receive equal verdicts and
+    /// collapse in the sorted merge (which keeps the first copy, exactly
+    /// like a global sort+dedup). The cross-candidate adjacency test cannot
+    /// run batch-locally; `Engine::accept_survivors` runs it on the
+    /// merged set.
     #[allow(clippy::too_many_arguments)] // driver-facing orchestration point: range + scratch + accounting hook
     pub fn stream_range(
         &self,
@@ -942,7 +942,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         end: u64,
         batch_pairs: u64,
         zero_tree: Option<&PatternTree<P>>,
-        filter: bool,
         out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
         charge: &mut dyn FnMut(u64) -> Result<(), EfmError>,
@@ -958,7 +957,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let zero_sups: Option<std::collections::HashSet<P>> = (zero_tree.is_none()
             && !part.zero.is_empty())
         .then(|| part.zero.iter().map(|&i| self.mode_support(i as usize)).collect());
-        let per_batch_filter = filter && matches!(self.test, CandidateTest::Rank);
+        let per_batch_rank = matches!(self.test, CandidateTest::Rank);
         let mut s = start;
         while s < end {
             let e = (s + batch_pairs).min(end);
@@ -966,7 +965,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let t0 = Instant::now();
             let sp = efm_obs::span(crate::cluster_algo::phases::GENERATE);
             let mut batch = CandidateSet::default();
-            ss.prefiltered += self.generate_range(part, s, e, &mut batch, arena);
+            self.generate_range(part, s, e, &mut batch, arena, &mut ss);
             drop(sp);
             let t1 = Instant::now();
             let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
@@ -975,18 +974,14 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let t2 = Instant::now();
             let sp = efm_obs::span(crate::cluster_algo::phases::TREE);
             match (&zero_tree, &zero_sups) {
-                (Some(tree), _) => {
-                    self.drop_duplicates_with_tree(&mut batch, tree);
-                }
-                (None, Some(sups)) => {
-                    self.drop_duplicates_with_set(&mut batch, sups);
-                }
+                (Some(tree), _) => self.drop_existing(&mut batch, |s| tree.contains(s)),
+                (None, Some(sups)) => self.drop_existing(&mut batch, |s| sups.contains(s)),
                 _ => {}
             }
             drop(sp);
             let t3 = Instant::now();
             ss.tested += batch.len() as u64;
-            if per_batch_filter {
+            if per_batch_rank {
                 let sp = efm_obs::span(crate::cluster_algo::phases::RANK);
                 let keep = self.rank_filter_range(&batch, 0..batch.len());
                 batch.gather(&keep);
@@ -1003,92 +998,119 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             ss.t_test += t4 - t3;
             s = e;
         }
+        ss.arena_bytes = arena.approx_bytes();
         Ok(ss)
     }
 
-    /// Runs one full iteration with the bounded streaming pipeline
-    /// ([`Engine::stream_range`]) instead of materialize-then-filter. The
-    /// surviving mode set is identical to [`Engine::step_with`]; only the
-    /// transient footprint (and hence `peak_transient_bytes`, which this
-    /// path both bounds and charges via `charge`) differs.
+    /// Runs one full iteration in-place through the bounded streaming
+    /// pipeline ([`Engine::stream_range`]) over the whole pair grid, in
+    /// batches of `batch_pairs` pairs, charging each batch's transient
+    /// footprint through `charge`. The arena is reset, not freed, so a
+    /// driver-owned arena makes the generation pass allocation-free in
+    /// steady state.
     pub fn step_streaming(
         &mut self,
         arena: &mut GenArena<P, S>,
         batch_pairs: u64,
         charge: &mut dyn FnMut(u64) -> Result<(), EfmError>,
     ) -> Result<IterationStats, EfmError> {
-        use std::time::Instant;
         debug_assert!(!self.done());
-        let mut rec = IterationStats {
-            position: self.cursor,
-            reaction: self.name_at[self.cursor].clone(),
-            reversible: self.current_reversible(),
-            ..Default::default()
-        };
         let part = self.partition();
-        rec.pos = part.pos.len();
-        rec.neg = part.neg.len();
-        rec.zero = part.zero.len();
-        rec.pairs = part.pairs();
-        let modes_bytes = self.modes.approx_bytes();
-        let zero_tree =
-            (self.pattern_trees && !part.zero.is_empty()).then(|| self.zero_support_tree(&part));
+        let resident = self.modes.approx_bytes();
+        let zero_tree = self.zero_support_tree(&part);
         let mut set = CandidateSet::default();
-        let ss = self.stream_range(
+        let mut pass = self.stream_range(
             &part,
             0,
             part.pairs(),
             batch_pairs,
             zero_tree.as_ref(),
-            true,
             &mut set,
             arena,
             charge,
         )?;
-        rec.prefiltered = ss.prefiltered;
-        rec.numeric_pass = set.numeric_pass;
-        rec.deduped = ss.tested;
-        let t_accept = Instant::now();
-        rec.accepted = if matches!(self.test, CandidateTest::Rank) {
-            set.len() as u64
-        } else {
-            // Adjacency is a cross-candidate test: it needs the merged
-            // survivor set of the whole iteration.
-            self.elementarity_filter_with(&mut set, &part, zero_tree.as_ref())
-        };
-        let t_extra = t_accept.elapsed();
+        let t_accept = std::time::Instant::now();
+        let accepted = self.accept_survivors(&mut set, &part, zero_tree.as_ref());
+        pass.t_test += t_accept.elapsed();
         let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
         let buf = self.materialize(&set);
         self.advance(&part, buf);
         drop(sp);
-        rec.modes_after = self.modes.len();
-        rec.t_generate = ss.t_generate;
-        rec.t_merge = ss.t_dedup;
-        rec.t_tree_filter = ss.t_tree;
-        rec.t_dedup = ss.t_dedup + ss.t_tree;
-        rec.t_test = ss.t_test + t_extra;
-        self.stats.phases.generate += ss.t_generate;
-        self.stats.phases.dedup += ss.t_dedup;
-        self.stats.phases.tree_filter += ss.t_tree;
-        self.stats.phases.rank_test += ss.t_test + t_extra;
-        self.stats.candidates_generated += rec.pairs;
-        self.stats.tree_pruned += rec.pairs - rec.prefiltered;
-        self.stats.dedup_hits += ss.prefiltered - ss.tested;
-        self.stats.rank_tests += ss.tested;
-        self.stats.stream_batches += ss.batches;
-        self.stats.peak_transient_bytes = self.stats.peak_transient_bytes.max(ss.transient_peak);
+        Ok(self.record_iteration(&part, part.pairs(), resident, accepted, &pass))
+    }
+
+    /// Folds one finished iteration into the run statistics, pushes its
+    /// record and returns it. Every driver calls this right after
+    /// [`Engine::advance`]: `part` is the iteration's sign partition,
+    /// `pairs` the share of its pair grid this engine generated (the whole
+    /// grid, or a cluster rank's stripe), `resident_before` the mode
+    /// matrix's bytes when generation started, and `pass` the generation
+    /// counters summed over the driver's workers, with times attributed to
+    /// phases (the cross-candidate test's time included in `t_test`).
+    pub(crate) fn record_iteration(
+        &mut self,
+        part: &SignPartition<P>,
+        pairs: u64,
+        resident_before: u64,
+        accepted: u64,
+        pass: &StreamStats,
+    ) -> IterationStats {
+        let position = self.cursor - 1;
+        let rec = IterationStats {
+            position,
+            reaction: self.name_at[position].clone(),
+            reversible: self.reversible_at[position],
+            pos: part.pos.len(),
+            neg: part.neg.len(),
+            zero: part.zero.len(),
+            pairs,
+            numeric_pass: pass.numeric_pass,
+            prefiltered: pass.prefiltered,
+            deduped: pass.tested,
+            accepted,
+            modes_after: self.modes.len(),
+            t_generate: pass.t_generate,
+            t_dedup: pass.t_dedup + pass.t_tree,
+            t_merge: pass.t_dedup,
+            t_tree_filter: pass.t_tree,
+            t_test: pass.t_test,
+        };
+        let st = &mut self.stats;
+        st.phases.generate += pass.t_generate;
+        st.phases.dedup += pass.t_dedup;
+        st.phases.tree_filter += pass.t_tree;
+        st.phases.rank_test += pass.t_test;
+        st.candidates_generated += pairs;
+        st.tree_pruned += pairs - pass.prefiltered;
+        st.dedup_hits += pass.prefiltered - pass.tested;
+        st.rank_tests += pass.tested;
+        st.stream_batches += pass.batches;
+        st.kernel_blocks += pass.blocks;
+        st.kernel_pruned += pairs - pass.numeric_pass;
+        st.arena_peak_bytes = st.arena_peak_bytes.max(pass.arena_bytes);
+        st.peak_transient_bytes = st.peak_transient_bytes.max(pass.transient_peak);
         // Honest charged peak: resident modes plus the bounded transient.
         let resident = self.modes.approx_bytes();
-        self.stats.peak_bytes =
-            self.stats.peak_bytes.max(modes_bytes + ss.transient_peak).max(resident);
-        self.note_kernel_counters(set.blocks, rec.pairs - rec.numeric_pass, arena.approx_bytes());
+        st.peak_bytes = st.peak_bytes.max(resident_before + pass.transient_peak).max(resident);
+        st.iterations.push(rec.clone());
         if efm_obs::enabled() {
-            efm_obs::counter_add("dedup hits", ss.prefiltered - ss.tested);
-            efm_obs::gauge_max("peak transient bytes", ss.transient_peak);
+            efm_obs::counter_add("candidates", pairs);
+            efm_obs::counter_add("tree pruned", pairs - pass.prefiltered);
+            efm_obs::counter_add("dedup hits", pass.prefiltered - pass.tested);
+            efm_obs::counter_add("rank tests", pass.tested);
+            efm_obs::counter_add("kernel blocks", pass.blocks);
+            efm_obs::counter_add_dyn(
+                format!("kernel pruned ({})", self.kernel_tier),
+                pairs - pass.numeric_pass,
+            );
+            efm_obs::gauge_max("arena bytes", pass.arena_bytes);
+            efm_obs::gauge_max("peak transient bytes", pass.transient_peak);
+            efm_obs::gauge_set("survivors", rec.modes_after as u64);
+            efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
+            efm_obs::gauge_max("peak bytes", resident);
+            efm_obs::hist::record("rank test batch us", pass.t_test.as_micros() as u64);
         }
-        self.note_iteration_counters(&rec);
-        self.stats.iterations.push(rec.clone());
-        Ok(rec)
+        rec
     }
 
     /// Recomputes the numeric sections for the surviving candidates (their
@@ -1187,98 +1209,37 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         s
     }
 
-    /// Drops candidates whose full support equals an existing zero-row
-    /// mode's support: cancellation at processed reversible rows can make a
-    /// combination reproduce an existing ray (both have nullity-1 supports,
-    /// hence are the same ray). Positive/negative modes carry the
-    /// current-row position and can never collide. Returns the number
-    /// dropped.
-    pub fn drop_duplicates_of_existing(
-        &self,
-        buf: &mut CandidateSet<P>,
-        part: &SignPartition<P>,
-    ) -> u64 {
-        if buf.is_empty() || part.zero.is_empty() {
-            return 0;
-        }
-        if self.pattern_trees {
-            let tree = self.zero_support_tree(part);
-            return self.drop_duplicates_with_tree(buf, &tree);
-        }
-        let zero_sups: std::collections::HashSet<P> =
-            part.zero.iter().map(|&i| self.mode_support(i as usize)).collect();
-        let keep: Vec<u32> = (0..buf.len())
-            .filter(|&i| !zero_sups.contains(&self.candidate_support(buf, i)))
-            .map(|i| i as u32)
-            .collect();
-        let dropped = buf.len() as u64 - keep.len() as u64;
-        if dropped > 0 {
-            buf.gather(&keep);
-        }
-        dropped
+    /// Builds the bit-pattern tree over the zero-row modes' full supports,
+    /// or `None` when pattern trees are off or no mode is zero on the
+    /// current row. Built once per iteration and shared between the
+    /// duplicate drop (exact-membership queries) and the adjacency test
+    /// (subset queries); parallel drivers query it concurrently.
+    pub fn zero_support_tree(&self, part: &SignPartition<P>) -> Option<PatternTree<P>> {
+        (self.pattern_trees && !part.zero.is_empty()).then(|| {
+            PatternTree::from_patterns(
+                part.zero.iter().map(|&i| self.mode_support(i as usize)).collect(),
+            )
+        })
     }
 
-    /// [`Engine::drop_duplicates_of_existing`] against a prebuilt zero-mode
-    /// support tree, so one tree serves both this drop and the adjacency
-    /// test within an iteration.
-    pub fn drop_duplicates_with_tree(
-        &self,
-        buf: &mut CandidateSet<P>,
-        tree: &PatternTree<P>,
-    ) -> u64 {
-        if buf.is_empty() || tree.is_empty() {
-            return 0;
-        }
-        let keep: Vec<u32> = (0..buf.len())
-            .filter(|&i| !tree.contains(&self.candidate_support(buf, i)))
-            .map(|i| i as u32)
-            .collect();
-        let dropped = buf.len() as u64 - keep.len() as u64;
-        if dropped > 0 {
-            buf.gather(&keep);
-        }
-        dropped
-    }
-
-    /// Builds the bit-pattern tree over the zero-row modes' full supports.
-    /// Built once per iteration and shared between the duplicate drop
-    /// (exact-membership queries) and the adjacency test (subset queries);
-    /// parallel drivers query it concurrently.
-    pub fn zero_support_tree(&self, part: &SignPartition<P>) -> PatternTree<P> {
-        PatternTree::from_patterns(
-            part.zero.iter().map(|&i| self.mode_support(i as usize)).collect(),
-        )
-    }
-
-    /// Applies the elementarity test, keeping only accepted candidates.
-    /// Returns the number accepted.
-    pub fn elementarity_filter(&self, buf: &mut CandidateSet<P>, part: &SignPartition<P>) -> u64 {
-        self.elementarity_filter_with(buf, part, None)
-    }
-
-    /// [`Engine::elementarity_filter`] with an optional prebuilt zero-mode
-    /// support tree (built once per iteration by the drivers and shared
-    /// with the duplicate drop).
-    pub fn elementarity_filter_with(
+    /// The cross-candidate half of the elementarity test, run on an
+    /// iteration's merged survivors of [`Engine::stream_range`]: the rank
+    /// test already ran per batch, so every survivor is accepted; the
+    /// adjacency test compares candidates with each other and runs here.
+    /// Keeps only accepted candidates and returns their number.
+    pub(crate) fn accept_survivors(
         &self,
         buf: &mut CandidateSet<P>,
         part: &SignPartition<P>,
         zero_tree: Option<&PatternTree<P>>,
     ) -> u64 {
+        let _sp = efm_obs::span(crate::cluster_algo::phases::RANK);
         match self.test {
-            CandidateTest::Rank => {
-                let keep = self.rank_filter_range(buf, 0..buf.len());
-                let n = keep.len() as u64;
-                buf.gather(&keep);
-                n
+            CandidateTest::Rank => buf.len() as u64,
+            CandidateTest::Adjacency if self.pattern_trees => {
+                let empty = PatternTree::default();
+                self.adjacency_filter_tree(buf, zero_tree.unwrap_or(&empty))
             }
-            CandidateTest::Adjacency if self.pattern_trees => match zero_tree {
-                Some(tree) => self.adjacency_filter_tree(buf, tree),
-                None => {
-                    let tree = self.zero_support_tree(part);
-                    self.adjacency_filter_tree(buf, &tree)
-                }
-            },
             CandidateTest::Adjacency => self.adjacency_filter_naive(buf, part),
         }
     }
@@ -1497,117 +1458,12 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         self.cursor += 1;
     }
 
-    /// Runs one full iteration in-place with a throwaway arena. Tests and
-    /// one-shot callers use this; drivers carry a persistent arena across
-    /// iterations via [`Engine::step_with`].
+    /// Runs one full iteration in-place with a throwaway arena and no
+    /// memory charge — the one-shot entry for tests; drivers carry a
+    /// persistent arena across iterations via [`Engine::step_streaming`].
     pub fn step(&mut self) -> IterationStats {
-        let mut arena = GenArena::new();
-        self.step_with(&mut arena)
-    }
-
-    /// Runs one full iteration in-place (used by the serial driver and by
-    /// tests; parallel drivers orchestrate the pieces themselves). The
-    /// arena is reset, not freed, so a driver-owned arena makes the
-    /// generation pass allocation-free in steady state.
-    pub fn step_with(&mut self, arena: &mut GenArena<P, S>) -> IterationStats {
-        use std::time::Instant;
-        debug_assert!(!self.done());
-        let mut rec = IterationStats {
-            position: self.cursor,
-            reaction: self.name_at[self.cursor].clone(),
-            reversible: self.current_reversible(),
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let sp = efm_obs::span(crate::cluster_algo::phases::GENERATE);
-        let part = self.partition();
-        rec.pos = part.pos.len();
-        rec.neg = part.neg.len();
-        rec.zero = part.zero.len();
-        rec.pairs = part.pairs();
-        let mut set = CandidateSet::default();
-        rec.prefiltered = self.generate_range(&part, 0, part.pairs(), &mut set, arena);
-        rec.numeric_pass = set.numeric_pass;
-        let raw = set.len() as u64;
-        drop(sp);
-        let t1 = Instant::now();
-        let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
-        set.sort_dedup();
-        drop(sp);
-        let t2 = Instant::now();
-        let sp = efm_obs::span(crate::cluster_algo::phases::TREE);
-        // One zero-mode support tree per iteration, shared between the
-        // duplicate drop (exact membership) and the adjacency test (subset
-        // queries).
-        let zero_tree =
-            (self.pattern_trees && !part.zero.is_empty()).then(|| self.zero_support_tree(&part));
-        match &zero_tree {
-            Some(tree) => {
-                self.drop_duplicates_with_tree(&mut set, tree);
-            }
-            None => {
-                self.drop_duplicates_of_existing(&mut set, &part);
-            }
-        }
-        rec.deduped = set.len() as u64;
-        drop(sp);
-        let t3 = Instant::now();
-        let sp = efm_obs::span(crate::cluster_algo::phases::RANK);
-        rec.accepted = self.elementarity_filter_with(&mut set, &part, zero_tree.as_ref());
-        drop(sp);
-        let t4 = Instant::now();
-        let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
-        let buf = self.materialize(&set);
-        self.advance(&part, buf);
-        drop(sp);
-        let t5 = Instant::now();
-        rec.modes_after = self.modes.len();
-        rec.t_generate = t1 - t0;
-        rec.t_merge = t2 - t1;
-        rec.t_tree_filter = t3 - t2;
-        rec.t_dedup = t3 - t1;
-        rec.t_test = (t4 - t3) + (t5 - t4);
-        self.stats.phases.generate += t1 - t0;
-        self.stats.phases.dedup += t2 - t1;
-        self.stats.phases.tree_filter += t3 - t2;
-        self.stats.phases.rank_test += t4 - t3;
-        self.stats.candidates_generated += rec.pairs;
-        self.stats.tree_pruned += rec.pairs - rec.prefiltered;
-        self.stats.dedup_hits += raw - rec.deduped;
-        self.stats.rank_tests += rec.deduped;
-        self.note_kernel_counters(set.blocks, rec.pairs - rec.numeric_pass, arena.approx_bytes());
-        efm_obs::counter_add("dedup hits", raw - rec.deduped);
-        self.note_iteration_counters(&rec);
-        self.stats.iterations.push(rec.clone());
-        rec
-    }
-
-    /// Folds one generation pass's kernel instrumentation into the run
-    /// stats and (when tracing) the telemetry counters: blocks processed,
-    /// pairs pruned by the vectorized prefilter, and the arena footprint.
-    pub(crate) fn note_kernel_counters(&mut self, blocks: u64, pruned: u64, arena_bytes: u64) {
-        self.stats.kernel_blocks += blocks;
-        self.stats.kernel_pruned += pruned;
-        self.stats.arena_peak_bytes = self.stats.arena_peak_bytes.max(arena_bytes);
-        if efm_obs::enabled() {
-            efm_obs::counter_add("kernel blocks", blocks);
-            efm_obs::counter_add_dyn(format!("kernel pruned ({})", self.kernel_tier), pruned);
-            efm_obs::gauge_max("arena bytes", arena_bytes);
-        }
-    }
-
-    /// Samples the per-iteration counters into the trace (no-op unless
-    /// tracing is enabled).
-    pub(crate) fn note_iteration_counters(&self, rec: &IterationStats) {
-        if !efm_obs::enabled() {
-            return;
-        }
-        efm_obs::counter_add("candidates", rec.pairs);
-        efm_obs::counter_add("tree pruned", rec.pairs - rec.prefiltered);
-        efm_obs::counter_add("rank tests", rec.deduped);
-        efm_obs::gauge_set("survivors", rec.modes_after as u64);
-        efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
-        efm_obs::gauge_max("peak bytes", self.modes.approx_bytes());
+        self.step_streaming(&mut GenArena::new(), STREAM_BATCH_PAIRS, &mut |_| Ok(()))
+            .expect("only the charge hook can fail, and this one never does")
     }
 
     /// Extracts the final supports as patterns over *positions*; when the
@@ -1708,13 +1564,14 @@ mod tests {
             if part.pairs() >= 2 {
                 let mut full = CandidateSet::default();
                 let mut arena = GenArena::new();
+                let mut stats = StreamStats::default();
                 let total = part.pairs();
-                eng.generate_range(&part, 0, total, &mut full, &mut arena);
-                assert!(full.blocks >= 1, "full sweep records its blocks");
+                eng.generate_range(&part, 0, total, &mut full, &mut arena, &mut stats);
+                assert!(stats.blocks >= 1, "full sweep records its blocks");
                 let mut striped = CandidateSet::default();
                 let bounds = [0, total / 3, 2 * total / 3, total];
                 for w in bounds.windows(2) {
-                    eng.generate_range(&part, w[0], w[1], &mut striped, &mut arena);
+                    eng.generate_range(&part, w[0], w[1], &mut striped, &mut arena, &mut stats);
                 }
                 full.sort_dedup();
                 striped.sort_dedup();
@@ -1778,50 +1635,54 @@ mod tests {
         assert_eq!(eng.final_supports().len(), 8);
     }
 
-    #[test]
-    fn streaming_step_matches_step_with() {
-        let mut legacy = toy_engine();
-        let mut streaming = toy_engine();
-        let mut arena_a = GenArena::new();
-        let mut arena_b = GenArena::new();
-        while !legacy.done() {
-            legacy.step_with(&mut arena_a);
+    /// Per-iteration `(pairs, accepted, modes_after)` of a run.
+    fn series(eng: &Engine<Pattern1, DynInt>) -> Vec<(u64, u64, usize)> {
+        eng.stats.iterations.iter().map(|r| (r.pairs, r.accepted, r.modes_after)).collect()
+    }
+
+    /// Runs `test` on the toy network twice: once with one batch covering
+    /// each iteration's whole pair grid (materialize, then filter) and once
+    /// with `tiny`-pair batches; both must agree on every iteration and on
+    /// the final supports.
+    fn one_batch_vs_tiny_batches(test: CandidateTest, tiny: u64) {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = compress(&net);
+        let opts = EfmOptions { test, ..Default::default() };
+        let problem = build_problem::<DynInt>(&red, &opts).unwrap();
+        let mut whole: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
+        let mut batched: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
+        let mut arena = GenArena::new();
+        while !whole.done() {
+            whole.step_streaming(&mut arena, u64::MAX, &mut |_| Ok(())).unwrap();
         }
         let mut charges = 0u64;
-        while !streaming.done() {
-            // Tiny batches force multiple charge/merge rounds per iteration.
-            streaming
-                .step_streaming(&mut arena_b, 2, &mut |_bytes| {
+        while !batched.done() {
+            batched
+                .step_streaming(&mut arena, tiny, &mut |_| {
                     charges += 1;
                     Ok(())
                 })
                 .unwrap();
         }
-        assert_eq!(legacy.final_supports(), streaming.final_supports());
-        assert_eq!(legacy.modes.len(), streaming.modes.len());
-        assert!(charges > 0, "streaming pass reports its transient footprint");
-        assert!(streaming.stats.peak_transient_bytes > 0);
-        assert!(streaming.stats.peak_bytes >= streaming.modes.approx_bytes());
-        // Pair totals are identical; only transient bookkeeping may differ.
-        assert_eq!(legacy.stats.candidates_generated, streaming.stats.candidates_generated);
+        assert_eq!(whole.final_supports(), batched.final_supports());
+        assert_eq!(series(&whole), series(&batched));
+        assert!(
+            batched.stats.stream_batches > whole.stats.stream_batches,
+            "tiny batches must force several merge rounds"
+        );
+        assert_eq!(charges, batched.stats.stream_batches, "every batch is charged");
+        assert!(batched.stats.peak_transient_bytes > 0);
+        assert!(batched.stats.peak_bytes >= batched.modes.approx_bytes());
     }
 
     #[test]
-    fn streaming_step_matches_step_with_adjacency() {
-        let net = efm_metnet::examples::toy_network();
-        let (red, _) = compress(&net);
-        let opts = EfmOptions { test: CandidateTest::Adjacency, ..Default::default() };
-        let problem = build_problem::<DynInt>(&red, &opts).unwrap();
-        let mut legacy: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
-        let mut streaming: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
-        let mut arena = GenArena::new();
-        while !legacy.done() {
-            legacy.step_with(&mut arena);
-        }
-        while !streaming.done() {
-            streaming.step_streaming(&mut arena, 3, &mut |_| Ok(())).unwrap();
-        }
-        assert_eq!(legacy.final_supports(), streaming.final_supports());
+    fn one_batch_and_tiny_batches_agree() {
+        one_batch_vs_tiny_batches(CandidateTest::Rank, 2);
+    }
+
+    #[test]
+    fn one_batch_and_tiny_batches_agree_adjacency() {
+        one_batch_vs_tiny_batches(CandidateTest::Adjacency, 3);
     }
 
     #[test]

@@ -118,17 +118,6 @@ pub struct EfmOptions {
     /// choices are bit-identical; `Scalar` exists as the differential
     /// baseline and escape hatch.
     pub kernel: KernelKind,
-    /// Generate candidates through the bounded streaming pipeline
-    /// (`Engine::stream_range`): per-batch dedup + elementarity testing
-    /// releases each batch before the next is generated, bounding the
-    /// transient buffer and letting drivers charge it against their memory
-    /// meter. Disabling restores the materialize-then-filter path — the
-    /// A/B baseline whose transient allocation is invisible to memory caps.
-    /// Overridable per process via `EFM_STREAMING` (`1`/`0`).
-    pub streaming: bool,
-    /// Pair-batch size of the streaming pipeline. Smaller batches bound
-    /// the transient tighter at the cost of more merge rounds.
-    pub streaming_batch: u64,
     /// Resident-byte budget for completed divide-and-conquer survivor
     /// stripes. `Some(b)` compresses each finished subset's supports
     /// (delta/run-length, [`efm_bitset::CompressedPattern`]) and spills
@@ -146,27 +135,6 @@ pub struct EfmOptions {
     pub stripe_weights: Option<Vec<u64>>,
 }
 
-impl EfmOptions {
-    /// Whether streaming generation is active, honoring the
-    /// `EFM_STREAMING` environment override (`1`/`on`/`true` forces the
-    /// streaming pipeline, `0`/`off`/`false`/`legacy` the materialized
-    /// one; read once per process, like `EFM_KERNEL`).
-    pub fn streaming_enabled(&self) -> bool {
-        use std::sync::OnceLock;
-        static ENV: OnceLock<Option<bool>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            std::env::var("EFM_STREAMING").ok().and_then(|v| {
-                match v.to_ascii_lowercase().as_str() {
-                    "1" | "on" | "true" | "stream" | "streaming" => Some(true),
-                    "0" | "off" | "false" | "legacy" => Some(false),
-                    _ => None,
-                }
-            })
-        })
-        .unwrap_or(self.streaming)
-    }
-}
-
 impl Default for EfmOptions {
     fn default() -> Self {
         EfmOptions {
@@ -178,8 +146,6 @@ impl Default for EfmOptions {
             compression: efm_metnet::CompressionOptions::default(),
             pattern_trees: true,
             kernel: KernelKind::Auto,
-            streaming: true,
-            streaming_batch: 1 << 16,
             spill_budget: None,
             stripe_weights: None,
         }
@@ -214,18 +180,17 @@ pub struct IterationStats {
     pub accepted: u64,
     /// Modes alive after the iteration.
     pub modes_after: usize,
-    /// Wall time of the generation phase (serial driver).
+    /// Wall time of candidate generation.
     pub t_generate: std::time::Duration,
-    /// Wall time of the dedup phase (serial driver: sort + dedup; parallel
-    /// drivers: merging the per-chunk sorted runs).
+    /// Wall time of duplicate removal: `t_merge + t_tree_filter`.
     pub t_dedup: std::time::Duration,
-    /// Wall time of merging per-chunk sorted candidate runs (parallel
-    /// drivers only; equals `t_dedup` there).
+    /// Wall time of the per-batch sort + dedup and of merging the sorted
+    /// survivor runs.
     pub t_merge: std::time::Duration,
-    /// Wall time of the pattern-tree filters (duplicate-of-existing drop
-    /// and, under the adjacency test, the subset queries).
+    /// Wall time of the duplicate-of-existing drop.
     pub t_tree_filter: std::time::Duration,
-    /// Wall time of the elementarity + materialize phase (serial driver).
+    /// Wall time of the elementarity test (per batch for the rank test,
+    /// on the merged survivors for the adjacency test).
     pub t_test: std::time::Duration,
 }
 
@@ -420,22 +385,16 @@ pub struct RunStats {
     pub comm_bytes: u64,
     /// Peak number of intermediate modes.
     pub peak_modes: usize,
-    /// Peak accounted memory in bytes, maximised over cluster ranks. With
-    /// streaming generation (the default) this *includes* the bounded
-    /// transient generation buffer — resident modes plus the charged
-    /// batch-pipeline high water (DESIGN.md §13). On the legacy
-    /// materialized path it reverts to the old resident-only accounting
-    /// (`0` for backends without memory accounting there).
+    /// Peak accounted memory in bytes, maximised over cluster ranks. It
+    /// *includes* the bounded transient generation buffer — resident modes
+    /// plus the charged batch-pipeline high water (DESIGN.md §13).
     pub peak_bytes: u64,
-    /// Peak bytes of the *transient* generation buffer, maximised over
-    /// ranks — kept as a separate gauge so the transient trajectory stays
-    /// comparable across streaming/legacy runs. Historically this was
-    /// excluded from `peak_bytes` (the raw materialized buffer dwarfed
-    /// subset peaks, see DESIGN.md §4); the streaming pipeline bounds it
-    /// and folds it into `peak_bytes`.
+    /// Peak bytes of the *transient* generation buffer (accumulated
+    /// survivors + in-flight batch + arena), maximised over ranks — the
+    /// part of `peak_bytes` the streaming pipeline bounds, kept as its own
+    /// gauge.
     pub peak_transient_bytes: u64,
-    /// Bounded batches the streaming generation pipeline processed
-    /// (`0` on the legacy materialized path).
+    /// Bounded batches the streaming generation pipeline processed.
     pub stream_batches: u64,
     /// Cumulative bytes of survivor stripes written to spill storage by
     /// the stripe store (`0` when spilling never engaged).

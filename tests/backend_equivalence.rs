@@ -12,8 +12,8 @@
 
 use efm_bench::{network_i, pick_partition, Scale};
 use efm_core::{
-    enumerate_divide_conquer_scheduled_with_scalar, enumerate_with_scalar, Backend, DncConfig,
-    DncSchedule, EfmOptions, EfmOutcome, KernelKind,
+    enumerate_divide_conquer_scheduled_with_scalar, enumerate_with_scalar, Backend, CandidateTest,
+    DncConfig, DncSchedule, EfmOptions, EfmOutcome, KernelKind,
 };
 use efm_metnet::examples::toy_network;
 use efm_numeric::{DynInt, F64Tol};
@@ -148,9 +148,8 @@ fn yeast_lite_cluster_backend_schedules_agree() {
     }
 }
 
-/// PR 7 acceptance: streaming generation and the compressed/spilled
-/// subset assembly are *implementations* of the same semantics. Crossing
-/// streaming-on/off with spill-on/off over every backend and schedule
+/// The compressed/spilled subset assembly is an *implementation* of the
+/// in-memory one: with spilling off and on, every backend and schedule
 /// must yield the identical canonical EFM set — a zero resident budget
 /// forces every finished subset through the compress + spill + stream-back
 /// path.
@@ -166,16 +165,8 @@ fn streaming_and_spill_agree_across_backends_and_schedules() {
         ("cluster", Backend::Cluster(efm_cluster::ClusterConfig::new(3))),
     ];
     let variants = [
-        ("streaming", EfmOptions { streaming: true, ..Default::default() }),
-        ("legacy", EfmOptions { streaming: false, ..Default::default() }),
-        (
-            "streaming+spill",
-            EfmOptions { streaming: true, spill_budget: Some(0), ..Default::default() },
-        ),
-        (
-            "legacy+spill",
-            EfmOptions { streaming: false, spill_budget: Some(0), ..Default::default() },
-        ),
+        ("in-memory", EfmOptions::default()),
+        ("spill", EfmOptions { spill_budget: Some(0), ..Default::default() }),
     ];
     for (bname, backend) in &backends {
         for (vname, opts) in &variants {
@@ -206,6 +197,32 @@ fn streaming_and_spill_agree_across_backends_and_schedules() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Serial, rayon and a 3-rank cluster advance the engine through the same
+/// states: under both elementarity tests, every iteration leaves the same
+/// number of modes and the final sets agree. Per-iteration counts catch a
+/// non-elementary intermediate that a later iteration happens to prune,
+/// which a final-set comparison alone would miss.
+#[test]
+fn backends_agree_on_every_iteration_for_both_tests() {
+    let net = toy_network();
+    for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+        let opts = EfmOptions { test, ..Default::default() };
+        let run = |backend: &Backend| {
+            let out = enumerate_with_scalar::<DynInt>(&net, &opts, backend).unwrap();
+            let series: Vec<usize> = out.stats.iterations.iter().map(|i| i.modes_after).collect();
+            (series, canon(&out))
+        };
+        let reference = run(&Backend::Serial);
+        assert!(!reference.0.is_empty(), "the toy run has iterations");
+        for (bname, backend) in [
+            ("rayon", Backend::Rayon),
+            ("cluster", Backend::Cluster(efm_cluster::ClusterConfig::new(3))),
+        ] {
+            assert_eq!(run(&backend), reference, "{test:?}: {bname} diverged from serial");
         }
     }
 }

@@ -4,9 +4,7 @@
 //! tests are `#[ignore]`d out of the default suite and run by the CI
 //! `low-memory` job via `--include-ignored`.
 
-use efm_core::{
-    enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, EfmError, EfmOptions,
-};
+use efm_core::{enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, EfmOptions};
 use efm_metnet::{parse_network, MetabolicNetwork};
 use efm_numeric::F64Tol;
 
@@ -22,14 +20,13 @@ fn network_i_lite() -> MetabolicNetwork {
     parse_network(&text).unwrap()
 }
 
-/// Streaming generation completes under a cap set to its own measured
-/// charged peak and yields the serial reference set; the legacy
-/// materialize-then-filter path aborts under the same cap with a typed
-/// `MemoryExceeded` — its whole transient stripe is now charged, and at
-/// lite scale that transient dominates the footprint.
+/// A capped cluster run completes under a cap set to its own measured
+/// charged peak — every generation batch, survivor stripe and merge step
+/// is charged, and the replay is deterministic — and yields the serial
+/// reference set.
 #[test]
 #[ignore = "low-memory lane: several lite-scale cluster runs; run via --include-ignored"]
-fn capped_cluster_streaming_matches_serial_where_legacy_aborts() {
+fn capped_cluster_run_fits_its_own_peak_and_matches_serial() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
     let serial = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
@@ -51,22 +48,8 @@ fn capped_cluster_streaming_matches_serial_where_legacy_aborts() {
         &Backend::Cluster(efm_cluster::ClusterConfig::new(4).with_memory_limit(cap)),
     )
     .unwrap();
-    assert_eq!(capped.efms, serial.efms, "capped streaming run diverged from serial");
+    assert_eq!(capped.efms, serial.efms, "capped run diverged from serial");
     assert!(capped.stats.stream_batches > 0, "streaming pipeline must have run");
-
-    // Legacy generation materializes the full pair stripe; under the cap
-    // sized for the streaming run it must abort, typed.
-    let legacy_opts = EfmOptions { streaming: false, ..opts };
-    let err = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &legacy_opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(4).with_memory_limit(cap)),
-    )
-    .unwrap_err();
-    match err {
-        EfmError::Cluster(efm_cluster::ClusterError::MemoryExceeded { .. }) => {}
-        other => panic!("expected MemoryExceeded from the legacy path, got {other:?}"),
-    }
 }
 
 /// The compressed + spilled divide-and-conquer assembly is set-identical

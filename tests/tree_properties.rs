@@ -52,8 +52,6 @@ fn candidate_set(seed: u64, n: usize, nbits: usize, density: u64) -> CandidateSe
         patterns: pats,
         val_sups: sups,
         parents: (0..n as u32).map(|i| (i, i)).collect(),
-        numeric_pass: n as u64,
-        blocks: 0,
     }
 }
 
