@@ -1,11 +1,15 @@
 //! Criterion micro/meso benchmarks of the pipeline building blocks:
-//! pattern operations, rank tests, kernel construction, compression, and
-//! whole-network enumeration at toy scale.
+//! pattern operations, the engine's rank test on a real candidate batch
+//! (f64 on kernel rows, and the exact reference), kernel construction,
+//! compression, and whole-network enumeration at toy scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use efm_bitset::{Pattern1, Pattern2};
-use efm_core::{enumerate_with_scalar, Backend, EfmOptions};
-use efm_linalg::{gauss_rank_in_place_f64, kernel_basis, rank_of_cols, Mat};
+use efm_core::{
+    build_problem, enumerate_with_scalar, Backend, CandidateSet, EfmOptions, Engine, GenArena,
+    StreamStats,
+};
+use efm_linalg::{kernel_basis, Mat};
 use efm_metnet::generator::{layered_branches, random_network, RandomNetworkParams};
 use efm_metnet::{compress, examples::toy_network};
 use efm_numeric::{DynInt, F64Tol, Rational};
@@ -46,60 +50,37 @@ fn bench_patterns(c: &mut Criterion) {
     });
 }
 
-fn bench_rank_tests(c: &mut Criterion) {
-    // A yeast-shaped matrix: 40 rows, sparse columns.
-    let net = efm_metnet::yeast::network_i();
+/// The rank-test input of one real iteration: the engine on Network I-lite
+/// advanced to the first iteration whose deduplicated candidate batch
+/// holds at least 4096 candidates, and that batch.
+fn yeast_lite_rank_batch() -> (Engine<Pattern1, DynInt>, CandidateSet<Pattern1>) {
+    let net = efm_bench::network_i(efm_bench::Scale::Lite);
     let (red, _) = compress(&net);
-    let m: Mat<DynInt> = {
-        let mut out = Mat::zeros(red.stoich.rows(), red.num_reduced());
-        for r in 0..red.stoich.rows() {
-            for cidx in 0..red.num_reduced() {
-                // scale row-wise handled implicitly: use numerator to keep ints
-                let v = red.stoich.get(r, cidx);
-                out.set(r, cidx, v.numer().clone());
-            }
+    let opts = EfmOptions::default();
+    let problem = build_problem::<DynInt>(&red, &opts).unwrap();
+    let mut eng: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
+    while !eng.done() {
+        let part = eng.partition();
+        let mut set = CandidateSet::default();
+        let mut stats = StreamStats::default();
+        eng.generate_range(&part, 0, part.pairs(), &mut set, &mut GenArena::new(), &mut stats);
+        set.sort_dedup();
+        if set.len() >= 4096 {
+            return (eng, set);
         }
-        out
-    };
-    let mut rng = StdRng::seed_from_u64(11);
-    let supports: Vec<Vec<usize>> = (0..64)
-        .map(|_| {
-            let size = rng.gen_range(10usize..30);
-            let mut cols: Vec<usize> = (0..red.num_reduced()).collect();
-            for i in (1..cols.len()).rev() {
-                cols.swap(i, rng.gen_range(0..=i));
-            }
-            cols.truncate(size);
-            cols
-        })
-        .collect();
-    c.bench_function("rank_f64_yeast_supports", |b| {
-        let mut scratch = Vec::new();
-        let nr = m.rows();
-        b.iter(|| {
-            let mut acc = 0usize;
-            for cols in &supports {
-                scratch.clear();
-                scratch.resize(nr * cols.len(), 0.0f64);
-                for (j, &cc) in cols.iter().enumerate() {
-                    for r in 0..nr {
-                        scratch[r * cols.len() + j] = m.get(r, cc).to_f64();
-                    }
-                }
-                acc += gauss_rank_in_place_f64(&mut scratch, nr, cols.len(), 1e-9);
-            }
-            acc
-        })
+        eng.step();
+    }
+    panic!("Network I-lite has an iteration with 4096 deduplicated candidates");
+}
+
+fn bench_rank_tests(c: &mut Criterion) {
+    let (mut eng, batch) = yeast_lite_rank_batch();
+    c.bench_function("rank_f64_yeast_batch", |b| {
+        b.iter(|| eng.rank_filter_range(black_box(&batch), 0..batch.len()).len())
     });
-    c.bench_function("rank_exact_yeast_supports", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            let mut acc = 0usize;
-            for cols in supports.iter().take(8) {
-                acc += rank_of_cols(&m, cols, &mut scratch);
-            }
-            acc
-        })
+    eng.exact_rank_test = true;
+    c.bench_function("rank_exact_yeast_batch_256", |b| {
+        b.iter(|| eng.rank_filter_range(black_box(&batch), 0..256).len())
     });
 }
 

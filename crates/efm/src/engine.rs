@@ -34,8 +34,9 @@ use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats
 use efm_bitset::{BitPattern, KernelTier, PatternTree};
 use efm_linalg::{nullity_of_cols, Mat};
 
-/// Absolute tolerance of the floating-point rank test (columns are
-/// max-scaled first).
+/// Absolute pivot tolerance of the floating-point rank test, which
+/// eliminates over rows of the kernel `K = [I; R]` whose columns are
+/// scaled to max |entry| 1 first.
 pub const RANK_TOL: f64 = 1e-9;
 
 /// Pairs per batch of the streaming pipeline ([`Engine::stream_range`]):
@@ -555,7 +556,9 @@ impl StreamStats {
 
 /// The engine: problem data plus evolving mode matrix.
 pub struct Engine<P: BitPattern, S: EfmScalar> {
-    /// Stoichiometry used by rank tests.
+    /// Stoichiometry of the (sub)problem. Only the exact reference rank
+    /// test ([`EfmOptions::exact_rank_test`]) reads it; the default test
+    /// runs on the kernel.
     pub stoich: Mat<S>,
     /// `m + 1`: maximum support size a nullity-1 candidate can have.
     pub max_support: usize,
@@ -589,12 +592,11 @@ pub struct Engine<P: BitPattern, S: EfmScalar> {
     pub kernel_tier: KernelTier,
     /// Run statistics.
     pub stats: RunStats,
-    /// Column-major, column-max-scaled f64 copy of `stoich` for the
-    /// numerical rank test (`stoich_f64[c*m + r]`).
-    stoich_f64: Vec<f64>,
-    /// Per-column bitmask of nonzero rows (active-row pruning); empty when
-    /// the stoichiometry has more than 128 rows.
-    row_masks: Vec<u128>,
+    /// The kernel's non-identity rows in position order, as f64 with each
+    /// column scaled to max |entry| 1 (`kernel_tail[(p − d)·d + j]` for
+    /// position `p ≥ d` and kernel column `j`): the matrix the numerical
+    /// rank test eliminates over.
+    kernel_tail: Vec<f64>,
 }
 
 impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
@@ -622,37 +624,17 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             problem.row_order.iter().map(|&c| problem.reversible[c]).collect();
         let name_at: Vec<String> =
             problem.row_order.iter().map(|&c| problem.names[c].clone()).collect();
-        // Cache a scaled f64 copy of the stoichiometry and per-column
-        // nonzero-row masks for the hot numerical rank test.
-        let m = problem.num_rows();
-        let qc = problem.stoich.cols();
-        let mut stoich_f64 = vec![0.0f64; m * qc];
-        let mut row_masks = Vec::new();
-        for c in 0..qc {
-            let mut maxabs = 0.0f64;
-            for r in 0..m {
-                let v = problem.stoich.get(r, c).to_f64();
-                stoich_f64[c * m + r] = v;
-                maxabs = maxabs.max(v.abs());
+        // The initial value sections hold exactly the kernel's non-identity
+        // rows (mode j = kernel column j); transpose them into the scaled
+        // f64 cache of the rank test.
+        let mut kernel_tail = vec![0.0f64; tail_len * d];
+        for j in 0..d {
+            let col = &vals[j * tail_len..(j + 1) * tail_len];
+            let maxabs = col.iter().map(|v| v.to_f64().abs()).fold(0.0, f64::max);
+            let scale = if maxabs > 0.0 { maxabs } else { 1.0 };
+            for (k, v) in col.iter().enumerate() {
+                kernel_tail[k * d + j] = v.to_f64() / scale;
             }
-            if maxabs > 0.0 {
-                for r in 0..m {
-                    stoich_f64[c * m + r] /= maxabs;
-                }
-            }
-        }
-        if m <= 128 {
-            row_masks = (0..qc)
-                .map(|c| {
-                    let mut mask = 0u128;
-                    for r in 0..m {
-                        if stoich_f64[c * m + r] != 0.0 {
-                            mask |= 1u128 << r;
-                        }
-                    }
-                    mask
-                })
-                .collect();
         }
         let mut engine = Engine {
             stoich: problem.stoich.clone(),
@@ -670,8 +652,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             pattern_trees: opts.pattern_trees,
             kernel_tier: opts.kernel.resolve(),
             stats: RunStats::default(),
-            stoich_f64,
-            row_masks,
+            kernel_tail,
         };
         engine.stats.peak_modes = engine.modes.len();
         engine.stats.kernel_tier = engine.kernel_tier.name().to_string();
@@ -1145,35 +1126,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         buf
     }
 
-    /// The stoichiometry column index a value-section slot maps to. Slots
-    /// `0..rev_len` are processed reversible rows; slots `rev_len..` are
-    /// unprocessed positions starting at the cursor. `extra_shift` is 1
-    /// for candidate sections on irreversible rows (their section skips
-    /// the current row).
-    #[inline]
-    fn val_slot_col(&self, slot: usize, candidate: bool) -> usize {
-        let head = self.modes.rev_len;
-        let pos = if slot < head {
-            self.rev_positions[slot]
-        } else if candidate && !self.current_reversible() {
-            // Candidate sections on irreversible rows skip the current row.
-            self.cursor + 1 + (slot - head)
-        } else if candidate {
-            // Reversible rows keep the (zero) current-row slot in place.
-            self.cursor + (slot - head)
-        } else {
-            self.cursor + (slot - head)
-        };
-        self.row_order[pos]
-    }
-
-    /// Support column indices (into `stoich`) of candidate `i` in `buf`.
-    fn candidate_support_cols(&self, buf: &CandidateSet<P>, i: usize, cols: &mut Vec<usize>) {
-        cols.clear();
-        buf.patterns[i].for_each_one(|pos| cols.push(self.row_order[pos]));
-        buf.val_sups[i].for_each_one(|slot| cols.push(self.val_slot_col(slot, true)));
-    }
-
     /// Full support (positions) of a live mode.
     pub(crate) fn mode_support(&self, i: usize) -> P {
         let head = self.modes.rev_len;
@@ -1244,51 +1196,44 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
     }
 
-    /// Fast numerical nullity-1 test on selected columns: uses the cached
-    /// scaled f64 stoichiometry and prunes rows that are zero across the
-    /// whole support (they cannot affect the rank).
-    fn nullity_is_one_f64(&self, cols: &[usize], scratch: &mut Vec<f64>) -> bool {
-        let m = self.stoich.rows();
-        let nc = cols.len();
-        if nc == 0 {
+    /// Numerical nullity-1 test of a candidate with full support `sup`
+    /// (positions), run on the kernel `K = [I; R]` instead of on `N`.
+    ///
+    /// Every steady-state flux is `K·λ`, so the fluxes supported inside
+    /// `sup` are the `λ` with `K[Z,:]·λ = 0` for the zero set `Z`, and
+    /// `nullity(N[:,sup]) = d − rank(K[Z,:])`. The identity rows in `Z` are
+    /// multiples of unit rows; eliminating them leaves the test
+    /// `rank(K[Z∖I, sup∩I]) == k − 1` with `k = |sup∩I|`: a `|Z∖I|×k`
+    /// elimination, smaller than the `m×|sup|` one on `N`.
+    fn nullity_is_one_kernel(
+        &self,
+        sup: &P,
+        cols: &mut Vec<usize>,
+        scratch: &mut Vec<f64>,
+    ) -> bool {
+        let d = self.free_count;
+        cols.clear();
+        sup.for_each_one(|p| {
+            if p < d {
+                cols.push(p);
+            }
+        });
+        let k = cols.len();
+        if k <= 1 {
+            return k == 1;
+        }
+        let q = self.row_order.len();
+        let zero_rows = (q - d) - (sup.count() as usize - k);
+        // rank ≤ |Z∖I|: too few zero rows to reach rank k − 1.
+        if zero_rows + 1 < k {
             return false;
         }
-        if !self.row_masks.is_empty() {
-            let mut mask = 0u128;
-            for &c in cols {
-                mask |= self.row_masks[c];
-            }
-            let nr = mask.count_ones() as usize;
-            // nullity = nc − rank and rank ≤ nr: with too few active rows
-            // the candidate cannot be elementary.
-            if nr + 1 < nc {
-                return false;
-            }
-            scratch.clear();
-            scratch.resize(nr * nc, 0.0);
-            let mut r_out = 0;
-            let mut rest = mask;
-            while rest != 0 {
-                let r = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                for (j, &c) in cols.iter().enumerate() {
-                    scratch[r_out * nc + j] = self.stoich_f64[c * m + r];
-                }
-                r_out += 1;
-            }
-            let rank = efm_linalg::gauss_rank_in_place_f64(scratch, nr, nc, RANK_TOL);
-            nc - rank == 1
-        } else {
-            scratch.clear();
-            scratch.resize(m * nc, 0.0);
-            for (j, &c) in cols.iter().enumerate() {
-                for r in 0..m {
-                    scratch[r * nc + j] = self.stoich_f64[c * m + r];
-                }
-            }
-            let rank = efm_linalg::gauss_rank_in_place_f64(scratch, m, nc, RANK_TOL);
-            nc - rank == 1
+        scratch.clear();
+        for p in (d..q).filter(|&p| !sup.get(p)) {
+            let row = &self.kernel_tail[(p - d) * d..(p - d + 1) * d];
+            scratch.extend(cols.iter().map(|&j| row[j]));
         }
+        efm_linalg::gauss_rank_in_place_f64(scratch, zero_rows, k, RANK_TOL) + 1 == k
     }
 
     /// Rank test on a sub-range of candidates: returns indices (relative
@@ -1303,7 +1248,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         if self.exact_rank_test {
             let mut scratch = Vec::new();
             for i in range {
-                self.candidate_support_cols(buf, i, &mut cols);
+                cols.clear();
+                self.candidate_support(buf, i).for_each_one(|p| cols.push(self.row_order[p]));
                 if nullity_of_cols(&self.stoich, &cols, &mut scratch) == 1 {
                     keep.push(i as u32);
                 }
@@ -1313,8 +1259,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             // integer elimination would blow up on genome-scale entries.
             let mut scratch: Vec<f64> = Vec::new();
             for i in range {
-                self.candidate_support_cols(buf, i, &mut cols);
-                if self.nullity_is_one_f64(&cols, &mut scratch) {
+                if self.nullity_is_one_kernel(
+                    &self.candidate_support(buf, i),
+                    &mut cols,
+                    &mut scratch,
+                ) {
                     keep.push(i as u32);
                 }
             }
@@ -1704,6 +1653,86 @@ mod tests {
     }
 
     use crate::types::CandidateTest;
+
+    /// Runs an engine over `problem` to its last iteration and, at every
+    /// iteration, holds the kernel-row f64 verdict of every deduplicated
+    /// candidate of the whole pair grid to the exact Bareiss-on-N verdict
+    /// of the same engine. Returns the number of candidates compared.
+    fn assert_rank_tests_agree(problem: &EfmProblem<DynInt>) -> usize {
+        let mut eng: Engine<Pattern1, DynInt> =
+            Engine::new(problem, &EfmOptions::default()).unwrap();
+        let mut compared = 0;
+        while !eng.done() {
+            let part = eng.partition();
+            let mut set = CandidateSet::default();
+            let mut stats = StreamStats::default();
+            eng.generate_range(&part, 0, part.pairs(), &mut set, &mut GenArena::new(), &mut stats);
+            set.sort_dedup();
+            let float = eng.rank_filter_range(&set, 0..set.len());
+            eng.exact_rank_test = true;
+            let exact = eng.rank_filter_range(&set, 0..set.len());
+            eng.exact_rank_test = false;
+            assert_eq!(float, exact, "verdicts differ at position {}", eng.cursor);
+            compared += set.len();
+            eng.step();
+        }
+        compared
+    }
+
+    /// Subproblem of `red` that leaves the reduced reaction `r` nonzero:
+    /// ordered last and never processed (`stop_before == 1`).
+    fn nonzero_subproblem(
+        red: &efm_metnet::ReducedNetwork,
+        r: usize,
+    ) -> Option<EfmProblem<DynInt>> {
+        let keep: Vec<usize> = (0..red.num_reduced()).collect();
+        let p =
+            crate::problem::build_subproblem(red, &keep, &[r], &EfmOptions::default()).ok()??;
+        assert_eq!(p.stop_before, 1);
+        Some(p)
+    }
+
+    #[test]
+    fn kernel_rank_test_matches_exact_on_every_toy_candidate() {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = compress(&net);
+        let full = build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap();
+        assert!(assert_rank_tests_agree(&full) > 0);
+        // A divide-and-conquer subproblem: the trailing forced row stays
+        // an unprocessed value slot, so zero sets include such slots.
+        let r8 = red.reduced_index_of(net.reaction_index("r8r").unwrap()).unwrap();
+        let sub = nonzero_subproblem(&red, r8).expect("r8r can be forced nonzero");
+        assert!(assert_rank_tests_agree(&sub) > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn kernel_rank_test_matches_exact_on_random_networks(seed in 0u64..5000) {
+            let params = efm_metnet::generator::RandomNetworkParams {
+                metabolites: 6,
+                reactions: 12,
+                reversible_prob: 0.4,
+                mean_degree: 2.5,
+                exchange_prob: 0.4,
+                max_coeff: 3,
+            };
+            let net = efm_metnet::generator::random_network(&params, seed);
+            let (red, _) = compress(&net);
+            if red.num_reduced() == 0 {
+                return Ok(());
+            }
+            let full = build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap();
+            assert_rank_tests_agree(&full);
+            // The same network split on its first reversible reaction.
+            if let Some(r) = (0..red.num_reduced()).find(|&r| red.reversible[r]) {
+                if let Some(sub) = nonzero_subproblem(&red, r) {
+                    assert_rank_tests_agree(&sub);
+                }
+            }
+        }
+    }
 
     #[test]
     fn candidate_buf_append_and_gather() {

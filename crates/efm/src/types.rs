@@ -101,10 +101,13 @@ pub struct EfmOptions {
     /// part of the kernel. Used by the golden tests that reproduce the
     /// paper's worked example exactly; `None` lets elimination choose.
     pub force_free: Option<Vec<usize>>,
-    /// Run rank tests in exact (Bareiss) arithmetic instead of the default
-    /// floating-point LU the paper prescribes. Exact tests are orders of
-    /// magnitude slower on genome-scale submatrices (intermediate integers
-    /// grow to hundreds of digits) and exist for verification.
+    /// Run rank tests in exact (Bareiss) arithmetic on the support columns
+    /// of the stoichiometry instead of the default floating-point
+    /// elimination the paper prescribes (which the engine runs on the
+    /// kernel rows of each candidate's zero set; both decide the same
+    /// nullity). Exact tests are orders of magnitude slower on
+    /// genome-scale submatrices (intermediate integers grow to hundreds of
+    /// digits) and exist as the reference for verification.
     pub exact_rank_test: bool,
     /// Which network-reduction stages run before enumeration (ablation
     /// hook; the default is the paper's full preprocessing).
