@@ -158,17 +158,11 @@ impl Measured {
     }
 }
 
-/// Layer 3: whole run, best-of-`reps` on total time. `pattern_trees` is
-/// off: the kernel pipeline's adjacency test is the count-pruned slab
-/// scan (dense `subset_any` batches), which is what this PR accelerates —
-/// the tree pipeline it replaces is the BENCH_pr1 baseline.
+/// Layer 3: whole run, best-of-`reps` on total time. The adjacency test is
+/// the count-pruned slab scan (dense `subset_any` batches) that the kernel
+/// accelerates.
 fn run_whole(net: &efm_metnet::MetabolicNetwork, kernel: KernelKind, reps: usize) -> Measured {
-    let opts = EfmOptions {
-        test: CandidateTest::Adjacency,
-        pattern_trees: false,
-        kernel,
-        ..harness_options()
-    };
+    let opts = EfmOptions { test: CandidateTest::Adjacency, kernel, ..harness_options() };
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
         let out: EfmOutcome =

@@ -19,11 +19,9 @@ use std::hash::Hash;
 
 pub mod compressed;
 pub mod kernel;
-pub mod tree;
 
 pub use compressed::CompressedPattern;
 pub use kernel::{detect_tier, KernelTier};
-pub use tree::{PatternTree, TreePattern};
 
 /// A fixed-capacity inline bit pattern of `64*W` bits.
 ///

@@ -643,7 +643,11 @@ struct AbortPacket;
 /// Trace name of the abort flow: a rank-death abort is the view-change
 /// edge the failover path pivots on; everything else is a plain abort.
 fn abort_flow_name(err: &ClusterError) -> &'static str {
-    if matches!(err, ClusterError::RankLost { .. }) { "view change" } else { "abort" }
+    if matches!(err, ClusterError::RankLost { .. }) {
+        "view change"
+    } else {
+        "abort"
+    }
 }
 
 struct Fabric {
@@ -666,7 +670,11 @@ struct AbortState {
 
 impl AbortState {
     fn new() -> Self {
-        AbortState { flagged: AtomicBool::new(false), info: Mutex::new(None), flow: Mutex::new(None) }
+        AbortState {
+            flagged: AtomicBool::new(false),
+            info: Mutex::new(None),
+            flow: Mutex::new(None),
+        }
     }
 
     /// Whether an abort has been triggered (fast path, no lock).
@@ -862,6 +870,9 @@ impl Drop for PhaseTimer<'_> {
     }
 }
 
+/// A packet parked out of order: sender rank, flow id, payload.
+type ParkedPacket = (usize, u64, Box<dyn Any + Send>);
+
 /// Handle a node's code uses to talk to the rest of the simulated cluster.
 pub struct NodeCtx<'a> {
     rank: usize,
@@ -872,7 +883,7 @@ pub struct NodeCtx<'a> {
     /// numbers already validated and consumed at mailbox-pull time). Each
     /// entry keeps the sender's flow id so the comm arrow lands where the
     /// payload is consumed, not where it was pulled off the mailbox.
-    parked: Mutex<Vec<(usize, u64, Box<dyn Any + Send>)>>,
+    parked: Mutex<Vec<ParkedPacket>>,
     barrier: &'a PoisonBarrier,
     abort: &'a AbortState,
     membership: &'a Membership,

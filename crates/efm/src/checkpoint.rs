@@ -462,7 +462,7 @@ impl EngineCheckpoint {
         Ok(())
     }
 
-    /// Reads the binary checkpoint format (versions 1 through 4, kind 0).
+    /// Reads the binary checkpoint format (versions 1 through 7, kind 0).
     pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
         let mut cr = CrcReader::new(r);
         let r = &mut cr;

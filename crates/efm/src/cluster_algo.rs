@@ -33,7 +33,7 @@ use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
 use crate::engine::{CandidateBuf, CandidateSet, Engine, STREAM_BATCH_PAIRS};
 use crate::problem::EfmProblem;
-use crate::types::{EfmError, EfmOptions, RunStats};
+use crate::types::{CandidateTest, EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
 use std::time::{Duration, Instant};
@@ -44,7 +44,8 @@ pub mod phases {
     pub const GENERATE: &str = "gen cand";
     /// Local sort + duplicate removal.
     pub const DEDUP: &str = "sort/dedup";
-    /// Pattern-tree filtering against existing zero-row modes.
+    /// Duplicate drop against zero-row modes (traces and the benchmark read
+    /// this label).
     pub const TREE: &str = "tree filter";
     /// Local rank tests.
     pub const RANK: &str = "rank test";
@@ -304,14 +305,13 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // microsecond between setup and finalize.
         let _iter_span = efm_obs::span("iteration");
         ctx.fault_point("iteration", iter_no)?;
-        // --- Generation, sort/dedup, tree filter and the per-candidate
+        // --- Generation, sort/dedup, duplicate drop and the per-candidate
         // rank test run fused per bounded batch over this rank's stripe of
         // the pair grid, and every batch's transient footprint is charged
         // against the node capacity.
         let part = eng.partition();
         let (start, end) = stripe_bounds(part.pairs(), nodes, rank, opts.stripe_weights.as_deref());
         ctx.add_work(phases::GENERATE, end - start);
-        let zero_tree = eng.zero_support_tree(&part);
         let modes_bytes = eng.modes.approx_bytes();
         let mut local = CandidateSet::<P>::default();
         let mut transient_now: u64 = 0;
@@ -327,7 +327,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
                 start,
                 end,
                 STREAM_BATCH_PAIRS,
-                zero_tree.as_ref(),
                 &mut local,
                 &mut arena,
                 &mut charge,
@@ -350,7 +349,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         let (accepted, local_buf) = {
             let _t = ctx.timed(phases::RANK);
             let t_accept = Instant::now();
-            let accepted = eng.accept_survivors(&mut local, &part, zero_tree.as_ref());
+            let accepted = eng.accept_survivors(&mut local, &part);
             pass.t_test += t_accept.elapsed();
             (accepted, eng.materialize(&local))
         };
@@ -382,7 +381,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         let my_rank = ctx.rank();
         let t_comm = Instant::now();
         let mut t_merge = Duration::ZERO;
-        let merged = {
+        let mut merged = {
             let meter = ctx.memory();
             let mut charged = accounted;
             // The outgoing buffer is handed to the fabric and consumed
@@ -419,6 +418,22 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
         ctx.add_time(phases::MERGE, t_merge);
         ctx.fault_point("communicate", iter_no)?;
+        // The adjacency test above saw only this rank's stripe, so a
+        // candidate whose proper subset lies in another stripe passed it.
+        // Every rank now holds the same merged buffer: repeat the test on
+        // it. The stripe-local pass shrinks what each rank sends, and its
+        // rejections stand (a subset within a stripe is one within the
+        // whole set); every chain of proper subsets
+        // ends in a candidate that passed its own stripe or in a zero-row
+        // mode that rejects the whole chain, so the two passes reject
+        // exactly what one pass over all candidates would.
+        if nodes > 1 && eng.test == CandidateTest::Adjacency {
+            let _t = ctx.timed(phases::RANK);
+            let t0 = Instant::now();
+            let keep = eng.adjacency_filter(&merged.patterns, &merged.val_sups, &part);
+            merged.gather(&keep);
+            pass.t_test += t0.elapsed();
+        }
         {
             let t0 = Instant::now();
             let msp = efm_obs::span(phases::MERGE);

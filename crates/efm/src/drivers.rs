@@ -5,7 +5,7 @@ use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
 use crate::engine::{CandidateSet, Engine, GenArena, StreamStats, STREAM_BATCH_PAIRS};
 use crate::problem::EfmProblem;
-use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
+use crate::types::{EfmError, EfmOptions, IterationStats, RunStats};
 use efm_bitset::BitPattern;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -205,14 +205,6 @@ pub fn rayon_supports_resumable<P: BitPattern, S: EfmScalar>(
     run_resumable::<P, S>(problem, opts, resume, ckpt, rayon_step_streaming::<P, S>)
 }
 
-/// Block size for parallel per-candidate work: small enough that uneven
-/// per-candidate cost cannot strand one worker with all the hard cases,
-/// large enough to amortize scheduling overhead.
-fn rank_block_size(n: usize) -> usize {
-    let target = 8 * rayon::current_num_threads().max(1);
-    n.div_ceil(target.max(1)).clamp(1, 64)
-}
-
 /// Merges sorted candidate runs by parallel pairwise rounds: each round
 /// halves the number of runs, with every pair merged on its own worker.
 /// `log2(runs)` rounds replace the serial whole-set sort the runs came
@@ -237,20 +229,6 @@ fn merge_runs_parallel<P: BitPattern>(mut runs: Vec<CandidateSet<P>>) -> Candida
     runs.pop().unwrap_or_default()
 }
 
-/// Splits `0..n` into fine-grained blocks, runs `f` on each block in
-/// parallel, and concatenates the per-block index lists in order.
-fn par_blocks<F>(n: usize, f: F) -> Vec<u32>
-where
-    F: Fn(std::ops::Range<usize>) -> Vec<u32> + Sync,
-{
-    let block = rank_block_size(n);
-    let keeps: Vec<Vec<u32>> = (0..n.div_ceil(block))
-        .into_par_iter()
-        .map(|b| f(b * block..((b + 1) * block).min(n)))
-        .collect();
-    keeps.into_iter().flatten().collect()
-}
-
 /// One parallel iteration through the bounded streaming pipeline
 /// ([`Engine::stream_range`]): each chunk of the pair grid flows batch by
 /// batch through generate → dedup → duplicate drop → rank test on its
@@ -264,10 +242,6 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     let t0 = Instant::now();
     let part = eng.partition();
     let resident = eng.modes.approx_bytes();
-    // One shared tree over the zero-row mode supports, queried from all
-    // workers concurrently by the per-batch duplicate drop.
-    let zero_tree = eng.zero_support_tree(&part);
-
     let pairs = part.pairs();
     let nchunks = (rayon::current_num_threads() * 4).max(1) as u64;
     let chunk = pairs.div_ceil(nchunks).max(1);
@@ -282,7 +256,6 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
                 start,
                 end,
                 STREAM_BATCH_PAIRS,
-                zero_tree.as_ref(),
                 &mut set,
                 &mut GenArena::new(),
                 &mut |_| Ok(()),
@@ -302,32 +275,8 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     let mut set = merge_runs_parallel(runs);
     drop(sp);
     let t2 = Instant::now();
-    let accepted = match eng.test {
-        // Adjacency is cross-candidate: run it on the merged set, with the
-        // shared zero tree and one candidate tree queried in parallel.
-        CandidateTest::Adjacency if eng.pattern_trees => {
-            let _sp = efm_obs::span(crate::cluster_algo::phases::RANK);
-            let n = set.len();
-            let zero_tree = zero_tree.unwrap_or_default();
-            let block = rank_block_size(n);
-            let sup_blocks: Vec<Vec<P>> = (0..n.div_ceil(block))
-                .into_par_iter()
-                .map(|b| {
-                    (b * block..((b + 1) * block).min(n))
-                        .map(|i| eng.candidate_support(&set, i))
-                        .collect()
-                })
-                .collect();
-            let cand_sups: Vec<P> = sup_blocks.into_iter().flatten().collect();
-            let cand_tree = efm_bitset::PatternTree::from_patterns(cand_sups.clone());
-            let keep = par_blocks(n, |range| {
-                eng.adjacency_keep_range(&zero_tree, &cand_tree, &cand_sups, range)
-            });
-            set.gather(&keep);
-            keep.len() as u64
-        }
-        _ => eng.accept_survivors(&mut set, &part, None),
-    };
+    // Adjacency is cross-candidate: it runs on the merged set.
+    let accepted = eng.accept_survivors(&mut set, &part);
     let t3 = Instant::now();
     // The streaming phases interleave inside the parallel section, so the
     // wall time of that section is attributed proportionally to the summed

@@ -31,8 +31,9 @@
 use crate::bridge::EfmScalar;
 use crate::problem::EfmProblem;
 use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
-use efm_bitset::{BitPattern, KernelTier, PatternTree};
+use efm_bitset::{BitPattern, KernelTier};
 use efm_linalg::{nullity_of_cols, Mat};
+use std::collections::HashSet;
 
 /// Absolute pivot tolerance of the floating-point rank test, which
 /// eliminates over rows of the kernel `K = [I; R]` whose columns are
@@ -528,7 +529,7 @@ pub struct StreamStats {
     pub t_generate: std::time::Duration,
     /// Time spent in per-batch sort/dedup.
     pub t_dedup: std::time::Duration,
-    /// Time spent in the duplicate-of-existing drop.
+    /// Time spent in the duplicate drop against zero-row modes.
     pub t_tree: std::time::Duration,
     /// Time spent in the per-batch elementarity test.
     pub t_test: std::time::Duration,
@@ -584,9 +585,6 @@ pub struct Engine<P: BitPattern, S: EfmScalar> {
     /// Whether rank tests run in exact arithmetic (see
     /// [`EfmOptions::exact_rank_test`]).
     pub exact_rank_test: bool,
-    /// Whether subset/duplicate scans use bit-pattern trees (see
-    /// [`EfmOptions::pattern_trees`]).
-    pub pattern_trees: bool,
     /// Instruction tier the generation kernel dispatches to, resolved once
     /// from [`EfmOptions::kernel`] + runtime CPU detection.
     pub kernel_tier: KernelTier,
@@ -649,7 +647,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             modes: ModeMatrix { patterns, vals, rev_len: 0, tail_len },
             test: opts.test,
             exact_rank_test: opts.exact_rank_test,
-            pattern_trees: opts.pattern_trees,
             kernel_tier: opts.kernel.resolve(),
             stats: RunStats::default(),
             kernel_tail,
@@ -770,15 +767,15 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
         let nneg = nneg as usize;
         if a0 == a1 {
-            self.generate_tiles(part, a0..a0 + 1, b0, b1, out, arena, stats);
+            self.generate_tiles(part, a0..a0 + 1, b0..b1, out, arena, stats);
         } else {
-            self.generate_tiles(part, a0..a0 + 1, b0, nneg, out, arena, stats);
-            self.generate_tiles(part, a0 + 1..a1, 0, nneg, out, arena, stats);
-            self.generate_tiles(part, a1..a1 + 1, 0, b1, out, arena, stats);
+            self.generate_tiles(part, a0..a0 + 1, b0..nneg, out, arena, stats);
+            self.generate_tiles(part, a0 + 1..a1, 0..nneg, out, arena, stats);
+            self.generate_tiles(part, a1..a1 + 1, 0..b1, out, arena, stats);
         }
     }
 
-    /// Cache-blocked sweep over rows `rows` × columns `[ca, cb)` of the
+    /// Cache-blocked sweep over rows `rows` × columns `cols` of the
     /// pair grid. The negative-side streams are cut into
     /// [`BitPattern::block_pairs`]-sized blocks; for each block every
     /// hoisted positive row runs the batched prefilter
@@ -790,13 +787,12 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         &self,
         part: &SignPartition<P>,
         rows: std::ops::Range<usize>,
-        ca: usize,
-        cb: usize,
+        cols: std::ops::Range<usize>,
         out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
         stats: &mut StreamStats,
     ) {
-        if rows.is_empty() || ca >= cb {
+        if rows.is_empty() || cols.is_empty() {
             return;
         }
         let stride = self.modes.stride();
@@ -807,9 +803,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let GenArena { pos_pats, pos_sups, pos_coeffs, row_base, bounds, hits, scratch } =
             &mut *arena;
         let mut survivors = 0u64;
-        let mut cs = ca;
-        while cs < cb {
-            let ce = (cs + block).min(cb);
+        let mut cs = cols.start;
+        while cs < cols.end {
+            let ce = (cs + block).min(cols.end);
             stats.blocks += 1;
             let negs = &part.neg_pats[cs..ce];
             let nsups = &part.neg_tail_sups[cs..ce];
@@ -879,13 +875,14 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     }
 
     /// Drops candidates whose full support is already the support of a
-    /// zero-row mode (`existing`): cancellation at processed reversible
-    /// rows can make a combination reproduce an existing ray (both have
-    /// nullity-1 supports, hence are the same ray). Positive/negative modes
-    /// carry the current-row position and can never collide.
-    fn drop_existing(&self, buf: &mut CandidateSet<P>, existing: impl Fn(&P) -> bool) {
+    /// zero-row mode (one of `zero_sups`): cancellation at processed
+    /// reversible rows can make a combination reproduce an existing ray
+    /// (both have nullity-1 supports, hence are the same ray).
+    /// Positive/negative modes carry the current-row position and can never
+    /// collide.
+    fn drop_existing(&self, buf: &mut CandidateSet<P>, zero_sups: &HashSet<P>) {
         let keep: Vec<u32> = (0..buf.len())
-            .filter(|&i| !existing(&self.candidate_support(buf, i)))
+            .filter(|&i| !zero_sups.contains(&self.candidate_support(buf, i)))
             .map(|i| i as u32)
             .collect();
         if keep.len() < buf.len() {
@@ -895,8 +892,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// The iteration's pipeline over the pair-index range `[start, end)`:
     /// the range is processed in bounded batches of at most `batch_pairs`
-    /// pairs, and each batch flows through sort/dedup → duplicate-of-
-    /// existing drop → (for the rank test) the per-candidate elementarity
+    /// pairs, and each batch flows through sort/dedup → duplicate drop
+    /// against zero-row modes (a hash set of their full supports, built
+    /// once per call) → (for the rank test) the per-candidate elementarity
     /// test *before* the next batch is generated. Only survivors
     /// accumulate in `out`, so the transient footprint is one batch plus
     /// the accumulated survivor set — not the full materialized pair range.
@@ -922,7 +920,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         start: u64,
         end: u64,
         batch_pairs: u64,
-        zero_tree: Option<&PatternTree<P>>,
         out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
         charge: &mut dyn FnMut(u64) -> Result<(), EfmError>,
@@ -933,11 +930,10 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             return Ok(ss);
         }
         let batch_pairs = batch_pairs.max(1);
-        // Hash-set fallback of the duplicate-of-existing drop, built once
-        // per pass (the tree variant receives its tree from the caller).
-        let zero_sups: Option<std::collections::HashSet<P>> = (zero_tree.is_none()
-            && !part.zero.is_empty())
-        .then(|| part.zero.iter().map(|&i| self.mode_support(i as usize)).collect());
+        // The zero-row modes' full supports, built once per call: a
+        // candidate equal to one of them is a duplicate of an existing mode.
+        let zero_sups: HashSet<P> =
+            part.zero.iter().map(|&i| self.mode_support(i as usize)).collect();
         let per_batch_rank = matches!(self.test, CandidateTest::Rank);
         let mut s = start;
         while s < end {
@@ -954,10 +950,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             drop(sp);
             let t2 = Instant::now();
             let sp = efm_obs::span(crate::cluster_algo::phases::TREE);
-            match (&zero_tree, &zero_sups) {
-                (Some(tree), _) => self.drop_existing(&mut batch, |s| tree.contains(s)),
-                (None, Some(sups)) => self.drop_existing(&mut batch, |s| sups.contains(s)),
-                _ => {}
+            if !zero_sups.is_empty() {
+                self.drop_existing(&mut batch, &zero_sups);
             }
             drop(sp);
             let t3 = Instant::now();
@@ -998,20 +992,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         debug_assert!(!self.done());
         let part = self.partition();
         let resident = self.modes.approx_bytes();
-        let zero_tree = self.zero_support_tree(&part);
         let mut set = CandidateSet::default();
-        let mut pass = self.stream_range(
-            &part,
-            0,
-            part.pairs(),
-            batch_pairs,
-            zero_tree.as_ref(),
-            &mut set,
-            arena,
-            charge,
-        )?;
+        let mut pass =
+            self.stream_range(&part, 0, part.pairs(), batch_pairs, &mut set, arena, charge)?;
         let t_accept = std::time::Instant::now();
-        let accepted = self.accept_survivors(&mut set, &part, zero_tree.as_ref());
+        let accepted = self.accept_survivors(&mut set, &part);
         pass.t_test += t_accept.elapsed();
         let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
         let buf = self.materialize(&set);
@@ -1144,11 +1129,17 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     }
 
     /// Full support (positions) of a candidate.
-    pub(crate) fn candidate_support(&self, buf: &CandidateSet<P>, i: usize) -> P {
+    fn candidate_support(&self, buf: &CandidateSet<P>, i: usize) -> P {
+        self.support_of(buf.patterns[i], &buf.val_sups[i])
+    }
+
+    /// Full support (positions) of the candidate with fixed-row pattern
+    /// `pattern` and value support `val_sup`.
+    fn support_of(&self, pattern: P, val_sup: &P) -> P {
         let head = self.modes.rev_len;
         let reversible = self.current_reversible();
-        let mut s = buf.patterns[i];
-        buf.val_sups[i].for_each_one(|slot| {
+        let mut s = pattern;
+        val_sup.for_each_one(|slot| {
             let pos = if slot < head {
                 self.rev_positions[slot]
             } else if reversible {
@@ -1161,38 +1152,26 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         s
     }
 
-    /// Builds the bit-pattern tree over the zero-row modes' full supports,
-    /// or `None` when pattern trees are off or no mode is zero on the
-    /// current row. Built once per iteration and shared between the
-    /// duplicate drop (exact-membership queries) and the adjacency test
-    /// (subset queries); parallel drivers query it concurrently.
-    pub fn zero_support_tree(&self, part: &SignPartition<P>) -> Option<PatternTree<P>> {
-        (self.pattern_trees && !part.zero.is_empty()).then(|| {
-            PatternTree::from_patterns(
-                part.zero.iter().map(|&i| self.mode_support(i as usize)).collect(),
-            )
-        })
-    }
-
     /// The cross-candidate half of the elementarity test, run on an
     /// iteration's merged survivors of [`Engine::stream_range`]: the rank
     /// test already ran per batch, so every survivor is accepted; the
-    /// adjacency test compares candidates with each other and runs here.
-    /// Keeps only accepted candidates and returns their number.
+    /// adjacency test ([`Engine::adjacency_filter`], the count-sorted slab
+    /// scan) compares candidates with each other and with the zero-row
+    /// modes and runs here. Keeps only accepted candidates and returns
+    /// their number.
     pub(crate) fn accept_survivors(
         &self,
         buf: &mut CandidateSet<P>,
         part: &SignPartition<P>,
-        zero_tree: Option<&PatternTree<P>>,
     ) -> u64 {
         let _sp = efm_obs::span(crate::cluster_algo::phases::RANK);
         match self.test {
             CandidateTest::Rank => buf.len() as u64,
-            CandidateTest::Adjacency if self.pattern_trees => {
-                let empty = PatternTree::default();
-                self.adjacency_filter_tree(buf, zero_tree.unwrap_or(&empty))
+            CandidateTest::Adjacency => {
+                let keep = self.adjacency_filter(&buf.patterns, &buf.val_sups, part);
+                buf.gather(&keep);
+                keep.len() as u64
             }
-            CandidateTest::Adjacency => self.adjacency_filter_naive(buf, part),
         }
     }
 
@@ -1286,9 +1265,17 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// kernel. A subset has at most as many bits as its superset — and a
     /// *proper* subset strictly fewer — so sorting each slab by popcount
     /// lets every probe scan only the prefix that can possibly reject,
-    /// instead of the full `O(|zero|·|cand| + |cand|²)` pair grid. The
-    /// oracle the tree variant is verified against.
-    fn adjacency_filter_naive(&self, buf: &mut CandidateSet<P>, part: &SignPartition<P>) -> u64 {
+    /// instead of the full `O(|zero|·|cand| + |cand|²)` pair grid.
+    ///
+    /// Takes the candidates' `(pattern, val_sup)` keys, so it runs on a
+    /// [`CandidateSet`] and on a materialized [`CandidateBuf`] alike, and
+    /// returns the ascending indices of the survivors.
+    pub(crate) fn adjacency_filter(
+        &self,
+        patterns: &[P],
+        val_sups: &[P],
+        part: &SignPartition<P>,
+    ) -> Vec<u32> {
         let tier = self.kernel_tier;
         let by_count = |sups: Vec<P>| -> (Vec<P>, Vec<u32>) {
             let mut order: Vec<usize> = (0..sups.len()).collect();
@@ -1299,7 +1286,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         };
         let (zero_sorted, zero_counts) =
             by_count(part.zero.iter().map(|&i| self.mode_support(i as usize)).collect());
-        let cand_sups: Vec<P> = (0..buf.len()).map(|i| self.candidate_support(buf, i)).collect();
+        let cand_sups: Vec<P> =
+            patterns.iter().zip(val_sups).map(|(&p, v)| self.support_of(p, v)).collect();
         let (cand_sorted, cand_counts) = by_count(cand_sups.clone());
         let mut keep = Vec::new();
         for (i, cs) in cand_sups.iter().enumerate() {
@@ -1319,43 +1307,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             }
             keep.push(i as u32);
         }
-        let n = keep.len() as u64;
-        buf.gather(&keep);
-        n
-    }
-
-    /// Tree-backed adjacency test: one pattern tree over the zero-row
-    /// supports, one over the candidate supports, then one pruned subset
-    /// query per candidate against each. Candidate supports are pairwise
-    /// distinct after dedup (the `(pattern, val_sup)` key decomposes the
-    /// support injectively), so "another candidate's support ⊆ mine"
-    /// is exactly a proper-subset hit in the candidate tree.
-    fn adjacency_filter_tree(&self, buf: &mut CandidateSet<P>, zero_tree: &PatternTree<P>) -> u64 {
-        let cand_sups: Vec<P> = (0..buf.len()).map(|i| self.candidate_support(buf, i)).collect();
-        let cand_tree = PatternTree::from_patterns(cand_sups.clone());
-        let keep = self.adjacency_keep_range(zero_tree, &cand_tree, &cand_sups, 0..cand_sups.len());
-        let n = keep.len() as u64;
-        buf.gather(&keep);
-        n
-    }
-
-    /// Adjacency verdicts for a sub-range of candidates given prebuilt
-    /// trees: returns the passing indices. Used by parallel drivers to
-    /// query one shared tree pair from many workers.
-    pub fn adjacency_keep_range(
-        &self,
-        zero_tree: &PatternTree<P>,
-        cand_tree: &PatternTree<P>,
-        cand_sups: &[P],
-        range: std::ops::Range<usize>,
-    ) -> Vec<u32> {
-        range
-            .filter(|&i| {
-                let cs = &cand_sups[i];
-                !zero_tree.contains_subset_of(cs) && !cand_tree.contains_proper_subset_of(cs)
-            })
-            .map(|i| i as u32)
-            .collect()
+        keep
     }
 
     /// Completes the iteration: installs the survivor set and advances the
@@ -1768,7 +1720,6 @@ mod tests {
                 Pattern1::from_indices([2]),
             ],
             parents: vec![(0, 1), (2, 3), (4, 5)],
-            ..Default::default()
         };
         s.sort_dedup();
         assert_eq!(s.len(), 2, "equal (pattern, val_sup) keys collapse");

@@ -112,11 +112,6 @@ pub struct EfmOptions {
     /// Which network-reduction stages run before enumeration (ablation
     /// hook; the default is the paper's full preprocessing).
     pub compression: efm_metnet::CompressionOptions,
-    /// Use bit-pattern trees (Terzer & Stelling-style) for the subset and
-    /// duplicate scans of each iteration. Disabling falls back to the
-    /// classical linear scans — the A/B baseline for benchmarks and the
-    /// oracle for property tests.
-    pub pattern_trees: bool,
     /// Candidate-generation kernel dispatch (`--kernel` on the CLI). All
     /// choices are bit-identical; `Scalar` exists as the differential
     /// baseline and escape hatch.
@@ -147,7 +142,6 @@ impl Default for EfmOptions {
             force_free: None,
             exact_rank_test: false,
             compression: efm_metnet::CompressionOptions::default(),
-            pattern_trees: true,
             kernel: KernelKind::Auto,
             spill_budget: None,
             stripe_weights: None,
@@ -190,7 +184,7 @@ pub struct IterationStats {
     /// Wall time of the per-batch sort + dedup and of merging the sorted
     /// survivor runs.
     pub t_merge: std::time::Duration,
-    /// Wall time of the duplicate-of-existing drop.
+    /// Wall time of the duplicate drop against zero-row modes.
     pub t_tree_filter: std::time::Duration,
     /// Wall time of the elementarity test (per batch for the rank test,
     /// on the merged survivors for the adjacency test).
@@ -205,8 +199,7 @@ pub struct PhaseBreakdown {
     /// Sorting and duplicate removal (parallel drivers: merging per-chunk
     /// sorted runs — no longer a serial barrier).
     pub dedup: Duration,
-    /// Pattern-tree filtering: duplicate-of-existing drops and, under the
-    /// adjacency test, the subset queries.
+    /// Duplicate drop against zero-row modes.
     pub tree_filter: Duration,
     /// Rank (or adjacency) tests.
     pub rank_test: Duration,
@@ -372,11 +365,11 @@ pub struct RunStats {
     pub iterations: Vec<IterationStats>,
     /// Total candidate pairs generated across all iterations.
     pub candidates_generated: u64,
-    /// Candidates eliminated by the bit-pattern prefilter (summary
-    /// rejection and zero-tree superset pruning) before any numeric work.
+    /// Candidate pairs eliminated by the bit-pattern prefilter (summary
+    /// rejection) before any numeric work.
     pub tree_pruned: u64,
     /// Duplicate candidates removed, both within a batch (sort+dedup) and
-    /// against the surviving mode set (tree subset queries).
+    /// by the duplicate drop against zero-row modes.
     pub dedup_hits: u64,
     /// Candidates submitted to the elementarity test (rank or adjacency).
     pub rank_tests: u64,

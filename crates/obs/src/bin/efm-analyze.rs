@@ -127,8 +127,7 @@ fn load(path: &str) -> Result<Trace, String> {
         let name = e.get("name").and_then(Value::as_str).unwrap_or("").to_string();
         if ph == Ph::Meta {
             if name == "thread_name" {
-                if let Some(n) = e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str)
-                {
+                if let Some(n) = e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str) {
                     t.track_names.insert(tid, n.to_string());
                 }
             }
@@ -193,8 +192,10 @@ fn sweep(events: &[Ev], clip: Option<(f64, f64)>) -> Sweep {
         match e.ph {
             Ph::Begin => {
                 if let Some(rest) = e.name.strip_prefix("subset ") {
-                    let id: Option<u64> =
-                        rest.split(|c: char| !c.is_ascii_digit()).next().and_then(|d| d.parse().ok());
+                    let id: Option<u64> = rest
+                        .split(|c: char| !c.is_ascii_digit())
+                        .next()
+                        .and_then(|d| d.parse().ok());
                     if let Some(id) = id {
                         subset_open.push((id, e.ts.max(c0)));
                     }
@@ -380,9 +381,7 @@ fn main() -> ExitCode {
         }
         per_track.insert(*tid, s);
     }
-    let is_rank = |tid: &i64| {
-        trace.track_names.get(tid).is_some_and(|n| n.starts_with("rank "))
-    };
+    let is_rank = |tid: &i64| trace.track_names.get(tid).is_some_and(|n| n.starts_with("rank "));
     let rank_tids: Vec<i64> = trace.by_tid.keys().copied().filter(is_rank).collect();
     if rank_tids.is_empty() {
         return fail("no rank tracks in trace (was it recorded with --trace on a cluster run?)");
@@ -421,9 +420,9 @@ fn main() -> ExitCode {
 
     // --- JSON report.
     let mut out = String::from("{\n");
-    let _ = write!(out, "  \"trace\": \"{}\",\n", escape(&path));
-    let _ = write!(out, "  \"rank_wall_us\": {rank_wall:.0},\n");
-    let _ = write!(out, "  \"coverage_pct\": {coverage_pct:.2},\n");
+    let _ = writeln!(out, "  \"trace\": \"{}\",", escape(&path));
+    let _ = writeln!(out, "  \"rank_wall_us\": {rank_wall:.0},");
+    let _ = writeln!(out, "  \"coverage_pct\": {coverage_pct:.2},");
     out.push_str("  \"totals_us\": {");
     for (i, c) in CATEGORIES.iter().enumerate() {
         if i > 0 {
@@ -459,9 +458,9 @@ fn main() -> ExitCode {
         let _ = write!(out, "{{\"id\": {id}, \"total_us\": {us:.0}}}");
     }
     out.push_str("],\n");
-    let _ = write!(out, "  \"critical_path\": {{\n    \"length_us\": {cp_len:.0},\n");
-    let _ = write!(out, "    \"segments\": {},\n", segs.len());
-    let _ = write!(out, "    \"crosses_view_change\": {crosses_view_change},\n");
+    let _ = writeln!(out, "  \"critical_path\": {{\n    \"length_us\": {cp_len:.0},");
+    let _ = writeln!(out, "    \"segments\": {},", segs.len());
+    let _ = writeln!(out, "    \"crosses_view_change\": {crosses_view_change},");
     out.push_str("    \"categories_us\": {");
     for (i, c) in CATEGORIES.iter().enumerate() {
         if i > 0 {
@@ -481,10 +480,7 @@ fn main() -> ExitCode {
             escape(trace.track_names.get(&seg.tid).map_or("", |s| s)),
             seg.t0,
             seg.t1,
-            seg.via
-                .as_ref()
-                .map(|v| format!(", \"via\": \"{}\"", escape(v)))
-                .unwrap_or_default()
+            seg.via.as_ref().map(|v| format!(", \"via\": \"{}\"", escape(v))).unwrap_or_default()
         );
     }
     out.push_str("\n    ]\n  }\n}\n");
@@ -498,7 +494,12 @@ fn main() -> ExitCode {
     }
 
     // --- Human table (stderr so the JSON on stdout stays pipeable).
-    eprintln!("efm-analyze: {} ({} tracks, {} rank tracks)", path, trace.by_tid.len(), rank_tids.len());
+    eprintln!(
+        "efm-analyze: {} ({} tracks, {} rank tracks)",
+        path,
+        trace.by_tid.len(),
+        rank_tids.len()
+    );
     eprintln!("{:<12} {:>10} {:>8}", "category", "total", "share");
     for c in CATEGORIES {
         let us = totals.get(c).copied().unwrap_or(0.0);
@@ -507,20 +508,15 @@ fn main() -> ExitCode {
         }
         eprintln!("{c:<12} {:>10} {:>7.1}%", fmt_us(us), 100.0 * us / rank_wall.max(1.0));
     }
-    eprintln!(
-        "coverage: {coverage_pct:.1}% of {} rank wall-clock attributed",
-        fmt_us(rank_wall)
-    );
+    eprintln!("coverage: {coverage_pct:.1}% of {} rank wall-clock attributed", fmt_us(rank_wall));
     eprintln!(
         "critical path: {} across {} segment(s), crosses view change: {crosses_view_change}",
         fmt_us(cp_len),
         segs.len()
     );
     if !subsets.is_empty() {
-        let top: Vec<String> = subsets
-            .iter()
-            .map(|(id, us)| format!("subset {id}: {}", fmt_us(*us)))
-            .collect();
+        let top: Vec<String> =
+            subsets.iter().map(|(id, us)| format!("subset {id}: {}", fmt_us(*us))).collect();
         eprintln!("subsets: {}", top.join(", "));
     }
     ExitCode::SUCCESS

@@ -184,9 +184,7 @@ fn main() -> ExitCode {
             ));
         }
         if finish_ts < start_ts {
-            return fail(&format!(
-                "flow {id}: finish ts {finish_ts} precedes start ts {start_ts}"
-            ));
+            return fail(&format!("flow {id}: finish ts {finish_ts} precedes start ts {start_ts}"));
         }
     }
     if flows.len() < require_flows {

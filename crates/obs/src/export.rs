@@ -47,8 +47,7 @@ impl FlowPlan {
                 }
             }
         }
-        let finish_ts =
-            last_end.into_iter().filter(|(id, _)| starts.contains_key(id)).collect();
+        let finish_ts = last_end.into_iter().filter(|(id, _)| starts.contains_key(id)).collect();
         FlowPlan { finish_ts }
     }
 

@@ -61,7 +61,11 @@ impl Default for Histogram {
 
 #[inline]
 fn bucket_of(v: u64) -> usize {
-    if v == 0 { 0 } else { v.ilog2() as usize }
+    if v == 0 {
+        0
+    } else {
+        v.ilog2() as usize
+    }
 }
 
 impl Histogram {
@@ -134,7 +138,7 @@ impl Histogram {
 
     /// Mean sample, rounded down; 0 when empty.
     pub fn mean(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.sum / self.count }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
 

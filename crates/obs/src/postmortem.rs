@@ -62,10 +62,10 @@ pub fn write_bundle(
     }
 
     let mut manifest = String::from("{\n");
-    let _ = write!(manifest, "  \"tag\": \"{}\",\n", escape(tag));
-    let _ = write!(manifest, "  \"reason\": \"{}\",\n", escape(reason));
-    let _ = write!(manifest, "  \"at_us\": {},\n", now_us());
-    let _ = write!(manifest, "  \"events_captured\": {},\n", snap.event_count());
+    let _ = writeln!(manifest, "  \"tag\": \"{}\",", escape(tag));
+    let _ = writeln!(manifest, "  \"reason\": \"{}\",", escape(reason));
+    let _ = writeln!(manifest, "  \"at_us\": {},", now_us());
+    let _ = writeln!(manifest, "  \"events_captured\": {},", snap.event_count());
     manifest.push_str("  \"meta\": {");
     for (i, (k, v)) in snap.meta.iter().enumerate() {
         if i > 0 {

@@ -42,15 +42,19 @@ proptest! {
 
     #[test]
     fn backends_agree(seed in 0u64..5000) {
+        // Both elementarity tests: adjacency compares candidates across
+        // the rayon chunks and the cluster stripes of the pair grid.
         let net = oracle_net(seed);
-        let o = opts();
-        let serial = enumerate_with(&net, &o, &Backend::Serial).unwrap();
-        let rayon = enumerate_with(&net, &o, &Backend::Rayon).unwrap();
-        let cluster =
-            enumerate_with(&net, &o, &Backend::Cluster(efm_cluster::ClusterConfig::new(3)))
-                .unwrap();
-        prop_assert_eq!(serial.efms.as_support_sets(), rayon.efms.as_support_sets());
-        prop_assert_eq!(serial.efms.as_support_sets(), cluster.efms.as_support_sets());
+        for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+            let o = EfmOptions { test, ..opts() };
+            let serial = enumerate_with(&net, &o, &Backend::Serial).unwrap();
+            let rayon = enumerate_with(&net, &o, &Backend::Rayon).unwrap();
+            let cluster =
+                enumerate_with(&net, &o, &Backend::Cluster(efm_cluster::ClusterConfig::new(3)))
+                    .unwrap();
+            prop_assert_eq!(serial.efms.as_support_sets(), rayon.efms.as_support_sets());
+            prop_assert_eq!(serial.efms.as_support_sets(), cluster.efms.as_support_sets());
+        }
     }
 
     #[test]
@@ -106,27 +110,6 @@ proptest! {
         ] {
             let out = enumerate(&net, &EfmOptions { compression, ..opts() }).unwrap();
             prop_assert_eq!(full.efms.as_support_sets(), out.efms.as_support_sets());
-        }
-    }
-
-    #[test]
-    fn pattern_trees_agree_with_linear_scans(seed in 0u64..5000) {
-        // The tree-backed filters (default) and the classical linear-scan
-        // filters must enumerate identical EFM sets on every backend,
-        // including the simulated cluster's merge path.
-        let net = oracle_net(seed);
-        let off = EfmOptions { pattern_trees: false, ..opts() };
-        for backend in [
-            Backend::Serial,
-            Backend::Rayon,
-            Backend::Cluster(efm_cluster::ClusterConfig::new(3)),
-        ] {
-            let with_trees = enumerate_with(&net, &opts(), &backend).unwrap();
-            let without = enumerate_with(&net, &off, &backend).unwrap();
-            prop_assert_eq!(
-                with_trees.efms.as_support_sets(),
-                without.efms.as_support_sets()
-            );
         }
     }
 

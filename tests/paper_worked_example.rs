@@ -100,22 +100,6 @@ fn fig2_iteration_trace() {
 }
 
 #[test]
-fn tree_and_naive_filters_agree_on_worked_example() {
-    // The pattern-tree pipeline (default) must reproduce the classical
-    // linear-scan pipeline byte for byte on the paper's worked example,
-    // for both elementarity tests.
-    let net = toy_network();
-    for test in [efm_core::CandidateTest::Rank, efm_core::CandidateTest::Adjacency] {
-        let on = EfmOptions { test, pattern_trees: true, ..Default::default() };
-        let off = EfmOptions { pattern_trees: false, ..on.clone() };
-        let with_trees = enumerate(&net, &on).unwrap();
-        let without = enumerate(&net, &off).unwrap();
-        assert_eq!(with_trees.efms, without.efms, "tree/naive divergence under {test:?}");
-        assert_eq!(with_trees.efms.len(), 8);
-    }
-}
-
-#[test]
 fn section_3a_divide_and_conquer_subsets() {
     // §III.A: partitioning across {r6r, r8r} gives four subproblems with
     // exactly two EFMs each.
