@@ -410,9 +410,9 @@ fn run<S: efm_core::EfmScalar>(
             checkpoint.as_ref(),
         )
     } else {
-        // Divide-and-conquer checkpointing is per-subset progress (EFCK
-        // v4): --checkpoint records each completed subset, --resume skips
-        // the recorded ones.
+        // Divide-and-conquer checkpointing is per-subset progress:
+        // --checkpoint records each completed subset, --resume skips the
+        // recorded ones.
         let mut dnc = dnc;
         if let Some(path) = &args.resume {
             if args.checkpoint.as_ref().is_some_and(|c| c != path) {

@@ -175,7 +175,7 @@ pub fn enumerate_divide_conquer_scheduled(
 
 /// Divide-and-conquer enumeration under an explicit subset-scheduler
 /// configuration ([`DncConfig`]: subset order and concurrency, per-subset
-/// restart budget, EFCK v4 progress checkpointing and resume), generic
+/// restart budget, progress checkpointing and resume), generic
 /// over the scalar. Every schedule yields the identical EFM set; reports
 /// come back in subset-id order, each carrying only its successful
 /// attempt's statistics, so the aggregation below never double-counts

@@ -33,35 +33,17 @@ use std::path::Path;
 use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"EFCK";
-/// Current write version. Version 2 adds (a) the supervisor's recovery log
-/// to the serialized statistics and (b) a trailing footer — body length
-/// (u64) + CRC-32 (u32) — so a file truncated *exactly* on a record
-/// boundary (which field-level `read_exact` cannot notice) or silently
-/// bit-flipped is rejected with a typed error instead of restoring garbage
-/// state. Version 3 adds the observability counters of `RunStats`
-/// (tree-prune / dedup / rank-test / comm totals, transient peak) and a
-/// monotonic timestamp per recovery event. Version 4 adds a record *kind*
-/// word right after the version so one container format carries both
-/// engine snapshots ([`EngineCheckpoint`], kind 0) and divide-and-conquer
-/// progress records ([`DncCheckpoint`], kind 1: a per-subset completion
-/// bitmap plus the finished subsets' supports and statistics, so a resumed
-/// run skips completed subsets entirely). Version-1 files (no footer, no
-/// recovery log), version-2 files (no counters, no timestamps — they read
-/// back as zero), version-3 files (no kind word, implicitly engine
-/// snapshots) and version-4 files (no kernel/arena counters — they read
-/// back as zero / empty tier) remain readable. Version 6 appends the
-/// streaming-generation counters (`stream_batches`, `spill_bytes`);
-/// version-5 files read them back as zero. Version 7 appends per-rank
-/// stripe provenance (`stripe_weights`: the cost-model weights the writing
-/// group striped the pair grid with, one per rank) and the failover
-/// counters of `RunStats` (`failovers`, `ranks_lost`); version-6 files
-/// read them back as empty/zero — an empty weight vector means uniform
-/// striping, exactly what every pre-failover run used.
+/// The one format version this build writes and reads. Every record is
+/// framed the same way: magic, this version word, a kind word, the body,
+/// then a footer — body length (u64) + CRC-32 (u32) — so a file truncated
+/// exactly on a field boundary or silently bit-flipped is rejected with a
+/// typed error instead of restoring garbage state. Files of any other
+/// version are rejected with an error naming it (DESIGN.md §9.4).
 const VERSION: u32 = 7;
 
-/// Record kind (v4+): an engine snapshot at an iteration boundary.
+/// Record kind: an engine snapshot at an iteration boundary.
 const KIND_ENGINE: u32 = 0;
-/// Record kind (v4+): divide-and-conquer subset-completion progress.
+/// Record kind: divide-and-conquer subset-completion progress.
 const KIND_DNC: u32 = 1;
 
 type SnapshotJob = Box<dyn FnOnce() -> EngineCheckpoint + Send>;
@@ -135,10 +117,10 @@ pub struct EngineCheckpoint {
     pub vals: Vec<String>,
     /// Run statistics accumulated up to the snapshot.
     pub stats: RunStats,
-    /// Stripe provenance (v7+): the cost-model weights the writing group
+    /// Stripe provenance: the cost-model weights the writing group
     /// striped the candidate pair grid with, one entry per rank of the
-    /// group that wrote the snapshot. Empty means uniform striping (all
-    /// pre-v7 files, and runs that never overrode the stripes). On
+    /// group that wrote the snapshot. Empty means uniform striping (serial
+    /// and rayon snapshots, which have no stripes). On
     /// failover the supervisor recovers the dead rank's share from this
     /// vector and redistributes it across the survivors.
     pub stripe_weights: Vec<u64>,
@@ -192,26 +174,7 @@ impl Fnv {
 impl EngineCheckpoint {
     /// Snapshots an engine at an iteration boundary.
     pub fn capture<P: BitPattern, S: EfmScalar>(eng: &Engine<P, S>, fingerprint: u64) -> Self {
-        EngineCheckpoint {
-            scalar_tag: S::CHECKPOINT_TAG.to_string(),
-            pattern_bits: P::capacity() as u32,
-            fingerprint,
-            free_count: eng.free_count as u64,
-            stop_at: eng.stop_at as u64,
-            cursor: eng.cursor as u64,
-            rev_positions: eng.rev_positions.iter().map(|&p| p as u64).collect(),
-            rev_len: eng.modes.rev_len as u64,
-            tail_len: eng.modes.tail_len as u64,
-            mode_patterns: eng
-                .modes
-                .patterns
-                .iter()
-                .map(|p| p.ones().into_iter().map(|b| b as u32).collect())
-                .collect(),
-            vals: eng.modes.vals.iter().map(EfmScalar::encode_checkpoint).collect(),
-            stats: eng.stats.clone(),
-            stripe_weights: Vec::new(),
-        }
+        Self::capture_deferred(eng, fingerprint)()
     }
 
     /// Like [`EngineCheckpoint::capture`], but splits the work: the
@@ -344,32 +307,38 @@ impl EngineCheckpoint {
         };
         eng.stats = self.stats.clone();
         // The tier is a property of the resuming host/options, not of the
-        // snapshot: re-resolve it live (pre-v5 files also read back with an
-        // empty tier string).
+        // snapshot: re-resolve it live.
         eng.stats.kernel_tier = eng.kernel_tier.name().to_string();
         Ok(eng)
     }
 
-    /// Writes the binary checkpoint format (current version, with the
-    /// trailing length/CRC footer).
+    /// Writes the binary checkpoint format (with the trailing length/CRC
+    /// footer).
     pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        self.write_body(&mut cw, VERSION)?;
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        // The footer travels outside the checksummed region.
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
-        Ok(())
+        write_record(self, w)
     }
 
-    /// Writes the versioned body (everything the footer covers).
-    fn write_body<W: Write>(&self, w: &mut W, version: u32) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(w, version)?;
-        if version >= 4 {
-            put_u32(w, KIND_ENGINE)?;
-        }
+    /// Reads the binary checkpoint format (version 7, kind 0).
+    pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
+        read_record(r)
+    }
+
+    /// Writes the checkpoint to `path` atomically (temp file + rename), so
+    /// a crash mid-write never corrupts the previous checkpoint.
+    pub fn save(&self, path: &Path) -> Result<(), EfmError> {
+        save_record(self, path)
+    }
+
+    /// Loads a checkpoint from `path`.
+    pub fn load(path: &Path) -> Result<Self, EfmError> {
+        load_record(path)
+    }
+}
+
+impl Record for EngineCheckpoint {
+    const KIND: u32 = KIND_ENGINE;
+
+    fn write_body(&self, w: &mut impl Write) -> io::Result<()> {
         put_str(w, &self.scalar_tag)?;
         put_u32(w, self.pattern_bits)?;
         put_u64(w, self.fingerprint)?;
@@ -393,99 +362,15 @@ impl EngineCheckpoint {
         for v in &self.vals {
             put_str(w, v)?;
         }
-        put_stats(w, &self.stats, version)?;
-        if version >= 7 {
-            put_u64(w, self.stripe_weights.len() as u64)?;
-            for &sw in &self.stripe_weights {
-                put_u64(w, sw)?;
-            }
+        put_stats(w, &self.stats)?;
+        put_u64(w, self.stripe_weights.len() as u64)?;
+        for &sw in &self.stripe_weights {
+            put_u64(w, sw)?;
         }
         Ok(())
     }
 
-    /// Writes the legacy version-1 body (no footer, no recovery log) —
-    /// compatibility-test helper.
-    #[cfg(test)]
-    pub(crate) fn write_to_v1<W: Write>(&self, mut w: W) -> io::Result<()> {
-        self.write_body(&mut w, 1)
-    }
-
-    /// Writes a version-2 file (footer present, no v3 counters or event
-    /// timestamps) — compatibility-test helper.
-    #[cfg(test)]
-    pub(crate) fn write_to_v2<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        self.write_body(&mut cw, 2)?;
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
-        Ok(())
-    }
-
-    /// Writes a version-3 file (footer and counters present, no kind word) —
-    /// compatibility-test helper.
-    #[cfg(test)]
-    pub(crate) fn write_to_v3<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        self.write_body(&mut cw, 3)?;
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
-        Ok(())
-    }
-
-    /// Writes a version-5 file (no streaming counters) —
-    /// compatibility-test helper.
-    #[cfg(test)]
-    pub(crate) fn write_to_v5<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        self.write_body(&mut cw, 5)?;
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
-        Ok(())
-    }
-
-    /// Writes a version-6 file (no stripe provenance or failover counters) —
-    /// compatibility-test helper.
-    #[cfg(test)]
-    pub(crate) fn write_to_v6<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        self.write_body(&mut cw, 6)?;
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
-        Ok(())
-    }
-
-    /// Reads the binary checkpoint format (versions 1 through 7, kind 0).
-    pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
-        let mut cr = CrcReader::new(r);
-        let r = &mut cr;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad_data("not an EFCK checkpoint file"));
-        }
-        let version = get_u32(r)?;
-        if version == 0 || version > VERSION {
-            return Err(bad_data(format!("unsupported checkpoint version {version}")));
-        }
-        if version >= 4 {
-            match get_u32(r)? {
-                KIND_ENGINE => {}
-                KIND_DNC => {
-                    return Err(bad_data(
-                        "divide-and-conquer progress checkpoint (load it with DncCheckpoint::load)",
-                    ))
-                }
-                k => return Err(bad_data(format!("unknown checkpoint kind {k}"))),
-            }
-        }
+    fn read_body(r: &mut impl Read) -> io::Result<Self> {
         let scalar_tag = get_str(r)?;
         let pattern_bits = get_u32(r)?;
         let fingerprint = get_u64(r)?;
@@ -493,59 +378,19 @@ impl EngineCheckpoint {
         let stop_at = get_u64(r)?;
         let cursor = get_u64(r)?;
         let nrev = checked_len(get_u64(r)?)?;
-        let mut rev_positions = Vec::with_capacity(nrev);
-        for _ in 0..nrev {
-            rev_positions.push(get_u64(r)?);
-        }
+        let rev_positions = get_vec(r, nrev, get_u64)?;
         let rev_len = get_u64(r)?;
         let tail_len = get_u64(r)?;
         let nmodes = checked_len(get_u64(r)?)?;
-        let mut mode_patterns = Vec::with_capacity(nmodes);
-        for _ in 0..nmodes {
+        let mode_patterns = get_vec(r, nmodes, |r| {
             let nbits = get_u32(r)? as usize;
-            let mut bits = Vec::with_capacity(nbits);
-            for _ in 0..nbits {
-                bits.push(get_u32(r)?);
-            }
-            mode_patterns.push(bits);
-        }
+            get_vec(r, nbits, get_u32)
+        })?;
         let nvals = checked_len(get_u64(r)?)?;
-        let mut vals = Vec::with_capacity(nvals.min(1 << 20));
-        for _ in 0..nvals {
-            vals.push(get_str(r)?);
-        }
-        let stats = get_stats(r, version)?;
-        let stripe_weights = if version >= 7 {
-            let nw = checked_len(get_u64(r)?)?;
-            let mut weights = Vec::with_capacity(nw.min(1 << 20));
-            for _ in 0..nw {
-                weights.push(get_u64(r)?);
-            }
-            weights
-        } else {
-            // Pre-v7 files carry no stripe provenance; an empty vector means
-            // "assume the uniform split" to every consumer.
-            Vec::new()
-        };
-        if version >= 2 {
-            // Validate the footer against what was actually read: a file
-            // truncated exactly on a record boundary parses cleanly up to
-            // here but has no (or a short) footer; a bit flip fails the CRC.
-            let (body_len, body_crc) = (cr.len, cr.crc.finish());
-            let inner = cr.inner_mut();
-            let footer_err =
-                |what: &str| bad_data(format!("checkpoint {what} (truncated or corrupt file)"));
-            let mut footer = [0u8; 12];
-            inner.read_exact(&mut footer).map_err(|_| footer_err("footer missing"))?;
-            let want_len = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-            let want_crc = u32::from_le_bytes(footer[8..12].try_into().unwrap());
-            if want_len != body_len {
-                return Err(footer_err("length mismatch"));
-            }
-            if want_crc != body_crc {
-                return Err(footer_err("CRC mismatch"));
-            }
-        }
+        let vals = get_vec(r, nvals, get_str)?;
+        let stats = get_stats(r)?;
+        let nw = checked_len(get_u64(r)?)?;
+        let stripe_weights = get_vec(r, nw, get_u64)?;
         Ok(EngineCheckpoint {
             scalar_tag,
             pattern_bits,
@@ -561,39 +406,6 @@ impl EngineCheckpoint {
             stats,
             stripe_weights,
         })
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename), so
-    /// a crash mid-write never corrupts the previous checkpoint.
-    pub fn save(&self, path: &Path) -> Result<(), EfmError> {
-        let t0 = std::time::Instant::now();
-        let tmp = path.with_extension("tmp");
-        let write = || -> io::Result<()> {
-            let f = std::fs::File::create(&tmp)?;
-            // Megabyte-scale bodies: a large buffer keeps the syscall
-            // count low enough that the write disappears into the
-            // background thread's schedule.
-            let mut w = std::io::BufWriter::with_capacity(256 << 10, f);
-            self.write_to(&mut w)?;
-            use std::io::Write as _;
-            w.flush()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        };
-        let out = write().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            EfmError::Checkpoint(format!("cannot write {}: {e}", path.display()))
-        });
-        efm_obs::hist::record("checkpoint write us", t0.elapsed().as_micros() as u64);
-        out
-    }
-
-    /// Loads a checkpoint from `path`.
-    pub fn load(path: &Path) -> Result<Self, EfmError> {
-        let f = std::fs::File::open(path)
-            .map_err(|e| EfmError::Checkpoint(format!("cannot open {}: {e}", path.display())))?;
-        Self::read_from(std::io::BufReader::new(f))
-            .map_err(|e| EfmError::Checkpoint(format!("cannot read {}: {e}", path.display())))
     }
 }
 
@@ -612,7 +424,7 @@ pub struct DncSubsetResult {
     pub stats: RunStats,
 }
 
-/// Divide-and-conquer progress record (EFCK v4, kind 1): which of the
+/// Divide-and-conquer progress record (kind 1): which of the
 /// `2^qsub` subsets have finished, plus their results, so a resumed run
 /// re-enumerates only the unfinished subsets. Unlike [`EngineCheckpoint`]
 /// this snapshots the *scheduler's* state, not one engine's: subsets
@@ -682,75 +494,58 @@ impl DncCheckpoint {
         words
     }
 
-    /// Writes the binary record (EFCK v4 kind 1, with the trailing
-    /// length/CRC footer).
+    /// Writes the binary record (kind 1, with the trailing length/CRC
+    /// footer).
     pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut cw = CrcWriter::new(w);
-        {
-            let w = &mut cw;
-            w.write_all(MAGIC)?;
-            put_u32(w, VERSION)?;
-            put_u32(w, KIND_DNC)?;
-            put_str(w, &self.scalar_tag)?;
-            put_u64(w, self.fingerprint)?;
-            put_u32(w, self.qsub)?;
-            let bitmap = self.bitmap();
-            put_u64(w, bitmap.len() as u64)?;
-            for word in bitmap {
-                put_u64(w, word)?;
-            }
-            put_u64(w, self.done.len() as u64)?;
-            for s in &self.done {
-                put_u64(w, s.id as u64)?;
-                put_u32(w, s.skipped_empty as u32)?;
-                put_u64(w, s.supports.len() as u64)?;
-                for sup in &s.supports {
-                    put_u64(w, sup.len() as u64)?;
-                    for &r in sup {
-                        put_u64(w, r as u64)?;
-                    }
-                }
-                put_stats(w, &s.stats, VERSION)?;
-            }
+        write_record(self, w)
+    }
+
+    /// Reads a divide-and-conquer progress record (kind 1 only — engine
+    /// snapshots are rejected with a typed error).
+    pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
+        read_record(r)
+    }
+
+    /// Writes the record to `path` atomically (temp file + rename).
+    pub fn save(&self, path: &Path) -> Result<(), EfmError> {
+        save_record(self, path)
+    }
+
+    /// Loads a progress record from `path`.
+    pub fn load(path: &Path) -> Result<Self, EfmError> {
+        load_record(path)
+    }
+}
+
+impl Record for DncCheckpoint {
+    const KIND: u32 = KIND_DNC;
+
+    fn write_body(&self, w: &mut impl Write) -> io::Result<()> {
+        put_str(w, &self.scalar_tag)?;
+        put_u64(w, self.fingerprint)?;
+        put_u32(w, self.qsub)?;
+        let bitmap = self.bitmap();
+        put_u64(w, bitmap.len() as u64)?;
+        for word in bitmap {
+            put_u64(w, word)?;
         }
-        let (len, crc) = (cw.len, cw.crc.finish());
-        let mut w = cw.into_inner();
-        // The footer travels outside the checksummed region.
-        put_u64(&mut w, len)?;
-        put_u32(&mut w, crc)?;
+        put_u64(w, self.done.len() as u64)?;
+        for s in &self.done {
+            put_u64(w, s.id as u64)?;
+            put_u32(w, s.skipped_empty as u32)?;
+            put_u64(w, s.supports.len() as u64)?;
+            for sup in &s.supports {
+                put_u64(w, sup.len() as u64)?;
+                for &r in sup {
+                    put_u64(w, r as u64)?;
+                }
+            }
+            put_stats(w, &s.stats)?;
+        }
         Ok(())
     }
 
-    /// Reads a divide-and-conquer progress record (EFCK v4 kind 1 only —
-    /// engine snapshots of any version are rejected with a typed error).
-    pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
-        let mut cr = CrcReader::new(r);
-        let r = &mut cr;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad_data("not an EFCK checkpoint file"));
-        }
-        let version = get_u32(r)?;
-        if version == 0 || version > VERSION {
-            return Err(bad_data(format!("unsupported checkpoint version {version}")));
-        }
-        if version < 4 {
-            return Err(bad_data(
-                "engine snapshot, not a divide-and-conquer progress record \
-                 (load it with EngineCheckpoint::load)",
-            ));
-        }
-        match get_u32(r)? {
-            KIND_DNC => {}
-            KIND_ENGINE => {
-                return Err(bad_data(
-                    "engine snapshot, not a divide-and-conquer progress record \
-                     (load it with EngineCheckpoint::load)",
-                ))
-            }
-            k => return Err(bad_data(format!("unknown checkpoint kind {k}"))),
-        }
+    fn read_body(r: &mut impl Read) -> io::Result<Self> {
         let scalar_tag = get_str(r)?;
         let fingerprint = get_u64(r)?;
         let qsub = get_u32(r)?;
@@ -758,42 +553,19 @@ impl DncCheckpoint {
             return Err(bad_data(format!("implausible qsub {qsub}")));
         }
         let nwords = checked_len(get_u64(r)?)?;
-        let mut bitmap = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            bitmap.push(get_u64(r)?);
-        }
+        let bitmap = get_vec(r, nwords, get_u64)?;
         let ndone = checked_len(get_u64(r)?)?;
-        let mut done = Vec::with_capacity(ndone.min(1 << 20));
-        for _ in 0..ndone {
+        let done = get_vec(r, ndone, |r| {
             let id = get_u64(r)? as usize;
             let skipped_empty = get_u32(r)? != 0;
             let nsups = checked_len(get_u64(r)?)?;
-            let mut supports = Vec::with_capacity(nsups.min(1 << 20));
-            for _ in 0..nsups {
+            let supports = get_vec(r, nsups, |r| {
                 let len = checked_len(get_u64(r)?)?;
-                let mut sup = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    sup.push(get_u64(r)? as usize);
-                }
-                supports.push(sup);
-            }
-            let stats = get_stats(r, VERSION)?;
-            done.push(DncSubsetResult { id, skipped_empty, supports, stats });
-        }
-        let (body_len, body_crc) = (cr.len, cr.crc.finish());
-        let inner = cr.inner_mut();
-        let footer_err =
-            |what: &str| bad_data(format!("checkpoint {what} (truncated or corrupt file)"));
-        let mut footer = [0u8; 12];
-        inner.read_exact(&mut footer).map_err(|_| footer_err("footer missing"))?;
-        let want_len = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-        let want_crc = u32::from_le_bytes(footer[8..12].try_into().unwrap());
-        if want_len != body_len {
-            return Err(footer_err("length mismatch"));
-        }
-        if want_crc != body_crc {
-            return Err(footer_err("CRC mismatch"));
-        }
+                get_vec(r, len, |r| Ok(get_u64(r)? as usize))
+            })?;
+            let stats = get_stats(r)?;
+            Ok(DncSubsetResult { id, skipped_empty, supports, stats })
+        })?;
         let ck = DncCheckpoint { scalar_tag, fingerprint, qsub, done };
         if ck.done.iter().any(|s| s.id >= 1usize << ck.qsub) {
             return Err(bad_data("subset id out of range for qsub"));
@@ -807,35 +579,6 @@ impl DncCheckpoint {
             return Err(bad_data("completion bitmap disagrees with subset entries"));
         }
         Ok(ck)
-    }
-
-    /// Writes the record to `path` atomically (temp file + rename).
-    pub fn save(&self, path: &Path) -> Result<(), EfmError> {
-        let t0 = std::time::Instant::now();
-        let tmp = path.with_extension("tmp");
-        let write = || -> io::Result<()> {
-            let f = std::fs::File::create(&tmp)?;
-            let mut w = std::io::BufWriter::with_capacity(256 << 10, f);
-            self.write_to(&mut w)?;
-            use std::io::Write as _;
-            w.flush()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        };
-        let out = write().map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            EfmError::Checkpoint(format!("cannot write {}: {e}", path.display()))
-        });
-        efm_obs::hist::record("checkpoint write us", t0.elapsed().as_micros() as u64);
-        out
-    }
-
-    /// Loads a progress record from `path`.
-    pub fn load(path: &Path) -> Result<Self, EfmError> {
-        let f = std::fs::File::open(path)
-            .map_err(|e| EfmError::Checkpoint(format!("cannot open {}: {e}", path.display())))?;
-        Self::read_from(std::io::BufReader::new(f))
-            .map_err(|e| EfmError::Checkpoint(format!("cannot read {}: {e}", path.display())))
     }
 }
 
@@ -953,6 +696,116 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// One record kind of the EFCK container. Both kinds share the frame
+/// below: header, body, footer, atomic save and load.
+trait Record: Sized {
+    /// The kind word written after the version.
+    const KIND: u32;
+    /// Writes everything between the header and the footer.
+    fn write_body(&self, w: &mut impl Write) -> io::Result<()>;
+    /// Reads what [`Record::write_body`] wrote.
+    fn read_body(r: &mut impl Read) -> io::Result<Self>;
+}
+
+/// Writes `rec` framed: magic, version, kind, body, then the length/CRC
+/// footer over everything before it.
+fn write_record<T: Record, W: Write>(rec: &T, w: W) -> io::Result<()> {
+    let mut cw = CrcWriter::new(w);
+    cw.write_all(MAGIC)?;
+    put_u32(&mut cw, VERSION)?;
+    put_u32(&mut cw, T::KIND)?;
+    rec.write_body(&mut cw)?;
+    let (len, crc) = (cw.len, cw.crc.finish());
+    let mut w = cw.into_inner();
+    // The footer travels outside the checksummed region.
+    put_u64(&mut w, len)?;
+    put_u32(&mut w, crc)
+}
+
+/// Reads one framed record of kind `T`. Every malformed file — wrong
+/// magic, version or kind, a short read, a footer that disagrees with the
+/// body — is an `InvalidData` error.
+fn read_record<T: Record, R: Read>(r: R) -> io::Result<T> {
+    let mut cr = CrcReader::new(r);
+    let rec = read_framed_body::<T, R>(&mut cr).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad_data("checkpoint truncated (corrupt file)"),
+        _ => e,
+    })?;
+    // Validate the footer against what was actually read: a file truncated
+    // exactly on a field boundary parses cleanly up to here but has no (or
+    // a short) footer; a bit flip fails the CRC.
+    let (body_len, body_crc) = (cr.len, cr.crc.finish());
+    let footer_err =
+        |what: &str| bad_data(format!("checkpoint {what} (truncated or corrupt file)"));
+    let mut footer = [0u8; 12];
+    // Read past the wrapper: the footer bytes must not enter the checksum.
+    cr.inner.read_exact(&mut footer).map_err(|_| footer_err("footer missing"))?;
+    if u64::from_le_bytes(footer[0..8].try_into().unwrap()) != body_len {
+        return Err(footer_err("length mismatch"));
+    }
+    if u32::from_le_bytes(footer[8..12].try_into().unwrap()) != body_crc {
+        return Err(footer_err("CRC mismatch"));
+    }
+    Ok(rec)
+}
+
+fn read_framed_body<T: Record, R: Read>(r: &mut CrcReader<R>) -> io::Result<T> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(bad_data("not an EFCK checkpoint file"));
+    }
+    let version = get_u32(r)?;
+    if version != VERSION {
+        return Err(bad_data(format!(
+            "unsupported checkpoint version {version} (this build reads version {VERSION} only)"
+        )));
+    }
+    match get_u32(r)? {
+        k if k == T::KIND => T::read_body(r),
+        KIND_ENGINE => Err(bad_data(
+            "engine snapshot, not a divide-and-conquer progress record \
+             (load it with EngineCheckpoint::load)",
+        )),
+        KIND_DNC => Err(bad_data(
+            "divide-and-conquer progress checkpoint (load it with DncCheckpoint::load)",
+        )),
+        k => Err(bad_data(format!("unknown checkpoint kind {k}"))),
+    }
+}
+
+/// Writes `rec` to `path` atomically (temp file + rename), so a crash
+/// mid-write never corrupts the previous checkpoint. Records the
+/// `checkpoint write us` histogram once per save.
+fn save_record(rec: &impl Record, path: &Path) -> Result<(), EfmError> {
+    let t0 = std::time::Instant::now();
+    let tmp = path.with_extension("tmp");
+    let write = || -> io::Result<()> {
+        let f = std::fs::File::create(&tmp)?;
+        // Megabyte-scale bodies: a large buffer keeps the syscall count
+        // low enough that the write disappears into the background
+        // thread's schedule.
+        let mut w = std::io::BufWriter::with_capacity(256 << 10, f);
+        write_record(rec, &mut w)?;
+        w.flush()?;
+        std::fs::rename(&tmp, path)
+    };
+    let out = write().map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        EfmError::Checkpoint(format!("cannot write {}: {e}", path.display()))
+    });
+    efm_obs::hist::record("checkpoint write us", t0.elapsed().as_micros() as u64);
+    out
+}
+
+/// Loads a record of kind `T` from `path`.
+fn load_record<T: Record>(path: &Path) -> Result<T, EfmError> {
+    let f = std::fs::File::open(path)
+        .map_err(|e| EfmError::Checkpoint(format!("cannot open {}: {e}", path.display())))?;
+    read_record(std::io::BufReader::new(f))
+        .map_err(|e| EfmError::Checkpoint(format!("cannot read {}: {e}", path.display())))
+}
+
 // The table-driven CRC-32 now lives in `efm_cluster::crc`, shared with the
 // cluster data plane's per-frame checksums (same IEEE 802.3 polynomial, same
 // table). The wrappers below keep the checkpoint-specific accounting.
@@ -999,12 +852,6 @@ impl<R: Read> CrcReader<R> {
     fn new(inner: R) -> Self {
         CrcReader { inner, crc: Crc32::new(), len: 0 }
     }
-
-    /// Direct access to the underlying reader (footer bytes must not enter
-    /// the checksum).
-    fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
 }
 
 impl<R: Read> Read for CrcReader<R> {
@@ -1016,13 +863,27 @@ impl<R: Read> Read for CrcReader<R> {
     }
 }
 
-/// Guards length prefixes against absurd values from corrupt files so a
-/// flipped byte cannot request an exabyte allocation.
+/// Guards length prefixes against absurd values from corrupt files.
 fn checked_len(v: u64) -> io::Result<usize> {
     if v > (1 << 40) {
         return Err(bad_data(format!("implausible length {v}")));
     }
     Ok(v as usize)
+}
+
+/// Reads `len` items. `len` comes from the file, so the pre-allocation is
+/// capped: a corrupt length runs into the end of the file (a typed error)
+/// instead of requesting terabytes from the allocator.
+fn get_vec<R: Read, T>(
+    r: &mut R,
+    len: usize,
+    mut item: impl FnMut(&mut R) -> io::Result<T>,
+) -> io::Result<Vec<T>> {
+    let mut v = Vec::with_capacity(len.min(1 << 20));
+    for _ in 0..len {
+        v.push(item(r)?);
+    }
+    Ok(v)
 }
 
 fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
@@ -1052,11 +913,12 @@ fn get_u64(r: &mut impl Read) -> io::Result<u64> {
 
 fn get_str(r: &mut impl Read) -> io::Result<String> {
     let len = get_u32(r)? as usize;
-    if len > (1 << 30) {
-        return Err(bad_data(format!("implausible string length {len}")));
+    // Grows with what is actually read, never with the file's length word.
+    let mut buf = Vec::new();
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
     String::from_utf8(buf).map_err(|_| bad_data("non-UTF8 string"))
 }
 
@@ -1108,22 +970,20 @@ fn get_action(v: u32) -> io::Result<RecoveryAction> {
     })
 }
 
-fn put_stats(w: &mut impl Write, s: &RunStats, version: u32) -> io::Result<()> {
+fn put_stats(w: &mut impl Write, s: &RunStats) -> io::Result<()> {
     put_u64(w, s.candidates_generated)?;
     put_u64(w, s.peak_modes as u64)?;
     put_u64(w, s.peak_bytes)?;
     put_u64(w, s.final_modes as u64)?;
-    if version >= 3 {
-        for v in [
-            s.tree_pruned,
-            s.dedup_hits,
-            s.rank_tests,
-            s.comm_messages,
-            s.comm_bytes,
-            s.peak_transient_bytes,
-        ] {
-            put_u64(w, v)?;
-        }
+    for v in [
+        s.tree_pruned,
+        s.dedup_hits,
+        s.rank_tests,
+        s.comm_messages,
+        s.comm_bytes,
+        s.peak_transient_bytes,
+    ] {
+        put_u64(w, v)?;
     }
     for d in [
         s.phases.generate,
@@ -1158,58 +1018,45 @@ fn put_stats(w: &mut impl Write, s: &RunStats, version: u32) -> io::Result<()> {
             put_duration(w, d)?;
         }
     }
-    if version >= 2 {
-        put_u64(w, s.recovery.events.len() as u64)?;
-        for e in &s.recovery.events {
-            if version >= 3 {
-                put_u64(w, e.at_us)?;
+    put_u64(w, s.recovery.events.len() as u64)?;
+    for e in &s.recovery.events {
+        put_u64(w, e.at_us)?;
+        put_u32(w, e.attempt)?;
+        put_str(w, &e.error)?;
+        put_u32(w, put_class(e.class))?;
+        put_u32(w, put_action(e.action))?;
+        match e.resumed_from {
+            Some(it) => {
+                put_u32(w, 1)?;
+                put_u64(w, it)?;
             }
-            put_u32(w, e.attempt)?;
-            put_str(w, &e.error)?;
-            put_u32(w, put_class(e.class))?;
-            put_u32(w, put_action(e.action))?;
-            match e.resumed_from {
-                Some(it) => {
-                    put_u32(w, 1)?;
-                    put_u64(w, it)?;
-                }
-                None => put_u32(w, 0)?,
-            }
+            None => put_u32(w, 0)?,
         }
     }
-    if version >= 5 {
-        put_str(w, &s.kernel_tier)?;
-        put_u64(w, s.kernel_blocks)?;
-        put_u64(w, s.kernel_pruned)?;
-        put_u64(w, s.arena_peak_bytes)?;
-    }
-    if version >= 6 {
-        put_u64(w, s.stream_batches)?;
-        put_u64(w, s.spill_bytes)?;
-    }
-    if version >= 7 {
-        put_u32(w, s.failovers)?;
-        put_u32(w, s.ranks_lost)?;
-    }
-    Ok(())
+    put_str(w, &s.kernel_tier)?;
+    put_u64(w, s.kernel_blocks)?;
+    put_u64(w, s.kernel_pruned)?;
+    put_u64(w, s.arena_peak_bytes)?;
+    put_u64(w, s.stream_batches)?;
+    put_u64(w, s.spill_bytes)?;
+    put_u32(w, s.failovers)?;
+    put_u32(w, s.ranks_lost)
 }
 
-fn get_stats(r: &mut impl Read, version: u32) -> io::Result<RunStats> {
+fn get_stats<R: Read>(r: &mut R) -> io::Result<RunStats> {
     let mut s = RunStats {
         candidates_generated: get_u64(r)?,
         peak_modes: get_u64(r)? as usize,
         peak_bytes: get_u64(r)?,
         final_modes: get_u64(r)? as usize,
+        tree_pruned: get_u64(r)?,
+        dedup_hits: get_u64(r)?,
+        rank_tests: get_u64(r)?,
+        comm_messages: get_u64(r)?,
+        comm_bytes: get_u64(r)?,
+        peak_transient_bytes: get_u64(r)?,
         ..Default::default()
     };
-    if version >= 3 {
-        s.tree_pruned = get_u64(r)?;
-        s.dedup_hits = get_u64(r)?;
-        s.rank_tests = get_u64(r)?;
-        s.comm_messages = get_u64(r)?;
-        s.comm_bytes = get_u64(r)?;
-        s.peak_transient_bytes = get_u64(r)?;
-    }
     s.phases.generate = get_duration(r)?;
     s.phases.dedup = get_duration(r)?;
     s.phases.tree_filter = get_duration(r)?;
@@ -1218,63 +1065,46 @@ fn get_stats(r: &mut impl Read, version: u32) -> io::Result<RunStats> {
     s.phases.merge = get_duration(r)?;
     s.total_time = get_duration(r)?;
     let niter = checked_len(get_u64(r)?)?;
-    for _ in 0..niter {
-        let mut it = IterationStats {
+    s.iterations = get_vec(r, niter, |r| {
+        Ok(IterationStats {
             position: get_u64(r)? as usize,
             reaction: get_str(r)?,
             reversible: get_u32(r)? != 0,
-            ..Default::default()
-        };
-        it.pos = get_u64(r)? as usize;
-        it.neg = get_u64(r)? as usize;
-        it.zero = get_u64(r)? as usize;
-        it.pairs = get_u64(r)?;
-        it.numeric_pass = get_u64(r)?;
-        it.prefiltered = get_u64(r)?;
-        it.deduped = get_u64(r)?;
-        it.accepted = get_u64(r)?;
-        it.modes_after = get_u64(r)? as usize;
-        it.t_generate = get_duration(r)?;
-        it.t_dedup = get_duration(r)?;
-        it.t_merge = get_duration(r)?;
-        it.t_tree_filter = get_duration(r)?;
-        it.t_test = get_duration(r)?;
-        s.iterations.push(it);
-    }
-    if version >= 2 {
-        let nevents = checked_len(get_u64(r)?)?;
-        for _ in 0..nevents {
-            // v2 events carry no timestamp; they read back as 0.
-            let at_us = if version >= 3 { get_u64(r)? } else { 0 };
-            let attempt = get_u32(r)?;
-            let error = get_str(r)?;
-            let class = get_class(get_u32(r)?)?;
-            let action = get_action(get_u32(r)?)?;
-            let resumed_from = if get_u32(r)? != 0 { Some(get_u64(r)?) } else { None };
-            s.recovery.events.push(RecoveryEvent {
-                at_us,
-                attempt,
-                error,
-                class,
-                action,
-                resumed_from,
-            });
-        }
-    }
-    if version >= 5 {
-        s.kernel_tier = get_str(r)?;
-        s.kernel_blocks = get_u64(r)?;
-        s.kernel_pruned = get_u64(r)?;
-        s.arena_peak_bytes = get_u64(r)?;
-    }
-    if version >= 6 {
-        s.stream_batches = get_u64(r)?;
-        s.spill_bytes = get_u64(r)?;
-    }
-    if version >= 7 {
-        s.failovers = get_u32(r)?;
-        s.ranks_lost = get_u32(r)?;
-    }
+            pos: get_u64(r)? as usize,
+            neg: get_u64(r)? as usize,
+            zero: get_u64(r)? as usize,
+            pairs: get_u64(r)?,
+            numeric_pass: get_u64(r)?,
+            prefiltered: get_u64(r)?,
+            deduped: get_u64(r)?,
+            accepted: get_u64(r)?,
+            modes_after: get_u64(r)? as usize,
+            t_generate: get_duration(r)?,
+            t_dedup: get_duration(r)?,
+            t_merge: get_duration(r)?,
+            t_tree_filter: get_duration(r)?,
+            t_test: get_duration(r)?,
+        })
+    })?;
+    let nevents = checked_len(get_u64(r)?)?;
+    s.recovery.events = get_vec(r, nevents, |r| {
+        Ok(RecoveryEvent {
+            at_us: get_u64(r)?,
+            attempt: get_u32(r)?,
+            error: get_str(r)?,
+            class: get_class(get_u32(r)?)?,
+            action: get_action(get_u32(r)?)?,
+            resumed_from: if get_u32(r)? != 0 { Some(get_u64(r)?) } else { None },
+        })
+    })?;
+    s.kernel_tier = get_str(r)?;
+    s.kernel_blocks = get_u64(r)?;
+    s.kernel_pruned = get_u64(r)?;
+    s.arena_peak_bytes = get_u64(r)?;
+    s.stream_batches = get_u64(r)?;
+    s.spill_bytes = get_u64(r)?;
+    s.failovers = get_u32(r)?;
+    s.ranks_lost = get_u32(r)?;
     Ok(s)
 }
 
@@ -1449,43 +1279,27 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_files() {
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        let mut v1 = Vec::new();
-        ck.write_to_v1(&mut v1).unwrap();
-        let back = EngineCheckpoint::read_from(&v1[..]).unwrap();
-        // v1 predates the kernel/arena counters: they read back zeroed.
-        assert_eq!(back.stats.kernel_tier, "");
-        assert_eq!(back.stats.kernel_blocks, 0);
-        let mut want = ck.clone();
-        want.stats.kernel_tier = String::new();
-        want.stats.kernel_blocks = 0;
-        want.stats.kernel_pruned = 0;
-        want.stats.arena_peak_bytes = 0;
-        assert_eq!(back, want);
-        // And a resumed engine from the legacy file finishes identically.
-        let mut resumed = back.restore::<Pattern1, DynInt>(&problem, &opts).unwrap();
-        let mut direct = ck.restore::<Pattern1, DynInt>(&problem, &opts).unwrap();
-        while !direct.done() {
-            direct.step();
-            resumed.step();
-        }
-        assert_eq!(direct.final_supports(), resumed.final_supports());
-    }
-
-    #[test]
-    fn recovery_log_roundtrips_in_v2() {
-        use crate::types::{FailureClass, RecoveryAction, RecoveryEvent};
+    fn every_stats_field_roundtrips() {
+        // Every `RunStats` field, one recovery event and the stripe
+        // weights set to distinct nonzero values: a field the codec drops
+        // or swaps shows up as an inequality.
         let problem = toy_problem();
         let opts = EfmOptions::default();
         let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
         eng.step();
         let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        ck.stats.recovery.events.push(RecoveryEvent {
+        let ms = Duration::from_millis;
+        let s = &mut ck.stats;
+        (s.candidates_generated, s.tree_pruned, s.dedup_hits, s.rank_tests) = (101, 11, 22, 33);
+        (s.comm_messages, s.comm_bytes, s.peak_transient_bytes) = (44, 55, 66);
+        (s.peak_modes, s.peak_bytes, s.final_modes) = (77, 88, 99);
+        (s.phases.generate, s.phases.dedup, s.phases.tree_filter) = (ms(1), ms(2), ms(3));
+        (s.phases.rank_test, s.phases.communicate, s.phases.merge) = (ms(4), ms(5), ms(6));
+        s.total_time = ms(7);
+        s.kernel_tier = "avx2".to_string();
+        (s.kernel_blocks, s.kernel_pruned, s.arena_peak_bytes) = (110, 120, 130);
+        (s.stream_batches, s.spill_bytes, s.failovers, s.ranks_lost) = (19, 4096, 2, 1);
+        s.recovery.events.push(RecoveryEvent {
             at_us: 1_234_567,
             attempt: 2,
             error: "rank 1: injected crash at communicate[3]".to_string(),
@@ -1493,177 +1307,109 @@ mod tests {
             action: RecoveryAction::Restarted,
             resumed_from: Some(3),
         });
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        assert_eq!(back, ck);
-        assert_eq!(back.stats.recovery.events.len(), 1);
-        assert_eq!(back.stats.recovery.events[0].at_us, 1_234_567);
-    }
-
-    #[test]
-    fn v3_counters_roundtrip() {
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        ck.stats.tree_pruned = 11;
-        ck.stats.dedup_hits = 22;
-        ck.stats.rank_tests = 33;
-        ck.stats.comm_messages = 44;
-        ck.stats.comm_bytes = 55;
-        ck.stats.peak_transient_bytes = 66;
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        assert_eq!(back, ck);
-        assert_eq!(back.stats.tree_pruned, 11);
-        assert_eq!(back.stats.peak_transient_bytes, 66);
-    }
-
-    #[test]
-    fn v6_streaming_counters_roundtrip() {
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        ck.stats.stream_batches = 19;
-        ck.stats.spill_bytes = 4096;
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        assert_eq!(back, ck);
-        assert_eq!(back.stats.stream_batches, 19);
-        assert_eq!(back.stats.spill_bytes, 4096);
-    }
-
-    #[test]
-    fn v5_files_read_back_with_zeroed_v6_fields() {
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        // These fields don't exist in a v5 file and must come back zeroed.
-        ck.stats.stream_batches = 7;
-        ck.stats.spill_bytes = 512;
-        ck.stats.kernel_blocks = 3;
-        let mut buf = Vec::new();
-        ck.write_to_v5(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        // v5 fields survive; v6 fields are zeroed.
-        assert_eq!(back.stats.kernel_blocks, 3);
-        assert_eq!(back.stats.stream_batches, 0);
-        assert_eq!(back.stats.spill_bytes, 0);
-        let mut want = ck.clone();
-        want.stats.stream_batches = 0;
-        want.stats.spill_bytes = 0;
-        assert_eq!(back, want);
-    }
-
-    #[test]
-    fn v7_stripe_provenance_and_failover_counters_roundtrip() {
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
         ck.stripe_weights = vec![3, 1, 2, 2];
-        ck.stats.failovers = 2;
-        ck.stats.ranks_lost = 1;
+        assert!(!ck.stats.iterations.is_empty());
         let mut buf = Vec::new();
         ck.write_to(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        assert_eq!(back, ck);
-        assert_eq!(back.stripe_weights, vec![3, 1, 2, 2]);
-        assert_eq!(back.stats.failovers, 2);
-        assert_eq!(back.stats.ranks_lost, 1);
+        assert_eq!(EngineCheckpoint::read_from(&buf[..]).unwrap(), ck);
     }
 
     #[test]
-    fn v6_files_read_back_with_zeroed_v7_fields() {
+    fn other_versions_are_rejected_by_name() {
+        let problem = toy_problem();
+        let opts = EfmOptions::default();
+        let eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
+        let mut engine_buf = Vec::new();
+        EngineCheckpoint::capture(&eng, problem_fingerprint(&problem))
+            .write_to(&mut engine_buf)
+            .unwrap();
+        let mut dnc_buf = Vec::new();
+        DncCheckpoint::new("dynint", 1, 1).write_to(&mut dnc_buf).unwrap();
+        for version in [6u32, 8] {
+            let patch = |buf: &[u8]| {
+                let mut b = buf.to_vec();
+                b[4..8].copy_from_slice(&version.to_le_bytes());
+                b
+            };
+            let errs = [
+                EngineCheckpoint::read_from(&patch(&engine_buf)[..]).unwrap_err(),
+                DncCheckpoint::read_from(&patch(&dnc_buf)[..]).unwrap_err(),
+            ];
+            for err in errs {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("unsupported checkpoint version {version}")),
+                    "{msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forged_length_prefixes_yield_typed_errors() {
+        // A length word the file cannot back must fail with a typed error,
+        // never abort the process in the allocator.
         let problem = toy_problem();
         let opts = EfmOptions::default();
         let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
         eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        // These fields don't exist in a v6 file and must come back empty/zero.
-        ck.stripe_weights = vec![5, 5];
-        ck.stats.failovers = 3;
-        ck.stats.ranks_lost = 2;
-        ck.stats.stream_batches = 11;
-        let mut buf = Vec::new();
-        ck.write_to_v6(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        // v6 fields survive; v7 fields are absent.
-        assert_eq!(back.stats.stream_batches, 11);
-        assert!(back.stripe_weights.is_empty());
-        assert_eq!(back.stats.failovers, 0);
-        assert_eq!(back.stats.ranks_lost, 0);
-        let mut want = ck.clone();
-        want.stripe_weights = Vec::new();
-        want.stats.failovers = 0;
-        want.stats.ranks_lost = 0;
-        assert_eq!(back, want);
-    }
-
-    #[test]
-    fn v2_files_read_back_with_zeroed_v3_fields() {
-        use crate::types::{FailureClass, RecoveryAction, RecoveryEvent};
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        // These fields don't exist in a v2 file and must come back zeroed.
-        ck.stats.tree_pruned = 7;
-        ck.stats.comm_bytes = 9;
-        ck.stats.peak_transient_bytes = 13;
-        ck.stats.recovery.events.push(RecoveryEvent {
-            at_us: 777,
-            attempt: 1,
-            error: "injected".to_string(),
-            class: FailureClass::Retryable,
-            action: RecoveryAction::Restarted,
-            resumed_from: None,
+        let ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
+        let mut engine_buf = Vec::new();
+        ck.write_to(&mut engine_buf).unwrap();
+        let mut dnc = DncCheckpoint::new("dynint", 1, 1);
+        dnc.record(DncSubsetResult {
+            id: 0,
+            skipped_empty: false,
+            supports: vec![vec![1, 2]],
+            stats: RunStats::default(),
         });
-        let mut buf = Vec::new();
-        ck.write_to_v2(&mut buf).unwrap();
-        let back = EngineCheckpoint::read_from(&buf[..]).unwrap();
-        assert_eq!(back.stats.tree_pruned, 0);
-        assert_eq!(back.stats.comm_bytes, 0);
-        assert_eq!(back.stats.peak_transient_bytes, 0);
-        assert_eq!(back.stats.recovery.events.len(), 1);
-        assert_eq!(back.stats.recovery.events[0].at_us, 0);
-        assert_eq!(back.stats.recovery.events[0].attempt, 1);
-    }
+        let mut dnc_buf = Vec::new();
+        dnc.write_to(&mut dnc_buf).unwrap();
 
-    #[test]
-    fn reads_legacy_v3_files() {
-        // A v3 file has no kind word; it must read back as an engine
-        // snapshot, field for field.
-        let problem = toy_problem();
-        let opts = EfmOptions::default();
-        let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
-        eng.step();
-        let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
-        ck.stats.tree_pruned = 5;
-        ck.stats.comm_bytes = 17;
-        let mut v3 = Vec::new();
-        ck.write_to_v3(&mut v3).unwrap();
-        let back = EngineCheckpoint::read_from(&v3[..]).unwrap();
-        // v3 predates the kernel/arena counters: they read back zeroed.
-        let mut want = ck.clone();
-        want.stats.kernel_tier = String::new();
-        want.stats.kernel_blocks = 0;
-        want.stats.kernel_pruned = 0;
-        want.stats.arena_peak_bytes = 0;
-        assert_eq!(back, want);
-        // And it is *not* a divide-and-conquer progress record.
-        let err = DncCheckpoint::read_from(&v3[..]).unwrap_err().to_string();
-        assert!(err.contains("engine snapshot"), "{err}");
+        // Offsets past the header (magic, version, kind) and scalar tag.
+        let header = 12 + 4 + ck.scalar_tag.len();
+        let nrev_at = header + 4 + 4 * 8;
+        let nmodes_at = nrev_at + 8 + 8 * ck.rev_positions.len() + 2 * 8;
+        let nbits_at = nmodes_at + 8;
+        let nwords_at = 12 + 4 + dnc.scalar_tag.len() + 8 + 4;
+        assert_eq!(engine_buf[nrev_at..nrev_at + 8], (ck.rev_positions.len() as u64).to_le_bytes());
+        assert_eq!(
+            engine_buf[nmodes_at..nmodes_at + 8],
+            (ck.mode_patterns.len() as u64).to_le_bytes()
+        );
+        assert_eq!(
+            engine_buf[nbits_at..nbits_at + 4],
+            (ck.mode_patterns[0].len() as u32).to_le_bytes()
+        );
+        assert_eq!(dnc_buf[nwords_at..nwords_at + 8], 1u64.to_le_bytes());
+
+        let forge = |buf: &[u8], at: usize, word: &[u8]| {
+            let mut b = buf.to_vec();
+            b[at..at + word.len()].copy_from_slice(word);
+            b
+        };
+        let huge = (1u64 << 40).to_le_bytes();
+        let forged_engine = [
+            forge(&engine_buf, nrev_at, &huge),
+            forge(&engine_buf, nmodes_at, &huge),
+            forge(&engine_buf, nbits_at, &u32::MAX.to_le_bytes()),
+        ];
+        let dir = std::env::temp_dir().join(format!("efm-ckpt-forged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("forged.efck");
+        for bytes in &forged_engine {
+            let err = EngineCheckpoint::read_from(&bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(EngineCheckpoint::load(&path), Err(EfmError::Checkpoint(_))));
+        }
+        let forged_dnc = forge(&dnc_buf, nwords_at, &huge);
+        let err = DncCheckpoint::read_from(&forged_dnc[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::write(&path, &forged_dnc).unwrap();
+        assert!(matches!(DncCheckpoint::load(&path), Err(EfmError::Checkpoint(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! 3. `RankTests` — locally, per batch;
 //! 4. `Communicate&Merge` — the local survivor buffers are exchanged and
 //!    folded into one sorted merge as they arrive (duplicates *across*
-//!    ranks are possible and collapse there);
+//!    ranks are possible and collapse there); each buffer travels with its
+//!    rank's iteration counters;
 //! 5. `RemoveNegColumns` + append — every rank advances to the identical
-//!    next state.
+//!    next state and adds the whole cluster's counters to its statistics.
 //!
-//! Phase wall-times and per-phase work counters are recorded through the
-//! cluster's instrumentation. The memory meter charges the replicated mode
+//! So the run statistics are replicated like the mode matrix: every rank
+//! holds whole-cluster totals. Phase wall-times and per-phase work
+//! counters stay per rank and are recorded through the cluster's
+//! instrumentation. The memory meter charges the replicated mode
 //! matrix, every generation batch, the rank's **local stripe buffers**
 //! (whose size varies across ranks), and the merged candidate buffer; a
 //! failing charge on any single rank aborts the whole run through the
@@ -26,12 +29,13 @@
 //!
 //! Rank 0 can additionally write an iteration-boundary
 //! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) after each
-//! state advance (the state is identical on every rank at that point), so
-//! an aborted run resumes from the last completed iteration.
+//! state advance (the state, statistics included, is identical on every
+//! rank at that point), so an aborted run resumes from the last completed
+//! iteration and counts like an uninterrupted one.
 
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
-use crate::engine::{CandidateBuf, CandidateSet, Engine, STREAM_BATCH_PAIRS};
+use crate::engine::{CandidateBuf, CandidateSet, Engine, StreamStats, STREAM_BATCH_PAIRS};
 use crate::problem::EfmProblem;
 use crate::types::{CandidateTest, EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
@@ -64,7 +68,9 @@ pub struct ClusterNodeOutcome {
     /// rank 0's copy is used by callers). Empty when the run paused at a
     /// segment boundary before finishing.
     pub supports: Vec<Vec<usize>>,
-    /// This rank's run statistics (stripe-local candidate counts).
+    /// Run statistics: whole-cluster totals, identical on every rank
+    /// except for the rank-local times. A rank's own stripe share is in
+    /// its report's `phase_work`.
     pub stats: RunStats,
     /// Rank 0's snapshot of the (replicated) engine state when a bounded
     /// segment paused before `eng.done()`; `None` on completion and on all
@@ -134,70 +140,13 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     let reports =
         run_cluster(cfg, |ctx| node_body::<P, S>(ctx, problem, opts, resume, ckpt, stop_after))?;
 
-    // Aggregate: supports from rank 0; totals across ranks. Iterations
-    // replayed from a checkpoint are already totals, so only count their
-    // candidates once (not once per rank).
-    let mut stats = RunStats::default();
-    for rep in &reports {
-        stats.candidates_generated += rep.value.stats.candidates_generated;
-        stats.tree_pruned += rep.value.stats.tree_pruned;
-        stats.dedup_hits += rep.value.stats.dedup_hits;
-        stats.rank_tests += rep.value.stats.rank_tests;
-        stats.comm_messages += rep.value.stats.comm_messages;
-        stats.comm_bytes += rep.value.stats.comm_bytes;
-        stats.kernel_blocks += rep.value.stats.kernel_blocks;
-        stats.kernel_pruned += rep.value.stats.kernel_pruned;
-        stats.stream_batches += rep.value.stats.stream_batches;
-        stats.spill_bytes += rep.value.stats.spill_bytes;
-        stats.peak_modes = stats.peak_modes.max(rep.value.stats.peak_modes);
-        stats.peak_bytes = stats.peak_bytes.max(rep.peak_memory);
-        stats.peak_transient_bytes =
-            stats.peak_transient_bytes.max(rep.value.stats.peak_transient_bytes);
-        stats.arena_peak_bytes = stats.arena_peak_bytes.max(rep.value.stats.arena_peak_bytes);
-    }
-    // All ranks resolve the same tier (same binary, same host); take it
-    // from rank 0.
-    stats.kernel_tier = reports[0].value.stats.kernel_tier.clone();
-    if let Some(ck) = resume {
-        let replicas = reports.len() as u64 - 1;
-        stats.candidates_generated -= ck.stats.candidates_generated * replicas;
-        stats.tree_pruned -= ck.stats.tree_pruned * replicas;
-        stats.dedup_hits -= ck.stats.dedup_hits * replicas;
-        stats.rank_tests -= ck.stats.rank_tests * replicas;
-        stats.comm_messages -= ck.stats.comm_messages * replicas;
-        stats.comm_bytes -= ck.stats.comm_bytes * replicas;
-        stats.kernel_blocks -= ck.stats.kernel_blocks * replicas;
-        stats.kernel_pruned -= ck.stats.kernel_pruned * replicas;
-        stats.stream_batches -= ck.stats.stream_batches * replicas;
-        stats.spill_bytes -= ck.stats.spill_bytes * replicas;
-        // Peaks are high-water marks, not additive: `rep.peak_memory`
-        // above comes from the resumed segment's *fresh* meters, which
-        // know nothing about the pre-checkpoint high water. A resumed run
-        // must never report a lower peak than the run it continues.
-        stats.peak_bytes = stats.peak_bytes.max(ck.stats.peak_bytes);
-        stats.peak_modes = stats.peak_modes.max(ck.stats.peak_modes);
-        stats.peak_transient_bytes = stats.peak_transient_bytes.max(ck.stats.peak_transient_bytes);
-        stats.arena_peak_bytes = stats.arena_peak_bytes.max(ck.stats.arena_peak_bytes);
-    }
-    // Iteration records: take rank 0's skeleton, with pair counts summed
-    // across ranks (each rank recorded only its stripe). On a resumed run
-    // the records before the resume point came from the checkpoint and are
-    // identical on every rank; sum only the records produced live.
-    let resumed_iters = resume.map_or(0, |ck| ck.stats.iterations.len());
-    let mut iterations = reports[0].value.stats.iterations.clone();
-    for rep in &reports[1..] {
-        for (acc, it) in iterations
-            .iter_mut()
-            .skip(resumed_iters)
-            .zip(rep.value.stats.iterations.iter().skip(resumed_iters))
-        {
-            acc.pairs += it.pairs;
-            acc.prefiltered += it.prefiltered;
-            acc.deduped += it.deduped;
-            acc.accepted += it.accepted;
-        }
-    }
-    stats.iterations = iterations;
+    // Every rank's statistics are whole-cluster totals (each survivor
+    // stripe travels with its rank's counters), so rank 0's stand for the
+    // run, resumed or not. Only the meters and the wall times are per rank.
+    let mut stats = reports[0].value.stats.clone();
+    // Rank 0's own peak includes a resumed checkpoint's high water, which
+    // the segment's fresh meters know nothing about.
+    stats.peak_bytes = reports.iter().map(|r| r.peak_memory).fold(stats.peak_bytes, u64::max);
     // Bulk-synchronous wall-time model: each phase costs its slowest rank.
     let phase_max = |label: &str| {
         reports.iter().filter_map(|r| r.phase_times.get(label).copied()).max().unwrap_or_default()
@@ -238,7 +187,7 @@ fn stripe_bounds(pairs: u64, nodes: u64, rank: u64, weights: Option<&[u64]>) -> 
     (rank * pairs / nodes, (rank + 1) * pairs / nodes)
 }
 
-/// The stripe weights a rank-0 snapshot records as provenance (EFCK v7):
+/// The stripe weights a rank-0 snapshot records as provenance:
 /// the weights this run striped with, normalized to the explicit uniform
 /// vector when none were supplied — a resumed failover then always has a
 /// well-formed prior to carve the survivors' shares from.
@@ -369,8 +318,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // ranks; the sorted merge drops them on key collision.
         let out_bytes = local_buf.approx_bytes();
         ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
-        eng.stats.comm_messages += nodes - 1;
-        eng.stats.comm_bytes += out_bytes * (nodes - 1);
         if efm_obs::enabled() {
             for dst in 0..nodes as usize {
                 if dst != ctx.rank() {
@@ -381,6 +328,12 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         let my_rank = ctx.rank();
         let t_comm = Instant::now();
         let mut t_merge = Duration::ZERO;
+        // Each stripe travels with its rank's iteration counters, so every
+        // rank sums the whole cluster's counts into its `RunStats`, which
+        // then stay as replicated as the mode matrix they describe.
+        let mut others = StreamStats::default();
+        let mut others_accepted = 0;
+        let mut stripe_bytes = 0;
         let mut merged = {
             let meter = ctx.memory();
             let mut charged = accounted;
@@ -389,8 +342,15 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // charged on top of accumulator + incoming stripe.
             let held = |src: usize| if src < my_rank { out_bytes } else { 0 };
             let sp = efm_obs::span(phases::COMMUNICATE);
-            let folded =
-                ctx.allgather_fold(local_buf, None::<CandidateBuf<P, S>>, |acc, src, incoming| {
+            let folded = ctx.allgather_fold(
+                (local_buf, pass.clone(), accepted),
+                None::<CandidateBuf<P, S>>,
+                |acc, src, (incoming, counts, n)| {
+                    stripe_bytes += incoming.approx_bytes();
+                    if src != my_rank {
+                        others.add_stripe(&counts);
+                        others_accepted += n;
+                    }
                     let Some(acc) = acc else {
                         let now = modes_bytes + incoming.approx_bytes() + held(src);
                         meter.realloc(charged, now)?;
@@ -410,11 +370,14 @@ fn node_body<P: BitPattern, S: EfmScalar>(
                     meter.realloc(charged, now)?;
                     charged = now;
                     Ok(Some(m))
-                })?;
+                },
+            )?;
             drop(sp);
             accounted = charged;
             folded.expect("cluster size is at least one rank")
         };
+        eng.stats.comm_messages += nodes * (nodes - 1);
+        eng.stats.comm_bytes += stripe_bytes * (nodes - 1);
         ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
         ctx.add_time(phases::MERGE, t_merge);
         ctx.fault_point("communicate", iter_no)?;
@@ -443,7 +406,18 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         }
         track(ctx, &mut accounted, eng.modes.approx_bytes())?;
         ctx.fault_point("merge", iter_no)?;
-        eng.record_iteration(&part, end - start, modes_bytes, accepted, &pass);
+        // Telemetry counts this rank's stripe; the statistics count the
+        // whole grid.
+        eng.trace_iteration(end - start, &pass);
+        let mut cluster_pass = pass;
+        cluster_pass.add_stripe(&others);
+        eng.record_iteration(
+            &part,
+            part.pairs(),
+            modes_bytes,
+            accepted + others_accepted,
+            &cluster_pass,
+        );
         if ctx.rank() == 0 {
             crate::drivers::note_progress(&eng);
         }
@@ -455,9 +429,9 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // never waits on serialization, and checkpoint overhead stays
             // a bounded fraction of the run.
             if c.due(eng.cursor - eng.free_count) && (!c.lazy || w.within_budget(t_run.elapsed())) {
-                // Stamp stripe provenance (EFCK v7) onto the deferred
-                // snapshot: the serialization thread knows the engine
-                // state but not the striping, which lives in the options.
+                // Stamp stripe provenance onto the deferred snapshot: the
+                // serialization thread knows the engine state but not the
+                // striping, which lives in the options.
                 let weights = stripe_provenance(opts, nodes as usize);
                 let job = EngineCheckpoint::capture_deferred(&eng, fingerprint);
                 w.submit(move || {

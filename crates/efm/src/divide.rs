@@ -168,7 +168,7 @@ pub fn divide_conquer_supports<P: BitPattern, S: EfmScalar>(
 /// Runs the full divide-and-conquer enumeration under an explicit
 /// scheduler configuration: subset order and concurrency per
 /// [`DncConfig::schedule`], per-subset restarts, progress checkpointing
-/// (EFCK v4) and resume. Every schedule returns the identical supports and
+/// and resume. Every schedule returns the identical supports and
 /// the reports in subset-id order; only the wall-clock shape differs.
 pub fn divide_conquer_supports_with<P: BitPattern, S: EfmScalar>(
     net: &efm_metnet::MetabolicNetwork,

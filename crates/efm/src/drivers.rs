@@ -298,6 +298,7 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     let buf = eng.materialize(&set);
     eng.advance(&part, buf);
     drop(sp);
+    eng.trace_iteration(pairs, &pass);
     eng.record_iteration(&part, pairs, resident, accepted, &pass);
     Ok(())
 }

@@ -541,17 +541,27 @@ impl StreamStats {
     /// add up, and so do the transient peaks, since both buffers were live
     /// at once; arenas are per worker, so their footprint is a maximum.
     pub(crate) fn absorb(&mut self, other: &StreamStats) {
+        let transient = self.transient_peak + other.transient_peak;
+        self.add_stripe(other);
+        self.transient_peak = transient;
+        self.t_generate += other.t_generate;
+        self.t_dedup += other.t_dedup;
+        self.t_tree += other.t_tree;
+        self.t_test += other.t_test;
+    }
+
+    /// Folds in the counters of another cluster rank's stripe of the same
+    /// pair grid: counts add up; that rank's transient and arena lived on
+    /// another node, so footprints take the maximum; times are left alone
+    /// (they stay rank-local).
+    pub(crate) fn add_stripe(&mut self, other: &StreamStats) {
         self.batches += other.batches;
         self.numeric_pass += other.numeric_pass;
         self.blocks += other.blocks;
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.prefiltered += other.prefiltered;
         self.tested += other.tested;
-        self.transient_peak += other.transient_peak;
-        self.t_generate += other.t_generate;
-        self.t_dedup += other.t_dedup;
-        self.t_tree += other.t_tree;
-        self.t_test += other.t_test;
+        self.transient_peak = self.transient_peak.max(other.transient_peak);
     }
 }
 
@@ -1002,17 +1012,18 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let buf = self.materialize(&set);
         self.advance(&part, buf);
         drop(sp);
+        self.trace_iteration(part.pairs(), &pass);
         Ok(self.record_iteration(&part, part.pairs(), resident, accepted, &pass))
     }
 
     /// Folds one finished iteration into the run statistics, pushes its
     /// record and returns it. Every driver calls this right after
     /// [`Engine::advance`]: `part` is the iteration's sign partition,
-    /// `pairs` the share of its pair grid this engine generated (the whole
-    /// grid, or a cluster rank's stripe), `resident_before` the mode
+    /// `pairs` the size of its pair grid, `resident_before` the mode
     /// matrix's bytes when generation started, and `pass` the generation
-    /// counters summed over the driver's workers, with times attributed to
-    /// phases (the cross-candidate test's time included in `t_test`).
+    /// counters summed over the driver's workers or cluster ranks, with
+    /// times attributed to phases (the cross-candidate test's time
+    /// included in `t_test`).
     pub(crate) fn record_iteration(
         &mut self,
         part: &SignPartition<P>,
@@ -1059,24 +1070,32 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let resident = self.modes.approx_bytes();
         st.peak_bytes = st.peak_bytes.max(resident_before + pass.transient_peak).max(resident);
         st.iterations.push(rec.clone());
-        if efm_obs::enabled() {
-            efm_obs::counter_add("candidates", pairs);
-            efm_obs::counter_add("tree pruned", pairs - pass.prefiltered);
-            efm_obs::counter_add("dedup hits", pass.prefiltered - pass.tested);
-            efm_obs::counter_add("rank tests", pass.tested);
-            efm_obs::counter_add("kernel blocks", pass.blocks);
-            efm_obs::counter_add_dyn(
-                format!("kernel pruned ({})", self.kernel_tier),
-                pairs - pass.numeric_pass,
-            );
-            efm_obs::gauge_max("arena bytes", pass.arena_bytes);
-            efm_obs::gauge_max("peak transient bytes", pass.transient_peak);
-            efm_obs::gauge_set("survivors", rec.modes_after as u64);
-            efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
-            efm_obs::gauge_max("peak bytes", resident);
-            efm_obs::hist::record("rank test batch us", pass.t_test.as_micros() as u64);
-        }
         rec
+    }
+
+    /// Emits one finished iteration's telemetry counters, gauges and
+    /// rank-test histogram, for the `pairs` this engine generated and its
+    /// own `pass`. A cluster rank emits its stripe's share, so the
+    /// process-wide counters count every pair once.
+    pub(crate) fn trace_iteration(&self, pairs: u64, pass: &StreamStats) {
+        if !efm_obs::enabled() {
+            return;
+        }
+        efm_obs::counter_add("candidates", pairs);
+        efm_obs::counter_add("tree pruned", pairs - pass.prefiltered);
+        efm_obs::counter_add("dedup hits", pass.prefiltered - pass.tested);
+        efm_obs::counter_add("rank tests", pass.tested);
+        efm_obs::counter_add("kernel blocks", pass.blocks);
+        efm_obs::counter_add_dyn(
+            format!("kernel pruned ({})", self.kernel_tier),
+            pairs - pass.numeric_pass,
+        );
+        efm_obs::gauge_max("arena bytes", pass.arena_bytes);
+        efm_obs::gauge_max("peak transient bytes", pass.transient_peak);
+        efm_obs::gauge_set("survivors", self.modes.len() as u64);
+        efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
+        efm_obs::gauge_max("peak bytes", self.modes.approx_bytes());
+        efm_obs::hist::record("rank test batch us", pass.t_test.as_micros() as u64);
     }
 
     /// Recomputes the numeric sections for the surviving candidates (their

@@ -38,7 +38,7 @@
 //! running; fatal and memory failures propagate. Every recovery action is
 //! recorded as a [`RecoveryEvent`] in the subset's statistics.
 //!
-//! Progress is durable through [`DncCheckpoint`] (EFCK v4): each completed
+//! Progress is durable through [`DncCheckpoint`]: each completed
 //! subset atomically rewrites a per-subset completion bitmap plus the
 //! finished results, so a resumed run re-enumerates only unfinished
 //! subsets regardless of the completion order the schedule produced.
@@ -112,8 +112,8 @@ pub struct DncConfig {
     /// before the whole run fails. Fatal and memory failures are never
     /// retried here — they propagate to the supervisor / escalation layer.
     pub max_retries: u32,
-    /// Divide-and-conquer progress checkpointing ([`DncCheckpoint`],
-    /// EFCK v4): rewritten after every completed subset.
+    /// Divide-and-conquer progress checkpointing ([`DncCheckpoint`]):
+    /// rewritten after every completed subset.
     pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
     /// Resume from `checkpoint.path` if it holds a matching progress
     /// record: completed subsets are skipped.

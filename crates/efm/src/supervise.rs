@@ -332,10 +332,10 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
                 });
                 postmortem(sup, "failover", &err.to_string(), &log);
                 // Stripe provenance: the checkpoint records the weights
-                // the interrupted attempt ran with (EFCK v7); an absent or
-                // pre-v7 record falls back to the weights this session is
-                // tracking, and a fresh fault-free session to the uniform
-                // split.
+                // the interrupted attempt ran with; an absent checkpoint,
+                // or one without weights for this group, falls back to the
+                // weights this session is tracking, and a fresh fault-free
+                // session to the uniform split.
                 let prior = resume
                     .as_ref()
                     .map(|ck| ck.stripe_weights.clone())

@@ -128,7 +128,7 @@ pub struct EfmOptions {
     /// stripes; `Some(w)` (length = node count) splits each iteration's
     /// pair range proportionally to `w`. Set by the failover path so a
     /// survivor inheriting a dead rank's share keeps the work balanced by
-    /// the PR 5 cost model, and recorded in EFCK v7 checkpoints as stripe
+    /// the PR 5 cost model, and recorded in cluster checkpoints as stripe
     /// provenance.
     pub stripe_weights: Option<Vec<u64>>,
 }
@@ -295,8 +295,7 @@ pub struct RecoveryEvent {
     /// When the supervisor observed the failure, in microseconds on the
     /// process-wide monotonic clock ([`efm_obs::now_us`]) — the same
     /// timeline trace events are stamped with, so restarts can be lined
-    /// up against the phase spans they interrupted. `0` for events read
-    /// from pre-v3 checkpoints, which did not record timestamps.
+    /// up against the phase spans they interrupted.
     pub at_us: u64,
     /// 1-based attempt number that failed.
     pub attempt: u32,
@@ -398,8 +397,8 @@ pub struct RunStats {
     /// Final mode count.
     pub final_modes: usize,
     /// Instruction tier the generation kernel ran at (`"scalar"`,
-    /// `"sse2"` or `"avx2"`; empty for stats that never ran an engine,
-    /// e.g. restored pre-v5 checkpoints). One engine runs exactly one
+    /// `"sse2"` or `"avx2"`; empty for stats that never ran an engine).
+    /// A restored engine re-resolves it live. One engine runs exactly one
     /// tier, so together with `kernel_pruned` this gives the per-tier
     /// pruning attribution.
     pub kernel_tier: String,

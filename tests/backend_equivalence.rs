@@ -285,36 +285,46 @@ fn kernel_on_off_agree_on_yeast_lite() {
 /// finishes subsets in, reports come back sorted by subset id, and
 /// aggregated statistics count each subset exactly once — the totals are
 /// identical across schedules because each report carries only its own
-/// successful attempt.
+/// successful attempt. The cluster input pauses every subset after each
+/// iteration (`segment_iters: 1`), so the stealing schedule resumes every
+/// segment from a rank-0 snapshot: that snapshot must carry whole-cluster
+/// counts, or the resumed subsets under-count.
 #[test]
 fn reports_are_id_ordered_and_stats_never_double_count() {
     let net = toy_network();
     let opts = EfmOptions::default();
-    let mut totals = Vec::new();
-    for schedule in [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal] {
-        let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-            &net,
-            &opts,
-            &["r6r", "r8r"],
-            &Backend::Serial,
-            &dnc(schedule, 3),
-        )
-        .unwrap();
-        let ids: Vec<usize> = out.subsets.iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3], "schedule {schedule}: reports out of id order");
-        let report_sum: u64 = out.subsets.iter().map(|s| s.stats.candidates_generated).sum();
-        assert_eq!(
-            out.stats.candidates_generated, report_sum,
-            "schedule {schedule}: aggregate disagrees with per-report sum"
-        );
-        let efm_sum: usize = out.subsets.iter().map(|s| s.efm_count).sum();
-        assert_eq!(out.efms.len(), efm_sum, "schedule {schedule}: EFM counts disagree");
-        totals.push((out.stats.candidates_generated, out.stats.rank_tests, canon(&out)));
+    let inputs = [
+        ("serial", Backend::Serial, 0),
+        ("cluster-4", Backend::Cluster(efm_cluster::ClusterConfig::new(4)), 1),
+    ];
+    for (bname, backend, segment_iters) in inputs {
+        let mut totals = Vec::new();
+        for schedule in [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal] {
+            let cfg = DncConfig { segment_iters, ..dnc(schedule, 3) };
+            let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
+                &net,
+                &opts,
+                &["r6r", "r8r"],
+                &backend,
+                &cfg,
+            )
+            .unwrap();
+            let ids: Vec<usize> = out.subsets.iter().map(|s| s.id).collect();
+            assert_eq!(ids, vec![0, 1, 2, 3], "{bname} {schedule}: reports out of id order");
+            let report_sum: u64 = out.subsets.iter().map(|s| s.stats.candidates_generated).sum();
+            assert_eq!(
+                out.stats.candidates_generated, report_sum,
+                "{bname} {schedule}: aggregate disagrees with per-report sum"
+            );
+            let efm_sum: usize = out.subsets.iter().map(|s| s.efm_count).sum();
+            assert_eq!(out.efms.len(), efm_sum, "{bname} {schedule}: EFM counts disagree");
+            totals.push((out.stats.candidates_generated, out.stats.rank_tests, canon(&out)));
+        }
+        // Identical subproblems generate identical counts whatever the
+        // schedule; a double-counted concurrent subset would break this.
+        assert_eq!(totals[0], totals[1], "{bname}: static disagrees with serial");
+        assert_eq!(totals[0], totals[2], "{bname}: steal disagrees with serial");
     }
-    // Identical subproblems generate identical counts whatever the
-    // schedule; a double-counted concurrent subset would break this.
-    assert_eq!(totals[0], totals[1]);
-    assert_eq!(totals[0], totals[2]);
 }
 
 // ---------------------------------------------------------------------------

@@ -139,8 +139,86 @@ fn resumed_cluster_run_carries_checkpoint_peaks() {
     assert!(resumed.stats.arena_peak_bytes >= 1 << 38);
 }
 
+/// The count fields of one iteration record (everything but the times).
+fn iteration_counts(it: &efm_core::IterationStats) -> (usize, String, bool, [u64; 9]) {
+    let counts = [
+        it.pos as u64,
+        it.neg as u64,
+        it.zero as u64,
+        it.pairs,
+        it.numeric_pass,
+        it.prefiltered,
+        it.deduped,
+        it.accepted,
+        it.modes_after as u64,
+    ];
+    (it.position, it.reaction.clone(), it.reversible, counts)
+}
+
+/// Every counter of a run's statistics, and the replicated mode count's
+/// peak. Times are left out, and so are the byte footprints: a resumed
+/// segment starts with fresh meters and generation arenas, whose
+/// allocation history differs.
+fn run_counts(s: &efm_core::RunStats) -> Vec<u64> {
+    vec![
+        s.candidates_generated,
+        s.tree_pruned,
+        s.dedup_hits,
+        s.rank_tests,
+        s.comm_messages,
+        s.comm_bytes,
+        s.peak_modes as u64,
+        s.final_modes as u64,
+        s.stream_batches,
+        s.spill_bytes,
+        s.kernel_blocks,
+        s.kernel_pruned,
+        s.failovers as u64,
+        s.ranks_lost as u64,
+    ]
+}
+
+/// A cluster run paused halfway and resumed from rank 0's snapshot counts
+/// exactly like the uninterrupted run: the snapshot holds whole-cluster
+/// totals, because every rank's statistics do.
+#[test]
+fn resumed_cluster_run_counts_like_uninterrupted() {
+    use efm_core::{build_problem, cluster_supports_resumable, cluster_supports_segment};
+    use efm_metnet::compress;
+    type P = efm_bitset::Pattern1;
+    let opts = EfmOptions::default();
+    let cfg = efm_cluster::ClusterConfig::new(3);
+    let mut checked = 0;
+    for seed in 0..16u64 {
+        let (red, _) = compress(&net_for(seed));
+        let problem = build_problem::<DynInt>(&red, &opts).unwrap();
+        let full = cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, None, None)
+            .unwrap()
+            .stats;
+        let half = full.iterations.len() as u64 / 2;
+        if half == 0 {
+            continue;
+        }
+        let (_, ck) =
+            cluster_supports_segment::<P, DynInt>(&problem, &opts, &cfg, None, None, Some(half))
+                .unwrap();
+        let ck = ck.expect("a run paused halfway returns rank 0's snapshot");
+        let resumed =
+            cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, Some(&ck), None)
+                .unwrap()
+                .stats;
+        assert_eq!(run_counts(&resumed), run_counts(&full), "seed {seed}: run counters");
+        let iters = |s: &efm_core::RunStats| -> Vec<_> {
+            s.iterations.iter().map(iteration_counts).collect()
+        };
+        assert_eq!(iters(&resumed), iters(&full), "seed {seed}: iteration records");
+        checked += 1;
+    }
+    assert!(checked >= 8, "only {checked} seeds ran long enough to pause");
+}
+
 // ---------------------------------------------------------------------------
-// Divide-and-conquer progress resume (EFCK v4): a resumed run skips the
+// Divide-and-conquer progress resume: a resumed run skips the
 // subsets the checkpoint records as complete and re-enumerates the rest.
 // ---------------------------------------------------------------------------
 

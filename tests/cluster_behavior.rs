@@ -22,8 +22,9 @@ fn pair_grid_split_is_balanced() {
         cluster_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts, &ClusterConfig::new(5))
             .unwrap();
     let iters = out.per_rank[0].value.stats.iterations.len() as u64;
-    let counts: Vec<u64> =
-        out.per_rank.iter().map(|r| r.value.stats.candidates_generated).collect();
+    // Every rank's `stats` hold whole-cluster totals; its own stripe's
+    // pair count is the generation phase's work counter.
+    let counts: Vec<u64> = out.per_rank.iter().map(|r| r.phase_work[phases::GENERATE]).collect();
     let max = *counts.iter().max().unwrap();
     let min = *counts.iter().min().unwrap();
     assert!(

@@ -131,20 +131,24 @@ fn jsonl_export_is_line_wise_valid() {
 
 #[test]
 fn metrics_json_carries_engine_counters() {
+    // The cluster input guards against double counting: every rank holds
+    // whole-cluster statistics, but each pair enters the telemetry once.
     let _g = OBS_LOCK.lock().unwrap();
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let (out, snap) =
-        traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap());
-    let text = efm_obs::export::metrics_json(&snap);
-    let root = efm_obs::json::parse(&text).expect("metrics must be valid JSON");
-    let counters = root.get("counters").expect("counters object");
-    let candidates =
-        counters.get("candidates").and_then(Value::as_num).expect("candidates counter") as u64;
-    assert_eq!(candidates, out.stats.candidates_generated);
-    let rank_tests =
-        counters.get("rank tests").and_then(Value::as_num).expect("rank tests counter") as u64;
-    assert_eq!(rank_tests, out.stats.rank_tests);
+    for backend in [Backend::Serial, Backend::Cluster(efm_cluster::ClusterConfig::new(3))] {
+        let (out, snap) =
+            traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap());
+        let text = efm_obs::export::metrics_json(&snap);
+        let root = efm_obs::json::parse(&text).expect("metrics must be valid JSON");
+        let counters = root.get("counters").expect("counters object");
+        let candidates =
+            counters.get("candidates").and_then(Value::as_num).expect("candidates counter") as u64;
+        assert_eq!(candidates, out.stats.candidates_generated, "{backend:?}");
+        let rank_tests =
+            counters.get("rank tests").and_then(Value::as_num).expect("rank tests counter") as u64;
+        assert_eq!(rank_tests, out.stats.rank_tests, "{backend:?}");
+    }
 }
 
 #[test]
