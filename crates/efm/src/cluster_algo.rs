@@ -8,20 +8,26 @@
 //! 1. `ParallelGenerateEFMCands` — the rank processes its contiguous stripe
 //!    of the `pos × neg` pair grid in bounded batches;
 //! 2. `Sort&RemoveDuplicates` — locally, per batch;
-//! 3. `RankTests` — locally, per batch;
-//! 4. `Communicate&Merge` — the local survivor buffers are exchanged and
-//!    folded into one sorted merge as they arrive (duplicates *across*
-//!    ranks are possible and collapse there); each buffer travels with its
-//!    rank's iteration counters;
-//! 5. `RemoveNegColumns` + append — every rank advances to the identical
-//!    next state and adds the whole cluster's counters to its statistics.
+//! 3. `RankTests` — locally, per batch (the rank test; the adjacency test
+//!    compares candidates across stripes and waits for step 4's merge);
+//! 4. `Communicate&Merge` — the local survivor stripes are exchanged as
+//!    index-only `(pattern, val_sup, parent pair)` records and folded into
+//!    one sorted merge as they arrive (duplicates *across* ranks are
+//!    possible and collapse there); each stripe travels with its rank's
+//!    iteration counters. Parent indices mean the same on every rank,
+//!    since the mode matrix is replicated;
+//! 5. `RemoveNegColumns` + append — `Engine::iterate`, as on every
+//!    backend: the adjacency test on the merged set, values recomputed
+//!    for the survivors, and every rank advances to the identical next
+//!    state with the whole cluster's counters in its statistics.
 //!
 //! So the run statistics are replicated like the mode matrix: every rank
 //! holds whole-cluster totals. Phase wall-times and per-phase work
 //! counters stay per rank and are recorded through the cluster's
 //! instrumentation. The memory meter charges the replicated mode
-//! matrix, every generation batch, the rank's **local stripe buffers**
-//! (whose size varies across ranks), and the merged candidate buffer; a
+//! matrix, every generation batch, the rank's **local survivor stripe**
+//! (whose size varies across ranks), the fold of the exchange, and the
+//! merged survivors with their values before the state advances; a
 //! failing charge on any single rank aborts the whole run through the
 //! cluster's cooperative abort propagation — peers blocked in the
 //! allgather are woken with [`ClusterError::Aborted`] and `run_cluster`
@@ -35,11 +41,14 @@
 
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
-use crate::engine::{CandidateBuf, CandidateSet, Engine, StreamStats, STREAM_BATCH_PAIRS};
+use crate::engine::{
+    CandidateSet, Engine, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
+};
 use crate::problem::EfmProblem;
-use crate::types::{CandidateTest, EfmError, EfmOptions, RunStats};
+use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Phase labels used with the cluster instrumentation (match Table II rows).
@@ -224,13 +233,16 @@ fn node_body<P: BitPattern, S: EfmScalar>(
     };
     let rank = ctx.rank() as u64;
     let nodes = ctx.size() as u64;
-    let mut accounted: u64 = 0;
-    let track = |ctx: &NodeCtx, accounted: &mut u64, now: u64| -> Result<(), ClusterError> {
-        ctx.memory().realloc(*accounted, now)?;
-        *accounted = now;
+    let my_rank = ctx.rank();
+    // Bytes this rank's meter holds; both the iteration's driver and its
+    // charge hook move it, hence the cell.
+    let accounted = Cell::new(0u64);
+    let track = |now: u64| -> Result<(), ClusterError> {
+        ctx.memory().realloc(accounted.get(), now)?;
+        accounted.set(now);
         Ok(())
     };
-    track(ctx, &mut accounted, eng.modes.approx_bytes())?;
+    track(eng.modes.approx_bytes())?;
     // Candidate-generation arena: lives for the whole run, reset (not
     // freed) each iteration, so steady-state iterations do not allocate
     // on the generation hot path.
@@ -254,102 +266,82 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // microsecond between setup and finalize.
         let _iter_span = efm_obs::span("iteration");
         ctx.fault_point("iteration", iter_no)?;
-        // --- Generation, sort/dedup, duplicate drop and the per-candidate
-        // rank test run fused per bounded batch over this rank's stripe of
-        // the pair grid, and every batch's transient footprint is charged
-        // against the node capacity.
-        let part = eng.partition();
-        let (start, end) = stripe_bounds(part.pairs(), nodes, rank, opts.stripe_weights.as_deref());
-        ctx.add_work(phases::GENERATE, end - start);
         let modes_bytes = eng.modes.approx_bytes();
-        let mut local = CandidateSet::<P>::default();
-        let mut transient_now: u64 = 0;
-        let mut pass = {
+        let mut stripe_bytes = 0;
+        // `Engine::iterate` runs the tail after `drive` returns; these two
+        // split its time between the rank-test and merge clocks.
+        let mut t_stream_test = Duration::ZERO;
+        let mut t_tail = Instant::now();
+        let drive = |eng: &Engine<P, S>, part: &SignPartition<P>| {
+            // --- Generation, sort/dedup, duplicate drop and the
+            // per-candidate rank test run fused per bounded batch over
+            // this rank's stripe of the pair grid, and every batch's
+            // transient footprint is charged against the node capacity.
+            let weights = opts.stripe_weights.as_deref();
+            let (start, end) = stripe_bounds(part.pairs(), nodes, rank, weights);
+            ctx.add_work(phases::GENERATE, end - start);
             let meter = ctx.memory();
-            let mut charge = |t: u64| -> Result<(), EfmError> {
-                meter.realloc(modes_bytes + transient_now, modes_bytes + t)?;
-                transient_now = t;
-                Ok(())
-            };
-            eng.stream_range(
-                &part,
-                start,
-                end,
-                STREAM_BATCH_PAIRS,
-                &mut local,
-                &mut arena,
-                &mut charge,
-            )
-        }
-        .map_err(|e| match e {
-            EfmError::Cluster(c) => c,
-            other => as_protocol(other),
-        })?;
-        accounted = modes_bytes + transient_now;
-        ctx.add_time(phases::GENERATE, pass.t_generate);
-        ctx.add_time(phases::DEDUP, pass.t_dedup);
-        ctx.add_time(phases::TREE, pass.t_tree);
-        ctx.add_time(phases::RANK, pass.t_test);
-        ctx.add_work(phases::RANK, pass.tested);
-        ctx.fault_point("generate", iter_no)?;
-        ctx.fault_point("dedup", iter_no)?;
-        // --- RankTests: already applied per batch for the rank test; the
-        // cross-candidate adjacency test needs the merged stripe.
-        let (accepted, local_buf) = {
-            let _t = ctx.timed(phases::RANK);
-            let t_accept = Instant::now();
-            let accepted = eng.accept_survivors(&mut local, &part);
-            pass.t_test += t_accept.elapsed();
-            (accepted, eng.materialize(&local))
-        };
-        drop(local);
-        // The materialized survivor stripe is this rank's private memory
-        // load — it differs across ranks, so a capacity failure here is
-        // *asymmetric* and relies on the abort propagation to release the
-        // peers from the collectives below.
-        track(ctx, &mut accounted, eng.modes.approx_bytes() + local_buf.approx_bytes())?;
-        ctx.fault_point("rank", iter_no)?;
-        // --- Communicate & Merge, folded: stripes arrive one at a time in
-        // rank order and merge into the accumulator as they land, so no
-        // rank ever materializes all `nodes` survivor buffers at once. The
-        // high-water mark is the mode matrix plus the growing merge plus
-        // ONE in-flight stripe — and every step of it is charged against
-        // the memory meter. Cross-rank duplicates may pass the test on two
-        // ranks; the sorted merge drops them on key collision.
-        let out_bytes = local_buf.approx_bytes();
-        ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
-        if efm_obs::enabled() {
-            for dst in 0..nodes as usize {
-                if dst != ctx.rank() {
-                    ctx.note_traffic(dst, out_bytes);
+            let mut transient_now = 0;
+            let (local, pass) =
+                eng.stream_range(part, start, end, STREAM_BATCH_PAIRS, &mut arena, &mut |t| {
+                    meter.realloc(modes_bytes + transient_now, modes_bytes + t)?;
+                    transient_now = t;
+                    Ok(())
+                })?;
+            accounted.set(modes_bytes + transient_now);
+            ctx.add_time(phases::GENERATE, pass.t_generate);
+            ctx.add_time(phases::DEDUP, pass.t_dedup);
+            ctx.add_time(phases::TREE, pass.t_tree);
+            ctx.add_time(phases::RANK, pass.t_test);
+            ctx.add_work(phases::RANK, pass.tested);
+            t_stream_test = pass.t_test;
+            ctx.fault_point("generate", iter_no)?;
+            ctx.fault_point("dedup", iter_no)?;
+            // The outgoing survivor stripe is this rank's private memory
+            // load — it differs across ranks, so a capacity failure here
+            // is *asymmetric* and relies on the abort propagation to
+            // release the peers from the collectives below.
+            let out_bytes = local.approx_bytes();
+            track(modes_bytes + out_bytes)?;
+            // --- RankTests: already applied per batch.
+            ctx.fault_point("rank", iter_no)?;
+            // --- Communicate & Merge, folded: stripes arrive one at a
+            // time in rank order and merge into the accumulator as they
+            // land, so no rank ever holds all `nodes` survivor stripes at
+            // once. The high-water mark is the mode matrix plus the
+            // growing merge plus ONE in-flight stripe — and every step of
+            // it is charged against the memory meter. Cross-rank
+            // duplicates collapse on key collision, the lower rank's copy
+            // winning; parent indices mean the same on every rank, whose
+            // mode matrices are identical.
+            ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
+            if efm_obs::enabled() {
+                for dst in 0..nodes as usize {
+                    if dst != my_rank {
+                        ctx.note_traffic(dst, out_bytes);
+                    }
                 }
             }
-        }
-        let my_rank = ctx.rank();
-        let t_comm = Instant::now();
-        let mut t_merge = Duration::ZERO;
-        // Each stripe travels with its rank's iteration counters, so every
-        // rank sums the whole cluster's counts into its `RunStats`, which
-        // then stay as replicated as the mode matrix they describe.
-        let mut others = StreamStats::default();
-        let mut others_accepted = 0;
-        let mut stripe_bytes = 0;
-        let mut merged = {
-            let meter = ctx.memory();
-            let mut charged = accounted;
-            // The outgoing buffer is handed to the fabric and consumed
+            let t_comm = Instant::now();
+            let mut t_merge = Duration::ZERO;
+            // Each stripe travels with its rank's iteration counters, so
+            // every rank sums the whole cluster's counts into its
+            // `RunStats`, which then stay as replicated as the mode matrix
+            // they describe.
+            let mut remote = StreamStats::default();
+            let mut charged = accounted.get();
+            // The outgoing stripe is handed to the fabric and consumed
             // when the fold reaches `my_rank`; until then its bytes stay
             // charged on top of accumulator + incoming stripe.
             let held = |src: usize| if src < my_rank { out_bytes } else { 0 };
             let sp = efm_obs::span(phases::COMMUNICATE);
             let folded = ctx.allgather_fold(
-                (local_buf, pass.clone(), accepted),
-                None::<CandidateBuf<P, S>>,
-                |acc, src, (incoming, counts, n)| {
+                (local, pass.clone()),
+                None::<CandidateSet<P>>,
+                |acc, src, (incoming, counts)| {
                     stripe_bytes += incoming.approx_bytes();
                     if src != my_rank {
-                        others.add_stripe(&counts);
-                        others_accepted += n;
+                        remote.add_stripe(&counts);
                     }
                     let Some(acc) = acc else {
                         let now = modes_bytes + incoming.approx_bytes() + held(src);
@@ -363,7 +355,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
                     charged = now;
                     let t0 = Instant::now();
                     let msp = efm_obs::span(phases::MERGE);
-                    let m = CandidateBuf::merge_sorted(acc, incoming);
+                    let m = CandidateSet::merge_sorted(acc, incoming);
                     drop(msp);
                     t_merge += t0.elapsed();
                     let now = modes_bytes + m.approx_bytes() + held(src);
@@ -373,51 +365,29 @@ fn node_body<P: BitPattern, S: EfmScalar>(
                 },
             )?;
             drop(sp);
-            accounted = charged;
-            folded.expect("cluster size is at least one rank")
+            accounted.set(charged);
+            ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
+            ctx.add_time(phases::MERGE, t_merge);
+            ctx.fault_point("communicate", iter_no)?;
+            t_tail = Instant::now();
+            let set = folded.expect("cluster size is at least one rank");
+            Ok(Survivors { set, local: pass, remote })
         };
+        // --- The adjacency test (on the merged set, so across stripes),
+        // then RemoveNegColumns + append: every rank advances to the
+        // identical next state, the merged survivors' values charged first.
+        let mut charge = |bytes: u64| -> Result<(), EfmError> { Ok(track(modes_bytes + bytes)?) };
+        let rec = eng.iterate(drive, &mut charge).map_err(|e| match e {
+            EfmError::Cluster(c) => c,
+            other => as_protocol(other),
+        })?;
+        let t_accept = rec.t_test.saturating_sub(t_stream_test);
+        ctx.add_time(phases::RANK, t_accept);
+        ctx.add_time(phases::MERGE, t_tail.elapsed().saturating_sub(t_accept));
         eng.stats.comm_messages += nodes * (nodes - 1);
         eng.stats.comm_bytes += stripe_bytes * (nodes - 1);
-        ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
-        ctx.add_time(phases::MERGE, t_merge);
-        ctx.fault_point("communicate", iter_no)?;
-        // The adjacency test above saw only this rank's stripe, so a
-        // candidate whose proper subset lies in another stripe passed it.
-        // Every rank now holds the same merged buffer: repeat the test on
-        // it. The stripe-local pass shrinks what each rank sends, and its
-        // rejections stand (a subset within a stripe is one within the
-        // whole set); every chain of proper subsets
-        // ends in a candidate that passed its own stripe or in a zero-row
-        // mode that rejects the whole chain, so the two passes reject
-        // exactly what one pass over all candidates would.
-        if nodes > 1 && eng.test == CandidateTest::Adjacency {
-            let _t = ctx.timed(phases::RANK);
-            let t0 = Instant::now();
-            let keep = eng.adjacency_filter(&merged.patterns, &merged.val_sups, &part);
-            merged.gather(&keep);
-            pass.t_test += t0.elapsed();
-        }
-        {
-            let t0 = Instant::now();
-            let msp = efm_obs::span(phases::MERGE);
-            eng.advance(&part, merged);
-            drop(msp);
-            ctx.add_time(phases::MERGE, t0.elapsed());
-        }
-        track(ctx, &mut accounted, eng.modes.approx_bytes())?;
+        track(eng.modes.approx_bytes())?;
         ctx.fault_point("merge", iter_no)?;
-        // Telemetry counts this rank's stripe; the statistics count the
-        // whole grid.
-        eng.trace_iteration(end - start, &pass);
-        let mut cluster_pass = pass;
-        cluster_pass.add_stripe(&others);
-        eng.record_iteration(
-            &part,
-            part.pairs(),
-            modes_bytes,
-            accepted + others_accepted,
-            &cluster_pass,
-        );
         if ctx.rank() == 0 {
             crate::drivers::note_progress(&eng);
         }

@@ -3,7 +3,9 @@
 
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
-use crate::engine::{CandidateSet, Engine, GenArena, StreamStats, STREAM_BATCH_PAIRS};
+use crate::engine::{
+    CandidateSet, Engine, GenArena, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
+};
 use crate::problem::EfmProblem;
 use crate::types::{EfmError, EfmOptions, IterationStats, RunStats};
 use efm_bitset::BitPattern;
@@ -137,7 +139,7 @@ pub fn serial_supports_resumable<P: BitPattern, S: EfmScalar>(
     // steady-state iterations perform no candidate-buffer allocation.
     let mut arena = GenArena::new();
     run_resumable::<P, S>(problem, opts, resume, ckpt, move |eng| {
-        eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(())).map(drop)
+        eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(())).map(drop)
     })
 }
 
@@ -150,20 +152,23 @@ pub fn serial_supports_traced<P: BitPattern, S: EfmScalar>(
 ) -> Result<SupportsAndStats, EfmError> {
     let mut arena = GenArena::new();
     run_resumable::<P, S>(problem, opts, None, None, move |eng| {
-        on_iteration(&eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(()))?);
+        on_iteration(
+            &eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(()))?,
+        );
         Ok(())
     })
 }
 
 /// Serial Algorithm 1 that can *grow* mid-run: once `grow()` first returns
-/// true the remaining iterations run as [`rayon_step_streaming`]s on the
-/// shared pool. The divide-and-conquer scheduler uses this as its straggler
-/// path for the serial backend — while other subsets are queued, each runs
-/// single-threaded (maximum throughput across subsets); when workers go
-/// idle because the queue is drained, the survivors' pair grids are
-/// re-split across the pool instead of leaving cores parked. The serial
-/// and rayon steps advance the engine through identical states, so the
-/// switch point cannot change the result.
+/// true the remaining iterations split their pair grids across the shared
+/// pool like [`rayon_supports`]. The divide-and-conquer scheduler uses
+/// this as its straggler path for the serial backend — while other
+/// subsets are queued, each runs single-threaded (maximum throughput
+/// across subsets); when workers go idle because the queue is drained,
+/// the survivors' pair grids are re-split across the pool instead of
+/// leaving cores parked. The serial and rayon passes advance the engine
+/// through identical states, so the switch point cannot change the
+/// result.
 pub fn adaptive_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
@@ -177,11 +182,12 @@ pub fn adaptive_supports<P: BitPattern, S: EfmScalar>(
             efm_obs::instant("dnc grow to pool");
             efm_obs::counter_add("dnc resplits", 1);
         }
-        if grown {
-            rayon_step_streaming::<P, S>(eng)
+        let iteration = if grown {
+            eng.iterate(rayon_pass, &mut |_| Ok(()))
         } else {
-            eng.step_streaming(&mut arena, STREAM_BATCH_PAIRS, &mut |_| Ok(())).map(drop)
-        }
+            eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(()))
+        };
+        iteration.map(drop)
     })
 }
 
@@ -202,7 +208,9 @@ pub fn rayon_supports_resumable<P: BitPattern, S: EfmScalar>(
     resume: Option<&EngineCheckpoint>,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<SupportsAndStats, EfmError> {
-    run_resumable::<P, S>(problem, opts, resume, ckpt, rayon_step_streaming::<P, S>)
+    run_resumable::<P, S>(problem, opts, resume, ckpt, |eng| {
+        eng.iterate(rayon_pass, &mut |_| Ok(())).map(drop)
+    })
 }
 
 /// Merges sorted candidate runs by parallel pairwise rounds: each round
@@ -229,19 +237,17 @@ fn merge_runs_parallel<P: BitPattern>(mut runs: Vec<CandidateSet<P>>) -> Candida
     runs.pop().unwrap_or_default()
 }
 
-/// One parallel iteration through the bounded streaming pipeline
-/// ([`Engine::stream_range`]): each chunk of the pair grid flows batch by
-/// batch through generate → dedup → duplicate drop → rank test on its
-/// worker, so no worker ever materializes its full chunk. The per-worker
-/// transient peaks are *summed* into the charged footprint (chunks run
+/// The rayon driver's pass over one iteration's pair grid: each chunk
+/// flows batch by batch through [`Engine::stream_range`] on its worker,
+/// so no worker ever materializes its full chunk. The per-worker transient
+/// peaks are *summed* into the charged footprint (chunks run
 /// concurrently), and the sorted survivor runs merge in parallel pairwise
 /// rounds.
-fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
-    eng: &mut Engine<P, S>,
-) -> Result<(), EfmError> {
+fn rayon_pass<P: BitPattern, S: EfmScalar>(
+    eng: &Engine<P, S>,
+    part: &SignPartition<P>,
+) -> Result<Survivors<P>, EfmError> {
     let t0 = Instant::now();
-    let part = eng.partition();
-    let resident = eng.modes.approx_bytes();
     let pairs = part.pairs();
     let nchunks = (rayon::current_num_threads() * 4).max(1) as u64;
     let chunk = pairs.div_ceil(nchunks).max(1);
@@ -250,17 +256,14 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
         .map(|c| {
             let start = (c * chunk).min(pairs);
             let end = (start + chunk).min(pairs);
-            let mut set = CandidateSet::default();
-            let ss = eng.stream_range(
-                &part,
+            eng.stream_range(
+                part,
                 start,
                 end,
                 STREAM_BATCH_PAIRS,
-                &mut set,
                 &mut GenArena::new(),
                 &mut |_| Ok(()),
-            )?;
-            Ok((set, ss))
+            )
         })
         .collect();
     let mut runs = Vec::with_capacity(results.len());
@@ -272,12 +275,9 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     }
     let t1 = Instant::now();
     let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
-    let mut set = merge_runs_parallel(runs);
+    let set = merge_runs_parallel(runs);
     drop(sp);
     let t2 = Instant::now();
-    // Adjacency is cross-candidate: it runs on the merged set.
-    let accepted = eng.accept_survivors(&mut set, &part);
-    let t3 = Instant::now();
     // The streaming phases interleave inside the parallel section, so the
     // wall time of that section is attributed proportionally to the summed
     // per-worker phase durations.
@@ -293,12 +293,6 @@ fn rayon_step_streaming<P: BitPattern, S: EfmScalar>(
     pass.t_generate = scale(pass.t_generate);
     pass.t_dedup = scale(pass.t_dedup) + (t2 - t1);
     pass.t_tree = scale(pass.t_tree);
-    pass.t_test = scale(pass.t_test) + (t3 - t2);
-    let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
-    let buf = eng.materialize(&set);
-    eng.advance(&part, buf);
-    drop(sp);
-    eng.trace_iteration(pairs, &pass);
-    eng.record_iteration(&part, pairs, resident, accepted, &pass);
-    Ok(())
+    pass.t_test = scale(pass.t_test);
+    Ok(Survivors::local((set, pass)))
 }

@@ -26,14 +26,17 @@
 //! The engine is driver-agnostic: candidate generation takes an explicit
 //! pair-index range, so the serial driver passes the full grid, the rayon
 //! driver splits it into chunks, and the cluster driver stripes it across
-//! ranks exactly like the paper's combinatorial parallelization.
+//! ranks exactly like the paper's combinatorial parallelization. Each
+//! driver is a closure handed to `Engine::iterate`, which runs steps 5–6
+//! on the merged survivors for all of them.
 
 use crate::bridge::EfmScalar;
+use crate::cluster_algo::phases;
 use crate::problem::EfmProblem;
 use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
 use efm_bitset::{BitPattern, KernelTier};
 use efm_linalg::{nullity_of_cols, Mat};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Absolute pivot tolerance of the floating-point rank test, which
 /// eliminates over rows of the kernel `K = [I; R]` whose columns are
@@ -95,162 +98,22 @@ impl<P: BitPattern, S: Scalar> ModeMatrix<P, S> {
     }
 }
 
-/// Candidate modes produced within one iteration, struct-of-arrays.
+/// The materialized survivors of one iteration, struct-of-arrays: what
+/// [`Engine::advance`] appends to the mode matrix.
 #[derive(Debug, Clone)]
-pub struct CandidateBuf<P, S> {
+pub(crate) struct CandidateBuf<P, S> {
     /// Pattern over fixed rows (union of the parents').
-    pub patterns: Vec<P>,
-    /// Support bits of the numeric section (bit `k` ⇔ `vals[k]` nonzero) —
-    /// the second half of the dedup key.
-    pub val_sups: Vec<P>,
+    patterns: Vec<P>,
     /// Numeric sections, flattened with stride `stride`.
-    pub vals: Vec<S>,
+    vals: Vec<S>,
     /// Values per candidate.
-    pub stride: usize,
+    stride: usize,
 }
 
 impl<P: BitPattern, S: Scalar> CandidateBuf<P, S> {
-    /// Empty buffer for candidates with the given numeric stride.
-    pub fn new(stride: usize) -> Self {
-        CandidateBuf { patterns: Vec::new(), val_sups: Vec::new(), vals: Vec::new(), stride }
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-
-    /// The numeric section of candidate `i`.
-    #[inline]
-    pub fn vals(&self, i: usize) -> &[S] {
-        &self.vals[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Appends all candidates of `other` (same stride).
-    pub fn append(&mut self, other: &mut CandidateBuf<P, S>) {
-        assert_eq!(self.stride, other.stride, "stride mismatch");
-        self.patterns.append(&mut other.patterns);
-        self.val_sups.append(&mut other.val_sups);
-        self.vals.append(&mut other.vals);
-    }
-
-    /// Sorts by `(pattern, value support)` and removes duplicates, keeping
-    /// the first occurrence. Two candidates with equal support describe
-    /// the same ray, so survivors are unaffected.
-    pub fn sort_dedup(&mut self) {
-        let n = self.len();
-        if n <= 1 {
-            return;
-        }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            self.patterns[a]
-                .cmp(&self.patterns[b])
-                .then_with(|| self.val_sups[a].cmp(&self.val_sups[b]))
-        });
-        order.dedup_by(|&mut a, &mut b| {
-            let (a, b) = (a as usize, b as usize);
-            self.patterns[a] == self.patterns[b] && self.val_sups[a] == self.val_sups[b]
-        });
-        self.gather(&order);
-    }
-
-    /// Keeps only the candidates at the given indices, in order. Filter
-    /// passes produce strictly ascending index lists, which compact the
-    /// buffers in place without allocating; arbitrary permutations (the
-    /// sort path) fall back to a rebuild.
-    pub fn gather(&mut self, keep: &[u32]) {
-        let stride = self.stride;
-        if is_strictly_ascending(keep) {
-            for (dst, &src) in keep.iter().enumerate() {
-                let src = src as usize;
-                if src != dst {
-                    self.patterns[dst] = self.patterns[src];
-                    self.val_sups[dst] = self.val_sups[src];
-                    for t in 0..stride {
-                        let v = self.vals[src * stride + t].clone();
-                        self.vals[dst * stride + t] = v;
-                    }
-                }
-            }
-            self.patterns.truncate(keep.len());
-            self.val_sups.truncate(keep.len());
-            self.vals.truncate(keep.len() * stride);
-            return;
-        }
-        let mut patterns = Vec::with_capacity(keep.len());
-        let mut val_sups = Vec::with_capacity(keep.len());
-        let mut vals = Vec::with_capacity(keep.len() * stride);
-        for &i in keep {
-            let i = i as usize;
-            patterns.push(self.patterns[i]);
-            val_sups.push(self.val_sups[i]);
-            vals.extend_from_slice(self.vals(i));
-        }
-        self.patterns = patterns;
-        self.val_sups = val_sups;
-        self.vals = vals;
-    }
-
-    /// Merges two buffers sorted by `(pattern, value support)` into one,
-    /// dropping key duplicates (keeping `a`'s copy — equal keys describe
-    /// the same ray). Linear in the combined length.
-    pub fn merge_sorted(a: CandidateBuf<P, S>, b: CandidateBuf<P, S>) -> CandidateBuf<P, S> {
-        assert_eq!(a.stride, b.stride, "stride mismatch");
-        debug_assert!(is_sorted_by_key(&a.patterns, &a.val_sups));
-        debug_assert!(is_sorted_by_key(&b.patterns, &b.val_sups));
-        if a.is_empty() {
-            return b;
-        }
-        if b.is_empty() {
-            return a;
-        }
-        let stride = a.stride;
-        let mut out = CandidateBuf::new(stride);
-        out.patterns.reserve(a.len() + b.len());
-        out.val_sups.reserve(a.len() + b.len());
-        out.vals.reserve(a.vals.len() + b.vals.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() || j < b.len() {
-            let take_a = if i == a.len() {
-                false
-            } else if j == b.len() {
-                true
-            } else {
-                match a.patterns[i]
-                    .cmp(&b.patterns[j])
-                    .then_with(|| a.val_sups[i].cmp(&b.val_sups[j]))
-                {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => {
-                        j += 1; // duplicate key: skip b's copy
-                        true
-                    }
-                }
-            };
-            let (src, k) = if take_a { (&a, i) } else { (&b, j) };
-            out.patterns.push(src.patterns[k]);
-            out.val_sups.push(src.val_sups[k]);
-            out.vals.extend_from_slice(src.vals(k));
-            if take_a {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        out
-    }
-
     /// Approximate resident bytes.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.patterns.len() * 2 * std::mem::size_of::<P>()
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        (self.patterns.len() * std::mem::size_of::<P>()
             + self.vals.len() * std::mem::size_of::<S>()) as u64
     }
 }
@@ -272,8 +135,10 @@ fn is_sorted_by_key<P: BitPattern>(patterns: &[P], val_sups: &[P]) -> bool {
 /// Lightweight candidate records produced by the generation pass: support
 /// information plus parent indices, **without** numeric values. Values are
 /// recomputed only for the (few) candidates that survive deduplication and
-/// the elementarity test ([`Engine::materialize`]), which avoids writing
-/// kilobytes of exact integers per rejected candidate.
+/// the elementarity test, once per iteration in `Engine::iterate`, which
+/// avoids writing kilobytes of exact integers per rejected candidate. The
+/// records also cross the cluster fabric as they are: every rank holds
+/// the same mode matrix, so parent indices mean the same everywhere.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet<P> {
     /// Pattern over fixed rows (union of the parents').
@@ -503,10 +368,12 @@ impl<P, S> GenArena<P, S> {
 ///
 /// The pass interleaves all pipeline phases per batch, so timings are
 /// accumulated here and folded into the run statistics afterwards by
-/// `Engine::record_iteration` (an RAII phase timer per batch would
-/// misattribute the interleaving).
+/// `Engine::iterate` (an RAII phase timer per batch would misattribute
+/// the interleaving).
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
+    /// Pairs of the grid the pass covered.
+    pub pairs: u64,
     /// Bounded batches processed.
     pub batches: u64,
     /// Pairs that reached the numeric combination pass (prefilter hits).
@@ -555,6 +422,7 @@ impl StreamStats {
     /// another node, so footprints take the maximum; times are left alone
     /// (they stay rank-local).
     pub(crate) fn add_stripe(&mut self, other: &StreamStats) {
+        self.pairs += other.pairs;
         self.batches += other.batches;
         self.numeric_pass += other.numeric_pass;
         self.blocks += other.blocks;
@@ -562,6 +430,25 @@ impl StreamStats {
         self.prefiltered += other.prefiltered;
         self.tested += other.tested;
         self.transient_peak = self.transient_peak.max(other.transient_peak);
+    }
+}
+
+/// One iteration's survivors as a driver hands them to `Engine::iterate`.
+pub(crate) struct Survivors<P> {
+    /// Survivors of the whole pair grid, sorted by `(pattern, val_sup)`
+    /// with key duplicates dropped.
+    pub set: CandidateSet<P>,
+    /// Counters and phase times of the passes this process ran.
+    pub local: StreamStats,
+    /// Counters of the passes other cluster ranks ran (their times stay
+    /// theirs); empty off the cluster.
+    pub remote: StreamStats,
+}
+
+impl<P> Survivors<P> {
+    /// Survivors of passes that all ran in this process.
+    pub(crate) fn local((set, local): (CandidateSet<P>, StreamStats)) -> Self {
+        Survivors { set, local, remote: StreamStats::default() }
     }
 }
 
@@ -906,8 +793,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// against zero-row modes (a hash set of their full supports, built
     /// once per call) → (for the rank test) the per-candidate elementarity
     /// test *before* the next batch is generated. Only survivors
-    /// accumulate in `out`, so the transient footprint is one batch plus
-    /// the accumulated survivor set — not the full materialized pair range.
+    /// accumulate in the returned set, sorted by key, so the transient
+    /// footprint is one batch plus the accumulated survivor set — not the
+    /// full materialized pair range.
     ///
     /// `charge` is invoked once per batch with the current transient
     /// footprint in bytes (survivors + in-flight batch + arena); a driver
@@ -921,24 +809,23 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// global ones, and cross-batch duplicates receive equal verdicts and
     /// collapse in the sorted merge (which keeps the first copy, exactly
     /// like a global sort+dedup). The cross-candidate adjacency test cannot
-    /// run batch-locally; `Engine::accept_survivors` runs it on the
-    /// merged set.
-    #[allow(clippy::too_many_arguments)] // driver-facing orchestration point: range + scratch + accounting hook
+    /// run batch-locally; `Engine::iterate` runs it on the merged set.
     pub fn stream_range(
         &self,
         part: &SignPartition<P>,
         start: u64,
         end: u64,
         batch_pairs: u64,
-        out: &mut CandidateSet<P>,
         arena: &mut GenArena<P, S>,
         charge: &mut dyn FnMut(u64) -> Result<(), EfmError>,
-    ) -> Result<StreamStats, EfmError> {
+    ) -> Result<(CandidateSet<P>, StreamStats), EfmError> {
         use std::time::Instant;
+        let mut out = CandidateSet::default();
         let mut ss = StreamStats::default();
         if start >= end || part.neg.is_empty() {
-            return Ok(ss);
+            return Ok((out, ss));
         }
+        ss.pairs = end - start;
         let batch_pairs = batch_pairs.max(1);
         // The zero-row modes' full supports, built once per call: a
         // candidate equal to one of them is a duplicate of an existing mode.
@@ -950,16 +837,16 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let e = (s + batch_pairs).min(end);
             ss.batches += 1;
             let t0 = Instant::now();
-            let sp = efm_obs::span(crate::cluster_algo::phases::GENERATE);
+            let sp = efm_obs::span(phases::GENERATE);
             let mut batch = CandidateSet::default();
             self.generate_range(part, s, e, &mut batch, arena, &mut ss);
             drop(sp);
             let t1 = Instant::now();
-            let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
+            let sp = efm_obs::span(phases::DEDUP);
             batch.sort_dedup();
             drop(sp);
             let t2 = Instant::now();
-            let sp = efm_obs::span(crate::cluster_algo::phases::TREE);
+            let sp = efm_obs::span(phases::TREE);
             if !zero_sups.is_empty() {
                 self.drop_existing(&mut batch, &zero_sups);
             }
@@ -967,7 +854,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let t3 = Instant::now();
             ss.tested += batch.len() as u64;
             if per_batch_rank {
-                let sp = efm_obs::span(crate::cluster_algo::phases::RANK);
+                let sp = efm_obs::span(phases::RANK);
                 let keep = self.rank_filter_range(&batch, 0..batch.len());
                 batch.gather(&keep);
                 drop(sp);
@@ -976,7 +863,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let transient = out.approx_bytes() + batch.approx_bytes() + arena.approx_bytes();
             ss.transient_peak = ss.transient_peak.max(transient);
             charge(transient)?;
-            *out = CandidateSet::merge_sorted(std::mem::take(out), batch);
+            out = CandidateSet::merge_sorted(out, batch);
             ss.t_generate += t1 - t0;
             ss.t_dedup += t2 - t1;
             ss.t_tree += t3 - t2;
@@ -984,55 +871,68 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             s = e;
         }
         ss.arena_bytes = arena.approx_bytes();
-        Ok(ss)
+        Ok((out, ss))
     }
 
-    /// Runs one full iteration in-place through the bounded streaming
-    /// pipeline ([`Engine::stream_range`]) over the whole pair grid, in
-    /// batches of `batch_pairs` pairs, charging each batch's transient
-    /// footprint through `charge`. The arena is reset, not freed, so a
-    /// driver-owned arena makes the generation pass allocation-free in
-    /// steady state.
-    pub fn step_streaming(
-        &mut self,
+    /// The serial driver's pass: the whole pair grid in one
+    /// [`Engine::stream_range`] with the caller's `arena`, uncharged.
+    pub(crate) fn stream_whole(
+        &self,
+        part: &SignPartition<P>,
         arena: &mut GenArena<P, S>,
-        batch_pairs: u64,
+    ) -> Result<Survivors<P>, EfmError> {
+        self.stream_range(part, 0, part.pairs(), STREAM_BATCH_PAIRS, arena, &mut |_| Ok(()))
+            .map(Survivors::local)
+    }
+
+    /// Runs one iteration, the same way for every backend. `drive` gets
+    /// the current row's sign partition, runs its pair grid however the
+    /// backend splits it (one pass, worker chunks, or a cluster rank's
+    /// stripe plus the exchange) and returns the merged survivors. The
+    /// rest happens here, once: the cross-candidate half of the
+    /// elementarity test (timed into `t_test`), recomputing the survivors'
+    /// values, charging them through `charge` (with the survivor set they
+    /// are computed from, both being live at that point), advancing the
+    /// state, telemetry and the iteration record.
+    pub(crate) fn iterate(
+        &mut self,
+        drive: impl FnOnce(&Self, &SignPartition<P>) -> Result<Survivors<P>, EfmError>,
         charge: &mut dyn FnMut(u64) -> Result<(), EfmError>,
     ) -> Result<IterationStats, EfmError> {
         debug_assert!(!self.done());
         let part = self.partition();
         let resident = self.modes.approx_bytes();
-        let mut set = CandidateSet::default();
-        let mut pass =
-            self.stream_range(&part, 0, part.pairs(), batch_pairs, &mut set, arena, charge)?;
+        let Survivors { mut set, mut local, remote } = drive(self, &part)?;
         let t_accept = std::time::Instant::now();
         let accepted = self.accept_survivors(&mut set, &part);
-        pass.t_test += t_accept.elapsed();
-        let sp = efm_obs::span(crate::cluster_algo::phases::MERGE);
+        local.t_test += t_accept.elapsed();
+        let sp = efm_obs::span(phases::MERGE);
         let buf = self.materialize(&set);
+        charge(set.approx_bytes() + buf.approx_bytes())?;
+        drop(set);
         self.advance(&part, buf);
         drop(sp);
-        self.trace_iteration(part.pairs(), &pass);
-        Ok(self.record_iteration(&part, part.pairs(), resident, accepted, &pass))
+        self.trace_iteration(&local);
+        let mut pass = local;
+        pass.add_stripe(&remote);
+        Ok(self.record_iteration(&part, resident, accepted, &pass))
     }
 
     /// Folds one finished iteration into the run statistics, pushes its
-    /// record and returns it. Every driver calls this right after
-    /// [`Engine::advance`]: `part` is the iteration's sign partition,
-    /// `pairs` the size of its pair grid, `resident_before` the mode
-    /// matrix's bytes when generation started, and `pass` the generation
-    /// counters summed over the driver's workers or cluster ranks, with
-    /// times attributed to phases (the cross-candidate test's time
-    /// included in `t_test`).
-    pub(crate) fn record_iteration(
+    /// record and returns it: `part` is the iteration's sign partition,
+    /// `resident_before` the mode matrix's bytes when generation started,
+    /// and `pass` the counters over the whole pair grid, with times
+    /// attributed to phases (the cross-candidate test's time included in
+    /// `t_test`).
+    fn record_iteration(
         &mut self,
         part: &SignPartition<P>,
-        pairs: u64,
         resident_before: u64,
         accepted: u64,
         pass: &StreamStats,
     ) -> IterationStats {
         let position = self.cursor - 1;
+        let pairs = part.pairs();
         let rec = IterationStats {
             position,
             reaction: self.name_at[position].clone(),
@@ -1074,60 +974,57 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     }
 
     /// Emits one finished iteration's telemetry counters, gauges and
-    /// rank-test histogram, for the `pairs` this engine generated and its
-    /// own `pass`. A cluster rank emits its stripe's share, so the
-    /// process-wide counters count every pair once.
-    pub(crate) fn trace_iteration(&self, pairs: u64, pass: &StreamStats) {
+    /// rank-test histogram for the passes this process ran (`local`). A
+    /// cluster rank emits its stripe's share, so the process-wide counters
+    /// count every pair once.
+    fn trace_iteration(&self, local: &StreamStats) {
         if !efm_obs::enabled() {
             return;
         }
-        efm_obs::counter_add("candidates", pairs);
-        efm_obs::counter_add("tree pruned", pairs - pass.prefiltered);
-        efm_obs::counter_add("dedup hits", pass.prefiltered - pass.tested);
-        efm_obs::counter_add("rank tests", pass.tested);
-        efm_obs::counter_add("kernel blocks", pass.blocks);
+        efm_obs::counter_add("candidates", local.pairs);
+        efm_obs::counter_add("tree pruned", local.pairs - local.prefiltered);
+        efm_obs::counter_add("dedup hits", local.prefiltered - local.tested);
+        efm_obs::counter_add("rank tests", local.tested);
+        efm_obs::counter_add("kernel blocks", local.blocks);
         efm_obs::counter_add_dyn(
             format!("kernel pruned ({})", self.kernel_tier),
-            pairs - pass.numeric_pass,
+            local.pairs - local.numeric_pass,
         );
-        efm_obs::gauge_max("arena bytes", pass.arena_bytes);
-        efm_obs::gauge_max("peak transient bytes", pass.transient_peak);
+        efm_obs::gauge_max("arena bytes", local.arena_bytes);
+        efm_obs::gauge_max("peak transient bytes", local.transient_peak);
         efm_obs::gauge_set("survivors", self.modes.len() as u64);
         efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
         efm_obs::gauge_max("peak bytes", self.modes.approx_bytes());
-        efm_obs::hist::record("rank test batch us", pass.t_test.as_micros() as u64);
+        efm_obs::hist::record("rank test batch us", local.t_test.as_micros() as u64);
     }
 
     /// Recomputes the numeric sections for the surviving candidates (their
     /// parents are still alive) and produces the buffer [`Engine::advance`]
     /// consumes. Values are gcd-normalized here, once per survivor.
-    pub fn materialize(&self, set: &CandidateSet<P>) -> CandidateBuf<P, S> {
+    fn materialize(&self, set: &CandidateSet<P>) -> CandidateBuf<P, S> {
         let stride = self.modes.stride();
         let head = self.modes.rev_len;
         let reversible = self.current_reversible();
         let out_stride = self.candidate_stride();
-        let mut buf = CandidateBuf::new(out_stride);
-        buf.patterns = set.patterns.clone();
-        buf.val_sups = set.val_sups.clone();
-        buf.vals.reserve(set.len() * out_stride);
+        let mut vals = Vec::with_capacity(set.len() * out_stride);
         for &(pi, ni) in &set.parents {
             let vals_p = self.modes.vals(pi as usize);
             let vals_n = self.modes.vals(ni as usize);
             let coeff_n = vals_p[head].neg();
             let coeff_p = vals_n[head].neg();
-            let vstart = buf.vals.len();
+            let vstart = vals.len();
             for t in 0..stride {
                 if t == head {
                     if reversible {
-                        buf.vals.push(S::zero());
+                        vals.push(S::zero());
                     }
                     continue;
                 }
-                buf.vals.push(S::fused_comb(&coeff_p, &vals_p[t], &coeff_n, &vals_n[t]));
+                vals.push(S::fused_comb(&coeff_p, &vals_p[t], &coeff_n, &vals_n[t]));
             }
-            S::normalize_vec(&mut buf.vals[vstart..]);
+            S::normalize_vec(&mut vals[vstart..]);
         }
-        buf
+        CandidateBuf { patterns: set.patterns.clone(), vals, stride: out_stride }
     }
 
     /// Full support (positions) of a live mode.
@@ -1172,23 +1069,18 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     }
 
     /// The cross-candidate half of the elementarity test, run on an
-    /// iteration's merged survivors of [`Engine::stream_range`]: the rank
-    /// test already ran per batch, so every survivor is accepted; the
-    /// adjacency test ([`Engine::adjacency_filter`], the count-sorted slab
-    /// scan) compares candidates with each other and with the zero-row
-    /// modes and runs here. Keeps only accepted candidates and returns
-    /// their number.
-    pub(crate) fn accept_survivors(
-        &self,
-        buf: &mut CandidateSet<P>,
-        part: &SignPartition<P>,
-    ) -> u64 {
-        let _sp = efm_obs::span(crate::cluster_algo::phases::RANK);
+    /// iteration's merged survivors: the rank test already ran per batch,
+    /// so every survivor is accepted; the adjacency test
+    /// ([`Engine::adjacency_filter`], the count-sorted slab scan) compares
+    /// candidates with each other and with the zero-row modes and runs
+    /// here. Keeps only accepted candidates and returns their number.
+    fn accept_survivors(&self, set: &mut CandidateSet<P>, part: &SignPartition<P>) -> u64 {
+        let _sp = efm_obs::span(phases::RANK);
         match self.test {
-            CandidateTest::Rank => buf.len() as u64,
+            CandidateTest::Rank => set.len() as u64,
             CandidateTest::Adjacency => {
-                let keep = self.adjacency_filter(&buf.patterns, &buf.val_sups, part);
-                buf.gather(&keep);
+                let keep = self.adjacency_filter(set, part);
+                set.gather(&keep);
                 keep.len() as u64
             }
         }
@@ -1276,8 +1168,14 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// Modes kept with a nonzero current-row entry (positive, and negative
     /// on reversible rows) carry the current-row position in their support
     /// while candidates never do, so they cannot be subsets; only zero-row
-    /// modes and the other candidates can reject. Candidates are
-    /// deduplicated beforehand, so subset means strict subset.
+    /// modes and the other candidates can reject.
+    ///
+    /// Supports are compared on the positions `≤ cursor` only — the
+    /// identity block, the processed rows and the current row. A zero on
+    /// an unprocessed row is not a constraint yet; counting it would
+    /// accept modes whose masked support strictly contains another
+    /// mode's. Distinct candidates can therefore share a masked support,
+    /// and then neither is extreme: equality rejects too.
     ///
     /// Classical linear-scan adjacency test, slab-vectorized: subset
     /// probes run over dense count-sorted support slabs with the batched
@@ -1286,16 +1184,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// lets every probe scan only the prefix that can possibly reject,
     /// instead of the full `O(|zero|·|cand| + |cand|²)` pair grid.
     ///
-    /// Takes the candidates' `(pattern, val_sup)` keys, so it runs on a
-    /// [`CandidateSet`] and on a materialized [`CandidateBuf`] alike, and
-    /// returns the ascending indices of the survivors.
-    pub(crate) fn adjacency_filter(
-        &self,
-        patterns: &[P],
-        val_sups: &[P],
-        part: &SignPartition<P>,
-    ) -> Vec<u32> {
+    /// Returns the ascending indices of the surviving candidates.
+    fn adjacency_filter(&self, set: &CandidateSet<P>, part: &SignPartition<P>) -> Vec<u32> {
         let tier = self.kernel_tier;
+        let mut mask = P::empty();
+        (0..=self.cursor).for_each(|p| mask.set(p));
         let by_count = |sups: Vec<P>| -> (Vec<P>, Vec<u32>) {
             let mut order: Vec<usize> = (0..sups.len()).collect();
             order.sort_by_key(|&i| sups[i].count());
@@ -1303,11 +1196,16 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let counts: Vec<u32> = sorted.iter().map(P::count).collect();
             (sorted, counts)
         };
-        let (zero_sorted, zero_counts) =
-            by_count(part.zero.iter().map(|&i| self.mode_support(i as usize)).collect());
+        let (zero_sorted, zero_counts) = by_count(
+            part.zero.iter().map(|&i| self.mode_support(i as usize).intersect(&mask)).collect(),
+        );
         let cand_sups: Vec<P> =
-            patterns.iter().zip(val_sups).map(|(&p, v)| self.support_of(p, v)).collect();
+            (0..set.len()).map(|i| self.candidate_support(set, i).intersect(&mask)).collect();
         let (cand_sorted, cand_counts) = by_count(cand_sups.clone());
+        let mut multiplicity: HashMap<P, u32> = HashMap::new();
+        for s in &cand_sups {
+            *multiplicity.entry(*s).or_default() += 1;
+        }
         let mut keep = Vec::new();
         for (i, cs) in cand_sups.iter().enumerate() {
             let k = cs.count();
@@ -1317,9 +1215,13 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             if P::subset_any(tier, &zero_sorted[..zp], cs) {
                 continue;
             }
-            // Candidates are pairwise distinct after dedup, so a rejecting
-            // candidate is a *proper* subset: count < k. The strict prefix
-            // also excludes `cs` itself without an index check.
+            // Another candidate with the same masked support rejects.
+            if multiplicity[cs] > 1 {
+                continue;
+            }
+            // Any other rejecting candidate is a *proper* subset: count
+            // < k. The strict prefix also excludes `cs` itself without an
+            // index check.
             let cp = cand_counts.partition_point(|&c| c < k);
             if P::subset_any(tier, &cand_sorted[..cp], cs) {
                 continue;
@@ -1331,8 +1233,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// Completes the iteration: installs the survivor set and advances the
     /// cursor. `part` must be the partition used for generation,
-    /// `accepted` the filtered candidate buffer.
-    pub fn advance(&mut self, part: &SignPartition<P>, accepted: CandidateBuf<P, S>) {
+    /// `accepted` the materialized accepted candidates.
+    fn advance(&mut self, part: &SignPartition<P>, accepted: CandidateBuf<P, S>) {
         let stride = self.modes.stride();
         let head = self.modes.rev_len;
         let reversible = self.current_reversible();
@@ -1349,7 +1251,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             // Rebuild: drop negatives, drop the current-row slot, set the
             // pattern bit on positives.
             let new_stride = stride - 1;
-            let total = part.zero.len() + part.pos.len() + accepted.len();
+            let total = part.zero.len() + part.pos.len() + accepted.patterns.len();
             let mut patterns = Vec::with_capacity(total);
             let mut vals = Vec::with_capacity(total * new_stride);
             let push_old = |idx: u32, set_bit: bool, patterns: &mut Vec<P>, vals: &mut Vec<S>| {
@@ -1380,10 +1282,10 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// Runs one full iteration in-place with a throwaway arena and no
     /// memory charge — the one-shot entry for tests; drivers carry a
-    /// persistent arena across iterations via [`Engine::step_streaming`].
+    /// persistent arena across iterations.
     pub fn step(&mut self) -> IterationStats {
-        self.step_streaming(&mut GenArena::new(), STREAM_BATCH_PAIRS, &mut |_| Ok(()))
-            .expect("only the charge hook can fail, and this one never does")
+        self.iterate(|eng, part| eng.stream_whole(part, &mut GenArena::new()), &mut |_| Ok(()))
+            .expect("only the charge hooks can fail, and these never do")
     }
 
     /// Extracts the final supports as patterns over *positions*; when the
@@ -1572,17 +1474,27 @@ mod tests {
         let mut whole: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
         let mut batched: Engine<Pattern1, DynInt> = Engine::new(&problem, &opts).unwrap();
         let mut arena = GenArena::new();
+        let mut run = |eng: &mut Engine<Pattern1, DynInt>,
+                       batch_pairs: u64,
+                       charge: &mut dyn FnMut(u64) -> Result<(), EfmError>| {
+            eng.iterate(
+                |eng, part| {
+                    eng.stream_range(part, 0, part.pairs(), batch_pairs, &mut arena, charge)
+                        .map(Survivors::local)
+                },
+                &mut |_| Ok(()),
+            )
+        };
         while !whole.done() {
-            whole.step_streaming(&mut arena, u64::MAX, &mut |_| Ok(())).unwrap();
+            run(&mut whole, u64::MAX, &mut |_| Ok(())).unwrap();
         }
         let mut charges = 0u64;
         while !batched.done() {
-            batched
-                .step_streaming(&mut arena, tiny, &mut |_| {
-                    charges += 1;
-                    Ok(())
-                })
-                .unwrap();
+            run(&mut batched, tiny, &mut |_| {
+                charges += 1;
+                Ok(())
+            })
+            .unwrap();
         }
         assert_eq!(whole.final_supports(), batched.final_supports());
         assert_eq!(series(&whole), series(&batched));
@@ -1610,13 +1522,18 @@ mod tests {
         let mut eng = toy_engine();
         let err = loop {
             assert!(!eng.done(), "toy run generates pairs before finishing");
-            if let Err(e) = eng.step_streaming(&mut GenArena::new(), 1, &mut |bytes| {
+            let mut charge = |bytes| {
                 if bytes > 0 {
                     Err(EfmError::Checkpoint("cap".into()))
                 } else {
                     Ok(())
                 }
-            }) {
+            };
+            let drive = |eng: &Engine<Pattern1, DynInt>, part: &SignPartition<Pattern1>| {
+                eng.stream_range(part, 0, part.pairs(), 1, &mut GenArena::new(), &mut charge)
+                    .map(Survivors::local)
+            };
+            if let Err(e) = eng.iterate(drive, &mut |_| Ok(())) {
                 break e;
             }
         };
@@ -1703,26 +1620,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn candidate_buf_append_and_gather() {
-        let mut a = CandidateBuf::<Pattern1, DynInt>::new(2);
-        a.patterns = vec![Pattern1::from_indices([0]), Pattern1::from_indices([1])];
-        a.val_sups = vec![Pattern1::empty(), Pattern1::from_indices([0])];
-        a.vals = vec![
-            DynInt::from_i64(1),
-            DynInt::from_i64(2),
-            DynInt::from_i64(3),
-            DynInt::from_i64(4),
-        ];
-        let mut b = a.clone();
-        a.append(&mut b);
-        assert_eq!(a.len(), 4);
-        a.gather(&[3, 0]);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.patterns[0], Pattern1::from_indices([1]));
-        assert_eq!(a.vals(1), &[DynInt::from_i64(1), DynInt::from_i64(2)]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use drivers::{
     serial_supports_resumable, serial_supports_traced, SupportsAndStats,
 };
 pub use engine::{
-    CandidateBuf, CandidateSet, Engine, GenArena, ModeMatrix, SignPartition, StreamStats, RANK_TOL,
+    CandidateSet, Engine, GenArena, ModeMatrix, SignPartition, StreamStats, RANK_TOL,
 };
 pub use escalate::{
     enumerate_with_escalation, enumerate_with_escalation_scalar,

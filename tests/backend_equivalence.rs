@@ -202,10 +202,11 @@ fn streaming_and_spill_agree_across_backends_and_schedules() {
 }
 
 /// Serial, rayon and a 3-rank cluster advance the engine through the same
-/// states: under both elementarity tests, every iteration leaves the same
-/// number of modes and the final sets agree. Per-iteration counts catch a
-/// non-elementary intermediate that a later iteration happens to prune,
-/// which a final-set comparison alone would miss.
+/// states: under both elementarity tests, every iteration accepts as many
+/// candidates and leaves as many modes, and the final sets agree.
+/// Per-iteration counts catch a non-elementary intermediate that a later
+/// iteration happens to prune, which a final-set comparison alone would
+/// miss.
 #[test]
 fn backends_agree_on_every_iteration_for_both_tests() {
     let net = toy_network();
@@ -213,7 +214,8 @@ fn backends_agree_on_every_iteration_for_both_tests() {
         let opts = EfmOptions { test, ..Default::default() };
         let run = |backend: &Backend| {
             let out = enumerate_with_scalar::<DynInt>(&net, &opts, backend).unwrap();
-            let series: Vec<usize> = out.stats.iterations.iter().map(|i| i.modes_after).collect();
+            let series: Vec<(u64, usize)> =
+                out.stats.iterations.iter().map(|i| (i.accepted, i.modes_after)).collect();
             (series, canon(&out))
         };
         let reference = run(&Backend::Serial);

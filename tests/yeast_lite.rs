@@ -4,20 +4,30 @@
 //! disjoint and complete, and the candidate-count reduction the paper
 //! reports for the split shows up.
 
-use efm_core::{enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, EfmOptions};
+use efm_core::{
+    enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, CandidateTest,
+    EfmOptions, RunStats,
+};
 use efm_metnet::{parse_network, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
 
-fn network_i_lite() -> MetabolicNetwork {
-    let text: String = efm_metnet::yeast::NETWORK_I_TEXT
+/// `text` without the reactions named in `dropped`.
+fn network_without(text: &str, dropped: &[&str]) -> MetabolicNetwork {
+    let text: String = text
         .lines()
-        .filter(|l| {
-            let name = l.split(':').next().unwrap_or("").trim();
-            name != "R15" && name != "R70"
-        })
+        .filter(|l| !dropped.contains(&l.split(':').next().unwrap_or("").trim()))
         .map(|l| format!("{l}\n"))
         .collect();
     parse_network(&text).unwrap()
+}
+
+fn network_i_lite() -> MetabolicNetwork {
+    network_without(efm_metnet::yeast::NETWORK_I_TEXT, &["R15", "R70"])
+}
+
+/// Per-iteration `(accepted, modes_after)` of a run.
+fn accepted_series(stats: &RunStats) -> Vec<(u64, usize)> {
+    stats.iterations.iter().map(|r| (r.accepted, r.modes_after)).collect()
 }
 
 #[test]
@@ -126,4 +136,44 @@ fn cluster_backend_agrees_on_yeast_lite() {
     .unwrap();
     assert_eq!(serial.efms, cluster.efms);
     assert_eq!(serial.stats.candidates_generated, cluster.stats.candidates_generated);
+    // A survivor two ranks share is accepted once, not once per rank.
+    assert_eq!(accepted_series(&serial.stats), accepted_series(&cluster.stats));
+}
+
+/// The combinatorial test compares zero sets over the identity block and
+/// the processed rows only; counting unprocessed rows lets 162 supersets
+/// of rank-test EFMs through on this network.
+#[test]
+fn adjacency_matches_rank_on_yeast_lite() {
+    let net = network_i_lite();
+    let rank =
+        enumerate_with_scalar::<F64Tol>(&net, &EfmOptions::default(), &Backend::Serial).unwrap();
+    assert_eq!(rank.efms.len(), 5194);
+    let opts = EfmOptions { test: CandidateTest::Adjacency, ..Default::default() };
+    for backend in [Backend::Serial, Backend::Cluster(efm_cluster::ClusterConfig::new(4))] {
+        let adjacency = enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap();
+        assert_eq!(adjacency.efms, rank.efms, "{backend:?}");
+    }
+}
+
+/// The same on Network II-lite without R56, split over {R74r, R88r} on
+/// rayon. Seconds in release but minutes in a debug build, so this runs
+/// on request (`--ignored`, in release) and in CI.
+#[test]
+#[ignore = "Network II-lite divide-and-conquer: run it in release"]
+fn adjacency_matches_rank_on_network_ii_lite() {
+    let net = network_without(efm_metnet::yeast::NETWORK_II_TEXT, &["R15", "R70", "R56"]);
+    let run = |test| {
+        let opts = EfmOptions { test, ..Default::default() };
+        enumerate_divide_conquer_with_scalar::<DynInt>(
+            &net,
+            &opts,
+            &["R74r", "R88r"],
+            &Backend::Rayon,
+        )
+        .unwrap()
+    };
+    let rank = run(CandidateTest::Rank);
+    assert_eq!(rank.efms.len(), 17_871);
+    assert_eq!(run(CandidateTest::Adjacency).efms, rank.efms);
 }
