@@ -3,7 +3,7 @@
 //! execution backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use efm_core::{enumerate_with_scalar, Backend, CandidateTest, EfmOptions, RowOrdering};
+use efm_core::{Backend, CandidateTest, EfmOptions, EfmScalar, RowOrdering, Run};
 use efm_metnet::generator::{layered_branches, random_network, RandomNetworkParams};
 use efm_metnet::MetabolicNetwork;
 use efm_numeric::{DynInt, F64Tol};
@@ -21,6 +21,12 @@ fn midsize_network() -> MetabolicNetwork {
     random_network(&params, 20260705)
 }
 
+/// EFM count of `net` under `opts` on `backend` with scalar `S`.
+fn efms<S: EfmScalar>(net: &MetabolicNetwork, opts: &EfmOptions, backend: Backend) -> usize {
+    let run = Run { opts: opts.clone(), backend, ..Default::default() };
+    run.enumerate::<S>(net).unwrap().efms.len()
+}
+
 fn ordering_ablation(c: &mut Criterion) {
     let net = midsize_network();
     let mut g = c.benchmark_group("ordering");
@@ -32,9 +38,7 @@ fn ordering_ablation(c: &mut Criterion) {
     ] {
         let opts = EfmOptions { ordering, ..Default::default() };
         g.bench_with_input(BenchmarkId::from_parameter(label), &opts, |b, opts| {
-            b.iter(|| {
-                enumerate_with_scalar::<DynInt>(&net, opts, &Backend::Serial).unwrap().efms.len()
-            })
+            b.iter(|| efms::<DynInt>(&net, opts, Backend::Serial))
         });
     }
     g.finish();
@@ -46,14 +50,12 @@ fn test_ablation(c: &mut Criterion) {
     for (label, test) in [("rank", CandidateTest::Rank), ("adjacency", CandidateTest::Adjacency)] {
         let opts = EfmOptions { test, ..Default::default() };
         g.bench_with_input(BenchmarkId::from_parameter(label), &opts, |b, opts| {
-            b.iter(|| {
-                enumerate_with_scalar::<DynInt>(&net, opts, &Backend::Serial).unwrap().efms.len()
-            })
+            b.iter(|| efms::<DynInt>(&net, opts, Backend::Serial))
         });
     }
     let opts = EfmOptions { exact_rank_test: true, ..Default::default() };
     g.bench_with_input(BenchmarkId::from_parameter("rank-exact"), &opts, |b, opts| {
-        b.iter(|| enumerate_with_scalar::<DynInt>(&net, opts, &Backend::Serial).unwrap().efms.len())
+        b.iter(|| efms::<DynInt>(&net, opts, Backend::Serial))
     });
     g.finish();
 }
@@ -62,16 +64,8 @@ fn scalar_ablation(c: &mut Criterion) {
     let net = layered_branches(5, 3);
     let opts = EfmOptions::default();
     let mut g = c.benchmark_group("scalar");
-    g.bench_function("exact-dynint", |b| {
-        b.iter(|| {
-            enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap().efms.len()
-        })
-    });
-    g.bench_function("f64-tolerance", |b| {
-        b.iter(|| {
-            enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap().efms.len()
-        })
-    });
+    g.bench_function("exact-dynint", |b| b.iter(|| efms::<DynInt>(&net, &opts, Backend::Serial)));
+    g.bench_function("f64-tolerance", |b| b.iter(|| efms::<F64Tol>(&net, &opts, Backend::Serial)));
     g.finish();
 }
 
@@ -79,18 +73,12 @@ fn backend_ablation(c: &mut Criterion) {
     let net = midsize_network();
     let opts = EfmOptions::default();
     let mut g = c.benchmark_group("backend");
-    g.bench_function("serial", |b| {
-        b.iter(|| {
-            enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap().efms.len()
-        })
-    });
-    g.bench_function("rayon", |b| {
-        b.iter(|| enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Rayon).unwrap().efms.len())
-    });
+    g.bench_function("serial", |b| b.iter(|| efms::<DynInt>(&net, &opts, Backend::Serial)));
+    g.bench_function("rayon", |b| b.iter(|| efms::<DynInt>(&net, &opts, Backend::Rayon)));
     for nodes in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("cluster", nodes), &nodes, |b, &n| {
             let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(n));
-            b.iter(|| enumerate_with_scalar::<DynInt>(&net, &opts, &backend).unwrap().efms.len())
+            b.iter(|| efms::<DynInt>(&net, &opts, backend.clone()))
         });
     }
     g.finish();
@@ -106,9 +94,7 @@ fn compression_ablation(c: &mut Criterion) {
     ] {
         let opts = EfmOptions { compression, ..Default::default() };
         g.bench_with_input(BenchmarkId::from_parameter(label), &opts, |b, opts| {
-            b.iter(|| {
-                enumerate_with_scalar::<DynInt>(&net, opts, &Backend::Serial).unwrap().efms.len()
-            })
+            b.iter(|| efms::<DynInt>(&net, opts, Backend::Serial))
         });
     }
     g.finish();

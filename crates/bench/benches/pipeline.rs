@@ -6,8 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use efm_bitset::{Pattern1, Pattern2};
 use efm_core::{
-    build_problem, enumerate_with_scalar, Backend, CandidateSet, EfmOptions, Engine, GenArena,
-    StreamStats,
+    build_problem, Backend, CandidateSet, EfmOptions, Engine, GenArena, Run, StreamStats,
 };
 use efm_linalg::{kernel_basis, Mat};
 use efm_metnet::generator::{layered_branches, random_network, RandomNetworkParams};
@@ -105,18 +104,30 @@ fn bench_enumeration(c: &mut Criterion) {
     let opts = EfmOptions::default();
     c.bench_function("enumerate_toy_exact", |b| {
         b.iter(|| {
-            enumerate_with_scalar::<DynInt>(&toy, &opts, &Backend::Serial).unwrap().efms.len()
+            Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+                .enumerate::<DynInt>(&toy)
+                .unwrap()
+                .efms
+                .len()
         })
     });
     c.bench_function("enumerate_toy_f64", |b| {
         b.iter(|| {
-            enumerate_with_scalar::<F64Tol>(&toy, &opts, &Backend::Serial).unwrap().efms.len()
+            Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+                .enumerate::<F64Tol>(&toy)
+                .unwrap()
+                .efms
+                .len()
         })
     });
     let layered = layered_branches(5, 3);
     c.bench_function("enumerate_layered_5x3_exact", |b| {
         b.iter(|| {
-            enumerate_with_scalar::<DynInt>(&layered, &opts, &Backend::Serial).unwrap().efms.len()
+            Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+                .enumerate::<DynInt>(&layered)
+                .unwrap()
+                .efms
+                .len()
         })
     });
 }

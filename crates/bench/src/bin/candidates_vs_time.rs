@@ -11,7 +11,7 @@
 //! ```
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, pick_partition, Scale, Table};
-use efm_core::{enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend};
+use efm_core::{Backend, Run};
 use efm_metnet::generator::layered_branches;
 use efm_numeric::F64Tol;
 
@@ -26,7 +26,8 @@ fn main() {
     let mut table = Table::new(&["stages", "EFMs", "candidates", "time(s)", "ns/candidate"]);
     for stages in 2..=max_stages {
         let net = layered_branches(stages, 3);
-        let out = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial)
+        let out = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<F64Tol>(&net)
             .expect("synthetic run failed");
         let t = out.stats.total_time.as_secs_f64();
         let c = out.stats.candidates_generated.max(1);
@@ -43,13 +44,18 @@ fn main() {
 
     println!("\n== yeast Network I: unsplit vs divide-and-conquer ==");
     let net = network_i(scale);
-    let unsplit =
-        enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).expect("unsplit run failed");
+    let unsplit = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .expect("unsplit run failed");
     let partition = pick_partition(&net, &unsplit.reduced, &["R89r", "R74r"], 2);
-    let refs: Vec<&str> = partition.iter().map(String::as_str).collect();
-    let split =
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &refs, &Backend::Serial)
-            .expect("split run failed");
+    let split = Run {
+        opts: opts.clone(),
+        partition: partition.clone(),
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
+    .expect("split run failed");
     let mut t2 = Table::new(&["variant", "EFMs", "candidates", "time(s)"]);
     t2.row(vec![
         "Algorithm 2 (unsplit)".into(),

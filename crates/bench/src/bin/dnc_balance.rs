@@ -24,9 +24,7 @@
 //!   bulk-synchronous model).
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, pick_partition, Scale};
-use efm_core::{
-    enumerate_divide_conquer_scheduled_with_scalar, Backend, DncConfig, DncSchedule, EfmOutcome,
-};
+use efm_core::{Backend, DncConfig, DncSchedule, EfmOutcome, Run};
 use efm_numeric::F64Tol;
 use std::time::Instant;
 
@@ -56,13 +54,14 @@ fn run(
 ) -> (EfmOutcome, f64) {
     let dnc = DncConfig { schedule, workers, ..Default::default() };
     let start = Instant::now();
-    let out = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-        net,
-        &harness_options(),
-        names,
-        &Backend::Serial,
-        &dnc,
-    )
+    let out = Run {
+        opts: harness_options(),
+        partition: names.iter().map(|s| s.to_string()).collect(),
+        backend: Backend::Serial,
+        dnc: dnc.clone(),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(net)
     .expect("divide-and-conquer run failed");
     (out, start.elapsed().as_secs_f64())
 }

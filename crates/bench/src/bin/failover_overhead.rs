@@ -14,7 +14,7 @@
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
 use efm_cluster::ClusterConfig;
-use efm_core::{enumerate_with_scalar, Backend};
+use efm_core::{Backend, Run};
 use efm_numeric::F64Tol;
 use std::time::{Duration, Instant};
 
@@ -48,10 +48,16 @@ fn main() {
          heartbeat {heartbeat_ms}ms"
     );
 
-    let mut run_plain =
-        || enumerate_with_scalar::<F64Tol>(&net, &opts, &plain).expect("plain run failed");
-    let mut run_guarded =
-        || enumerate_with_scalar::<F64Tol>(&net, &opts, &guarded).expect("failover run failed");
+    let mut run_plain = || {
+        Run { opts: opts.clone(), backend: plain.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .expect("plain run failed")
+    };
+    let mut run_guarded = || {
+        Run { opts: opts.clone(), backend: guarded.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .expect("failover run failed")
+    };
 
     // One warmup of each, then interleaved best-of-N pairs: run-to-run
     // drift on a shared box dwarfs the quantity under test.

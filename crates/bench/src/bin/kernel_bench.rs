@@ -25,7 +25,7 @@
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
 use efm_bitset::kernel::{bounds_sweep, is_subset_any, prefilter_hits, union_counts};
 use efm_bitset::{detect_tier, KernelTier, Pattern2};
-use efm_core::{enumerate_with_scalar, Backend, CandidateTest, EfmOptions, EfmOutcome, KernelKind};
+use efm_core::{Backend, CandidateTest, EfmOptions, EfmOutcome, KernelKind, Run};
 use efm_numeric::F64Tol;
 use std::time::Instant;
 
@@ -166,7 +166,9 @@ fn run_whole(net: &efm_metnet::MetabolicNetwork, kernel: KernelKind, reps: usize
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
         let out: EfmOutcome =
-            enumerate_with_scalar::<F64Tol>(net, &opts, &Backend::Rayon).expect("run failed");
+            Run { opts: opts.clone(), backend: Backend::Rayon, ..Default::default() }
+                .enumerate::<F64Tol>(net)
+                .expect("run failed");
         let m = Measured {
             generate: out.stats.phases.generate.as_secs_f64(),
             dedup: out.stats.phases.dedup.as_secs_f64(),

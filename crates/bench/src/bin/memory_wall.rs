@@ -8,7 +8,7 @@
 //! 2. checkpoint/resume — the capped unsplit run snapshots every
 //!    iteration, aborts with a typed `MemoryExceeded`, and is resumed from
 //!    the last completed iteration on an uncapped cluster, byte-identical;
-//! 3. automatic escalation — `enumerate_with_escalation` turns the abort
+//! 3. automatic escalation — a `Run` with `escalate` set turns the abort
 //!    into a divide-and-conquer re-launch without operator intervention.
 //!
 //! ```text
@@ -22,11 +22,7 @@
 //! enough for every subset.
 
 use efm_bench::{flag, harness_options, network_ii, parse_cli, pick_partition, Scale};
-use efm_core::{
-    enumerate_divide_conquer_with_scalar, enumerate_resumable_with_scalar,
-    enumerate_with_escalation_scalar, enumerate_with_scalar, Backend, CheckpointConfig, EfmError,
-    EngineCheckpoint,
-};
+use efm_core::{Backend, CheckpointConfig, EfmError, EngineCheckpoint, Run};
 use efm_numeric::F64Tol;
 
 fn main() {
@@ -45,7 +41,6 @@ fn main() {
     if partition != requested {
         println!("note: using partition {partition:?} (requested {requested:?})");
     }
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     let opts = harness_options();
     let cluster = || Backend::Cluster(efm_cluster::ClusterConfig::new(nodes));
 
@@ -53,8 +48,9 @@ fn main() {
     // replicated mode matrix plus the bounded generation batch, the
     // survivor stripe and the merge.
     println!("== phase 1: measure per-node peaks (no memory cap) ==");
-    let unsplit =
-        enumerate_with_scalar::<F64Tol>(&net, &opts, &cluster()).expect("unsplit run failed");
+    let unsplit = Run { opts: opts.clone(), backend: cluster(), ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .expect("unsplit run failed");
     println!(
         "unsplit: {} EFMs, peak {} accounted bytes/node \
          (transient high-water {} B, {} batches)",
@@ -63,8 +59,14 @@ fn main() {
         unsplit.stats.peak_transient_bytes,
         unsplit.stats.stream_batches
     );
-    let split = enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &names, &cluster())
-        .expect("split run failed");
+    let split = Run {
+        opts: opts.clone(),
+        partition: partition.clone(),
+        backend: cluster(),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
+    .expect("split run failed");
     assert_eq!(split.efms, unsplit.efms, "split and unsplit runs disagree on the EFM set");
     let split_bytes = split.subsets.iter().map(|s| s.stats.peak_bytes).max().unwrap_or(0);
     println!(
@@ -100,13 +102,13 @@ fn main() {
     let ck_cfg = CheckpointConfig::new(&ck_path);
     let t0 = std::time::Instant::now();
     let mut aborted = false;
-    match enumerate_resumable_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(capped.clone()),
-        None,
-        Some(&ck_cfg),
-    ) {
+    let checkpointed = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(capped.clone()),
+        checkpoint: Some(ck_cfg.clone()),
+        ..Default::default()
+    };
+    match checkpointed.enumerate::<F64Tol>(&net) {
         Err(EfmError::Cluster(efm_cluster::ClusterError::MemoryExceeded {
             rank,
             in_use,
@@ -126,12 +128,13 @@ fn main() {
         ),
         Err(e) => println!("unsplit Algorithm 2:  failed differently: {e}"),
     }
-    match enumerate_divide_conquer_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &names,
-        &Backend::Cluster(capped.clone()),
-    ) {
+    let split = Run {
+        opts: opts.clone(),
+        partition: partition.clone(),
+        backend: Backend::Cluster(capped.clone()),
+        ..Default::default()
+    };
+    match split.enumerate::<F64Tol>(&net) {
         Ok(out) => {
             assert_eq!(out.efms, unsplit.efms, "capped split run diverged from the uncapped run");
             println!(
@@ -156,13 +159,13 @@ fn main() {
                     ck_path.display(),
                     ck.iterations_completed()
                 );
-                let resumed = enumerate_resumable_with_scalar::<F64Tol>(
-                    &net,
-                    &opts,
-                    &cluster(),
-                    Some(&ck),
-                    None,
-                )
+                let resumed = Run {
+                    opts: opts.clone(),
+                    backend: cluster(),
+                    resume: Some(ck.clone()),
+                    ..Default::default()
+                }
+                .enumerate::<F64Tol>(&net)
                 .expect("resumed run failed");
                 assert_eq!(
                     resumed.efms, unsplit.efms,
@@ -183,14 +186,15 @@ fn main() {
     // split -> complete, without operator intervention.
     println!("\n== phase 4: automatic divide-and-conquer escalation ({limit} B/node) ==");
     let t1 = std::time::Instant::now();
-    match enumerate_with_escalation_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(capped),
-        partition.len().max(2),
-    ) {
+    let escalating = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(capped),
+        escalate: Some(partition.len().max(2)),
+        ..Default::default()
+    };
+    match escalating.enumerate::<F64Tol>(&net) {
         Ok(out) => {
-            for a in &out.attempts {
+            for a in &out.escalation {
                 let what = if a.qsub == 0 {
                     "direct run".to_string()
                 } else {
@@ -202,15 +206,15 @@ fn main() {
                 }
             }
             assert_eq!(
-                out.outcome.efms, unsplit.efms,
+                out.efms, unsplit.efms,
                 "escalated enumeration diverged from the uninterrupted run"
             );
             println!(
                 "escalation recovered {} EFMs in {:.2}s (escalated: {}) — identical to the \
                  uninterrupted enumeration",
-                out.outcome.efms.len(),
+                out.efms.len(),
                 t1.elapsed().as_secs_f64(),
-                out.escalated()
+                out.escalation.len() > 1
             );
         }
         Err(e) => println!("escalation exhausted: {e} — raise --limit or deepen the ladder"),

@@ -14,7 +14,7 @@
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
 use efm_cluster::ClusterConfig;
-use efm_core::{enumerate_supervised_with_scalar, enumerate_with_scalar, Backend, SuperviseConfig};
+use efm_core::{Backend, Run, SuperviseConfig};
 use efm_numeric::F64Tol;
 use std::time::Instant;
 
@@ -41,12 +41,21 @@ fn main() {
 
     let backend = Backend::Cluster(cluster.clone());
     let sup = SuperviseConfig::new(&ckpt);
-    let mut run_bare =
-        || enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).expect("bare run failed");
+    let mut run_bare = || {
+        Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .expect("bare run failed")
+    };
     let mut run_sup = || {
         let _ = std::fs::remove_file(&ckpt); // each rep starts cold
-        enumerate_supervised_with_scalar::<F64Tol>(&net, &opts, &cluster, &sup)
-            .expect("supervised run failed")
+        Run {
+            opts: opts.clone(),
+            backend: Backend::Cluster(cluster.clone()),
+            supervise: Some(sup.clone()),
+            ..Default::default()
+        }
+        .enumerate::<F64Tol>(&net)
+        .expect("supervised run failed")
     };
 
     // One warmup of each, then *interleaved* best-of-N pairs: run-to-run

@@ -17,7 +17,7 @@
 //! the crossover structure of the paper's Table II.
 
 use efm_bench::{flag, harness_options, network_i, paper, parse_cli, secs, Scale, Table};
-use efm_core::{enumerate_with_scalar, phases, Backend, EfmOutcome};
+use efm_core::{phases, Backend, EfmOutcome, Run};
 use efm_numeric::{DynInt, F64Tol};
 
 /// α/β interconnect model (InfiniBand-class, as on the paper's Calhoun).
@@ -80,9 +80,13 @@ fn main() {
     for &n in &nodes {
         let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(n));
         let out: EfmOutcome = if exact {
-            enumerate_with_scalar::<DynInt>(&net, &opts, &backend).expect("run failed")
+            Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+                .enumerate::<DynInt>(&net)
+                .expect("run failed")
         } else {
-            enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).expect("run failed")
+            Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+                .enumerate::<F64Tol>(&net)
+                .expect("run failed")
         };
         let total = out.stats.total_time.as_secs_f64();
         let _base = *serial_total.get_or_insert(total);

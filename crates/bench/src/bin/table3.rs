@@ -10,7 +10,7 @@
 //! cumulative totals the paper compares against the unsplit run.
 
 use efm_bench::{flag, harness_options, network_i, paper, parse_cli, pick_partition, Scale, Table};
-use efm_core::{enumerate_divide_conquer_with_scalar, Backend, EfmOutcome};
+use efm_core::{Backend, EfmOutcome, Run};
 use efm_numeric::{DynInt, F64Tol};
 
 fn main() {
@@ -32,7 +32,6 @@ fn main() {
             "note: requested partition {requested:?} is not fully usable at this scale; using {partition:?}"
         );
     }
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     println!(
         "Table III reproduction — Algorithm 3 on Network I, partition {{{}}} ({scale:?} scale, {} ranks, {} arithmetic)",
         partition.join(", "),
@@ -49,11 +48,23 @@ fn main() {
     let opts = harness_options();
     let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(nodes));
     let out: EfmOutcome = if exact {
-        enumerate_divide_conquer_with_scalar::<DynInt>(&net, &opts, &names, &backend)
-            .expect("run failed")
+        Run {
+            opts: opts.clone(),
+            partition: partition.clone(),
+            backend: backend.clone(),
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
+        .expect("run failed")
     } else {
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &names, &backend)
-            .expect("run failed")
+        Run {
+            opts: opts.clone(),
+            partition: partition.clone(),
+            backend: backend.clone(),
+            ..Default::default()
+        }
+        .enumerate::<F64Tol>(&net)
+        .expect("run failed")
     };
 
     let mut table = Table::new(&[

@@ -16,28 +16,9 @@
 use efm_bench::{
     flag, harness_options, network_ii, paper, parse_cli, pick_partition, Scale, Table,
 };
-use efm_core::{
-    resolve_partition, run_subset, subset_pattern, Backend, EfmError, SupportsAndStats,
-};
+use efm_core::{resolve_partition, run_subset, subset_pattern, Backend};
 use efm_metnet::compress;
 use efm_numeric::{DynInt, F64Tol};
-
-fn run_one<S: efm_core::EfmScalar>(
-    red: &efm_metnet::ReducedNetwork,
-    partition: &efm_core::Partition,
-    id: usize,
-    backend: &Backend,
-) -> Result<Option<SupportsAndStats>, EfmError> {
-    let q = red.num_reduced();
-    let opts = harness_options();
-    if q <= 64 {
-        run_subset::<efm_bitset::Pattern1, S>(red, partition, id, &opts, backend)
-    } else if q <= 128 {
-        run_subset::<efm_bitset::Pattern2, S>(red, partition, id, &opts, backend)
-    } else {
-        run_subset::<efm_bitset::Pattern4, S>(red, partition, id, &opts, backend)
-    }
-}
 
 fn main() {
     let (flags, _) = parse_cli();
@@ -88,9 +69,9 @@ fn main() {
     let mut total_secs = 0.0;
     for id in ids {
         let result = if exact {
-            run_one::<DynInt>(&red, &partition, id, &backend)
+            run_subset::<DynInt>(&red, &partition, id, &harness_options(), &backend)
         } else {
-            run_one::<F64Tol>(&red, &partition, id, &backend)
+            run_subset::<F64Tol>(&red, &partition, id, &harness_options(), &backend)
         };
         match result {
             Ok(Some((sups, stats))) => {

@@ -15,7 +15,7 @@
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
 use efm_cluster::ClusterConfig;
-use efm_core::{enumerate_with_scalar, Backend};
+use efm_core::{Backend, Run};
 use efm_numeric::F64Tol;
 use std::time::Instant;
 
@@ -38,7 +38,11 @@ fn main() {
 
     println!("trace_overhead — Network I ({scale:?}), {nodes} ranks, {reps} reps");
 
-    let mut run = || enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).expect("run failed");
+    let mut run = || {
+        Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .expect("run failed")
+    };
 
     // Warm up both paths, then interleave best-of-N pairs: run-to-run
     // drift on a shared box dwarfs the quantity under test.

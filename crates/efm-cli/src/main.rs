@@ -57,10 +57,8 @@
 //! ```
 
 use efm_core::{
-    enumerate_divide_conquer_scheduled_with_scalar, enumerate_resumable_with_scalar,
-    enumerate_supervised_with_scalar, enumerate_with_escalation_scheduled_scalar, Backend,
-    CandidateTest, CheckpointConfig, DncCheckpoint, DncConfig, DncSchedule, EfmOptions, EfmOutcome,
-    EngineCheckpoint, RowOrdering, SuperviseConfig,
+    Backend, CandidateTest, CheckpointConfig, DncCheckpoint, DncConfig, DncSchedule, EfmError,
+    EfmOptions, EfmOutcome, EngineCheckpoint, RowOrdering, Run, SuperviseConfig,
 };
 use efm_metnet::{examples, parse_metatool, parse_network, to_metatool, yeast, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
@@ -313,32 +311,61 @@ fn run<S: efm_core::EfmScalar>(
         }
         _ => usage(),
     };
-    if args.supervise {
-        if !args.partition.is_empty() || args.resume.is_some() {
+    if args.fault_plan.is_some() && !args.supervise {
+        eprintln!("error: --fault-plan requires --supervise");
+        usage();
+    }
+    let mut run =
+        Run { opts, backend, partition: args.partition.clone(), dnc, ..Default::default() };
+    if args.partition.is_empty() {
+        if let Some(path) = &args.resume {
+            let ck = EngineCheckpoint::load(std::path::Path::new(path))?;
+            if !args.quiet {
+                println!(
+                    "resuming from {path}: {} iterations already completed",
+                    ck.iterations_completed()
+                );
+            }
+            run.resume = Some(ck);
+        }
+    } else if let Some(path) = &args.resume {
+        // Divide-and-conquer checkpointing is per-subset progress:
+        // --checkpoint records each completed subset, --resume skips the
+        // recorded ones.
+        if args.checkpoint.as_ref().is_some_and(|c| c != path) {
             eprintln!(
-                "error: --supervise excludes --partition and --resume (it manages resume itself)"
+                "error: --checkpoint and --resume must name the same file \
+                 for divide-and-conquer runs"
             );
             usage();
         }
-        // Supervision is a cluster-backend policy; the serial/rayon
-        // backends have no ranks to lose.
-        let cluster = match &backend {
-            Backend::Cluster(cfg) => cfg.clone(),
-            _ => {
-                eprintln!("error: --supervise requires --backend cluster");
-                usage();
+        run.dnc.checkpoint = Some(CheckpointConfig::new(path));
+        run.dnc.resume = true;
+        if !args.quiet {
+            if let Ok(ck) = DncCheckpoint::load(std::path::Path::new(path)) {
+                println!(
+                    "resuming from {path}: {} of {} subsets already completed",
+                    ck.done.len(),
+                    1usize << ck.qsub
+                );
             }
-        };
+        }
+    } else if let Some(path) = &args.checkpoint {
+        run.dnc.checkpoint = Some(CheckpointConfig::new(path));
+    }
+    // Under --supervise, --checkpoint names the supervisor's snapshot file
+    // (a temporary one by default) and escalation defaults to 2^4 subsets.
+    let mut temp_checkpoint = None;
+    if args.supervise {
         let ckpt_path = args.checkpoint.clone().unwrap_or_else(|| {
-            std::env::temp_dir()
+            let path = std::env::temp_dir()
                 .join(format!("efm-supervise-{}.efck", std::process::id()))
                 .to_string_lossy()
-                .into_owned()
+                .into_owned();
+            temp_checkpoint = Some(path.clone());
+            path
         });
-        let mut sup = SuperviseConfig::new(&ckpt_path)
-            .max_restarts(args.max_restarts)
-            .max_qsub(args.auto_escalate.unwrap_or(4))
-            .with_dnc(dnc.clone());
+        let mut sup = SuperviseConfig::new(&ckpt_path).max_restarts(args.max_restarts);
         sup.checkpoint = sup.checkpoint.every(args.checkpoint_every);
         if let Some(dir) = &args.postmortem_dir {
             sup = sup.with_postmortem_dir(dir);
@@ -350,95 +377,45 @@ fn run<S: efm_core::EfmScalar>(
             });
             sup = sup.with_fault_plan(plan);
         }
-        let out = enumerate_supervised_with_scalar::<S>(net, &opts, &cluster, &sup)?;
-        if args.checkpoint.is_none() {
-            // The supervisor owned a temporary checkpoint; clean it up.
-            let _ = std::fs::remove_file(&ckpt_path);
+        run.supervise = Some(sup);
+        run.escalate = Some(args.auto_escalate.unwrap_or(4));
+    } else {
+        run.escalate = args.auto_escalate;
+        if args.partition.is_empty() {
+            run.checkpoint = args
+                .checkpoint
+                .as_ref()
+                .map(|p| CheckpointConfig::new(p).every(args.checkpoint_every));
         }
-        if !args.quiet && !out.stats.recovery.is_empty() {
-            println!("recovery log:\n{}", out.stats.recovery);
-        }
-        return Ok(out);
     }
-    if args.fault_plan.is_some() {
-        eprintln!("error: --fault-plan requires --supervise");
-        usage();
-    }
-    if let Some(max_qsub) = args.auto_escalate {
-        if !args.partition.is_empty() || args.checkpoint.is_some() || args.resume.is_some() {
-            eprintln!("error: --auto-escalate excludes --partition, --checkpoint and --resume");
+    let out = match run.enumerate::<S>(net) {
+        Err(e @ EfmError::InvalidRun(_)) => {
+            eprintln!("error: {e}");
             usage();
         }
-        let out =
-            enumerate_with_escalation_scheduled_scalar::<S>(net, &opts, &backend, max_qsub, &dnc)?;
-        if !args.quiet {
-            for a in &out.attempts {
-                let what = if a.qsub == 0 {
-                    "direct".to_string()
-                } else {
-                    format!("divide-and-conquer over {{{}}}", a.partition.join(","))
-                };
-                match &a.error {
-                    Some(e) => println!("escalation: {what} failed: {e}"),
-                    None => println!("escalation: {what} succeeded"),
-                }
+        out => out?,
+    };
+    if let Some(path) = temp_checkpoint {
+        // The supervisor owned a temporary checkpoint; clean it up.
+        let _ = std::fs::remove_file(path);
+    }
+    if !args.quiet && args.supervise && !out.stats.recovery.is_empty() {
+        println!("recovery log:\n{}", out.stats.recovery);
+    }
+    if !args.quiet && !args.supervise {
+        for a in &out.escalation {
+            let what = if a.qsub == 0 {
+                "direct".to_string()
+            } else {
+                format!("divide-and-conquer over {{{}}}", a.partition.join(","))
+            };
+            match &a.error {
+                Some(e) => println!("escalation: {what} failed: {e}"),
+                None => println!("escalation: {what} succeeded"),
             }
         }
-        return Ok(out.outcome);
     }
-    if args.partition.is_empty() {
-        let resume = match &args.resume {
-            Some(path) => {
-                let ck = EngineCheckpoint::load(std::path::Path::new(path))?;
-                if !args.quiet {
-                    println!(
-                        "resuming from {path}: {} iterations already completed",
-                        ck.iterations_completed()
-                    );
-                }
-                Some(ck)
-            }
-            None => None,
-        };
-        let checkpoint =
-            args.checkpoint.as_ref().map(|p| CheckpointConfig::new(p).every(args.checkpoint_every));
-        enumerate_resumable_with_scalar::<S>(
-            net,
-            &opts,
-            &backend,
-            resume.as_ref(),
-            checkpoint.as_ref(),
-        )
-    } else {
-        // Divide-and-conquer checkpointing is per-subset progress:
-        // --checkpoint records each completed subset, --resume skips the
-        // recorded ones.
-        let mut dnc = dnc;
-        if let Some(path) = &args.resume {
-            if args.checkpoint.as_ref().is_some_and(|c| c != path) {
-                eprintln!(
-                    "error: --checkpoint and --resume must name the same file \
-                     for divide-and-conquer runs"
-                );
-                usage();
-            }
-            dnc.checkpoint = Some(CheckpointConfig::new(path));
-            dnc.resume = true;
-            if !args.quiet {
-                if let Ok(ck) = DncCheckpoint::load(std::path::Path::new(path)) {
-                    println!(
-                        "resuming from {path}: {} of {} subsets already completed",
-                        ck.done.len(),
-                        1usize << ck.qsub
-                    );
-                }
-            }
-        } else if let Some(path) = &args.checkpoint {
-            dnc.checkpoint = Some(CheckpointConfig::new(path));
-        }
-        let names: Vec<&str> = args.partition.iter().map(String::as_str).collect();
-        enumerate_divide_conquer_scheduled_with_scalar::<S>(net, &opts, &names, &backend, &dnc)
-    }
+    Ok(out)
 }
 
 /// Writes `--trace-out` / `--metrics-out` files from the global telemetry

@@ -1,13 +1,13 @@
 //! Applications of a computed EFM set — the analyses the paper's
-//! introduction motivates ([1]–[12]) plus an automation of its future-work
+//! introduction motivates (\[1\]–\[12\]) plus an automation of its future-work
 //! item on partition selection.
 //!
 //! * [`reaction_participation`] — how often each reaction appears across
-//!   modes (cell "dissection" / capability analysis, [1][2]);
+//!   modes (cell "dissection" / capability analysis, \[1\]\[2\]);
 //! * [`minimal_cut_sets`] — smallest reaction deletions abolishing all
-//!   modes through a target (knockout design, [4]–[7]);
+//!   modes through a target (knockout design, \[4\]–\[7\]);
 //! * [`mode_yields`] — product-per-substrate yield of each mode
-//!   (phenotype prediction, [3]);
+//!   (phenotype prediction, \[3\]);
 //! * [`suggest_partition`] — automated divide-and-conquer partition
 //!   selection; the paper calls manual selection a gap ("an automated
 //!   method to select the subset ... would be helpful to make the combined
@@ -155,8 +155,9 @@ pub fn suggest_partition(net: &MetabolicNetwork, red: &ReducedNetwork, qsub: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{enumerate, enumerate_divide_conquer, Backend, EfmOptions};
+    use crate::{enumerate, Backend, EfmOptions, Run};
     use efm_metnet::examples::toy_network;
+    use efm_numeric::DynInt;
 
     #[test]
     fn participation_sums_match() {
@@ -222,9 +223,14 @@ mod tests {
         let out = enumerate(&net, &EfmOptions::default()).unwrap();
         let suggestion = suggest_partition(&net, &out.reduced, 2);
         assert_eq!(suggestion.len(), 2, "toy network has two reversible reactions");
-        let refs: Vec<&str> = suggestion.iter().map(String::as_str).collect();
-        let dc = enumerate_divide_conquer(&net, &EfmOptions::default(), &refs, &Backend::Serial)
-            .unwrap();
+        let dc = Run {
+            opts: EfmOptions::default(),
+            partition: suggestion.clone(),
+            backend: Backend::Serial,
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
         assert_eq!(dc.efms, out.efms);
         // (Candidate-count reduction is a large-network effect — the paper
         // says the split "usually" lowers the cumulative count; at toy

@@ -100,17 +100,9 @@ pub struct ClusterOutcome {
     pub per_rank: Vec<efm_cluster::NodeReport<ClusterNodeOutcome>>,
 }
 
-/// Runs Algorithm 2 on a simulated cluster of `cfg.nodes` ranks.
-pub fn cluster_supports<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    opts: &EfmOptions,
-    cfg: &ClusterConfig,
-) -> Result<ClusterOutcome, EfmError> {
-    cluster_supports_resumable::<P, S>(problem, opts, cfg, None, None)
-}
-
-/// Runs Algorithm 2 with optional resume-from-checkpoint and optional
-/// iteration-boundary checkpoint writes (performed by rank 0; the state is
+/// Runs Algorithm 2 on a simulated cluster of `cfg.nodes` ranks, with
+/// optional resume-from-checkpoint and optional iteration-boundary
+/// checkpoint writes (performed by rank 0; the state is
 /// replicated, so one rank's snapshot is everyone's).
 pub fn cluster_supports_resumable<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,

@@ -19,13 +19,11 @@
 //! {R54r, R90r, R60r, R22r} — is), because an unprocessed irreversible row
 //! has no sign guarantee.
 
+use crate::api::{dispatch_width, supports, MAX_REDUCED_REACTIONS};
 use crate::bridge::EfmScalar;
-use crate::cluster_algo::cluster_supports;
-use crate::drivers::{rayon_supports, serial_supports, SupportsAndStats};
+use crate::drivers::SupportsAndStats;
 use crate::problem::{build_subproblem, EfmProblem};
-use crate::schedule::DncConfig;
 use crate::types::{EfmError, EfmOptions, RunStats};
-use efm_bitset::BitPattern;
 use efm_cluster::ClusterConfig;
 use efm_metnet::ReducedNetwork;
 
@@ -97,9 +95,10 @@ pub fn resolve_partition(
     Ok(Partition { reduced_indices, names })
 }
 
-/// Runs one subproblem of the partition; returns supports in reduced
-/// indices plus stats, or `None` when the subset is provably empty.
-pub fn run_subset<P: BitPattern, S: EfmScalar>(
+/// Runs one subproblem of the partition at the pattern width it needs;
+/// returns supports in reduced indices plus stats, or `None` when the
+/// subset is provably empty.
+pub fn run_subset<S: EfmScalar>(
     red: &ReducedNetwork,
     partition: &Partition,
     subset_id: usize,
@@ -121,15 +120,7 @@ pub fn run_subset<P: BitPattern, S: EfmScalar>(
     let Some(problem) = problem else {
         return Ok(None);
     };
-    let out = match backend {
-        Backend::Serial => serial_supports::<P, S>(&problem, opts)?,
-        Backend::Rayon => rayon_supports::<P, S>(&problem, opts)?,
-        Backend::Cluster(cfg) => {
-            let o = cluster_supports::<P, S>(&problem, opts, cfg)?;
-            (o.supports, o.stats)
-        }
-    };
-    Ok(Some(out))
+    dispatch_width!(problem.num_cols(), supports(&problem, opts, backend, None, None)).map(Some)
 }
 
 /// Human-readable subset pattern, paper-style (overbar = zero flux is
@@ -142,41 +133,4 @@ pub fn subset_pattern(partition: &Partition, subset_id: usize) -> String {
         .map(|(i, n)| if subset_id >> i & 1 == 1 { format!("{n}≠0") } else { format!("{n}=0") })
         .collect::<Vec<_>>()
         .join(" ")
-}
-
-/// Runs the full divide-and-conquer enumeration over all `2^qsub` subsets
-/// in the paper's sequential order (equivalent to
-/// [`divide_conquer_supports_with`] under a default [`DncConfig`]).
-/// Returns `(all supports in reduced indices, per-subset reports)`.
-pub fn divide_conquer_supports<P: BitPattern, S: EfmScalar>(
-    net: &efm_metnet::MetabolicNetwork,
-    red: &ReducedNetwork,
-    partition_names: &[&str],
-    opts: &EfmOptions,
-    backend: &Backend,
-) -> Result<(Vec<Vec<usize>>, Vec<SubsetReport>), EfmError> {
-    divide_conquer_supports_with::<P, S>(
-        net,
-        red,
-        partition_names,
-        opts,
-        backend,
-        &DncConfig::default(),
-    )
-}
-
-/// Runs the full divide-and-conquer enumeration under an explicit
-/// scheduler configuration: subset order and concurrency per
-/// [`DncConfig::schedule`], per-subset restarts, progress checkpointing
-/// and resume. Every schedule returns the identical supports and
-/// the reports in subset-id order; only the wall-clock shape differs.
-pub fn divide_conquer_supports_with<P: BitPattern, S: EfmScalar>(
-    net: &efm_metnet::MetabolicNetwork,
-    red: &ReducedNetwork,
-    partition_names: &[&str],
-    opts: &EfmOptions,
-    backend: &Backend,
-    dnc: &DncConfig,
-) -> Result<(Vec<Vec<usize>>, Vec<SubsetReport>), EfmError> {
-    crate::schedule::run_partition::<P, S>(net, red, partition_names, opts, backend, dnc)
 }

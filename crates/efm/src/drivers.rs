@@ -7,7 +7,7 @@ use crate::engine::{
     CandidateSet, Engine, GenArena, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
 use crate::problem::EfmProblem;
-use crate::types::{EfmError, EfmOptions, IterationStats, RunStats};
+use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -124,12 +124,12 @@ pub fn serial_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
 ) -> Result<SupportsAndStats, EfmError> {
-    serial_supports_resumable::<P, S>(problem, opts, None, None)
+    serial_run::<P, S>(problem, opts, None, None)
 }
 
 /// Serial Algorithm 1 with optional resume-from-checkpoint and optional
 /// iteration-boundary checkpoint writes.
-pub fn serial_supports_resumable<P: BitPattern, S: EfmScalar>(
+pub(crate) fn serial_run<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     resume: Option<&EngineCheckpoint>,
@@ -143,22 +143,6 @@ pub fn serial_supports_resumable<P: BitPattern, S: EfmScalar>(
     })
 }
 
-/// Runs the serial algorithm, invoking `on_iteration` after every step —
-/// the trace hook used to reproduce the paper's Fig. 2 walk-through.
-pub fn serial_supports_traced<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    opts: &EfmOptions,
-    mut on_iteration: impl FnMut(&IterationStats),
-) -> Result<SupportsAndStats, EfmError> {
-    let mut arena = GenArena::new();
-    run_resumable::<P, S>(problem, opts, None, None, move |eng| {
-        on_iteration(
-            &eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(()))?,
-        );
-        Ok(())
-    })
-}
-
 /// Serial Algorithm 1 that can *grow* mid-run: once `grow()` first returns
 /// true the remaining iterations split their pair grids across the shared
 /// pool like [`rayon_supports`]. The divide-and-conquer scheduler uses
@@ -169,7 +153,7 @@ pub fn serial_supports_traced<P: BitPattern, S: EfmScalar>(
 /// leaving cores parked. The serial and rayon passes advance the engine
 /// through identical states, so the switch point cannot change the
 /// result.
-pub fn adaptive_supports<P: BitPattern, S: EfmScalar>(
+pub(crate) fn adaptive_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     mut grow: impl FnMut() -> bool,
@@ -197,12 +181,12 @@ pub fn rayon_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
 ) -> Result<SupportsAndStats, EfmError> {
-    rayon_supports_resumable::<P, S>(problem, opts, None, None)
+    rayon_run::<P, S>(problem, opts, None, None)
 }
 
 /// Shared-memory parallel variant with optional resume-from-checkpoint and
 /// optional iteration-boundary checkpoint writes.
-pub fn rayon_supports_resumable<P: BitPattern, S: EfmScalar>(
+pub(crate) fn rayon_run<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     resume: Option<&EngineCheckpoint>,

@@ -8,15 +8,19 @@
 //! consults [`suggest_partition`](crate::apps::suggest_partition) and
 //! re-launches as divide-and-conquer over `2^qsub` subsets, doubling the
 //! split until the run fits or the escalation ladder is exhausted.
+//! [`Run::escalate`](crate::Run::escalate) turns the policy on. The ladder
+//! starts after the direct attempt that failed, on the network that run
+//! already compressed; the supervisor hands over its own failed attempt,
+//! so the unsplit enumeration never runs twice.
 
+use crate::api::{divided, Solved};
 use crate::apps::suggest_partition;
 use crate::bridge::EfmScalar;
 use crate::divide::Backend;
 use crate::schedule::DncConfig;
 use crate::types::{EfmError, EfmOptions};
-use crate::{enumerate_divide_conquer_scheduled_with_scalar, enumerate_with_scalar, EfmOutcome};
-use efm_metnet::{compress_with, MetabolicNetwork};
-use efm_numeric::DynInt;
+use efm_bitset::BitPattern;
+use efm_metnet::{MetabolicNetwork, ReducedNetwork};
 
 /// One rung of the escalation ladder.
 #[derive(Debug, Clone)]
@@ -29,109 +33,48 @@ pub struct EscalationAttempt {
     pub error: Option<String>,
 }
 
-/// A successful enumeration together with the ladder that led to it.
-#[derive(Debug, Clone)]
-pub struct EscalationOutcome {
-    /// The completed enumeration.
-    pub outcome: EfmOutcome,
-    /// Every attempt in order; the last one succeeded.
-    pub attempts: Vec<EscalationAttempt>,
+/// Whether `e` is a memory abort, the one failure a split can fix.
+pub(crate) fn is_memory(e: &EfmError) -> bool {
+    matches!(e, EfmError::Cluster(ce) if ce.is_memory_exceeded())
 }
 
-impl EscalationOutcome {
-    /// Whether the direct run failed and divide-and-conquer recovered it.
-    pub fn escalated(&self) -> bool {
-        self.attempts.len() > 1
-    }
-}
-
-/// Enumerates with automatic divide-and-conquer escalation on memory
-/// exhaustion, exact integer arithmetic.
-pub fn enumerate_with_escalation(
+/// The escalation ladder after the direct run failed with `direct_err`, a
+/// memory abort: records that failure as the `qsub = 0` attempt, then for
+/// `qsub = 1, 2, ..., max_qsub` asks [`suggest_partition`] for a reaction
+/// split of the already-compressed network and re-runs as
+/// divide-and-conquer over the `2^qsub` subsets under `dnc`, stopping at
+/// the first success. Every failure that is *not* a memory abort
+/// propagates immediately — escalation cannot fix a protocol error or a
+/// panic. If every rung fails (or no further split exists), the last
+/// memory error is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn escalate<P: BitPattern, S: EfmScalar>(
     net: &MetabolicNetwork,
+    red: &ReducedNetwork,
     opts: &EfmOptions,
     backend: &Backend,
-    max_qsub: usize,
-) -> Result<EscalationOutcome, EfmError> {
-    enumerate_with_escalation_scalar::<DynInt>(net, opts, backend, max_qsub)
-}
-
-/// Enumerates with automatic divide-and-conquer escalation, generic over
-/// the scalar.
-///
-/// The direct (unsplit) run is attempted first. If it fails with a
-/// [`MemoryExceeded`](efm_cluster::ClusterError::MemoryExceeded) abort, the
-/// driver escalates: for `qsub = 1, 2, ..., max_qsub` it asks
-/// [`suggest_partition`] for a reaction split and re-launches as
-/// divide-and-conquer over the `2^qsub` subsets, stopping at the first
-/// success. Every failure that is *not* a memory abort propagates
-/// immediately — escalation cannot fix a protocol error or a panic. If
-/// every rung fails (or no further split exists), the last memory error is
-/// returned together with the attempt history embedded in its display.
-pub fn enumerate_with_escalation_scalar<S: EfmScalar>(
-    net: &MetabolicNetwork,
-    opts: &EfmOptions,
-    backend: &Backend,
-    max_qsub: usize,
-) -> Result<EscalationOutcome, EfmError> {
-    enumerate_with_escalation_scheduled_scalar::<S>(
-        net,
-        opts,
-        backend,
-        max_qsub,
-        &DncConfig::default(),
-    )
-}
-
-/// [`enumerate_with_escalation_scalar`] under an explicit subset-scheduler
-/// configuration: every divide-and-conquer rung of the ladder runs its
-/// `2^qsub` subsets per `dnc` (concurrency, per-subset restart budget,
-/// progress checkpointing), so a rung that fails on one subset retries only
-/// that subset before the whole rung is declared failed.
-pub fn enumerate_with_escalation_scheduled_scalar<S: EfmScalar>(
-    net: &MetabolicNetwork,
-    opts: &EfmOptions,
-    backend: &Backend,
-    max_qsub: usize,
     dnc: &DncConfig,
-) -> Result<EscalationOutcome, EfmError> {
-    let mut attempts = Vec::new();
-    let is_memory = |e: &EfmError| matches!(e, EfmError::Cluster(ce) if ce.is_memory_exceeded());
-
-    match enumerate_with_scalar::<S>(net, opts, backend) {
-        Ok(outcome) => {
-            attempts.push(EscalationAttempt { qsub: 0, partition: Vec::new(), error: None });
-            return Ok(EscalationOutcome { outcome, attempts });
-        }
-        Err(e) if is_memory(&e) => {
-            attempts.push(EscalationAttempt {
-                qsub: 0,
-                partition: Vec::new(),
-                error: Some(e.to_string()),
-            });
-        }
-        Err(e) => return Err(e),
-    }
-
-    let (red, _) = compress_with(net, &opts.compression);
-    let mut last_err = EfmError::Checkpoint("escalation requested with max_qsub = 0".to_string());
-    if let Some(a) = attempts.last() {
-        if let Some(msg) = &a.error {
-            last_err = EfmError::Checkpoint(msg.clone());
-        }
-    }
+    max_qsub: usize,
+    direct_err: EfmError,
+    attempts: &mut Vec<EscalationAttempt>,
+) -> Result<Solved, EfmError> {
+    attempts.push(EscalationAttempt {
+        qsub: 0,
+        partition: Vec::new(),
+        error: Some(direct_err.to_string()),
+    });
+    let mut last_err = direct_err;
     for qsub in 1..=max_qsub {
-        let partition = suggest_partition(net, &red, qsub);
+        let partition = suggest_partition(net, red, qsub);
         if partition.len() < qsub {
             // The network has no further reversible pivotal reactions to
             // split on; deeper rungs would repeat the same partition.
             break;
         }
-        let names: Vec<&str> = partition.iter().map(String::as_str).collect();
-        match enumerate_divide_conquer_scheduled_with_scalar::<S>(net, opts, &names, backend, dnc) {
-            Ok(outcome) => {
+        match divided::<P, S>(net, red, &partition, opts, backend, dnc) {
+            Ok(solved) => {
                 attempts.push(EscalationAttempt { qsub, partition, error: None });
-                return Ok(EscalationOutcome { outcome, attempts });
+                return Ok(solved);
             }
             Err(e) if is_memory(&e) => {
                 attempts.push(EscalationAttempt { qsub, partition, error: Some(e.to_string()) });
@@ -140,25 +83,28 @@ pub fn enumerate_with_escalation_scheduled_scalar<S: EfmScalar>(
             Err(e) => return Err(e),
         }
     }
-    // Preserve the typed memory error from the deepest attempt; the ladder
-    // is reconstructible from the error chain the caller logged.
+    // Preserve the typed memory error from the deepest attempt.
     Err(last_err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Run;
     use efm_cluster::ClusterConfig;
+    use efm_numeric::DynInt;
+
+    fn cluster(cfg: ClusterConfig, escalate: usize) -> Run {
+        Run { backend: Backend::Cluster(cfg), escalate: Some(escalate), ..Default::default() }
+    }
 
     #[test]
     fn no_escalation_when_memory_suffices() {
         let net = efm_metnet::examples::toy_network();
-        let opts = EfmOptions::default();
-        let backend = Backend::Cluster(ClusterConfig::new(2));
-        let out = enumerate_with_escalation(&net, &opts, &backend, 2).unwrap();
-        assert!(!out.escalated());
-        assert_eq!(out.attempts.len(), 1);
-        assert_eq!(out.outcome.efms.len(), 8);
+        let out = cluster(ClusterConfig::new(2), 2).enumerate::<DynInt>(&net).unwrap();
+        assert_eq!(out.escalation.len(), 1);
+        assert!(out.escalation[0].error.is_none());
+        assert_eq!(out.efms.len(), 8);
     }
 
     #[test]
@@ -167,8 +113,8 @@ mod tests {
         // A mode limit abort is not a memory abort; escalation must not
         // retry it.
         let opts = EfmOptions { max_modes: Some(1), ..Default::default() };
-        let backend = Backend::Serial;
-        match enumerate_with_escalation(&net, &opts, &backend, 2) {
+        let run = Run { opts, escalate: Some(2), ..Default::default() };
+        match run.enumerate::<DynInt>(&net) {
             Err(EfmError::ModeLimitExceeded { .. }) => {}
             other => panic!("expected mode limit error, got {other:?}"),
         }
@@ -177,16 +123,17 @@ mod tests {
     #[test]
     fn memory_abort_escalates_to_divide_and_conquer() {
         let net = efm_metnet::examples::toy_network();
-        let opts = EfmOptions::default();
         // A cap small enough to abort the unsplit toy run but roomy enough
         // for its quarters (the toy network's subsets carry ~2 modes each).
-        let direct =
-            enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(ClusterConfig::new(2)))
-                .unwrap();
+        let run = Run { backend: Backend::Cluster(ClusterConfig::new(2)), ..Default::default() };
+        let direct = run.enumerate::<DynInt>(&net).unwrap();
         let mut cap = None;
         for bytes in [96u64, 128, 160, 192, 256, 320, 384] {
-            let cfg = ClusterConfig::new(2).with_memory_limit(bytes);
-            match enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(cfg)) {
+            let run = Run {
+                backend: Backend::Cluster(ClusterConfig::new(2).with_memory_limit(bytes)),
+                ..Default::default()
+            };
+            match run.enumerate::<DynInt>(&net) {
                 Err(EfmError::Cluster(e)) if e.is_memory_exceeded() => {
                     cap = Some(bytes);
                     break;
@@ -197,16 +144,16 @@ mod tests {
         let Some(cap) = cap else {
             panic!("no cap tripped the unsplit toy run");
         };
-        let backend = Backend::Cluster(ClusterConfig::new(2).with_memory_limit(cap * 4));
         // With 4x the failing cap the unsplit run may still fail, but some
         // rung of the ladder must fit; if even qsub=2 does not, the test
         // network is too small for the chosen caps and the ladder errors.
-        match enumerate_with_escalation(&net, &opts, &backend, 2) {
+        match cluster(ClusterConfig::new(2).with_memory_limit(cap * 4), 2).enumerate::<DynInt>(&net)
+        {
             Ok(out) => {
-                assert_eq!(out.outcome.efms, direct.efms);
-                if out.escalated() {
-                    assert!(out.attempts[0].error.is_some());
-                    assert!(out.attempts.last().unwrap().error.is_none());
+                assert_eq!(out.efms, direct.efms);
+                if out.escalation.len() > 1 {
+                    assert!(out.escalation[0].error.is_some());
+                    assert!(out.escalation.last().unwrap().error.is_none());
                 }
             }
             Err(EfmError::Cluster(e)) => {

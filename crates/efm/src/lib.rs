@@ -7,20 +7,22 @@
 //! * **Algorithm 1** — the serial Nullspace Algorithm ([`enumerate`]):
 //!   binary nullspace representation, pos×neg candidate pairing, summary
 //!   rejection, duplicate removal, and the algebraic rank test;
-//! * **Algorithm 2** — the combinatorial parallel variant
-//!   ([`Backend::Cluster`]): the pair grid of every iteration is striped
+//! * **Algorithm 2** — the combinatorial parallel variant (a [`Run`] on
+//!   [`Backend::Cluster`]): the pair grid of every iteration is striped
 //!   across the ranks of a (simulated) distributed-memory cluster, with an
 //!   allgather + merge per iteration;
-//! * **Algorithm 3** — the combined divide-and-conquer algorithm
-//!   ([`enumerate_divide_conquer`]): the EFM set is split across `2^qsub`
-//!   zero/nonzero patterns of chosen reactions; each disjoint subset is an
-//!   independent (parallel) subproblem stopped `qsub` rows early
-//!   (Proposition 1).
+//! * **Algorithm 3** — the combined divide-and-conquer algorithm (a [`Run`]
+//!   with a [`partition`](Run::partition)): the EFM set is split across
+//!   `2^qsub` zero/nonzero patterns of chosen reactions; each disjoint
+//!   subset is an independent (parallel) subproblem stopped `qsub` rows
+//!   early (Proposition 1).
 //!
 //! A shared-memory rayon variant ([`Backend::Rayon`]) covers the
 //! EFMTools-style parallelism the paper cites as prior work, and a
 //! brute-force oracle ([`brute_force_efms`]) provides an independent
-//! correctness reference for small networks.
+//! correctness reference for small networks. A [`Run`] also carries
+//! checkpoint/resume, escalation to divide-and-conquer on memory
+//! exhaustion and the self-healing supervisor.
 //!
 //! ## Quick start
 //!
@@ -31,6 +33,22 @@
 //! let net = toy_network();
 //! let outcome = enumerate(&net, &EfmOptions::default()).unwrap();
 //! assert_eq!(outcome.efms.len(), 8); // Eq. (7) of the paper
+//! ```
+//!
+//! Algorithm 3 on the rayon pool, split across the paper's {r6r, r8r}:
+//!
+//! ```
+//! use efm_core::{Backend, Run};
+//! use efm_metnet::examples::toy_network;
+//! use efm_numeric::DynInt;
+//!
+//! let run = Run {
+//!     backend: Backend::Rayon,
+//!     partition: vec!["r6r".into(), "r8r".into()],
+//!     ..Default::default()
+//! };
+//! let outcome = run.enumerate::<DynInt>(&toy_network()).unwrap();
+//! assert_eq!((outcome.efms.len(), outcome.subsets.len()), (8, 4));
 //! ```
 
 #![warn(missing_docs)]
@@ -53,12 +71,7 @@ mod stripes;
 mod supervise;
 mod types;
 
-pub use api::{
-    enumerate, enumerate_divide_conquer, enumerate_divide_conquer_scheduled,
-    enumerate_divide_conquer_scheduled_with_scalar, enumerate_divide_conquer_with_scalar,
-    enumerate_resumable_with_scalar, enumerate_with, enumerate_with_scalar, EfmOutcome,
-    MAX_REDUCED_REACTIONS,
-};
+pub use api::{enumerate, EfmOutcome, Run, MAX_REDUCED_REACTIONS};
 pub use apps::{minimal_cut_sets, mode_yields, reaction_participation, suggest_partition};
 pub use bridge::EfmScalar;
 pub use checkpoint::{
@@ -66,32 +79,21 @@ pub use checkpoint::{
     EngineCheckpoint,
 };
 pub use cluster_algo::{
-    cluster_supports, cluster_supports_resumable, cluster_supports_segment, phases,
-    ClusterNodeOutcome, ClusterOutcome,
+    cluster_supports_resumable, cluster_supports_segment, phases, ClusterNodeOutcome,
+    ClusterOutcome,
 };
-pub use divide::{
-    divide_conquer_supports, divide_conquer_supports_with, resolve_partition, run_subset,
-    subset_pattern, Backend, Partition, SubsetReport,
-};
-pub use drivers::{
-    adaptive_supports, rayon_supports, rayon_supports_resumable, serial_supports,
-    serial_supports_resumable, serial_supports_traced, SupportsAndStats,
-};
+pub use divide::{resolve_partition, run_subset, subset_pattern, Backend, Partition, SubsetReport};
+pub use drivers::{rayon_supports, serial_supports, SupportsAndStats};
 pub use engine::{
     CandidateSet, Engine, GenArena, ModeMatrix, SignPartition, StreamStats, RANK_TOL,
 };
-pub use escalate::{
-    enumerate_with_escalation, enumerate_with_escalation_scalar,
-    enumerate_with_escalation_scheduled_scalar, EscalationAttempt, EscalationOutcome,
-};
+pub use escalate::EscalationAttempt;
 pub use oracle::brute_force_efms;
 pub use problem::{build_problem, build_subproblem, EfmProblem};
 pub use recover::{recover_flux, verify_flux};
 pub use schedule::{survivor_weights, DncConfig, DncSchedule};
 pub use stripes::StripeStore;
-pub use supervise::{
-    classify_failure, enumerate_supervised, enumerate_supervised_with_scalar, SuperviseConfig,
-};
+pub use supervise::{classify_failure, SuperviseConfig};
 pub use types::{
     CandidateTest, EfmError, EfmOptions, EfmSet, FailureClass, IterationStats, KernelKind,
     PhaseBreakdown, RecoveryAction, RecoveryEvent, RecoveryLog, RowOrdering, RunStats,
@@ -101,6 +103,7 @@ pub use types::{
 mod tests {
     use super::*;
     use efm_metnet::examples;
+    use efm_numeric::DynInt;
 
     #[test]
     fn toy_network_eight_efms_serial() {
@@ -122,11 +125,19 @@ mod tests {
     fn all_backends_agree_on_toy() {
         let net = examples::toy_network();
         let opts = EfmOptions::default();
-        let serial = enumerate_with(&net, &opts, &Backend::Serial).unwrap();
-        let rayon = enumerate_with(&net, &opts, &Backend::Rayon).unwrap();
-        let cluster =
-            enumerate_with(&net, &opts, &Backend::Cluster(efm_cluster::ClusterConfig::new(3)))
-                .unwrap();
+        let serial = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap();
+        let rayon = Run { opts: opts.clone(), backend: Backend::Rayon, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap();
+        let cluster = Run {
+            opts: opts.clone(),
+            backend: Backend::Cluster(efm_cluster::ClusterConfig::new(3)),
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
         assert_eq!(serial.efms, rayon.efms);
         assert_eq!(serial.efms, cluster.efms);
     }
@@ -136,7 +147,14 @@ mod tests {
         // The paper's §III.A example: partition across {r6r, r8r}.
         let net = examples::toy_network();
         let opts = EfmOptions::default();
-        let out = enumerate_divide_conquer(&net, &opts, &["r6r", "r8r"], &Backend::Serial).unwrap();
+        let out = Run {
+            opts: opts.clone(),
+            partition: vec!["r6r".into(), "r8r".into()],
+            backend: Backend::Serial,
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
         assert_eq!(out.efms.len(), 8);
         assert_eq!(out.subsets.len(), 4);
         // Each of the four subsets contributes exactly two EFMs (§III.A).
@@ -161,12 +179,10 @@ mod tests {
     fn float_scalar_agrees_on_toy() {
         let net = examples::toy_network();
         let exact = enumerate(&net, &EfmOptions::default()).unwrap();
-        let float = enumerate_with_scalar::<efm_numeric::F64Tol>(
-            &net,
-            &EfmOptions::default(),
-            &Backend::Serial,
-        )
-        .unwrap();
+        let float =
+            Run { opts: EfmOptions::default(), backend: Backend::Serial, ..Default::default() }
+                .enumerate::<efm_numeric::F64Tol>(&net)
+                .unwrap();
         assert_eq!(exact.efms, float.efms);
     }
 

@@ -23,7 +23,7 @@
 //! 4. **Grow stragglers.** When the queues drain, idle capacity is fed
 //!    back into the survivors instead of parking: a serial-backend subset
 //!    switches its remaining iterations onto the shared rayon pool
-//!    ([`crate::drivers::adaptive_supports`]), and a cluster-backend
+//!    (`adaptive_supports` in the drivers module), and a cluster-backend
 //!    subset runs in bounded *segments*
 //!    ([`crate::cluster_algo::cluster_supports_segment`]) whose boundary
 //!    checkpoints let it restart on a larger node group drawn from the
@@ -49,11 +49,12 @@
 //! and `Steal` differ only in wall-clock shape — a property enforced by
 //! the differential suite in `tests/backend_equivalence.rs`.
 
+use crate::api::supports;
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{dnc_fingerprint, DncCheckpoint, DncSubsetResult, EngineCheckpoint};
 use crate::cluster_algo::cluster_supports_segment;
 use crate::divide::{resolve_partition, subset_pattern, Backend, Partition, SubsetReport};
-use crate::drivers::{adaptive_supports, rayon_supports, serial_supports, SupportsAndStats};
+use crate::drivers::{adaptive_supports, SupportsAndStats};
 use crate::problem::{build_subproblem, EfmProblem};
 use crate::supervise::classify_failure;
 use crate::types::{EfmError, EfmOptions, FailureClass, RecoveryAction, RecoveryEvent, RunStats};
@@ -175,9 +176,55 @@ fn estimate_cost<S: EfmScalar>(p: &EfmProblem<S>) -> u64 {
 /// dead rank's entry is removed and its share implicitly redistributed —
 /// proportional striping over the remaining weights spreads the missing
 /// capacity across every survivor instead of doubling one neighbour's
-/// load (the same longest-first reasoning as [`estimate_cost`]).
+/// load (the same longest-first reasoning as the subset cost model).
 pub fn survivor_weights(prior: &[u64], dead: usize) -> Vec<u64> {
     prior.iter().enumerate().filter(|&(r, _)| r != dead).map(|(_, &w)| w.max(1)).collect()
+}
+
+/// In-place failover after `err`: when it reports a lost non-coordinator
+/// rank of the `*group`-rank cluster, the group shrinks by one and
+/// `*weights` becomes the survivors' share of the prior striping, taken
+/// from `provenance` (a checkpoint's record), else from `*weights`, else
+/// uniform — whichever matches the group. The trace instant is named
+/// after `label`. Returns the recovery event, or `None` (nothing changed)
+/// when the loss cannot be absorbed in place: a lost coordinator, a
+/// one-rank group, or any other error.
+pub(crate) fn fail_over(
+    label: &str,
+    err: &EfmError,
+    group: &mut usize,
+    weights: &mut Option<Vec<u64>>,
+    provenance: Option<&[u64]>,
+    attempt: u32,
+    resumed_from: Option<u64>,
+) -> Option<RecoveryEvent> {
+    let EfmError::Cluster(efm_cluster::ClusterError::RankLost { rank: dead, .. }) = err else {
+        return None;
+    };
+    let (dead, n) = (*dead, *group);
+    if n <= 1 || dead == 0 || dead >= n {
+        return None;
+    }
+    let prior = provenance
+        .filter(|w| w.len() == n)
+        .map(<[u64]>::to_vec)
+        .or_else(|| weights.take().filter(|w| w.len() == n))
+        .unwrap_or_else(|| vec![1; n]);
+    *weights = Some(survivor_weights(&prior, dead));
+    *group = n - 1;
+    efm_obs::counter_add("failovers", 1);
+    efm_obs::counter_add("ranks lost", 1);
+    if efm_obs::enabled() {
+        efm_obs::instant_dyn(format!("{label}: rank {dead} lost, continuing on {} nodes", n - 1));
+    }
+    Some(RecoveryEvent {
+        at_us: efm_obs::now_us(),
+        attempt,
+        error: err.to_string(),
+        class: FailureClass::RankLost,
+        action: RecoveryAction::FailedOver,
+        resumed_from,
+    })
 }
 
 /// Builds subset `id`'s subproblem exactly as [`crate::divide::run_subset`]
@@ -334,8 +381,8 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
     let mut failed_over = 0u32;
     let stealing = shared.is_some_and(|s| s.steal);
     let out = match backend {
-        Backend::Serial => loop {
-            let r = if stealing {
+        Backend::Serial | Backend::Rayon => loop {
+            let r = if stealing && matches!(backend, Backend::Serial) {
                 // Straggler path: switch the remaining iterations onto the
                 // rayon pool once workers go spare.
                 let spare = shared.map(|s| &s.spare);
@@ -343,15 +390,9 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
                     spare.is_some_and(|s| s.load(Ordering::Relaxed) > 0)
                 })
             } else {
-                serial_supports::<P, S>(problem, opts)
+                supports::<P, S>(problem, opts, backend, None, None)
             };
             match r {
-                Ok(out) => break out,
-                Err(e) => retry_or_fail(e, &mut retries, dnc.max_retries, &mut log, None)?,
-            }
-        },
-        Backend::Rayon => loop {
-            match rayon_supports::<P, S>(problem, opts) {
                 Ok(out) => break out,
                 Err(e) => retry_or_fail(e, &mut retries, dnc.max_retries, &mut log, None)?,
             }
@@ -414,38 +455,14 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
                         // degrades the group instead of burning a retry —
                         // survivors re-enter from the last boundary with
                         // the dead rank's stripe redistributed.
-                        if let EfmError::Cluster(efm_cluster::ClusterError::RankLost {
-                            rank: dead,
-                            ..
-                        }) = &e
+                        let weights = &mut sub_opts.stripe_weights;
+                        let attempt = retries + 1;
+                        if let Some(ev) =
+                            fail_over("failover", &e, &mut group, weights, None, attempt, resumed)
                         {
-                            let dead = *dead;
-                            if group > 1 && dead != 0 && dead < group {
-                                let prior = sub_opts
-                                    .stripe_weights
-                                    .take()
-                                    .filter(|w| w.len() == group)
-                                    .unwrap_or_else(|| vec![1; group]);
-                                sub_opts.stripe_weights = Some(survivor_weights(&prior, dead));
-                                log.push(RecoveryEvent {
-                                    at_us: efm_obs::now_us(),
-                                    attempt: retries + 1,
-                                    error: e.to_string(),
-                                    class: FailureClass::RankLost,
-                                    action: RecoveryAction::FailedOver,
-                                    resumed_from: resumed,
-                                });
-                                group -= 1;
-                                failed_over += 1;
-                                efm_obs::counter_add("failovers", 1);
-                                efm_obs::counter_add("ranks lost", 1);
-                                if efm_obs::enabled() {
-                                    efm_obs::instant_dyn(format!(
-                                        "failover: rank {dead} lost, continuing on {group} nodes"
-                                    ));
-                                }
-                                continue;
-                            }
+                            log.push(ev);
+                            failed_over += 1;
+                            continue;
                         }
                         if let Err(e) =
                             retry_or_fail(e, &mut retries, dnc.max_retries, &mut log, resumed)
@@ -589,12 +606,13 @@ impl ProgressSink<'_> {
 pub(crate) fn run_partition<P: BitPattern, S: EfmScalar>(
     net: &efm_metnet::MetabolicNetwork,
     red: &efm_metnet::ReducedNetwork,
-    partition_names: &[&str],
+    partition_names: &[String],
     opts: &EfmOptions,
     backend: &Backend,
     dnc: &DncConfig,
 ) -> Result<(Vec<Vec<usize>>, Vec<SubsetReport>), EfmError> {
-    let partition = resolve_partition(net, red, partition_names)?;
+    let names: Vec<&str> = partition_names.iter().map(String::as_str).collect();
+    let partition = resolve_partition(net, red, &names)?;
     let qsub = partition.reduced_indices.len();
     let subsets = 1usize << qsub;
     let fingerprint = dnc_fingerprint(red, &partition.reduced_indices);

@@ -363,24 +363,26 @@ mod tests {
         let net = efm_metnet::examples::toy_network();
         let dnc = crate::DncConfig::default();
         let part = ["r6r", "r8r"];
-        let base = crate::enumerate_divide_conquer_scheduled(
-            &net,
-            &crate::EfmOptions::default(),
-            &part,
-            &crate::Backend::Serial,
-            &dnc,
-        )
+        let base = crate::Run {
+            opts: crate::EfmOptions::default(),
+            partition: part.iter().map(|s| s.to_string()).collect(),
+            backend: crate::Backend::Serial,
+            dnc: dnc.clone(),
+            ..Default::default()
+        }
+        .enumerate::<efm_numeric::DynInt>(&net)
         .unwrap();
         // Budget 0 forces every completed stripe through compress + spill
         // + stream-back; the assembled EFM set must be identical.
         let spill_opts = crate::EfmOptions { spill_budget: Some(0), ..Default::default() };
-        let spilled = crate::enumerate_divide_conquer_scheduled(
-            &net,
-            &spill_opts,
-            &part,
-            &crate::Backend::Serial,
-            &dnc,
-        )
+        let spilled = crate::Run {
+            opts: spill_opts.clone(),
+            partition: part.iter().map(|s| s.to_string()).collect(),
+            backend: crate::Backend::Serial,
+            dnc: dnc.clone(),
+            ..Default::default()
+        }
+        .enumerate::<efm_numeric::DynInt>(&net)
         .unwrap();
         assert_eq!(base.efms, spilled.efms);
         assert!(spilled.stats.spill_bytes > 0, "expected spilled stripe bytes in stats");

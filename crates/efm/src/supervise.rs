@@ -2,7 +2,7 @@
 //!
 //! The paper assumes every node survives the whole run. PR 2's abort-safe
 //! runtime reports failures promptly; this module makes the run *survive*
-//! them. [`enumerate_supervised`] launches the cluster engine under a
+//! them. [`Run::supervise`] launches the cluster engine under a
 //! watchdog (every blocking primitive carries a deadline from
 //! [`ClusterTimeouts`](efm_cluster::ClusterTimeouts), so a dead rank
 //! surfaces as a typed error instead of a hang), classifies each failure,
@@ -13,9 +13,10 @@
 //!   [`EngineCheckpoint`], bounded by a restart budget; at most one
 //!   iteration of work is lost per restart;
 //! * **memory** — a restart would hit the same wall, so the failure is
-//!   rerouted to [`enumerate_with_escalation_scalar`]: the run deepens the
-//!   `2^qsub` divide-and-conquer ladder instead (the paper's Network II
-//!   recovery, automated);
+//!   rerouted to the escalation ladder ([`Run::escalate`]): the run deepens
+//!   the `2^qsub` divide-and-conquer ladder instead (the paper's Network II
+//!   recovery, automated), starting at one split — the failed attempt is
+//!   the ladder's unsplit rung, so it is not run again;
 //! * **fatal** (protocol bugs, bad partitions, mode limits) — surfaced
 //!   immediately; no restart can fix a broken program.
 //!
@@ -29,42 +30,37 @@
 //! per *supervised session*, not once per attempt — exactly the behaviour
 //! of a real node that dies once and is replaced.
 
-use crate::api::{enumerate_resumable_with_scalar, EfmOutcome};
+use crate::api::{supports, Run, Solved};
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{CheckpointConfig, EngineCheckpoint};
 use crate::divide::Backend;
-use crate::escalate::enumerate_with_escalation_scheduled_scalar;
-use crate::schedule::{survivor_weights, DncConfig};
-use crate::types::{
-    EfmError, EfmOptions, FailureClass, RecoveryAction, RecoveryEvent, RecoveryLog,
-};
-use efm_cluster::{ClusterConfig, ClusterError, FaultInjector, FaultPlan};
-use efm_metnet::MetabolicNetwork;
-use efm_numeric::DynInt;
+use crate::escalate::{escalate, EscalationAttempt};
+use crate::problem::EfmProblem;
+use crate::schedule::{fail_over, DncConfig};
+use crate::types::{EfmError, FailureClass, RecoveryAction, RecoveryEvent, RecoveryLog};
+use efm_bitset::BitPattern;
+use efm_cluster::{ClusterError, FaultInjector, FaultPlan};
+use efm_metnet::{MetabolicNetwork, ReducedNetwork};
 use std::sync::Arc;
 
-/// Supervision policy: restart budget, checkpoint location, escalation
-/// depth, and the (optional) fault plan for reproducible chaos runs.
+/// Supervision policy: restart budget, checkpoint location, the (optional)
+/// fault plan for reproducible chaos runs and the flight recorder. The
+/// escalation depth is [`Run::escalate`] and the subset scheduler of
+/// escalated runs is [`Run::dnc`].
 #[derive(Debug, Clone)]
 pub struct SuperviseConfig {
     /// Maximum restarts before giving up with
     /// [`EfmError::RestartsExhausted`]. Checkpoint discards count toward
     /// the budget so a persistently bad checkpoint cannot loop forever.
+    /// Once the run escalates, the budget is per subset: the escalated
+    /// run's `dnc.max_retries` is overridden with it, so one crashing
+    /// subset is retried alone instead of restarting every sibling.
     pub max_restarts: u32,
     /// Where iteration-boundary snapshots are written and resumed from.
     pub checkpoint: CheckpointConfig,
-    /// Escalation ladder depth for memory failures (`0` disables
-    /// escalation — memory errors then exhaust the supervisor).
-    pub max_qsub: usize,
     /// Deterministic faults to inject (chaos testing). `None` supervises a
     /// fault-free run.
     pub fault_plan: Option<FaultPlan>,
-    /// Subset-scheduler configuration for escalated divide-and-conquer
-    /// runs (schedule, workers, segmenting). Its `max_retries` is
-    /// overridden by [`SuperviseConfig::max_restarts`], making the restart
-    /// budget *per subset* once the run escalates — one crashing subset is
-    /// retried alone instead of restarting every sibling.
-    pub dnc: DncConfig,
     /// Where crash postmortem bundles are written. Every recovery action
     /// (restart, failover, escalation, checkpoint discard) and every
     /// terminal failure dumps a self-contained bundle — trace tail,
@@ -76,7 +72,7 @@ pub struct SuperviseConfig {
 
 impl SuperviseConfig {
     /// A default policy: 3 restarts, checkpoint after every iteration at
-    /// `path`, escalation up to `qsub = 4`, no injected faults.
+    /// `path`, no injected faults.
     pub fn new(checkpoint_path: impl Into<std::path::PathBuf>) -> Self {
         SuperviseConfig {
             max_restarts: 3,
@@ -84,9 +80,7 @@ impl SuperviseConfig {
             // flight, trading a slightly staler resume point for bounded
             // checkpoint overhead on fault-free runs.
             checkpoint: CheckpointConfig::new(checkpoint_path).lazy(true),
-            max_qsub: 4,
             fault_plan: None,
-            dnc: DncConfig::default(),
             postmortem_dir: None,
         }
     }
@@ -97,22 +91,9 @@ impl SuperviseConfig {
         self
     }
 
-    /// Sets the escalation ladder depth for memory failures.
-    pub fn max_qsub(mut self, q: usize) -> Self {
-        self.max_qsub = q;
-        self
-    }
-
     /// Installs a fault plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the subset-scheduler configuration used by escalated
-    /// divide-and-conquer runs.
-    pub fn with_dnc(mut self, dnc: DncConfig) -> Self {
-        self.dnc = dnc;
         self
     }
 
@@ -166,24 +147,20 @@ pub fn classify_failure(e: &EfmError) -> FailureClass {
     }
 }
 
-/// Supervised cluster enumeration with exact integer arithmetic.
-pub fn enumerate_supervised(
-    net: &MetabolicNetwork,
-    opts: &EfmOptions,
-    cluster: &ClusterConfig,
+/// Supervised cluster enumeration of `problem` under `run`'s backend, which
+/// validation has made a cluster. See the module docs for the recovery
+/// state machine.
+pub(crate) fn supervise<P: BitPattern, S: EfmScalar>(
+    run: &Run,
     sup: &SuperviseConfig,
-) -> Result<EfmOutcome, EfmError> {
-    enumerate_supervised_with_scalar::<DynInt>(net, opts, cluster, sup)
-}
-
-/// Supervised cluster enumeration, generic over the scalar. See the module
-/// docs for the recovery state machine.
-pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
     net: &MetabolicNetwork,
-    opts: &EfmOptions,
-    cluster: &ClusterConfig,
-    sup: &SuperviseConfig,
-) -> Result<EfmOutcome, EfmError> {
+    red: &ReducedNetwork,
+    problem: &EfmProblem<S>,
+    escalation: &mut Vec<EscalationAttempt>,
+) -> Result<Solved, EfmError> {
+    let Backend::Cluster(cluster) = &run.backend else {
+        return Err(EfmError::InvalidRun("supervision requires the cluster backend"));
+    };
     // One injector for the whole session: point faults fire once across
     // restarts (the `Arc` carries the one-shot latches through every
     // attempt's ClusterConfig).
@@ -197,9 +174,14 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
     // survivors via `run_opts.stripe_weights`; every later attempt
     // (including plain restarts) runs on the degraded group.
     let mut nodes = cluster.nodes;
-    let mut run_opts = opts.clone();
+    let mut run_opts = run.opts.clone();
     let mut failovers: u32 = 0;
-    let mut ranks_lost: u32 = 0;
+    let finish = |mut solved: Solved, log: RecoveryLog, failovers: u32| {
+        solved.stats.recovery = log;
+        solved.stats.failovers += failovers;
+        solved.stats.ranks_lost += failovers;
+        solved
+    };
     loop {
         attempt += 1;
         // The backend is rebuilt per attempt: failover changes the rank
@@ -215,20 +197,10 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
         // engine below and discarded on the Checkpoint error path.
         let resume = load_checkpoint(&sup.checkpoint, attempt, &mut log)?;
         let resume_iter = resume.as_ref().map(|ck| ck.iterations_completed());
-        let result = enumerate_resumable_with_scalar::<S>(
-            net,
-            &run_opts,
-            &backend,
-            resume.as_ref(),
-            Some(&sup.checkpoint),
-        );
+        let result =
+            supports::<P, S>(problem, &run_opts, &backend, resume.as_ref(), Some(&sup.checkpoint));
         let err = match result {
-            Ok(mut out) => {
-                out.stats.recovery = log;
-                out.stats.failovers += failovers;
-                out.stats.ranks_lost += ranks_lost;
-                return Ok(out);
-            }
+            Ok(out) => return Ok(finish(out.into(), log, failovers)),
             Err(e) => e,
         };
         match classify_failure(&err) {
@@ -238,8 +210,10 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
             }
             FailureClass::Memory => {
                 // A restart replays into the same wall; deepen the
-                // divide-and-conquer ladder instead. The subproblems are
-                // different enumerations, so the checkpoint does not apply.
+                // divide-and-conquer ladder instead, from its first split:
+                // this failed attempt is the ladder's unsplit rung. The
+                // subproblems are different enumerations, so the
+                // checkpoint does not apply.
                 if efm_obs::enabled() {
                     efm_obs::instant_dyn(format!("supervisor: escalate after {err}"));
                 }
@@ -252,29 +226,19 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
                     resumed_from: None,
                 });
                 postmortem(sup, "escalate", &err.to_string(), &log);
-                if sup.max_qsub == 0 {
+                let Some(max_qsub) = run.escalate else {
                     log.events.push(give_up(attempt, &err));
                     postmortem(sup, "gave-up", &err.to_string(), &log);
                     return Err(exhausted(sup.max_restarts, err, log));
-                }
+                };
                 // The restart budget becomes per-subset: a crashed subset
                 // is retried alone, up to `max_restarts` times, without
                 // disturbing its siblings.
-                let dnc = DncConfig { max_retries: sup.max_restarts, ..sup.dnc.clone() };
-                return match enumerate_with_escalation_scheduled_scalar::<S>(
-                    net,
-                    &run_opts,
-                    &backend,
-                    sup.max_qsub,
-                    &dnc,
+                let dnc = DncConfig { max_retries: sup.max_restarts, ..run.dnc.clone() };
+                return match escalate::<P, S>(
+                    net, red, &run_opts, &backend, &dnc, max_qsub, err, escalation,
                 ) {
-                    Ok(esc) => {
-                        let mut out = esc.outcome;
-                        out.stats.recovery = log;
-                        out.stats.failovers += failovers;
-                        out.stats.ranks_lost += ranks_lost;
-                        Ok(out)
-                    }
+                    Ok(solved) => Ok(finish(solved, log, failovers)),
                     Err(e) => {
                         log.events.push(give_up(attempt, &e));
                         postmortem(sup, "gave-up", &e.to_string(), &log);
@@ -283,71 +247,49 @@ pub fn enumerate_supervised_with_scalar<S: EfmScalar>(
                 };
             }
             FailureClass::RankLost => {
-                let dead = match &err {
-                    EfmError::Cluster(ClusterError::RankLost { rank, .. }) => *rank,
-                    // classify_failure only returns RankLost for that
-                    // variant; an impossible index below forces the
-                    // restart fallback rather than a bad reassignment.
-                    _ => usize::MAX,
-                };
-                if nodes <= 1 || dead == 0 || dead >= nodes {
-                    // Cannot degrade further, or the loss is not a clean
-                    // non-coordinator death: fall back to the restart
-                    // ladder, burning budget like any retryable fault.
-                    restarts += 1;
-                    if restarts > sup.max_restarts {
-                        log.events.push(give_up(attempt, &err));
-                        postmortem(sup, "gave-up", &err.to_string(), &log);
-                        return Err(exhausted(sup.max_restarts, err, log));
-                    }
-                    if efm_obs::enabled() {
-                        efm_obs::instant_dyn(format!("supervisor: restart after {err}"));
-                    }
-                    log.events.push(RecoveryEvent {
-                        at_us: efm_obs::now_us(),
-                        attempt,
-                        error: err.to_string(),
-                        class: FailureClass::RankLost,
-                        action: RecoveryAction::Restarted,
-                        resumed_from: resume_iter,
-                    });
-                    postmortem(sup, "restart", &err.to_string(), &log);
-                    continue;
-                }
                 // In-place failover: re-enter at the current boundary with
                 // N−1 ranks, the dead rank's stripe redistributed across
                 // survivors. Deliberately does not consume the restart
                 // budget — the survivors' work is intact, nothing replays
-                // beyond the current iteration.
+                // beyond the current iteration. The checkpoint records the
+                // weights the interrupted attempt striped with.
+                let prior = resume.as_ref().map(|ck| ck.stripe_weights.as_slice());
+                let ev = fail_over(
+                    "supervisor: failover",
+                    &err,
+                    &mut nodes,
+                    &mut run_opts.stripe_weights,
+                    prior,
+                    attempt,
+                    resume_iter,
+                );
+                if let Some(ev) = ev {
+                    log.events.push(ev);
+                    postmortem(sup, "failover", &err.to_string(), &log);
+                    failovers += 1;
+                    continue;
+                }
+                // Cannot degrade further, or the loss is not a clean
+                // non-coordinator death: fall back to the restart ladder,
+                // burning budget like any retryable fault.
+                restarts += 1;
+                if restarts > sup.max_restarts {
+                    log.events.push(give_up(attempt, &err));
+                    postmortem(sup, "gave-up", &err.to_string(), &log);
+                    return Err(exhausted(sup.max_restarts, err, log));
+                }
                 if efm_obs::enabled() {
-                    efm_obs::instant_dyn(format!("supervisor: failover after {err}"));
+                    efm_obs::instant_dyn(format!("supervisor: restart after {err}"));
                 }
                 log.events.push(RecoveryEvent {
                     at_us: efm_obs::now_us(),
                     attempt,
                     error: err.to_string(),
                     class: FailureClass::RankLost,
-                    action: RecoveryAction::FailedOver,
+                    action: RecoveryAction::Restarted,
                     resumed_from: resume_iter,
                 });
-                postmortem(sup, "failover", &err.to_string(), &log);
-                // Stripe provenance: the checkpoint records the weights
-                // the interrupted attempt ran with; an absent checkpoint,
-                // or one without weights for this group, falls back to the
-                // weights this session is tracking, and a fresh fault-free
-                // session to the uniform split.
-                let prior = resume
-                    .as_ref()
-                    .map(|ck| ck.stripe_weights.clone())
-                    .filter(|w| w.len() == nodes)
-                    .or_else(|| run_opts.stripe_weights.clone().filter(|w| w.len() == nodes))
-                    .unwrap_or_else(|| vec![1; nodes]);
-                run_opts.stripe_weights = Some(survivor_weights(&prior, dead));
-                nodes -= 1;
-                failovers += 1;
-                ranks_lost += 1;
-                efm_obs::counter_add("failovers", 1);
-                efm_obs::counter_add("ranks lost", 1);
+                postmortem(sup, "restart", &err.to_string(), &log);
             }
             FailureClass::Retryable => {
                 let discard = matches!(err, EfmError::Checkpoint(_));
@@ -435,8 +377,25 @@ fn exhausted(max_restarts: u32, last: EfmError, log: RecoveryLog) -> EfmError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efm_cluster::ClusterTimeouts;
+    use crate::{EfmOptions, EfmOutcome};
+    use efm_cluster::{ClusterConfig, ClusterTimeouts};
+    use efm_numeric::DynInt;
     use std::time::Duration;
+
+    fn supervised(
+        net: &MetabolicNetwork,
+        opts: &EfmOptions,
+        cluster: &ClusterConfig,
+        sup: &SuperviseConfig,
+    ) -> Result<EfmOutcome, EfmError> {
+        let run = Run {
+            opts: opts.clone(),
+            backend: Backend::Cluster(cluster.clone()),
+            supervise: Some(sup.clone()),
+            ..Default::default()
+        };
+        run.enumerate::<DynInt>(net)
+    }
 
     fn temp_ckpt(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("efm-supervise-{}-{tag}", std::process::id()));
@@ -451,7 +410,7 @@ mod tests {
         let direct = crate::enumerate(&net, &opts).unwrap();
         let path = temp_ckpt("fault-free");
         let sup = SuperviseConfig::new(&path);
-        let out = enumerate_supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap();
+        let out = supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert!(out.stats.recovery.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -469,7 +428,7 @@ mod tests {
             "communicate",
             2,
         ));
-        let out = enumerate_supervised(&net, &opts, &ClusterConfig::new(3), &sup).unwrap();
+        let out = supervised(&net, &opts, &ClusterConfig::new(3), &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert_eq!(out.stats.recovery.restarts(), 1, "{}", out.stats.recovery);
         let ev = &out.stats.recovery.events[0];
@@ -491,7 +450,7 @@ mod tests {
             plan = plan.crash(0, "iteration", it);
         }
         let sup = SuperviseConfig::new(&path).max_restarts(2).with_fault_plan(plan);
-        let err = enumerate_supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap_err();
+        let err = supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap_err();
         match err {
             EfmError::RestartsExhausted { max_restarts: 2, last, log } => {
                 assert!(matches!(*last, EfmError::Cluster(_)), "{last:?}");
@@ -514,11 +473,11 @@ mod tests {
         // iteration and leaves the final checkpoint behind).
         let other = efm_metnet::generator::parallel_branches(4);
         let sup_other = SuperviseConfig::new(&path);
-        enumerate_supervised(&other, &opts, &ClusterConfig::new(2), &sup_other).unwrap();
+        supervised(&other, &opts, &ClusterConfig::new(2), &sup_other).unwrap();
         assert!(path.exists(), "checkpoint must persist after the other run");
         let direct = crate::enumerate(&net, &opts).unwrap();
         let sup = SuperviseConfig::new(&path);
-        let out = enumerate_supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap();
+        let out = supervised(&net, &opts, &ClusterConfig::new(2), &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert!(
             out.stats
@@ -544,7 +503,8 @@ mod tests {
         let mut cap = None;
         for bytes in [96u64, 128, 160, 192, 256, 320, 384] {
             let cfg = ClusterConfig::new(2).with_memory_limit(bytes);
-            match crate::enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(cfg)) {
+            let run = Run { backend: Backend::Cluster(cfg), ..Default::default() };
+            match run.enumerate::<DynInt>(&net) {
                 Err(EfmError::Cluster(e)) if e.is_memory_exceeded() => {
                     cap = Some(bytes);
                     break;
@@ -554,8 +514,14 @@ mod tests {
         }
         let Some(cap) = cap else { panic!("no cap tripped the unsplit toy run") };
         let cluster = ClusterConfig::new(2).with_memory_limit(cap * 4);
-        let sup = SuperviseConfig::new(&path).max_qsub(2);
-        match enumerate_supervised(&net, &opts, &cluster, &sup) {
+        let run = Run {
+            opts,
+            backend: Backend::Cluster(cluster),
+            escalate: Some(2),
+            supervise: Some(SuperviseConfig::new(&path)),
+            ..Default::default()
+        };
+        match run.enumerate::<DynInt>(&net) {
             Ok(out) => {
                 assert_eq!(out.efms, direct.efms);
                 assert!(
@@ -590,7 +556,7 @@ mod tests {
             .with_failover(true)
             .with_heartbeat(Duration::from_millis(5))
             .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
-        let out = enumerate_supervised(&net, &opts, &cluster, &sup).unwrap();
+        let out = supervised(&net, &opts, &cluster, &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert_eq!(out.stats.recovery.restarts(), 0, "{}", out.stats.recovery);
         assert_eq!(out.stats.failovers, 1);
@@ -624,7 +590,7 @@ mod tests {
             .with_failover(true)
             .with_heartbeat(Duration::from_millis(5))
             .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
-        let out = enumerate_supervised(&net, &opts, &cluster, &sup).unwrap();
+        let out = supervised(&net, &opts, &cluster, &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert_eq!(out.stats.failovers, 0, "{}", out.stats.recovery);
         assert_eq!(out.stats.recovery.restarts(), 1, "{}", out.stats.recovery);
@@ -647,7 +613,7 @@ mod tests {
             .with_failover(true)
             .with_heartbeat(Duration::from_millis(5))
             .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
-        let out = enumerate_supervised(&net, &opts, &cluster, &sup).unwrap();
+        let out = supervised(&net, &opts, &cluster, &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert_eq!(out.stats.recovery.restarts(), 0, "{}", out.stats.recovery);
         assert_eq!(out.stats.failovers, 2);
@@ -671,7 +637,7 @@ mod tests {
         ));
         let cluster =
             ClusterConfig::new(3).with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
-        let out = enumerate_supervised(&net, &opts, &cluster, &sup).unwrap();
+        let out = supervised(&net, &opts, &cluster, &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert_eq!(out.stats.failovers, 0);
         assert_eq!(out.stats.recovery.restarts(), 1, "{}", out.stats.recovery);
@@ -689,7 +655,7 @@ mod tests {
         let cluster =
             ClusterConfig::new(2).with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
         let sup = SuperviseConfig::new(&path).with_fault_plan(plan);
-        let out = enumerate_supervised(&net, &opts, &cluster, &sup).unwrap();
+        let out = supervised(&net, &opts, &cluster, &sup).unwrap();
         assert_eq!(out.efms, direct.efms);
         assert!(out.stats.recovery.is_empty(), "soft faults need no restart");
         let _ = std::fs::remove_file(&path);

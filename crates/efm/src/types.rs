@@ -20,7 +20,7 @@ pub enum RowOrdering {
 /// Elementarity test applied to candidate modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateTest {
-    /// The algebraic rank test of the paper ([18],[30]): the support
+    /// The algebraic rank test of the paper (\[18\],\[30\]): the support
     /// submatrix of the stoichiometry matrix must have nullity 1.
     Rank,
     /// The classical combinatorial adjacency (support-superset) test of the
@@ -634,6 +634,9 @@ pub enum EfmError {
         /// Every fault observed and action taken.
         log: RecoveryLog,
     },
+    /// A [`Run`](crate::Run) combines settings that exclude each other
+    /// (for example supervision with a partition); nothing was computed.
+    InvalidRun(&'static str),
 }
 
 impl std::fmt::Display for EfmError {
@@ -663,6 +666,7 @@ impl std::fmt::Display for EfmError {
             EfmError::RestartsExhausted { max_restarts, last, log } => {
                 write!(f, "supervisor exhausted {max_restarts} restarts; last error: {last}; recovery log:\n{log}")
             }
+            EfmError::InvalidRun(m) => write!(f, "invalid run: {m}"),
         }
     }
 }

@@ -24,7 +24,7 @@
 //! Tracing is **globally disabled by default**. Every recording entry
 //! point first loads one relaxed `AtomicBool`; on the disabled path no
 //! allocation, no lock, no clock read and no formatting happens —
-//! [`span`] returns an inert guard and the counter helpers return
+//! [`span`](fn@span) returns an inert guard and the counter helpers return
 //! immediately. Callers that must build a dynamic name (for example a
 //! per-link counter key) are expected to gate the `format!` behind
 //! [`enabled`] themselves, which every call site in this workspace does.

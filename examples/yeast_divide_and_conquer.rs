@@ -13,9 +13,7 @@
 //! ```
 
 use efm_suite::cluster::ClusterConfig;
-use efm_suite::efm::{
-    enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, EfmOptions,
-};
+use efm_suite::efm::{Backend, Run};
 use efm_suite::numeric::F64Tol;
 
 fn main() {
@@ -41,11 +39,13 @@ fn main() {
         net.num_internal(),
         net.num_reactions()
     );
-    let opts = EfmOptions::default();
-    let backend = Backend::Cluster(ClusterConfig::new(4));
+    // One Run per algorithm: Algorithm 2 on four ranks, then the same run
+    // with a partition, which makes it Algorithm 3.
+    let algorithm_2 =
+        Run { backend: Backend::Cluster(ClusterConfig::new(4)), ..Default::default() };
 
     println!("\n-- Algorithm 2 (combinatorial parallel, unsplit) --");
-    let unsplit = enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap();
+    let unsplit = algorithm_2.enumerate::<F64Tol>(&net).unwrap();
     println!(
         "EFMs: {}   candidates: {}   peak intermediate modes: {}   time: {:.2}s",
         unsplit.efms.len(),
@@ -55,9 +55,8 @@ fn main() {
     );
 
     println!("\n-- Algorithm 3 (combined, partition {{R89r, R74r}}) --");
-    let split =
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &["R89r", "R74r"], &backend)
-            .unwrap();
+    let algorithm_3 = Run { partition: vec!["R89r".into(), "R74r".into()], ..algorithm_2 };
+    let split = algorithm_3.enumerate::<F64Tol>(&net).unwrap();
     for s in &split.subsets {
         println!(
             "  subset {} [{}]: {} EFMs, {} candidates, peak {} modes, {:.2}s{}",

@@ -348,7 +348,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Length specification for [`vec`](fn@vec): an exact `usize` or a `Range<usize>`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -12,8 +12,7 @@
 
 use efm_bench::{network_i, pick_partition, Scale};
 use efm_core::{
-    enumerate_divide_conquer_scheduled_with_scalar, enumerate_with_scalar, Backend, CandidateTest,
-    DncConfig, DncSchedule, EfmOptions, EfmOutcome, KernelKind,
+    Backend, CandidateTest, DncConfig, DncSchedule, EfmOptions, EfmOutcome, KernelKind, Run,
 };
 use efm_metnet::examples::toy_network;
 use efm_numeric::{DynInt, F64Tol};
@@ -44,7 +43,11 @@ fn toy_paper_example_agrees_across_backends_and_schedules() {
     // The paper's §III.A worked example: partition across {r6r, r8r}.
     let net = toy_network();
     let opts = EfmOptions::default();
-    let reference = canon(&enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap());
+    let reference = canon(
+        &Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap(),
+    );
     let backends = [
         ("serial", Backend::Serial),
         ("rayon", Backend::Rayon),
@@ -52,13 +55,14 @@ fn toy_paper_example_agrees_across_backends_and_schedules() {
     ];
     for (bname, backend) in &backends {
         for schedule in schedules() {
-            let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-                &net,
-                &opts,
-                &["r6r", "r8r"],
-                backend,
-                &dnc(schedule, 2),
-            )
+            let out = Run {
+                opts: opts.clone(),
+                partition: vec!["r6r".into(), "r8r".into()],
+                backend: backend.clone(),
+                dnc: dnc(schedule, 2),
+                ..Default::default()
+            }
+            .enumerate::<DynInt>(&net)
             .unwrap();
             assert_eq!(
                 canon(&out),
@@ -73,19 +77,21 @@ fn toy_paper_example_agrees_across_backends_and_schedules() {
 fn yeast_lite_two_way_split_agrees_across_schedules() {
     let net = network_i(Scale::Lite);
     let opts = EfmOptions::default();
-    let direct = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let direct = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
     let reference = canon(&direct);
     let partition = pick_partition(&net, &direct.reduced, &["R89r", "R74r"], 2);
     assert_eq!(partition.len(), 2, "lite Network I must retain a 2-way split");
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     for schedule in schedules() {
-        let out = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-            &net,
-            &opts,
-            &names,
-            &Backend::Serial,
-            &dnc(schedule, 2),
-        )
+        let out = Run {
+            opts: opts.clone(),
+            partition: partition.clone(),
+            backend: Backend::Serial,
+            dnc: dnc(schedule, 2),
+            ..Default::default()
+        }
+        .enumerate::<F64Tol>(&net)
         .unwrap();
         assert_eq!(canon(&out), reference, "schedule {schedule} diverged on yeast-lite");
     }
@@ -102,22 +108,23 @@ fn yeast_lite_four_way_steal_matches_serial_schedule() {
     let (red, _) = efm_metnet::compress(&net);
     let partition = pick_partition(&net, &red, &["R89r", "R74r", "R90r", "R22r"], 4);
     assert_eq!(partition.len(), 4, "lite Network I must retain a 4-way split");
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
-    let serial = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &names,
-        &Backend::Serial,
-        &dnc(DncSchedule::Serial, 1),
-    )
+    let serial = Run {
+        opts: opts.clone(),
+        partition: partition.clone(),
+        backend: Backend::Serial,
+        dnc: dnc(DncSchedule::Serial, 1),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
     .unwrap();
-    let steal = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &names,
-        &Backend::Serial,
-        &dnc(DncSchedule::Steal, 4),
-    )
+    let steal = Run {
+        opts: opts.clone(),
+        partition: partition.clone(),
+        backend: Backend::Serial,
+        dnc: dnc(DncSchedule::Steal, 4),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
     .unwrap();
     assert_eq!(canon(&steal), canon(&serial));
     assert_eq!(steal.efms.len(), serial.efms.len());
@@ -130,19 +137,21 @@ fn yeast_lite_four_way_steal_matches_serial_schedule() {
 fn yeast_lite_cluster_backend_schedules_agree() {
     let net = network_i(Scale::Lite);
     let opts = EfmOptions::default();
-    let direct = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let direct = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
     let reference = canon(&direct);
     let partition = pick_partition(&net, &direct.reduced, &["R89r", "R74r"], 2);
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(2));
     for schedule in schedules() {
-        let out = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-            &net,
-            &opts,
-            &names,
-            &backend,
-            &dnc(schedule, 2),
-        )
+        let out = Run {
+            opts: opts.clone(),
+            partition: partition.clone(),
+            backend: backend.clone(),
+            dnc: dnc(schedule, 2),
+            ..Default::default()
+        }
+        .enumerate::<F64Tol>(&net)
         .unwrap();
         assert_eq!(canon(&out), reference, "cluster schedule {schedule} diverged");
     }
@@ -157,7 +166,9 @@ fn yeast_lite_cluster_backend_schedules_agree() {
 fn streaming_and_spill_agree_across_backends_and_schedules() {
     let net = toy_network();
     let reference = canon(
-        &enumerate_with_scalar::<DynInt>(&net, &EfmOptions::default(), &Backend::Serial).unwrap(),
+        &Run { opts: EfmOptions::default(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap(),
     );
     let backends = [
         ("serial", Backend::Serial),
@@ -170,20 +181,23 @@ fn streaming_and_spill_agree_across_backends_and_schedules() {
     ];
     for (bname, backend) in &backends {
         for (vname, opts) in &variants {
-            let direct = enumerate_with_scalar::<DynInt>(&net, opts, backend).unwrap();
+            let direct = Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+                .enumerate::<DynInt>(&net)
+                .unwrap();
             assert_eq!(
                 canon(&direct),
                 reference,
                 "backend {bname} / {vname}: direct run diverged from the default serial run"
             );
             for schedule in schedules() {
-                let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-                    &net,
-                    opts,
-                    &["r6r", "r8r"],
-                    backend,
-                    &dnc(schedule, 2),
-                )
+                let out = Run {
+                    opts: opts.clone(),
+                    partition: vec!["r6r".into(), "r8r".into()],
+                    backend: backend.clone(),
+                    dnc: dnc(schedule, 2),
+                    ..Default::default()
+                }
+                .enumerate::<DynInt>(&net)
                 .unwrap();
                 assert_eq!(
                     canon(&out),
@@ -213,7 +227,9 @@ fn backends_agree_on_every_iteration_for_both_tests() {
     for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
         let opts = EfmOptions { test, ..Default::default() };
         let run = |backend: &Backend| {
-            let out = enumerate_with_scalar::<DynInt>(&net, &opts, backend).unwrap();
+            let out = Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+                .enumerate::<DynInt>(&net)
+                .unwrap();
             let series: Vec<(u64, usize)> =
                 out.stats.iterations.iter().map(|i| (i.accepted, i.modes_after)).collect();
             (series, canon(&out))
@@ -240,24 +256,30 @@ fn kernel_on_off_agree_across_backends() {
     let net = toy_network();
     let scalar_opts = EfmOptions { kernel: KernelKind::Scalar, ..Default::default() };
     let simd_opts = EfmOptions { kernel: KernelKind::Simd, ..Default::default() };
-    let reference =
-        canon(&enumerate_with_scalar::<DynInt>(&net, &scalar_opts, &Backend::Serial).unwrap());
+    let reference = canon(
+        &Run { opts: scalar_opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap(),
+    );
     let backends = [
         ("serial", Backend::Serial),
         ("rayon", Backend::Rayon),
         ("cluster", Backend::Cluster(efm_cluster::ClusterConfig::new(3))),
     ];
     for (bname, backend) in &backends {
-        let simd = enumerate_with_scalar::<DynInt>(&net, &simd_opts, backend).unwrap();
+        let simd = Run { opts: simd_opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap();
         assert_eq!(canon(&simd), reference, "backend {bname}: simd kernel diverged from scalar");
         for schedule in schedules() {
-            let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-                &net,
-                &simd_opts,
-                &["r6r", "r8r"],
-                backend,
-                &dnc(schedule, 2),
-            )
+            let out = Run {
+                opts: simd_opts.clone(),
+                partition: vec!["r6r".into(), "r8r".into()],
+                backend: backend.clone(),
+                dnc: dnc(schedule, 2),
+                ..Default::default()
+            }
+            .enumerate::<DynInt>(&net)
             .unwrap();
             assert_eq!(
                 canon(&out),
@@ -275,10 +297,15 @@ fn kernel_on_off_agree_on_yeast_lite() {
     let net = network_i(Scale::Lite);
     let scalar_opts = EfmOptions { kernel: KernelKind::Scalar, ..Default::default() };
     let simd_opts = EfmOptions { kernel: KernelKind::Simd, ..Default::default() };
-    let reference =
-        canon(&enumerate_with_scalar::<F64Tol>(&net, &scalar_opts, &Backend::Serial).unwrap());
+    let reference = canon(
+        &Run { opts: scalar_opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap(),
+    );
     for (bname, backend) in [("serial", Backend::Serial), ("rayon", Backend::Rayon)] {
-        let simd = enumerate_with_scalar::<F64Tol>(&net, &simd_opts, &backend).unwrap();
+        let simd = Run { opts: simd_opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap();
         assert_eq!(canon(&simd), reference, "backend {bname}: simd kernel diverged on yeast-lite");
     }
 }
@@ -303,13 +330,14 @@ fn reports_are_id_ordered_and_stats_never_double_count() {
         let mut totals = Vec::new();
         for schedule in [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal] {
             let cfg = DncConfig { segment_iters, ..dnc(schedule, 3) };
-            let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-                &net,
-                &opts,
-                &["r6r", "r8r"],
-                &backend,
-                &cfg,
-            )
+            let out = Run {
+                opts: opts.clone(),
+                partition: vec!["r6r".into(), "r8r".into()],
+                backend: backend.clone(),
+                dnc: cfg.clone(),
+                ..Default::default()
+            }
+            .enumerate::<DynInt>(&net)
             .unwrap();
             let ids: Vec<usize> = out.subsets.iter().map(|s| s.id).collect();
             assert_eq!(ids, vec![0, 1, 2, 3], "{bname} {schedule}: reports out of id order");
@@ -351,10 +379,14 @@ fn failover_cluster(nodes: usize) -> efm_cluster::ClusterConfig {
 /// `RecoveryLog` showing failover and zero full restarts.
 #[test]
 fn killing_any_rank_at_any_phase_fails_over_to_identical_set() {
-    use efm_core::{enumerate_supervised_with_scalar, RecoveryAction, SuperviseConfig};
+    use efm_core::{RecoveryAction, SuperviseConfig};
     let net = toy_network();
     let opts = EfmOptions::default();
-    let reference = canon(&enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap());
+    let reference = canon(
+        &Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap(),
+    );
     let nodes = 3;
     let dir = std::env::temp_dir().join(format!("efm-kill-matrix-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -365,12 +397,13 @@ fn killing_any_rank_at_any_phase_fails_over_to_identical_set() {
             let seed = (victim * 10 + pi) as u64;
             let sup = SuperviseConfig::new(&path)
                 .with_fault_plan(efm_cluster::FaultPlan::new(seed).kill_rank(victim, phase, 1));
-            let out = enumerate_supervised_with_scalar::<DynInt>(
-                &net,
-                &opts,
-                &failover_cluster(nodes),
-                &sup,
-            )
+            let out = Run {
+                opts: opts.clone(),
+                backend: Backend::Cluster(failover_cluster(nodes)),
+                supervise: Some(sup.clone()),
+                ..Default::default()
+            }
+            .enumerate::<DynInt>(&net)
             .unwrap_or_else(|e| panic!("kill rank {victim} at {phase}: {e}"));
             assert_eq!(canon(&out), reference, "kill rank {victim} at {phase}: EFM set diverged");
             assert_eq!(
@@ -401,20 +434,25 @@ fn dnc_schedules_fail_over_killed_ranks_to_identical_set() {
     use efm_core::RecoveryAction;
     let net = toy_network();
     let opts = EfmOptions::default();
-    let reference = canon(&enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap());
+    let reference = canon(
+        &Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap(),
+    );
     for schedule in [DncSchedule::Static, DncSchedule::Steal] {
         // One one-shot kill in the shared base injector: whichever subset
         // group's rank 1 reaches generate[0] first loses that rank.
         let plan = efm_cluster::FaultPlan::new(77).kill_rank(1, "generate", 0);
         let base = failover_cluster(4)
             .with_injector(std::sync::Arc::new(efm_cluster::FaultInjector::new(plan)));
-        let out = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-            &net,
-            &opts,
-            &["r6r", "r8r"],
-            &Backend::Cluster(base),
-            &dnc(schedule, 2),
-        )
+        let out = Run {
+            opts: opts.clone(),
+            partition: vec!["r6r".into(), "r8r".into()],
+            backend: Backend::Cluster(base),
+            dnc: dnc(schedule, 2),
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
         .unwrap_or_else(|e| panic!("schedule {schedule}: {e}"));
         assert_eq!(canon(&out), reference, "schedule {schedule}: EFM set diverged");
         assert!(

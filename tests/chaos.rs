@@ -8,7 +8,7 @@
 //! a watchdog so a recovery bug shows up as a test failure, never a hang.
 
 use efm_cluster::{ClusterConfig, ClusterTimeouts, FaultPlan};
-use efm_core::{enumerate, enumerate_supervised, EfmError, EfmOptions, SuperviseConfig};
+use efm_core::{enumerate, EfmError, EfmOptions, Run, SuperviseConfig};
 use efm_metnet::examples::toy_network;
 use std::time::Duration;
 
@@ -49,7 +49,13 @@ fn supervised(
         let cluster = ClusterConfig::new(nodes)
             .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
         let sup = SuperviseConfig::new(&p).max_restarts(max_restarts).with_fault_plan(plan);
-        enumerate_supervised(&net, &opts, &cluster, &sup)
+        Run {
+            opts: opts.clone(),
+            backend: Backend::Cluster(cluster.clone()),
+            supervise: Some(sup.clone()),
+            ..Default::default()
+        }
+        .enumerate::<efm_numeric::DynInt>(&net)
     });
     let _ = std::fs::remove_file(&path);
     out
@@ -157,7 +163,7 @@ fn overwhelming_crash_plan_exhausts_budget_with_full_log() {
 // EFM set must be byte-identical to the fault-free run.
 // ---------------------------------------------------------------------------
 
-use efm_core::{enumerate_divide_conquer_scheduled_with_scalar, Backend, DncConfig, DncSchedule};
+use efm_core::{Backend, DncConfig, DncSchedule};
 
 /// One divide-and-conquer run of the toy {r6r, r8r} split on the cluster
 /// backend under the stealing schedule, with `plans` injected per subset.
@@ -179,13 +185,14 @@ fn dnc_run(
             fault_plans: plans,
             ..Default::default()
         };
-        enumerate_divide_conquer_scheduled_with_scalar::<efm_numeric::DynInt>(
-            &net,
-            &opts,
-            &["r6r", "r8r"],
-            &Backend::Cluster(cluster),
-            &dnc,
-        )
+        Run {
+            opts: opts.clone(),
+            partition: vec!["r6r".into(), "r8r".into()],
+            backend: Backend::Cluster(cluster),
+            dnc: dnc.clone(),
+            ..Default::default()
+        }
+        .enumerate::<efm_numeric::DynInt>(&net)
     })
 }
 
@@ -233,19 +240,18 @@ fn crashed_subset_beyond_budget_fails_the_run_with_typed_error() {
 // charged against the meter, so the cap can fire inside generation itself.
 // ---------------------------------------------------------------------------
 
-use efm_core::{enumerate_resumable_with_scalar, CheckpointConfig, EngineCheckpoint};
+use efm_core::{CheckpointConfig, EngineCheckpoint};
 
 #[test]
 fn hard_cap_mid_run_aborts_typed_and_resumes_byte_identical() {
     let net = toy_network();
     let opts = EfmOptions::default();
-    let uncapped = enumerate_resumable_with_scalar::<efm_numeric::DynInt>(
-        &net,
-        &opts,
-        &Backend::Cluster(ClusterConfig::new(3)),
-        None,
-        None,
-    )
+    let uncapped = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(ClusterConfig::new(3)),
+        ..Default::default()
+    }
+    .enumerate::<efm_numeric::DynInt>(&net)
     .unwrap();
     let peak = uncapped.stats.peak_bytes;
     assert!(peak > 0, "the cluster meter must charge real bytes");
@@ -259,13 +265,13 @@ fn hard_cap_mid_run_aborts_typed_and_resumes_byte_identical() {
         move || {
             let net = toy_network();
             let capped = ClusterConfig::new(3).with_memory_limit(peak - 1);
-            enumerate_resumable_with_scalar::<efm_numeric::DynInt>(
-                &net,
-                &EfmOptions::default(),
-                &Backend::Cluster(capped),
-                None,
-                Some(&CheckpointConfig::new(&path)),
-            )
+            Run {
+                opts: EfmOptions::default(),
+                backend: Backend::Cluster(capped),
+                checkpoint: Some(CheckpointConfig::new(&path)),
+                ..Default::default()
+            }
+            .enumerate::<efm_numeric::DynInt>(&net)
         }
     })
     .unwrap_err();
@@ -285,13 +291,13 @@ fn hard_cap_mid_run_aborts_typed_and_resumes_byte_identical() {
     // uncapped cluster recovers the exact set of the uninterrupted run.
     let ck = EngineCheckpoint::load(&path).expect("abort must leave an iteration snapshot");
     assert!(ck.iterations_completed() >= 1, "the cap tripped before the first checkpoint");
-    let resumed = enumerate_resumable_with_scalar::<efm_numeric::DynInt>(
-        &net,
-        &opts,
-        &Backend::Cluster(ClusterConfig::new(3)),
-        Some(&ck),
-        None,
-    )
+    let resumed = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(ClusterConfig::new(3)),
+        resume: Some(ck.clone()),
+        ..Default::default()
+    }
+    .enumerate::<efm_numeric::DynInt>(&net)
     .unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(resumed.efms, uncapped.efms, "resumed EFM set diverged from the uncapped run");
@@ -306,7 +312,7 @@ fn hard_cap_mid_run_aborts_typed_and_resumes_byte_identical() {
 // is the one case that must fall back to the restart ladder.
 // ---------------------------------------------------------------------------
 
-use efm_core::{enumerate_supervised_with_scalar, enumerate_with_scalar, RecoveryAction};
+use efm_core::RecoveryAction;
 
 /// One supervised run with failover enabled; the fault plan kills ranks
 /// rather than crashing them.
@@ -326,7 +332,13 @@ fn supervised_failover(
             .with_heartbeat(Duration::from_millis(5))
             .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(30)));
         let sup = SuperviseConfig::new(&p).max_restarts(3).with_fault_plan(plan);
-        enumerate_supervised(&net, &opts, &cluster, &sup)
+        Run {
+            opts: opts.clone(),
+            backend: Backend::Cluster(cluster.clone()),
+            supervise: Some(sup.clone()),
+            ..Default::default()
+        }
+        .enumerate::<efm_numeric::DynInt>(&net)
     });
     let _ = std::fs::remove_file(&path);
     out
@@ -398,8 +410,9 @@ fn network_i_lite() -> efm_metnet::MetabolicNetwork {
 fn yeast_lite_survives_a_mid_run_rank_kill() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let reference =
-        enumerate_with_scalar::<efm_numeric::F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let reference = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<efm_numeric::F64Tol>(&net)
+        .unwrap();
     let path = temp_ckpt("yeast-kill");
     let _ = std::fs::remove_file(&path);
     let out = within_seconds(300, {
@@ -412,12 +425,13 @@ fn yeast_lite_survives_a_mid_run_rank_kill() {
                 .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(60)));
             let plan = FaultPlan::new(1001).kill_rank(2, "communicate", 4);
             let sup = SuperviseConfig::new(&path).max_restarts(3).with_fault_plan(plan);
-            enumerate_supervised_with_scalar::<efm_numeric::F64Tol>(
-                &net,
-                &EfmOptions::default(),
-                &cluster,
-                &sup,
-            )
+            Run {
+                opts: EfmOptions::default(),
+                backend: Backend::Cluster(cluster.clone()),
+                supervise: Some(sup.clone()),
+                ..Default::default()
+            }
+            .enumerate::<efm_numeric::F64Tol>(&net)
         }
     })
     .unwrap();
@@ -435,8 +449,9 @@ fn yeast_lite_survives_a_mid_run_rank_kill() {
 fn yeast_lite_kill_matrix_fails_over_byte_identical() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let reference =
-        enumerate_with_scalar::<efm_numeric::F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let reference = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<efm_numeric::F64Tol>(&net)
+        .unwrap();
     for victim in 1..3usize {
         for (pi, phase) in PHASES.iter().enumerate() {
             let path = temp_ckpt(&format!("yeast-kill-{victim}-{phase}"));
@@ -452,12 +467,13 @@ fn yeast_lite_kill_matrix_fails_over_byte_identical() {
                         .with_timeouts(ClusterTimeouts::uniform(Duration::from_secs(60)));
                     let plan = FaultPlan::new(seed).kill_rank(victim, phase, 2);
                     let sup = SuperviseConfig::new(&path).max_restarts(3).with_fault_plan(plan);
-                    enumerate_supervised_with_scalar::<efm_numeric::F64Tol>(
-                        &net,
-                        &EfmOptions::default(),
-                        &cluster,
-                        &sup,
-                    )
+                    Run {
+                        opts: EfmOptions::default(),
+                        backend: Backend::Cluster(cluster.clone()),
+                        supervise: Some(sup.clone()),
+                        ..Default::default()
+                    }
+                    .enumerate::<efm_numeric::F64Tol>(&net)
                 }
             })
             .unwrap_or_else(|e| panic!("victim={victim} phase={phase}: {e}"));

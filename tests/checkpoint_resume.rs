@@ -3,10 +3,7 @@
 //! uninterrupted enumeration byte-for-byte (identical `EfmSet` bit
 //! matrices), across backends.
 
-use efm_core::{
-    enumerate_resumable_with_scalar, enumerate_with_scalar, Backend, CheckpointConfig, EfmOptions,
-    EngineCheckpoint,
-};
+use efm_core::{enumerate, Backend, CheckpointConfig, EfmOptions, EngineCheckpoint, Run};
 use efm_metnet::generator::{random_network, RandomNetworkParams};
 use efm_metnet::MetabolicNetwork;
 use efm_numeric::DynInt;
@@ -41,8 +38,13 @@ fn interrupted_checkpoint(
     let cfg = CheckpointConfig::new(path);
     // Err(ModeLimitExceeded) is the expected interruption; Ok means the
     // network fit under the cap and the snapshot is simply the final state.
-    let _ =
-        enumerate_resumable_with_scalar::<DynInt>(net, &capped, &Backend::Serial, None, Some(&cfg));
+    let _ = Run {
+        opts: capped.clone(),
+        backend: Backend::Serial,
+        checkpoint: Some(cfg.clone()),
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(net);
     EngineCheckpoint::load(path).ok()
 }
 
@@ -53,17 +55,10 @@ proptest! {
     fn resume_reproduces_uninterrupted_set(seed in 0u64..5000, cap in 2usize..40) {
         let net = net_for(seed);
         let opts = EfmOptions::default();
-        let full = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
+        let full = enumerate(&net, &opts).unwrap();
         let path = std::env::temp_dir().join(format!("efm_resume_{seed}_{cap}.efck"));
         let resume = interrupted_checkpoint(&net, cap, &path);
-        let resumed = enumerate_resumable_with_scalar::<DynInt>(
-            &net,
-            &opts,
-            &Backend::Serial,
-            resume.as_ref(),
-            None,
-        )
-        .unwrap();
+        let resumed = Run { opts, resume, ..Default::default() }.enumerate::<DynInt>(&net).unwrap();
         let _ = std::fs::remove_file(&path);
         // Byte-for-byte: EfmSet equality compares the packed bit matrices.
         prop_assert_eq!(resumed.efms, full.efms);
@@ -73,18 +68,13 @@ proptest! {
     fn serial_checkpoint_resumes_on_cluster(seed in 0u64..2000) {
         let net = net_for(seed);
         let opts = EfmOptions::default();
-        let full = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
+        let full = enumerate(&net, &opts).unwrap();
         let path = std::env::temp_dir().join(format!("efm_xresume_{seed}.efck"));
         let resume = interrupted_checkpoint(&net, 6, &path);
         let cluster = Backend::Cluster(efm_cluster::ClusterConfig::new(3));
-        let resumed = enumerate_resumable_with_scalar::<DynInt>(
-            &net,
-            &opts,
-            &cluster,
-            resume.as_ref(),
-            None,
-        )
-        .unwrap();
+        let resumed = Run { opts, backend: cluster, resume, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap();
         let _ = std::fs::remove_file(&path);
         prop_assert_eq!(resumed.efms, full.efms);
     }
@@ -128,8 +118,14 @@ fn resumed_cluster_run_carries_checkpoint_peaks() {
     ck.stats.arena_peak_bytes = ck.stats.arena_peak_bytes.max(1 << 38);
     let opts = EfmOptions::default();
     let cluster = Backend::Cluster(efm_cluster::ClusterConfig::new(3));
-    let resumed =
-        enumerate_resumable_with_scalar::<DynInt>(&net, &opts, &cluster, Some(&ck), None).unwrap();
+    let resumed = Run {
+        opts: opts.clone(),
+        backend: cluster.clone(),
+        resume: Some(ck.clone()),
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
+    .unwrap();
     assert!(
         resumed.stats.peak_bytes >= 1 << 40,
         "resumed peak_bytes {} lost the checkpoint high water",
@@ -224,9 +220,7 @@ fn resumed_cluster_run_counts_like_uninterrupted() {
 
 #[test]
 fn dnc_resume_skips_completed_subsets() {
-    use efm_core::{
-        enumerate_divide_conquer_scheduled_with_scalar, DncCheckpoint, DncConfig, DncSubsetResult,
-    };
+    use efm_core::{DncCheckpoint, DncConfig, DncSubsetResult};
     let net = efm_metnet::examples::toy_network();
     let opts = EfmOptions::default();
     let path = std::env::temp_dir().join(format!("efm_dnc_resume_{}.efck", std::process::id()));
@@ -235,13 +229,14 @@ fn dnc_resume_skips_completed_subsets() {
     // Full run, recording progress after every subset.
     let checkpointed =
         DncConfig { checkpoint: Some(CheckpointConfig::new(&path)), ..Default::default() };
-    let full = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-        &net,
-        &opts,
-        &["r6r", "r8r"],
-        &Backend::Serial,
-        &checkpointed,
-    )
+    let full = Run {
+        opts: opts.clone(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Serial,
+        dnc: checkpointed.clone(),
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     let complete = DncCheckpoint::load(&path).unwrap();
     assert_eq!(complete.done.len(), 4, "every subset must be recorded");
@@ -258,13 +253,14 @@ fn dnc_resume_skips_completed_subsets() {
         stats: Default::default(),
     });
     partial.save(&path).unwrap();
-    let resumed = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-        &net,
-        &opts,
-        &["r6r", "r8r"],
-        &Backend::Serial,
-        &DncConfig { resume: true, ..checkpointed.clone() },
-    )
+    let resumed = Run {
+        opts: opts.clone(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Serial,
+        dnc: DncConfig { resume: true, ..checkpointed.clone() },
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     assert_eq!(
         resumed.subsets[victim].efm_count, 0,
@@ -279,13 +275,14 @@ fn dnc_resume_skips_completed_subsets() {
     // Resuming from the *complete* record reproduces the full set exactly
     // without re-running anything.
     complete.save(&path).unwrap();
-    let replayed = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-        &net,
-        &opts,
-        &["r6r", "r8r"],
-        &Backend::Serial,
-        &DncConfig { resume: true, ..checkpointed },
-    )
+    let replayed = Run {
+        opts: opts.clone(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Serial,
+        dnc: DncConfig { resume: true, ..checkpointed },
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     assert_eq!(replayed.efms, full.efms);
     let _ = std::fs::remove_file(&path);
@@ -293,29 +290,31 @@ fn dnc_resume_skips_completed_subsets() {
 
 #[test]
 fn dnc_resume_rejects_mismatched_partition() {
-    use efm_core::{enumerate_divide_conquer_scheduled_with_scalar, DncConfig};
+    use efm_core::DncConfig;
     let net = efm_metnet::examples::toy_network();
     let opts = EfmOptions::default();
     let path = std::env::temp_dir().join(format!("efm_dnc_mismatch_{}.efck", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let checkpointed =
         DncConfig { checkpoint: Some(CheckpointConfig::new(&path)), ..Default::default() };
-    enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-        &net,
-        &opts,
-        &["r6r", "r8r"],
-        &Backend::Serial,
-        &checkpointed,
-    )
+    Run {
+        opts: opts.clone(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Serial,
+        dnc: checkpointed.clone(),
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     // Same file, different partition: the fingerprint must reject it.
-    let err = enumerate_divide_conquer_scheduled_with_scalar::<DynInt>(
-        &net,
-        &opts,
-        &["r8r"],
-        &Backend::Serial,
-        &DncConfig { resume: true, ..checkpointed },
-    )
+    let err = Run {
+        opts: opts.clone(),
+        partition: vec!["r8r".into()],
+        backend: Backend::Serial,
+        dnc: DncConfig { resume: true, ..checkpointed },
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap_err();
     assert!(
         matches!(err, efm_core::EfmError::Checkpoint(_)),

@@ -4,7 +4,7 @@
 
 use efm_cluster::{ClusterConfig, ClusterError};
 use efm_core::{
-    build_problem, cluster_supports, enumerate_with_scalar, phases, Backend, EfmError, EfmOptions,
+    build_problem, cluster_supports_resumable, phases, Backend, EfmError, EfmOptions, Run,
 };
 use efm_metnet::generator::layered_branches;
 use efm_metnet::{compress, examples::toy_network};
@@ -18,9 +18,14 @@ fn pair_grid_split_is_balanced() {
     let (red, _) = compress(&net);
     let opts = EfmOptions::default();
     let problem = build_problem::<DynInt>(&red, &opts).unwrap();
-    let out =
-        cluster_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts, &ClusterConfig::new(5))
-            .unwrap();
+    let out = cluster_supports_resumable::<efm_bitset::Pattern1, DynInt>(
+        &problem,
+        &opts,
+        &ClusterConfig::new(5),
+        None,
+        None,
+    )
+    .unwrap();
     let iters = out.per_rank[0].value.stats.iterations.len() as u64;
     // Every rank's `stats` hold whole-cluster totals; its own stripe's
     // pair count is the generation phase's work counter.
@@ -41,9 +46,14 @@ fn every_rank_reaches_identical_results() {
     let (red, _) = compress(&net);
     let opts = EfmOptions::default();
     let problem = build_problem::<DynInt>(&red, &opts).unwrap();
-    let out =
-        cluster_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts, &ClusterConfig::new(4))
-            .unwrap();
+    let out = cluster_supports_resumable::<efm_bitset::Pattern1, DynInt>(
+        &problem,
+        &opts,
+        &ClusterConfig::new(4),
+        None,
+        None,
+    )
+    .unwrap();
     let reference = &out.per_rank[0].value.supports;
     for rank in &out.per_rank[1..] {
         assert_eq!(&rank.value.supports, reference, "rank {} diverged", rank.rank);
@@ -57,9 +67,14 @@ fn phase_clocks_are_recorded() {
     let (red, _) = compress(&net);
     let opts = EfmOptions::default();
     let problem = build_problem::<DynInt>(&red, &opts).unwrap();
-    let out =
-        cluster_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts, &ClusterConfig::new(2))
-            .unwrap();
+    let out = cluster_supports_resumable::<efm_bitset::Pattern1, DynInt>(
+        &problem,
+        &opts,
+        &ClusterConfig::new(2),
+        None,
+        None,
+    )
+    .unwrap();
     for rank in &out.per_rank {
         for label in
             [phases::GENERATE, phases::DEDUP, phases::RANK, phases::COMMUNICATE, phases::MERGE]
@@ -80,14 +95,19 @@ fn memory_cap_aborts_cluster_run() {
     let net = layered_branches(5, 3); // 243 EFMs → a few KB of modes
     let opts = EfmOptions::default();
     let tiny = ClusterConfig::new(2).with_memory_limit(512);
-    match enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(tiny)) {
+    let run = Run { opts: opts.clone(), backend: Backend::Cluster(tiny), ..Default::default() };
+    match run.enumerate::<DynInt>(&net) {
         Err(EfmError::Cluster(ClusterError::MemoryExceeded { limit: 512, .. })) => {}
         other => panic!("expected memory abort, got {other:?}"),
     }
     // The same run fits with a generous cap and matches the serial result.
     let roomy = ClusterConfig::new(2).with_memory_limit(64 << 20);
-    let capped = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(roomy)).unwrap();
-    let serial = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
+    let capped = Run { opts: opts.clone(), backend: Backend::Cluster(roomy), ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
+    let serial = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
     assert_eq!(capped.efms, serial.efms);
 }
 
@@ -95,10 +115,16 @@ fn memory_cap_aborts_cluster_run() {
 fn single_rank_cluster_equals_serial() {
     let net = layered_branches(4, 2);
     let opts = EfmOptions::default();
-    let cluster =
-        enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(ClusterConfig::new(1)))
-            .unwrap();
-    let serial = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
+    let cluster = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(ClusterConfig::new(1)),
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
+    .unwrap();
+    let serial = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
     assert_eq!(cluster.efms, serial.efms);
     assert_eq!(
         cluster.stats.candidates_generated, serial.stats.candidates_generated,
@@ -170,7 +196,9 @@ fn asymmetric_stripe_abort_during_enumeration_returns_promptly() {
         let net = layered_branches(5, 3);
         let opts = EfmOptions::default();
         let tiny = ClusterConfig::new(3).with_memory_limit(2048);
-        enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Cluster(tiny)).unwrap_err()
+        Run { opts: opts.clone(), backend: Backend::Cluster(tiny), ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap_err()
     });
     match err {
         EfmError::Cluster(ClusterError::MemoryExceeded { .. }) => {}

@@ -2,12 +2,10 @@
 //! scalar, and elementarity test must produce the identical EFM set, and it
 //! must match the independent brute-force oracle.
 
-use efm_core::{
-    brute_force_efms, enumerate, enumerate_divide_conquer, enumerate_with, enumerate_with_scalar,
-    Backend, CandidateTest, EfmOptions, RowOrdering,
-};
+use efm_core::{brute_force_efms, enumerate, Backend, CandidateTest, EfmOptions, RowOrdering, Run};
 use efm_metnet::generator::{random_network, RandomNetworkParams};
 use efm_metnet::MetabolicNetwork;
+use efm_numeric::DynInt;
 use proptest::prelude::*;
 
 fn small_params() -> RandomNetworkParams {
@@ -47,11 +45,12 @@ proptest! {
         let net = oracle_net(seed);
         for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
             let o = EfmOptions { test, ..opts() };
-            let serial = enumerate_with(&net, &o, &Backend::Serial).unwrap();
-            let rayon = enumerate_with(&net, &o, &Backend::Rayon).unwrap();
-            let cluster =
-                enumerate_with(&net, &o, &Backend::Cluster(efm_cluster::ClusterConfig::new(3)))
-                    .unwrap();
+            let on = |backend| Run { opts: o.clone(), backend, ..Default::default() };
+            let serial = on(Backend::Serial).enumerate::<DynInt>(&net).unwrap();
+            let rayon = on(Backend::Rayon).enumerate::<DynInt>(&net).unwrap();
+            let cluster = on(Backend::Cluster(efm_cluster::ClusterConfig::new(3)))
+                .enumerate::<DynInt>(&net)
+                .unwrap();
             prop_assert_eq!(serial.efms.as_support_sets(), rayon.efms.as_support_sets());
             prop_assert_eq!(serial.efms.as_support_sets(), cluster.efms.as_support_sets());
         }
@@ -95,7 +94,8 @@ proptest! {
     fn float_scalar_agrees(seed in 0u64..5000) {
         let net = oracle_net(seed);
         let exact = enumerate(&net, &opts()).unwrap();
-        let float = enumerate_with_scalar::<efm_numeric::F64Tol>(&net, &opts(), &Backend::Serial)
+        let float = Run { opts: opts(), ..Default::default() }
+            .enumerate::<efm_numeric::F64Tol>(&net)
             .unwrap();
         prop_assert_eq!(exact.efms.as_support_sets(), float.efms.as_support_sets());
     }
@@ -137,8 +137,8 @@ proptest! {
         if names.is_empty() {
             return Ok(()); // no usable partition reaction in this draw
         }
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let dc = match enumerate_divide_conquer(&net, &opts(), &refs, &Backend::Serial) {
+        let run = Run { opts: opts(), partition: names, ..Default::default() };
+        let dc = match run.enumerate::<DynInt>(&net) {
             Ok(dc) => dc,
             // Structurally unusable partition (e.g. parallel reversible
             // reactions whose columns are dependent): the paper notes that
@@ -175,12 +175,13 @@ fn divide_conquer_three_way_on_toy() {
     let base = enumerate(&net, &EfmOptions::default()).unwrap();
     let oracle = brute_force_efms(&net, 12);
     assert_eq!(base.efms.as_support_sets(), oracle.as_support_sets());
-    let dc = enumerate_divide_conquer(
-        &net,
-        &EfmOptions::default(),
-        &["r1r", "r2r", "r3r"],
-        &Backend::Serial,
-    )
+    let dc = Run {
+        opts: EfmOptions::default(),
+        partition: vec!["r1r".into(), "r2r".into(), "r3r".into()],
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     assert_eq!(dc.subsets.len(), 8);
     assert_eq!(base.efms.as_support_sets(), dc.efms.as_support_sets());

@@ -14,9 +14,7 @@
 //! with `--nocapture` and copy the printed `(count, digest)` pair.
 
 use efm_bench::{network_i, network_ii, pick_partition, Scale};
-use efm_core::{
-    enumerate_divide_conquer_scheduled_with_scalar, Backend, DncConfig, DncSchedule, EfmOutcome,
-};
+use efm_core::{Backend, DncConfig, DncSchedule, EfmOutcome, Run};
 use efm_numeric::F64Tol;
 
 /// FNV-1a over the canonical (sorted) support sets, length-prefixed so
@@ -49,15 +47,15 @@ fn run_case(
     let (red, _) = efm_metnet::compress(net);
     let partition = pick_partition(net, &red, preferred, qsub);
     assert_eq!(partition.len(), qsub, "network must retain a {qsub}-way split");
-    let names: Vec<&str> = partition.iter().map(String::as_str).collect();
     let dnc = DncConfig { schedule, workers: 2, ..Default::default() };
-    let out = enumerate_divide_conquer_scheduled_with_scalar::<F64Tol>(
-        net,
-        &efm_core::EfmOptions::default(),
-        &names,
-        &Backend::Serial,
-        &dnc,
-    )
+    let out = Run {
+        opts: efm_core::EfmOptions::default(),
+        partition: partition.clone(),
+        backend: Backend::Serial,
+        dnc: dnc.clone(),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(net)
     .unwrap();
     (partition, digest(&out))
 }

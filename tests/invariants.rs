@@ -215,7 +215,7 @@ proptest! {
         let mut union: Vec<Vec<usize>> = Vec::new();
         let mut seen: Vec<Vec<usize>> = Vec::new();
         for id in 0..1usize << qsub {
-            let Some((sups, _)) = efm_core::run_subset::<efm_bitset::Pattern1, efm_numeric::DynInt>(
+            let Some((sups, _)) = efm_core::run_subset::<efm_numeric::DynInt>(
                 &red,
                 &partition,
                 id,

@@ -4,7 +4,7 @@
 //! tests are `#[ignore]`d out of the default suite and run by the CI
 //! `low-memory` job via `--include-ignored`.
 
-use efm_core::{enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, EfmOptions};
+use efm_core::{Backend, EfmOptions, Run};
 use efm_metnet::{parse_network, MetabolicNetwork};
 use efm_numeric::F64Tol;
 
@@ -29,24 +29,28 @@ fn network_i_lite() -> MetabolicNetwork {
 fn capped_cluster_run_fits_its_own_peak_and_matches_serial() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let serial = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let serial = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
 
-    let uncapped = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(4)),
-    )
+    let uncapped = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(efm_cluster::ClusterConfig::new(4)),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
     .unwrap();
     assert_eq!(uncapped.efms, serial.efms);
     let cap = uncapped.stats.peak_bytes;
     assert!(cap > 0, "the cluster meter must charge real bytes");
 
     // The deterministic replay fits exactly at its own high-water mark.
-    let capped = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(4).with_memory_limit(cap)),
-    )
+    let capped = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(efm_cluster::ClusterConfig::new(4).with_memory_limit(cap)),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
     .unwrap();
     assert_eq!(capped.efms, serial.efms, "capped run diverged from serial");
     assert!(capped.stats.stream_batches > 0, "streaming pipeline must have run");
@@ -61,7 +65,9 @@ fn spilled_dnc_assembly_is_set_identical_on_yeast_lite() {
     let opts = EfmOptions::default();
     // Two reversible reduced reactions make a 4-subset partition (same
     // selection logic as tests/yeast_lite.rs).
-    let probe = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let probe = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
     let mut names: Vec<String> = Vec::new();
     let mut used = Vec::new();
     for rxn in &net.reactions {
@@ -78,14 +84,23 @@ fn spilled_dnc_assembly_is_set_identical_on_yeast_lite() {
         }
     }
     assert_eq!(names.len(), 2, "lite network must retain two reversible reactions");
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let inline =
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &refs, &Backend::Serial)
-            .unwrap();
+    let inline = Run {
+        opts: opts.clone(),
+        partition: names.clone(),
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
+    .unwrap();
     let spill_opts = EfmOptions { spill_budget: Some(0), ..opts };
-    let spilled =
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &spill_opts, &refs, &Backend::Serial)
-            .unwrap();
+    let spilled = Run {
+        opts: spill_opts.clone(),
+        partition: names.clone(),
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
+    .unwrap();
     assert_eq!(spilled.efms, inline.efms, "spilled assembly diverged from inline");
     assert_eq!(spilled.efms, probe.efms, "divide-and-conquer diverged from the direct run");
     assert!(

@@ -3,8 +3,7 @@
 //! §II.E / §III.A divide-and-conquer subsets).
 
 use efm_core::{
-    build_problem, enumerate, enumerate_divide_conquer, recover_flux, serial_supports_traced,
-    verify_flux, Backend, EfmOptions,
+    build_problem, enumerate, recover_flux, serial_supports, verify_flux, Backend, EfmOptions, Run,
 };
 use efm_metnet::{compress, examples::toy_network};
 use efm_numeric::{DynInt, Rational};
@@ -66,12 +65,12 @@ fn fig2_iteration_trace() {
     assert_eq!(problem.free_count, 4);
     assert_eq!(problem.kernel.cols(), 4, "initial nullspace has 4 columns");
 
-    let mut trace = Vec::new();
-    let (sups, stats) =
-        serial_supports_traced::<efm_bitset::Pattern1, DynInt>(&problem, &opts, |it| {
-            trace.push((it.reaction.clone(), it.reversible, it.pairs, it.accepted, it.modes_after));
-        })
-        .unwrap();
+    let (sups, stats) = serial_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts).unwrap();
+    let trace: Vec<_> = stats
+        .iterations
+        .iter()
+        .map(|it| (it.reaction.clone(), it.reversible, it.pairs, it.accepted, it.modes_after))
+        .collect();
     assert_eq!(sups.len(), 8);
     assert_eq!(trace.len(), 4, "four R(2) rows are processed");
 
@@ -104,9 +103,14 @@ fn section_3a_divide_and_conquer_subsets() {
     // §III.A: partitioning across {r6r, r8r} gives four subproblems with
     // exactly two EFMs each.
     let net = toy_network();
-    let out =
-        enumerate_divide_conquer(&net, &EfmOptions::default(), &["r6r", "r8r"], &Backend::Serial)
-            .unwrap();
+    let out = Run {
+        opts: EfmOptions::default(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
+    .unwrap();
     assert_eq!(out.subsets.len(), 4);
     for s in &out.subsets {
         assert_eq!(s.efm_count, 2, "subset {} ({}) (paper finds two EFMs each)", s.id, s.pattern);

@@ -6,7 +6,10 @@
 //! `OBS_LOCK` and resets the registry before touching them (separate test
 //! binaries are separate processes and cannot race these).
 
-use efm_core::{enumerate_with_scalar, Backend, EfmOptions};
+use efm_cluster::ClusterConfig;
+use efm_core::{
+    Backend, DncConfig, EfmError, EfmOptions, EfmOutcome, RecoveryAction, Run, SuperviseConfig,
+};
 use efm_metnet::generator::{random_network, RandomNetworkParams};
 use efm_metnet::{parse_network, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
@@ -72,7 +75,11 @@ fn chrome_trace_roundtrips_and_nests() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
     let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(3));
-    let (out, snap) = traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap());
+    let (out, snap) = traced(|| {
+        Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap()
+    });
     assert!(!out.efms.is_empty());
     assert!(snap.event_count() > 0, "a traced cluster run must record events");
 
@@ -107,8 +114,11 @@ fn jsonl_export_is_line_wise_valid() {
     let _g = OBS_LOCK.lock().unwrap();
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let (_, snap) =
-        traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap());
+    let (_, snap) = traced(|| {
+        Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap()
+    });
     let text = efm_obs::export::jsonl(&snap);
     let mut lines = 0;
     let mut last_ts_per_tid: BTreeMap<i64, f64> = BTreeMap::new();
@@ -137,8 +147,11 @@ fn metrics_json_carries_engine_counters() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
     for backend in [Backend::Serial, Backend::Cluster(efm_cluster::ClusterConfig::new(3))] {
-        let (out, snap) =
-            traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap());
+        let (out, snap) = traced(|| {
+            Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+                .enumerate::<F64Tol>(&net)
+                .unwrap()
+        });
         let text = efm_obs::export::metrics_json(&snap);
         let root = efm_obs::json::parse(&text).expect("metrics must be valid JSON");
         let counters = root.get("counters").expect("counters object");
@@ -157,9 +170,14 @@ fn tracing_is_inert_on_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
     efm_obs::set_enabled(false);
-    let plain = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
-    let (traced_out, snap) =
-        traced(|| enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap());
+    let plain = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
+    let (traced_out, snap) = traced(|| {
+        Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap()
+    });
     assert_eq!(plain.efms, traced_out.efms, "tracing must not change the EFM set");
     assert_eq!(plain.stats.candidates_generated, traced_out.stats.candidates_generated);
     assert_eq!(plain.stats.rank_tests, traced_out.stats.rank_tests);
@@ -174,7 +192,9 @@ fn chrome_trace_flow_events_pair_up() {
     let opts = EfmOptions::default();
     let backend = Backend::Cluster(efm_cluster::ClusterConfig::new(3));
     let (_, snap) = traced(|| {
-        enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap();
+        Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap();
         // A deliberately dangling flow: started, never finished. The
         // exporter must drop the whole chain, not emit an unpaired "s".
         let dangling = efm_obs::next_flow_id();
@@ -207,6 +227,94 @@ fn chrome_trace_flow_events_pair_up() {
     assert!(
         !events.iter().any(|e| e.get("name").and_then(Value::as_str) == Some("dangling")),
         "dangling flows must be dropped at export"
+    );
+}
+
+/// Counts the spans named `name` opened on any track.
+fn spans_named(snap: &efm_obs::Snapshot, name: &str) -> usize {
+    snap.tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, efm_obs::EventKind::Begin) && e.name == name)
+        .count()
+}
+
+fn is_memory(r: &Result<EfmOutcome, EfmError>) -> bool {
+    matches!(r, Err(EfmError::Cluster(e)) if e.is_memory_exceeded())
+}
+
+/// The supervised memory-escalation case: the network is compressed once
+/// for the whole session, and the unsplit enumeration runs once — the
+/// supervisor's failed attempt is the ladder's unsplit rung, not replayed
+/// by it. Every rank of every cluster run opens one `setup` span, so the
+/// session's `setup` spans are the failed attempt's plus each rung's.
+#[test]
+fn supervised_escalation_compresses_once_and_runs_unsplit_once() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let net = efm_metnet::examples::toy_network();
+    let capped = |bytes| Backend::Cluster(ClusterConfig::new(2).with_memory_limit(bytes));
+    let on = |backend| Run { backend, ..Default::default() };
+    // The largest cap that still aborts the unsplit toy run: its subsets
+    // then have the most room.
+    let cap = [96u64, 128, 160, 192, 256, 320, 384, 512, 768, 1024]
+        .into_iter()
+        .filter(|&b| is_memory(&on(capped(b)).enumerate::<DynInt>(&net)))
+        .max()
+        .expect("some cap trips the unsplit toy run");
+    let (direct, direct_snap) = traced(|| on(capped(cap)).enumerate::<DynInt>(&net));
+    assert!(is_memory(&direct));
+    assert_eq!(spans_named(&direct_snap, "setup"), 2, "one setup span per rank");
+
+    let dir = std::env::temp_dir().join(format!("efm-telemetry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("escalate.efck");
+    let _ = std::fs::remove_file(&path);
+    let sup = SuperviseConfig::new(&path);
+    let session = Run {
+        backend: capped(cap),
+        escalate: Some(2),
+        supervise: Some(sup.clone()),
+        ..Default::default()
+    };
+    let (result, snap) = traced(|| session.enumerate::<DynInt>(&net));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(spans_named(&snap, "compress"), 1, "one compression per session");
+
+    // The rungs that ran, from the outcome or (when every rung failed)
+    // from the same suggestions the ladder took.
+    let rungs: Vec<Vec<String>> = match &result {
+        Ok(out) => {
+            assert_eq!(out.escalation.iter().filter(|a| a.qsub == 0).count(), 1);
+            assert!(out.escalation[0].error.is_some(), "the unsplit rung is the failed attempt");
+            assert!(out.escalation.last().unwrap().error.is_none());
+            out.escalation.iter().skip(1).map(|a| a.partition.clone()).collect()
+        }
+        Err(EfmError::RestartsExhausted { log, .. }) => {
+            let escalations =
+                log.events.iter().filter(|e| e.action == RecoveryAction::Escalated).count();
+            assert_eq!(escalations, 1, "{log}");
+            let (red, _) = efm_metnet::compress(&net);
+            (1..=2)
+                .map(|q| (q, efm_core::suggest_partition(&net, &red, q)))
+                .take_while(|(q, p)| p.len() >= *q)
+                .map(|(_, p)| p)
+                .collect()
+        }
+        Err(other) => panic!("unexpected {other:?}"),
+    };
+    let dnc = DncConfig { max_retries: sup.max_restarts, ..Default::default() };
+    let rung_setups: usize = rungs
+        .into_iter()
+        .map(|partition| {
+            let rung =
+                Run { backend: capped(cap), partition, dnc: dnc.clone(), ..Default::default() };
+            spans_named(&traced(|| rung.enumerate::<DynInt>(&net)).1, "setup")
+        })
+        .sum();
+    assert_eq!(
+        spans_named(&snap, "setup"),
+        2 + rung_setups,
+        "the unsplit attempt ran once; the ladder did not replay it"
     );
 }
 
@@ -335,9 +443,9 @@ proptest! {
             _ => Backend::Cluster(efm_cluster::ClusterConfig::new(3)),
         };
         efm_obs::set_enabled(false);
-        let plain = enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap();
-        let (traced_out, _) =
-            traced(|| enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap());
+        let run = Run { opts, backend, ..Default::default() };
+        let plain = run.enumerate::<F64Tol>(&net).unwrap();
+        let (traced_out, _) = traced(|| run.enumerate::<F64Tol>(&net).unwrap());
         prop_assert_eq!(&plain.efms, &traced_out.efms);
         prop_assert_eq!(plain.stats.candidates_generated, traced_out.stats.candidates_generated);
         prop_assert_eq!(plain.stats.tree_pruned, traced_out.stats.tree_pruned);

@@ -4,10 +4,7 @@
 //! disjoint and complete, and the candidate-count reduction the paper
 //! reports for the split shows up.
 
-use efm_core::{
-    enumerate_divide_conquer_with_scalar, enumerate_with_scalar, Backend, CandidateTest,
-    EfmOptions, RunStats,
-};
+use efm_core::{Backend, CandidateTest, EfmOptions, Run, RunStats};
 use efm_metnet::{parse_network, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
 
@@ -34,8 +31,12 @@ fn accepted_series(stats: &RunStats) -> Vec<(u64, usize)> {
 fn exact_and_float_agree_on_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let float = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
-    let exact = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
+    let float = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
+    let exact = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
     assert_eq!(exact.efms.len(), float.efms.len());
     assert_eq!(exact.efms, float.efms, "exact and f64 EFM sets must coincide");
     assert_eq!(
@@ -59,12 +60,15 @@ fn exact_and_float_agree_on_yeast_lite() {
 fn float_rank_test_matches_exact_on_every_iteration_of_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let float = enumerate_with_scalar::<DynInt>(&net, &opts, &Backend::Serial).unwrap();
-    let exact = enumerate_with_scalar::<DynInt>(
-        &net,
-        &EfmOptions { exact_rank_test: true, ..opts },
-        &Backend::Serial,
-    )
+    let float = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<DynInt>(&net)
+        .unwrap();
+    let exact = Run {
+        opts: EfmOptions { exact_rank_test: true, ..opts },
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<DynInt>(&net)
     .unwrap();
     let series = |s: &efm_core::RunStats| -> Vec<(u64, u64, u64, usize)> {
         s.iterations.iter().map(|r| (r.pairs, r.deduped, r.accepted, r.modes_after)).collect()
@@ -77,7 +81,9 @@ fn float_rank_test_matches_exact_on_every_iteration_of_yeast_lite() {
 fn divide_and_conquer_reduces_candidates_on_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let unsplit = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
+    let unsplit = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
     // The lite trimming fixes the direction of some of the paper's
     // partition reactions; pick two that are still reversible.
     let mut names: Vec<String> = Vec::new();
@@ -96,10 +102,14 @@ fn divide_and_conquer_reduces_candidates_on_yeast_lite() {
         }
     }
     assert_eq!(names.len(), 2, "lite network must retain two reversible reactions");
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let split =
-        enumerate_divide_conquer_with_scalar::<F64Tol>(&net, &opts, &refs, &Backend::Serial)
-            .unwrap();
+    let split = Run {
+        opts: opts.clone(),
+        partition: names.clone(),
+        backend: Backend::Serial,
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
+    .unwrap();
     // Same EFM set.
     assert_eq!(unsplit.efms, split.efms);
     // Disjoint subsets covering the union.
@@ -127,12 +137,15 @@ fn divide_and_conquer_reduces_candidates_on_yeast_lite() {
 fn cluster_backend_agrees_on_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
-    let serial = enumerate_with_scalar::<F64Tol>(&net, &opts, &Backend::Serial).unwrap();
-    let cluster = enumerate_with_scalar::<F64Tol>(
-        &net,
-        &opts,
-        &Backend::Cluster(efm_cluster::ClusterConfig::new(4)),
-    )
+    let serial = Run { opts: opts.clone(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
+    let cluster = Run {
+        opts: opts.clone(),
+        backend: Backend::Cluster(efm_cluster::ClusterConfig::new(4)),
+        ..Default::default()
+    }
+    .enumerate::<F64Tol>(&net)
     .unwrap();
     assert_eq!(serial.efms, cluster.efms);
     assert_eq!(serial.stats.candidates_generated, cluster.stats.candidates_generated);
@@ -146,12 +159,15 @@ fn cluster_backend_agrees_on_yeast_lite() {
 #[test]
 fn adjacency_matches_rank_on_yeast_lite() {
     let net = network_i_lite();
-    let rank =
-        enumerate_with_scalar::<F64Tol>(&net, &EfmOptions::default(), &Backend::Serial).unwrap();
+    let rank = Run { opts: EfmOptions::default(), backend: Backend::Serial, ..Default::default() }
+        .enumerate::<F64Tol>(&net)
+        .unwrap();
     assert_eq!(rank.efms.len(), 5194);
     let opts = EfmOptions { test: CandidateTest::Adjacency, ..Default::default() };
     for backend in [Backend::Serial, Backend::Cluster(efm_cluster::ClusterConfig::new(4))] {
-        let adjacency = enumerate_with_scalar::<F64Tol>(&net, &opts, &backend).unwrap();
+        let adjacency = Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap();
         assert_eq!(adjacency.efms, rank.efms, "{backend:?}");
     }
 }
@@ -165,12 +181,13 @@ fn adjacency_matches_rank_on_network_ii_lite() {
     let net = network_without(efm_metnet::yeast::NETWORK_II_TEXT, &["R15", "R70", "R56"]);
     let run = |test| {
         let opts = EfmOptions { test, ..Default::default() };
-        enumerate_divide_conquer_with_scalar::<DynInt>(
-            &net,
-            &opts,
-            &["R74r", "R88r"],
-            &Backend::Rayon,
-        )
+        Run {
+            opts: opts.clone(),
+            partition: vec!["R74r".into(), "R88r".into()],
+            backend: Backend::Rayon,
+            ..Default::default()
+        }
+        .enumerate::<DynInt>(&net)
         .unwrap()
     };
     let rank = run(CandidateTest::Rank);
