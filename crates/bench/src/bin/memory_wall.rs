@@ -217,7 +217,7 @@ fn main() {
                 out.escalation.len() > 1
             );
         }
-        Err(e) => println!("escalation exhausted: {e} — raise --limit or deepen the ladder"),
+        Err(e) => println!("escalation failed: {e} — raise --limit or deepen the ladder"),
     }
     let _ = std::fs::remove_file(&ck_path);
 }

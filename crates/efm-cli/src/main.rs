@@ -58,7 +58,7 @@
 
 use efm_core::{
     Backend, CandidateTest, CheckpointConfig, DncCheckpoint, DncConfig, DncSchedule, EfmError,
-    EfmOptions, EfmOutcome, EngineCheckpoint, RowOrdering, Run, SuperviseConfig,
+    EfmOptions, EfmOutcome, EngineCheckpoint, EscalationAttempt, RowOrdering, Run, SuperviseConfig,
 };
 use efm_metnet::{examples, parse_metatool, parse_network, to_metatool, yeast, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
@@ -393,6 +393,12 @@ fn run<S: efm_core::EfmScalar>(
             eprintln!("error: {e}");
             usage();
         }
+        Err(EfmError::EscalationExhausted { last, attempts }) => {
+            for a in &attempts {
+                eprintln!("{}", escalation_line(a));
+            }
+            return Err(EfmError::EscalationExhausted { last, attempts });
+        }
         out => out?,
     };
     if let Some(path) = temp_checkpoint {
@@ -404,18 +410,24 @@ fn run<S: efm_core::EfmScalar>(
     }
     if !args.quiet && !args.supervise {
         for a in &out.escalation {
-            let what = if a.qsub == 0 {
-                "direct".to_string()
-            } else {
-                format!("divide-and-conquer over {{{}}}", a.partition.join(","))
-            };
-            match &a.error {
-                Some(e) => println!("escalation: {what} failed: {e}"),
-                None => println!("escalation: {what} succeeded"),
-            }
+            println!("{}", escalation_line(a));
         }
     }
     Ok(out)
+}
+
+/// One line of the escalation report: what the attempt ran and how it
+/// ended.
+fn escalation_line(a: &EscalationAttempt) -> String {
+    let what = if a.qsub == 0 {
+        "direct".to_string()
+    } else {
+        format!("divide-and-conquer over {{{}}}", a.partition.join(","))
+    };
+    match &a.error {
+        Some(e) => format!("escalation: {what} failed: {e}"),
+        None => format!("escalation: {what} succeeded"),
+    }
 }
 
 /// Writes `--trace-out` / `--metrics-out` files from the global telemetry

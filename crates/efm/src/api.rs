@@ -12,7 +12,7 @@ use crate::checkpoint::{CheckpointConfig, EngineCheckpoint};
 use crate::cluster_algo::cluster_supports_resumable;
 use crate::divide::{Backend, SubsetReport};
 use crate::drivers::{rayon_run, serial_run, SupportsAndStats};
-use crate::escalate::{escalate, is_memory, EscalationAttempt};
+use crate::escalate::{escalate, EscalationAttempt};
 use crate::problem::{build_problem, EfmProblem};
 use crate::schedule::{run_partition, DncConfig};
 use crate::supervise::{supervise, SuperviseConfig};
@@ -132,7 +132,9 @@ impl Run {
         self.validate()?;
         let (red, compression) = {
             let _span = efm_obs::span("compress");
-            compress_with(net, &self.opts.compression)
+            let out = compress_with(net, &self.opts.compression);
+            efm_obs::counter_add("lp solves", out.1.lp_solves as u64);
+            out
         };
         let mut escalation = Vec::new();
         let solved = if red.num_reduced() == 0 {
@@ -213,7 +215,7 @@ fn run_width<P: BitPattern, S: EfmScalar>(
         run.checkpoint.as_ref(),
     );
     match (direct, run.escalate) {
-        (Err(e), Some(max_qsub)) if is_memory(&e) => {
+        (Err(e), Some(max_qsub)) if e.is_memory_exceeded() => {
             escalate::<P, S>(net, red, &run.opts, &run.backend, &run.dnc, max_qsub, e, escalation)
         }
         (Ok(out), Some(_)) => {

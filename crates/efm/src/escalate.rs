@@ -23,7 +23,7 @@ use efm_bitset::BitPattern;
 use efm_metnet::{MetabolicNetwork, ReducedNetwork};
 
 /// One rung of the escalation ladder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EscalationAttempt {
     /// Number of partition reactions (`0` = the unsplit direct run).
     pub qsub: usize,
@@ -33,11 +33,6 @@ pub struct EscalationAttempt {
     pub error: Option<String>,
 }
 
-/// Whether `e` is a memory abort, the one failure a split can fix.
-pub(crate) fn is_memory(e: &EfmError) -> bool {
-    matches!(e, EfmError::Cluster(ce) if ce.is_memory_exceeded())
-}
-
 /// The escalation ladder after the direct run failed with `direct_err`, a
 /// memory abort: records that failure as the `qsub = 0` attempt, then for
 /// `qsub = 1, 2, ..., max_qsub` asks [`suggest_partition`] for a reaction
@@ -45,8 +40,9 @@ pub(crate) fn is_memory(e: &EfmError) -> bool {
 /// divide-and-conquer over the `2^qsub` subsets under `dnc`, stopping at
 /// the first success. Every failure that is *not* a memory abort
 /// propagates immediately — escalation cannot fix a protocol error or a
-/// panic. If every rung fails (or no further split exists), the last
-/// memory error is returned.
+/// panic. If every rung fails (or no further split exists), the ladder
+/// moves out of `attempts` into [`EfmError::EscalationExhausted`] with the
+/// last memory error.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn escalate<P: BitPattern, S: EfmScalar>(
     net: &MetabolicNetwork,
@@ -76,15 +72,18 @@ pub(crate) fn escalate<P: BitPattern, S: EfmScalar>(
                 attempts.push(EscalationAttempt { qsub, partition, error: None });
                 return Ok(solved);
             }
-            Err(e) if is_memory(&e) => {
+            Err(e) if e.is_memory_exceeded() => {
                 attempts.push(EscalationAttempt { qsub, partition, error: Some(e.to_string()) });
                 last_err = e;
             }
             Err(e) => return Err(e),
         }
     }
-    // Preserve the typed memory error from the deepest attempt.
-    Err(last_err)
+    // Keep the typed memory error of the deepest attempt, and the ladder.
+    Err(EfmError::EscalationExhausted {
+        last: Box::new(last_err),
+        attempts: std::mem::take(attempts),
+    })
 }
 
 #[cfg(test)]
@@ -118,6 +117,23 @@ mod tests {
             Err(EfmError::ModeLimitExceeded { .. }) => {}
             other => panic!("expected mode limit error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn exhausted_ladder_carries_every_attempt() {
+        let net = efm_metnet::examples::toy_network();
+        // No split of the toy network fits under 600 bytes.
+        let run = cluster(ClusterConfig::new(2).with_memory_limit(600), 2);
+        let err = run.enumerate::<DynInt>(&net).unwrap_err();
+        assert!(err.is_memory_exceeded(), "{err:?}");
+        assert_eq!(crate::classify_failure(&err), crate::FailureClass::Memory);
+        let EfmError::EscalationExhausted { last, attempts } = err else {
+            panic!("expected an exhausted ladder, got {err:?}");
+        };
+        assert!(matches!(*last, EfmError::Cluster(_)), "{last:?}");
+        assert_eq!(attempts.iter().map(|a| a.qsub).collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(attempts.iter().all(|a| a.error.is_some()));
+        assert_eq!(attempts[2].error, Some(last.to_string()));
     }
 
     #[test]
@@ -156,7 +172,7 @@ mod tests {
                     assert!(out.escalation.last().unwrap().error.is_none());
                 }
             }
-            Err(EfmError::Cluster(e)) => {
+            Err(e @ EfmError::EscalationExhausted { .. }) => {
                 assert!(e.is_memory_exceeded(), "non-memory failure {e:?}");
             }
             Err(other) => panic!("unexpected error {other:?}"),

@@ -135,7 +135,7 @@ fn checkpoint_fingerprint(path: &std::path::Path) -> String {
 /// Classifies a failed enumeration for the recovery state machine.
 pub fn classify_failure(e: &EfmError) -> FailureClass {
     match e {
-        EfmError::Cluster(ce) if ce.is_memory_exceeded() => FailureClass::Memory,
+        e if e.is_memory_exceeded() => FailureClass::Memory,
         // A heartbeat-detected rank death: the survivors are intact, so
         // the recovery is in-place failover, not a restart.
         EfmError::Cluster(ClusterError::RankLost { .. }) => FailureClass::RankLost,
@@ -533,7 +533,10 @@ mod tests {
             Err(EfmError::RestartsExhausted { last, .. }) => {
                 // Even the deepest rung did not fit under the cap — still a
                 // clean typed exit, never a hang.
-                assert!(matches!(*last, EfmError::Cluster(_)));
+                assert!(
+                    matches!(*last, EfmError::Cluster(_) | EfmError::EscalationExhausted { .. }),
+                    "{last:?}"
+                );
             }
             Err(other) => panic!("unexpected {other:?}"),
         }

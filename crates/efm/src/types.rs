@@ -637,6 +637,26 @@ pub enum EfmError {
     /// A [`Run`](crate::Run) combines settings that exclude each other
     /// (for example supervision with a partition); nothing was computed.
     InvalidRun(&'static str),
+    /// Every attempt of the escalation ladder ran out of memory; carries
+    /// the deepest attempt's memory error and every attempt in order.
+    EscalationExhausted {
+        /// The memory error of the deepest attempt.
+        last: Box<EfmError>,
+        /// The ladder, the unsplit attempt first.
+        attempts: Vec<crate::EscalationAttempt>,
+    },
+}
+
+impl EfmError {
+    /// Whether this is a memory abort, directly or as the last error of an
+    /// exhausted escalation ladder: the one failure a split can fix.
+    pub fn is_memory_exceeded(&self) -> bool {
+        match self {
+            EfmError::Cluster(ce) => ce.is_memory_exceeded(),
+            EfmError::EscalationExhausted { last, .. } => last.is_memory_exceeded(),
+            _ => false,
+        }
+    }
 }
 
 impl std::fmt::Display for EfmError {
@@ -667,6 +687,10 @@ impl std::fmt::Display for EfmError {
                 write!(f, "supervisor exhausted {max_restarts} restarts; last error: {last}; recovery log:\n{log}")
             }
             EfmError::InvalidRun(m) => write!(f, "invalid run: {m}"),
+            EfmError::EscalationExhausted { last, attempts } => {
+                let qsub = attempts.last().map_or(0, |a| a.qsub);
+                write!(f, "escalation exhausted at qsub {qsub}: {last}")
+            }
         }
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! The paper reduces S. cerevisiae Network I from 62×78 to 35×55 before
 //! running the Nullspace Algorithm ("eliminating redundant reactions,
-//! metabolites, and constraints using known methods"). This module
-//! implements the standard, provably EFM-preserving reductions of
-//! Gagneur & Klamt (2004) / Terzer & Stelling (2008):
+//! metabolites, and constraints using known methods"); this module reduces
+//! our transcription of it from 62×78 to 40×65. It implements the
+//! standard, provably EFM-preserving reductions of Gagneur & Klamt (2004)
+//! / Terzer & Stelling (2008), repeated until a round changes nothing:
 //!
 //! 1. **Redundant constraints** — keep only a maximal linearly independent
 //!    subset of stoichiometry rows (conservation relations contribute
-//!    nothing to the kernel).
+//!    nothing to the kernel). One RREF of the transpose per round picks
+//!    them.
 //! 2. **Blocked reactions** — a reaction whose kernel row is identically
 //!    zero can never carry steady-state flux; its column is removed.
 //! 3. **Enzyme subsets** — reactions whose kernel rows are proportional
@@ -16,13 +18,18 @@
 //!    reduced reaction. Sign bookkeeping: an irreversible member forces the
 //!    subset direction; members forcing opposite directions block the whole
 //!    subset.
+//! 4. **Sign analysis** — exact LPs find reactions that no sign-feasible
+//!    steady state uses (blocked) and reversible reactions that run one
+//!    way only (made irreversible). Every feasible LP's witness is kept
+//!    and certifies directions in later passes too, after an exact
+//!    re-check, so a pass solves only what no witness already shows.
 //!
 //! Each reduced EFM expands to exactly one original EFM (and vice versa),
 //! so EFM *counts* are invariant under this compression — the property the
 //! reproduction of the paper's Tables II–IV relies on.
 
 use crate::model::MetabolicNetwork;
-use efm_linalg::{kernel_basis, lp_feasible, rank_of_cols, LpProblem, Mat};
+use efm_linalg::{kernel_basis, lp_feasible, rref, LpProblem, Mat};
 use efm_numeric::Rational;
 
 /// A compressed network plus the bookkeeping needed to expand modes back.
@@ -106,6 +113,8 @@ pub struct CompressionStats {
     /// Reversible reactions found to be feasible in one direction only and
     /// turned irreversible.
     pub direction_fixed: usize,
+    /// Exact LPs solved by the sign analysis.
+    pub lp_solves: usize,
 }
 
 impl ReducedNetwork {
@@ -144,24 +153,52 @@ impl ReducedNetwork {
     }
 }
 
-/// Selects a maximal linearly independent subset of rows (by index order).
+/// Selects a maximal linearly independent subset of rows (by index order):
+/// the pivot columns of the transpose's RREF, which in natural column
+/// order are exactly the rows that raise the rank of the rows before them.
 fn independent_rows(m: &Mat<Rational>) -> Vec<usize> {
-    // Incremental: add each row to the basis if it increases the rank.
-    // Rank checks run on the transpose so we can reuse rank_of_cols.
-    let t = m.transpose();
-    let mut kept: Vec<usize> = Vec::new();
-    let mut scratch = Vec::new();
-    let mut current_rank = 0;
-    for r in 0..m.rows() {
-        kept.push(r);
-        let rank = rank_of_cols(&t, &kept, &mut scratch);
-        if rank > current_rank {
-            current_rank = rank;
-        } else {
-            kept.pop();
+    rref(&m.transpose()).pivot_cols
+}
+
+/// A reduced flux in original coordinates: member `(o, c)` of column `j`
+/// carries `c · t[j]`, a blocked reaction carries zero.
+fn to_original(t: &[Rational], members: &[Vec<(usize, Rational)>], q0: usize) -> Vec<Rational> {
+    let mut v = vec![Rational::zero(); q0];
+    for (tj, mem) in t.iter().zip(members) {
+        for (o, c) in mem {
+            v[*o] = c.mul(tj);
         }
     }
-    kept
+    v
+}
+
+/// Maps an original-coordinate flux `v` onto the current columns
+/// (`t[j] = v[o] / c` for the first member `(o, c)` of column `j`) and
+/// returns `t` only if it is exactly a sign-feasible steady state there:
+/// every member of every column agrees on `t[j]`, `stoich · t = 0`, and
+/// irreversible columns carry `t[j] ≥ 0`.
+fn to_reduced(
+    v: &[Rational],
+    stoich: &Mat<Rational>,
+    reversible: &[bool],
+    members: &[Vec<(usize, Rational)>],
+) -> Option<Vec<Rational>> {
+    let mut t = Vec::with_capacity(members.len());
+    for (mem, &rev) in members.iter().zip(reversible) {
+        let (o, c) = &mem[0];
+        let tj = v[*o].div(c);
+        if (!rev && tj.signum() < 0) || mem[1..].iter().any(|(o, c)| v[*o] != c.mul(&tj)) {
+            return None;
+        }
+        t.push(tj);
+    }
+    let steady = (0..stoich.rows()).all(|r| {
+        t.iter()
+            .enumerate()
+            .fold(Rational::zero(), |acc, (j, tj)| acc.add(&stoich.get(r, j).mul(tj)))
+            .is_zero()
+    });
+    steady.then_some(t)
 }
 
 /// One group of proportional kernel rows: `(row indices, ratios relative
@@ -229,6 +266,8 @@ pub fn compress_with(
     let q0 = net.num_reactions();
     let mut members: Vec<Vec<(usize, Rational)>> =
         (0..q0).map(|i| vec![(i, Rational::one())]).collect();
+    // Feasible sign-analysis witnesses, in original coordinates.
+    let mut witnesses: Vec<Vec<Rational>> = Vec::new();
 
     loop {
         stats.rounds += 1;
@@ -351,6 +390,10 @@ pub fn compress_with(
         // row is nonzero; a reversible reaction feasible in one direction
         // only becomes irreversible. Witnesses returned by feasible solves
         // certify directions for many reactions at once, so few LPs run.
+        // They are kept in original coordinates, and a later pass absorbs
+        // each one that is still exactly a feasible flux of the current
+        // network before it solves anything; infeasibility always comes
+        // from an LP.
         let q = stoich.cols();
         if q > 0 && stoich.rows() > 0 {
             let mut fwd_ok = vec![false; q];
@@ -364,6 +407,13 @@ pub fn compress_with(
                     }
                 }
             };
+            witnesses.retain(|v| match to_reduced(v, &stoich, &reversible, &members) {
+                Some(t) => {
+                    absorb_witness(&t, &mut fwd_ok, &mut bwd_ok);
+                    true
+                }
+                None => false,
+            });
             let solve_dir = |j: usize, dir: i64| -> Option<Vec<Rational>> {
                 let m = stoich.rows();
                 let mut a = Mat::<Rational>::zeros(m + 1, q);
@@ -379,14 +429,15 @@ pub fn compress_with(
                 lp_feasible(&LpProblem { a, b, nonneg })
             };
             for j in 0..q {
-                if !fwd_ok[j] {
-                    if let Some(w) = solve_dir(j, 1) {
-                        absorb_witness(&w, &mut fwd_ok, &mut bwd_ok);
+                for dir in [1, -1] {
+                    let open = if dir == 1 { !fwd_ok[j] } else { reversible[j] && !bwd_ok[j] };
+                    if !open {
+                        continue;
                     }
-                }
-                if reversible[j] && !bwd_ok[j] {
-                    if let Some(w) = solve_dir(j, -1) {
+                    stats.lp_solves += 1;
+                    if let Some(w) = solve_dir(j, dir) {
                         absorb_witness(&w, &mut fwd_ok, &mut bwd_ok);
+                        witnesses.push(to_original(&w, &members, q0));
                     }
                 }
             }
@@ -608,6 +659,96 @@ mod tests {
         for j in 0..9 {
             assert_eq!(red.reduced_index_of(j), Some(j));
             assert_eq!(red.members[j].len(), 1);
+        }
+    }
+
+    #[test]
+    fn carried_witness_is_rechecked_exactly() {
+        let net = crate::examples::toy_network();
+        let (red, _) = compress(&net);
+        let map = |v: &[Rational]| to_reduced(v, &red.stoich, &red.reversible, &red.members);
+        // A steady state of the reduced network survives the round trip.
+        let kb = kernel_basis(&red.stoich, &[]);
+        let t: Vec<Rational> = (0..kb.k.rows()).map(|r| kb.k.get(r, 0).clone()).collect();
+        let v = to_original(&t, &red.members, red.num_original);
+        assert_eq!(map(&v), Some(t.clone()));
+        // Not a steady state: one reaction alone.
+        let mut lone = vec![Rational::zero(); red.num_original];
+        lone[red.members[0][0].0] = Rational::one();
+        assert_eq!(map(&lone), None);
+        // Members of the merged r3*r9 column disagree.
+        let j = red.reduced_index_of(net.reaction_index("r3").unwrap()).unwrap();
+        let mut split = v.clone();
+        let (o, c) = &red.members[j][1];
+        split[*o] = split[*o].add(c);
+        assert_eq!(map(&split), None);
+        // Reversed, the flux runs an irreversible column backwards.
+        assert!(t.iter().zip(&red.reversible).any(|(x, &rev)| !rev && !x.is_zero()));
+        let reversed: Vec<Rational> = v.iter().map(Rational::neg).collect();
+        assert_eq!(map(&reversed), None);
+    }
+
+    /// The greedy definition `independent_rows` must match: keep a row
+    /// when it raises the rank of the rows kept before it.
+    fn greedy_independent_rows(m: &Mat<Rational>) -> Vec<usize> {
+        let t = m.transpose();
+        let mut kept = Vec::new();
+        let mut scratch = Vec::new();
+        for r in 0..m.rows() {
+            kept.push(r);
+            if efm_linalg::rank_of_cols(&t, &kept, &mut scratch) < kept.len() {
+                kept.pop();
+            }
+        }
+        kept
+    }
+
+    /// A row recipe: `(kind, entries, weights)`. Kind 0 is a random
+    /// rational row, 1 a zero row, 2 a copy of an earlier row and 3 an
+    /// integer combination of the earlier rows.
+    type RowRecipe = (u8, Vec<(i64, i64)>, Vec<i64>);
+
+    fn matrix_from(cols: usize, recipes: &[RowRecipe]) -> Mat<Rational> {
+        let mut rows: Vec<Vec<Rational>> = Vec::new();
+        for (kind, entries, weights) in recipes {
+            let random = || {
+                entries[..cols].iter().map(|&(n, d)| Rational::new(n.into(), d.into())).collect()
+            };
+            let row = match kind {
+                _ if rows.is_empty() => random(),
+                1 => vec![Rational::zero(); cols],
+                2 => rows[weights[0].unsigned_abs() as usize % rows.len()].clone(),
+                3 => (0..cols)
+                    .map(|c| {
+                        rows.iter().zip(weights).fold(Rational::zero(), |acc, (row, &w)| {
+                            acc.add(&row[c].mul(&Rational::from_i64(w)))
+                        })
+                    })
+                    .collect(),
+                _ => random(),
+            };
+            rows.push(row);
+        }
+        Mat::from_rows(rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn independent_rows_is_the_greedy_rank_pick(
+            cols in 1usize..6,
+            recipes in proptest::collection::vec(
+                (
+                    0u8..4,
+                    proptest::collection::vec((-3i64..4, 1i64..4), 6),
+                    proptest::collection::vec(-2i64..3, 8),
+                ),
+                0..8,
+            ),
+        ) {
+            let m = matrix_from(cols, &recipes);
+            proptest::prop_assert_eq!(independent_rows(&m), greedy_independent_rows(&m));
         }
     }
 

@@ -161,6 +161,9 @@ fn metrics_json_carries_engine_counters() {
         let rank_tests =
             counters.get("rank tests").and_then(Value::as_num).expect("rank tests counter") as u64;
         assert_eq!(rank_tests, out.stats.rank_tests, "{backend:?}");
+        let lp_solves =
+            counters.get("lp solves").and_then(Value::as_num).expect("lp solves counter") as u64;
+        assert_eq!(lp_solves, out.compression.lp_solves as u64, "{backend:?}");
     }
 }
 

@@ -2,11 +2,13 @@
 //! hub reactions R15 and R70 removed — a few thousand EFMs): exact and
 //! floating-point arithmetic agree, divide-and-conquer partitions are
 //! disjoint and complete, and the candidate-count reduction the paper
-//! reports for the split shows up.
+//! reports for the split shows up. Compression is pinned on all four yeast
+//! networks and checked against a renumbering of their metabolites.
 
 use efm_core::{Backend, CandidateTest, EfmOptions, Run, RunStats};
-use efm_metnet::{parse_network, MetabolicNetwork};
-use efm_numeric::{DynInt, F64Tol};
+use efm_linalg::Mat;
+use efm_metnet::{compress, parse_network, CompressionStats, MetabolicNetwork};
+use efm_numeric::{DynInt, F64Tol, Rational};
 
 /// `text` without the reactions named in `dropped`.
 fn network_without(text: &str, dropped: &[&str]) -> MetabolicNetwork {
@@ -193,4 +195,91 @@ fn adjacency_matches_rank_on_network_ii_lite() {
     let rank = run(CandidateTest::Rank);
     assert_eq!(rank.efms.len(), 17_871);
     assert_eq!(run(CandidateTest::Adjacency).efms, rank.efms);
+}
+
+/// The four yeast networks compression is pinned on: Network I-lite,
+/// Network II-lite without R56, and the full Networks I and II.
+fn yeast_networks() -> [(&'static str, &'static str, &'static [&'static str]); 4] {
+    use efm_metnet::yeast::{NETWORK_II_TEXT, NETWORK_I_TEXT};
+    [
+        ("Network I-lite", NETWORK_I_TEXT, &["R15", "R70"]),
+        ("Network II-lite without R56", NETWORK_II_TEXT, &["R15", "R70", "R56"]),
+        ("Network I", NETWORK_I_TEXT, &[]),
+        ("Network II", NETWORK_II_TEXT, &[]),
+    ]
+}
+
+/// Reduced shapes and the full compression statistics, exact-LP solve
+/// count included, on real data.
+#[test]
+fn compression_is_pinned_on_the_yeast_networks() {
+    let stats =
+        |rounds, blocked, merged, dropped_rows, sign_blocked, direction_fixed, lp_solves| {
+            CompressionStats {
+                rounds,
+                blocked,
+                merged,
+                dropped_rows,
+                sign_blocked,
+                direction_fixed,
+                lp_solves,
+            }
+        };
+    let expect = [
+        ((28, 47), stats(7, 13, 13, 34, 3, 10, 34)),
+        ((30, 51), stats(7, 14, 12, 33, 3, 9, 34)),
+        ((40, 65), stats(4, 3, 10, 22, 0, 11, 38)),
+        ((42, 70), stats(5, 3, 10, 21, 0, 6, 34)),
+    ];
+    for ((name, text, dropped), (shape, want)) in yeast_networks().into_iter().zip(expect) {
+        let (red, got) = compress(&network_without(text, dropped));
+        assert_eq!((red.stoich.rows(), red.num_reduced()), shape, "{name}");
+        assert_eq!(got, want, "{name}");
+    }
+}
+
+/// `text` with the terms on each side of every reaction line in reverse
+/// order, so the parser numbers the metabolites differently.
+fn reversed_terms(text: &str) -> String {
+    let reverse = |side: &str| side.split('+').map(str::trim).rev().collect::<Vec<_>>().join(" + ");
+    text.lines()
+        .map(|l| match l.split_once(':') {
+            Some((name, eqn)) if !l.starts_with('#') => {
+                let arrow = ["<=>", "=>"].into_iter().find(|a| eqn.contains(a)).unwrap();
+                let (lhs, rhs) = eqn.split_once(arrow).unwrap();
+                format!("{name}: {} {arrow} {}\n", reverse(lhs), reverse(rhs))
+            }
+            _ => format!("{l}\n"),
+        })
+        .collect()
+}
+
+/// Compression does not depend on how metabolites are numbered: the same
+/// reduced reactions, and a stoichiometry with the same row space. The
+/// benchmark's seeds, which reorder terms, rely on this.
+#[test]
+fn compression_is_invariant_under_metabolite_order() {
+    for (name, text, dropped) in yeast_networks() {
+        let net = network_without(text, dropped);
+        let permuted = network_without(&reversed_terms(text), dropped);
+        assert_eq!(permuted.num_reactions(), net.num_reactions(), "{name}");
+        let names = |n: &MetabolicNetwork| -> Vec<String> {
+            n.metabolites.iter().map(|m| m.name.clone()).collect()
+        };
+        assert_ne!(names(&permuted), names(&net), "{name}: metabolites renumbered");
+        let (a, _) = compress(&net);
+        let (b, _) = compress(&permuted);
+        assert_eq!(a.names, b.names, "{name}");
+        assert_eq!(a.reversible, b.reversible, "{name}");
+        assert_eq!(a.members, b.members, "{name}");
+        let mut both: Vec<Vec<Rational>> = Vec::new();
+        for m in [&a.stoich, &b.stoich] {
+            for r in 0..m.rows() {
+                both.push((0..m.cols()).map(|c| m.get(r, c).clone()).collect());
+            }
+        }
+        let rank_a = efm_linalg::rank(&a.stoich);
+        assert_eq!(efm_linalg::rank(&b.stoich), rank_a, "{name}");
+        assert_eq!(efm_linalg::rank(&Mat::from_rows(both)), rank_a, "{name}: same row space");
+    }
 }
