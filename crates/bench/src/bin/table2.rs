@@ -17,7 +17,7 @@
 //! the crossover structure of the paper's Table II.
 
 use efm_bench::{flag, harness_options, network_i, paper, parse_cli, secs, Scale, Table};
-use efm_core::{phases, Backend, EfmOutcome, Run};
+use efm_core::{Backend, EfmOutcome, Run};
 use efm_numeric::{DynInt, F64Tol};
 
 /// α/β interconnect model (InfiniBand-class, as on the paper's Calhoun).
@@ -28,7 +28,6 @@ const BETA_SECS_PER_BYTE: f64 = 1e-9;
 /// when the cluster backend recorded one, else the old accepted-volume
 /// approximation (serial runs ship nothing but still need a model input).
 fn comm_bytes(out: &EfmOutcome) -> u64 {
-    let _ = phases::COMM_BYTES;
     if out.stats.comm_bytes > 0 {
         return out.stats.comm_bytes;
     }
@@ -92,7 +91,7 @@ fn main() {
         let _base = *serial_total.get_or_insert(total);
         // Modeled time on one core per rank: the single-rank run's compute
         // time divides by n (the pair stripes are balanced — asserted in
-        // tests/cluster_behavior.rs), communication follows the α/β model.
+        // `stripe_bounds`' unit tests), communication follows the α/β model.
         let compute_this = (out.stats.phases.generate
             + out.stats.phases.dedup
             + out.stats.phases.tree_filter

@@ -12,15 +12,16 @@
 //!
 //! * **ranks as OS threads** with private state — nothing is shared unless
 //!   it travels through a message;
-//! * **typed FIFO channels** (crossbeam) as the interconnect, with
-//!   [`NodeCtx::allgather`], [`NodeCtx::barrier`], and point-to-point
-//!   [`NodeCtx::send`]/[`NodeCtx::recv`];
+//! * **typed FIFO channels** (crossbeam) as the interconnect, with the one
+//!   collective Algorithm 2 calls, [`NodeCtx::allgather_fold`], plus
+//!   [`NodeCtx::barrier`] and point-to-point [`NodeCtx::send`]/
+//!   [`NodeCtx::recv`];
 //! * **per-node memory meters** with a configurable capacity so the paper's
 //!   out-of-memory failure mode ("the computation had to be abandoned at
-//!   the 59th iteration") is reproducible;
-//! * **per-node phase clocks and work counters**, which the table harnesses
-//!   use to report the paper's `gen cand / rank test / communicate / merge`
-//!   rows even on a single physical core.
+//!   the 59th iteration") is reproducible.
+//!
+//! Phase times are not kept here: the engine clocks every phase on each
+//! rank (`RunStats::phases` in `efm-core`).
 //!
 //! ## Abort safety
 //!
@@ -65,7 +66,6 @@ pub use fault::{FaultInjector, FaultPlan, FaultSpec, SendFate};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -832,44 +832,6 @@ impl PoisonBarrier {
     }
 }
 
-/// Per-node phase instrumentation: wall-clock per phase plus abstract work
-/// counters (used for modeled scaling on machines with fewer physical cores
-/// than simulated ranks).
-#[derive(Debug, Default)]
-pub struct PhaseStats {
-    times: Mutex<HashMap<&'static str, Duration>>,
-    work: Mutex<HashMap<&'static str, u64>>,
-}
-
-impl PhaseStats {
-    /// Accumulated wall time per phase.
-    pub fn times(&self) -> HashMap<&'static str, Duration> {
-        self.times.lock().clone()
-    }
-
-    /// Accumulated work units per phase.
-    pub fn work(&self) -> HashMap<&'static str, u64> {
-        self.work.lock().clone()
-    }
-}
-
-/// RAII guard accumulating elapsed time into a phase on drop. Also holds
-/// an [`efm_obs`] span so every timed phase shows up as a slice on the
-/// rank's trace track (inert unless tracing is enabled).
-pub struct PhaseTimer<'a> {
-    stats: &'a PhaseStats,
-    phase: &'static str,
-    start: Instant,
-    _span: efm_obs::Span,
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        *self.stats.times.lock().entry(self.phase).or_default() += elapsed;
-    }
-}
-
 /// A packet parked out of order: sender rank, flow id, payload.
 type ParkedPacket = (usize, u64, Box<dyn Any + Send>);
 
@@ -888,7 +850,6 @@ pub struct NodeCtx<'a> {
     abort: &'a AbortState,
     membership: &'a Membership,
     meter: &'a MemoryMeter,
-    stats: &'a PhaseStats,
     timeouts: &'a ClusterTimeouts,
     injector: Option<&'a FaultInjector>,
     failover: bool,
@@ -920,25 +881,6 @@ impl<'a> NodeCtx<'a> {
     /// The node's memory meter.
     pub fn memory(&self) -> &MemoryMeter {
         self.meter
-    }
-
-    /// Starts a phase timer; elapsed time accumulates on drop.
-    pub fn timed(&self, phase: &'static str) -> PhaseTimer<'a> {
-        PhaseTimer { stats: self.stats, phase, start: Instant::now(), _span: efm_obs::span(phase) }
-    }
-
-    /// Adds abstract work units to a phase counter.
-    pub fn add_work(&self, phase: &'static str, units: u64) {
-        *self.stats.work.lock().entry(phase).or_default() += units;
-    }
-
-    /// Adds already-measured elapsed time to a phase counter — for callers
-    /// whose phases interleave at sub-timer granularity (the streaming
-    /// generation pipeline runs all its phases per batch and accumulates
-    /// durations itself, where one [`NodeCtx::timed`] guard per phase
-    /// would misattribute the interleaving).
-    pub fn add_time(&self, phase: &'static str, elapsed: Duration) {
-        *self.stats.times.lock().entry(phase).or_default() += elapsed;
     }
 
     /// The secondary error reported after another rank's abort. The first
@@ -1259,45 +1201,12 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    /// All-to-all collective: every rank contributes `local`; returns the
-    /// contributions of all ranks indexed by rank. Every rank must call
-    /// this the same number of times in the same order.
-    pub fn allgather<M: Clone + Send + 'static>(&self, local: M) -> Result<Vec<M>, ClusterError> {
-        let _span = efm_obs::span("allgather");
-        for dst in 0..self.size {
-            if dst != self.rank {
-                self.send(dst, local.clone())?;
-            }
-        }
-        let mut out: Vec<Option<M>> = (0..self.size).map(|_| None).collect();
-        out[self.rank] = Some(local);
-        // The receive loop is the collective's synchronization point: a
-        // rank blocks here until every peer has sent, so the span length
-        // is the time spent waiting on stragglers.
-        let wait = efm_obs::span("barrier wait");
-        let wait_start = Instant::now();
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != self.rank {
-                *slot = Some(self.recv::<M>(src)?);
-            }
-        }
-        efm_obs::hist::record("barrier wait us", wait_start.elapsed().as_micros() as u64);
-        drop(wait);
-        Ok(out.into_iter().map(Option::unwrap).collect())
-    }
-
-    /// Streaming all-to-all collective: every rank contributes `local` and
-    /// folds the contributions of all ranks **in rank order** with `fold`,
-    /// holding at most the accumulator plus one in-flight contribution —
-    /// never the full `Vec` of all stripes that [`NodeCtx::allgather`]
-    /// materializes. With an order-insensitive `fold` (a sorted merge
-    /// keeping the lower rank's copy on equal keys, say) the result is
-    /// identical to folding the allgather vector left to right.
-    ///
-    /// The wire pattern (send to all peers, then receive per source in
-    /// rank order) is exactly [`NodeCtx::allgather`]'s, so the two are
-    /// interchangeable within a run. Every rank must call collectives in
-    /// the same order.
+    /// The all-to-all collective, streaming: every rank sends `local` to
+    /// all peers, then folds the contributions of all ranks **in rank
+    /// order** with `fold`, holding at most the accumulator plus one
+    /// in-flight contribution — never the full `Vec` of all stripes. A
+    /// fold that pushes into a `Vec` is the classic allgather. Every rank
+    /// must call collectives the same number of times in the same order.
     pub fn allgather_fold<M, A>(
         &self,
         local: M,
@@ -1314,8 +1223,10 @@ impl<'a> NodeCtx<'a> {
             }
         }
         // Receive in rank order, folding each contribution as it lands and
-        // releasing it before the next is pulled. The wait span covers the
-        // straggler synchronization exactly like the materialized variant.
+        // releasing it before the next is pulled. The receive loop is the
+        // collective's synchronization point: a rank blocks here until
+        // every peer has sent, so the wait span is the time spent waiting
+        // on stragglers.
         let wait = efm_obs::span("barrier wait");
         let wait_start = Instant::now();
         let mut local = Some(local);
@@ -1329,106 +1240,15 @@ impl<'a> NodeCtx<'a> {
         drop(wait);
         Ok(acc)
     }
-
-    /// Reduction collective: combines every rank's `local` with `op` (the
-    /// result is identical on every rank).
-    pub fn allreduce<M: Clone + Send + 'static>(
-        &self,
-        local: M,
-        op: impl Fn(M, M) -> M,
-    ) -> Result<M, ClusterError> {
-        let _span = efm_obs::span("allreduce");
-        let all = self.allgather(local)?;
-        let mut it = all.into_iter();
-        let first = it.next().expect("cluster has at least one rank");
-        Ok(it.fold(first, op))
-    }
-
-    /// One-to-all broadcast: rank `root` supplies the value (others pass
-    /// anything, conventionally `None`); every rank returns the root's
-    /// value.
-    pub fn broadcast<M: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        local: Option<M>,
-    ) -> Result<M, ClusterError> {
-        assert!(root < self.size, "broadcast root out of range");
-        let _span = efm_obs::span("broadcast");
-        if self.rank == root {
-            let v = local.expect("root must supply the broadcast value");
-            for dst in 0..self.size {
-                if dst != self.rank {
-                    self.send(dst, v.clone())?;
-                }
-            }
-            Ok(v)
-        } else {
-            self.recv::<M>(root)
-        }
-    }
-
-    /// All-to-one gather: returns `Some(values by rank)` on `root`, `None`
-    /// elsewhere.
-    pub fn gather<M: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        local: M,
-    ) -> Result<Option<Vec<M>>, ClusterError> {
-        assert!(root < self.size, "gather root out of range");
-        let _span = efm_obs::span("gather");
-        if self.rank == root {
-            let mut out: Vec<Option<M>> = (0..self.size).map(|_| None).collect();
-            out[self.rank] = Some(local);
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != self.rank {
-                    *slot = Some(self.recv::<M>(src)?);
-                }
-            }
-            Ok(Some(out.into_iter().map(Option::unwrap).collect()))
-        } else {
-            self.send(root, local)?;
-            Ok(None)
-        }
-    }
-
-    /// One-to-all scatter: `root` supplies one value per rank; every rank
-    /// returns its slot.
-    pub fn scatter<M: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        items: Option<Vec<M>>,
-    ) -> Result<M, ClusterError> {
-        assert!(root < self.size, "scatter root out of range");
-        let _span = efm_obs::span("scatter");
-        if self.rank == root {
-            let items = items.expect("root must supply the scatter items");
-            assert_eq!(items.len(), self.size, "scatter needs one item per rank");
-            let mut mine = None;
-            for (dst, item) in items.into_iter().enumerate() {
-                if dst == self.rank {
-                    mine = Some(item);
-                } else {
-                    self.send(dst, item)?;
-                }
-            }
-            Ok(mine.expect("root keeps its own slot"))
-        } else {
-            self.recv::<M>(root)
-        }
-    }
 }
 
-/// A node's result together with its instrumentation.
+/// A node's result together with its memory peak.
 #[derive(Debug, Clone)]
 pub struct NodeReport<T> {
     /// The node's rank.
     pub rank: usize,
     /// Value returned by the node body.
     pub value: T,
-    /// Wall time accumulated per phase.
-    pub phase_times: HashMap<&'static str, Duration>,
-    /// Work units accumulated per phase.
-    pub phase_work: HashMap<&'static str, u64>,
     /// Peak accounted memory in bytes.
     pub peak_memory: u64,
 }
@@ -1464,7 +1284,6 @@ where
     let membership = Membership::new(n);
     let meters: Vec<MemoryMeter> =
         (0..n).map(|r| MemoryMeter::new(r, config.memory_limit)).collect();
-    let stats: Vec<PhaseStats> = (0..n).map(|_| PhaseStats::default()).collect();
     let results: Vec<Mutex<Option<Result<T, ClusterError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let receivers: Vec<Mutex<Option<Receiver<Packet>>>> =
@@ -1495,7 +1314,6 @@ where
             let abort = &abort;
             let membership = &membership;
             let meter = &meters[rank];
-            let stat = &stats[rank];
             let slot = &results[rank];
             let mailbox = receivers[rank].lock().take().expect("mailbox taken once");
             let body = &body;
@@ -1521,7 +1339,6 @@ where
                     abort,
                     membership,
                     meter,
-                    stats: stat,
                     timeouts: &config.timeouts,
                     injector: config.injector.as_deref(),
                     failover: config.failover,
@@ -1645,13 +1462,7 @@ where
             .lock()
             .take()
             .ok_or_else(|| ClusterError::Protocol(format!("rank {rank} produced no result")))??;
-        reports.push(NodeReport {
-            rank,
-            value,
-            phase_times: stats[rank].times(),
-            phase_work: stats[rank].work(),
-            peak_memory: meters[rank].peak(),
-        });
+        reports.push(NodeReport { rank, value, peak_memory: meters[rank].peak() });
     }
     Ok(reports)
 }
@@ -1659,6 +1470,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every rank's contribution, by rank: `allgather_fold` pushing into a
+    /// `Vec`.
+    fn allgather<M: Clone + Send + 'static>(
+        ctx: &NodeCtx,
+        local: M,
+    ) -> Result<Vec<M>, ClusterError> {
+        ctx.allgather_fold(local, Vec::new(), |mut all, _, m| {
+            all.push(m);
+            Ok(all)
+        })
+    }
 
     #[test]
     fn single_node_runs() {
@@ -1675,7 +1498,7 @@ mod tests {
     #[test]
     fn allgather_orders_by_rank() {
         let reports = run_cluster(&ClusterConfig::new(4), |ctx| {
-            let all = ctx.allgather(ctx.rank() as u64 * 100)?;
+            let all = allgather(ctx, ctx.rank() as u64 * 100)?;
             Ok(all)
         })
         .unwrap();
@@ -1689,7 +1512,7 @@ mod tests {
         let reports = run_cluster(&ClusterConfig::new(3), |ctx| {
             let mut sums = Vec::new();
             for round in 0..10u64 {
-                let all = ctx.allgather(round * 10 + ctx.rank() as u64)?;
+                let all = allgather(ctx, round * 10 + ctx.rank() as u64)?;
                 sums.push(all.iter().sum::<u64>());
             }
             Ok(sums)
@@ -1742,17 +1565,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(reports[0].value, "22-11-x");
-    }
-
-    #[test]
-    fn allreduce_sums() {
-        let reports = run_cluster(&ClusterConfig::new(4), |ctx| {
-            ctx.allreduce(ctx.rank() as u64 + 1, |a, b| a + b)
-        })
-        .unwrap();
-        for rep in reports {
-            assert_eq!(rep.value, 10);
-        }
     }
 
     #[test]
@@ -1821,23 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_timing_and_work() {
-        let reports = run_cluster(&ClusterConfig::new(1), |ctx| {
-            {
-                let _t = ctx.timed("gen");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            ctx.add_work("gen", 42);
-            ctx.add_work("gen", 8);
-            Ok(())
-        })
-        .unwrap();
-        let t = reports[0].phase_times.get("gen").copied().unwrap();
-        assert!(t >= Duration::from_millis(4), "recorded {t:?}");
-        assert_eq!(reports[0].phase_work.get("gen"), Some(&50));
-    }
-
-    #[test]
     fn node_panic_is_reported() {
         let err = run_cluster(&ClusterConfig::new(2), |ctx| {
             if ctx.rank() == 0 {
@@ -1863,7 +1658,7 @@ mod tests {
             if ctx.rank() == 2 {
                 panic!("mid-collective failure");
             }
-            let all = ctx.allgather(ctx.rank())?; // blocks on rank 2
+            let all = allgather(ctx, ctx.rank())?; // blocks on rank 2
             Ok(all.len())
         })
         .unwrap_err();
@@ -1979,7 +1774,7 @@ mod tests {
                 std::thread::yield_now();
             }
             let payload = ctx.recv::<u32>(1);
-            let next = ctx.allgather(0u8).map(drop);
+            let next = allgather(ctx, 0u8).map(drop);
             *observed.lock() = Some((payload, next.clone()));
             next
         })
@@ -1989,58 +1784,6 @@ mod tests {
         match seen {
             Some((Ok(42), Err(ClusterError::Aborted { origin: 1, .. }))) => {}
             other => panic!("late receiver saw {other:?}"),
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let reports = run_cluster(&ClusterConfig::new(4), |ctx| {
-            let v = if ctx.rank() == 2 { Some(String::from("hello")) } else { None };
-            ctx.broadcast(2, v)
-        })
-        .unwrap();
-        for rep in reports {
-            assert_eq!(rep.value, "hello");
-        }
-    }
-
-    #[test]
-    fn gather_collects_on_root() {
-        let reports =
-            run_cluster(&ClusterConfig::new(3), |ctx| ctx.gather(1, ctx.rank() as u32 * 10))
-                .unwrap();
-        assert_eq!(reports[0].value, None);
-        assert_eq!(reports[1].value, Some(vec![0, 10, 20]));
-        assert_eq!(reports[2].value, None);
-    }
-
-    #[test]
-    fn scatter_distributes_slots() {
-        let reports = run_cluster(&ClusterConfig::new(3), |ctx| {
-            let items = if ctx.rank() == 0 { Some(vec![100u64, 200, 300]) } else { None };
-            ctx.scatter(0, items)
-        })
-        .unwrap();
-        assert_eq!(reports[0].value, 100);
-        assert_eq!(reports[1].value, 200);
-        assert_eq!(reports[2].value, 300);
-    }
-
-    #[test]
-    fn collectives_compose() {
-        // scatter → local work → gather → broadcast in one program.
-        let reports = run_cluster(&ClusterConfig::new(4), |ctx| {
-            let items = if ctx.rank() == 0 { Some(vec![1u64, 2, 3, 4]) } else { None };
-            let mine = ctx.scatter(0, items)?;
-            let squared = mine * mine;
-            let gathered = ctx.gather(0, squared)?;
-            let total =
-                if ctx.rank() == 0 { Some(gathered.unwrap().iter().sum::<u64>()) } else { None };
-            ctx.broadcast(0, total)
-        })
-        .unwrap();
-        for rep in reports {
-            assert_eq!(rep.value, 1 + 4 + 9 + 16);
         }
     }
 
@@ -2068,7 +1811,7 @@ mod tests {
         let cfg = ClusterConfig::new(2).with_injector(Arc::clone(&injector));
         let body = |ctx: &NodeCtx| {
             ctx.fault_point("iteration", 0)?;
-            ctx.allgather(ctx.rank())
+            allgather(ctx, ctx.rank())
         };
         assert!(run_cluster(&cfg, body).is_err());
         // Second run with the same injector: the one-shot already fired.
@@ -2212,7 +1955,7 @@ mod tests {
         let start = Instant::now();
         let reports = run_cluster(&cfg, |ctx| {
             ctx.fault_point("iteration", 0)?;
-            ctx.allgather(ctx.rank() as u64)
+            allgather(ctx, ctx.rank() as u64)
         })
         .unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
@@ -2416,7 +2159,7 @@ mod tests {
         let cfg =
             ClusterConfig::new(4).with_failover(true).with_heartbeat(Duration::from_millis(5));
         let reports = run_cluster(&cfg, |ctx| {
-            let all = ctx.allgather(ctx.rank() as u64)?;
+            let all = allgather(ctx, ctx.rank() as u64)?;
             ctx.barrier()?;
             Ok(all.iter().sum::<u64>())
         })

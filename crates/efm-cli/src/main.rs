@@ -393,13 +393,19 @@ fn run<S: efm_core::EfmScalar>(
             eprintln!("error: {e}");
             usage();
         }
-        Err(EfmError::EscalationExhausted { last, attempts }) => {
-            for a in &attempts {
-                eprintln!("{}", escalation_line(a));
+        // A failed ladder lists every split it tried, also when the
+        // supervisor gave up on it.
+        out => out.inspect_err(|e| {
+            let ladder = match e {
+                EfmError::RestartsExhausted { last, .. } => last,
+                e => e,
+            };
+            if let EfmError::EscalationExhausted { attempts, .. } = ladder {
+                for a in attempts {
+                    eprintln!("{}", escalation_line(a));
+                }
             }
-            return Err(EfmError::EscalationExhausted { last, attempts });
-        }
-        out => out?,
+        })?,
     };
     if let Some(path) = temp_checkpoint {
         // The supervisor owned a temporary checkpoint; clean it up.

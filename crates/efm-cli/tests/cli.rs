@@ -138,33 +138,45 @@ fn supervised_run_exhausts_restart_budget() {
 #[test]
 fn failed_escalation_reports_every_attempt() {
     // A cap no split of the toy network fits under: the direct run and
-    // both rungs run out of memory, and each shows up before the error.
-    let out = Command::new(env!("CARGO_BIN_EXE_efm-compute"))
-        .args([
-            "--builtin",
-            "toy",
-            "--backend",
-            "cluster",
-            "--nodes",
-            "2",
-            "--memory-limit",
-            "600",
-            "--auto-escalate",
-            "2",
-        ])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let lines: Vec<&str> = stderr.lines().collect();
-    assert_eq!(lines.len(), 4, "{stderr}");
-    assert!(lines[0].starts_with("escalation: direct failed: "), "{stderr}");
-    for line in &lines[1..3] {
-        assert!(line.starts_with("escalation: divide-and-conquer over {"), "{stderr}");
-        assert!(line.contains("memory capacity exceeded"), "{stderr}");
+    // both rungs run out of memory, and each shows up before the error,
+    // also when the supervisor gives up on the ladder (its error message
+    // ends with a two-event recovery log).
+    for (extra, error, line_count) in [
+        (None, "error: escalation exhausted at qsub 2: ", 4),
+        (
+            Some("--supervise"),
+            "error: supervisor exhausted 3 restarts; last error: escalation exhausted at qsub 2: ",
+            6,
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_efm-compute"))
+            .args([
+                "--builtin",
+                "toy",
+                "--backend",
+                "cluster",
+                "--nodes",
+                "2",
+                "--memory-limit",
+                "600",
+                "--auto-escalate",
+                "2",
+            ])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), line_count, "{stderr}");
+        assert!(lines[0].starts_with("escalation: direct failed: "), "{stderr}");
+        for line in &lines[1..3] {
+            assert!(line.starts_with("escalation: divide-and-conquer over {"), "{stderr}");
+            assert!(line.contains("memory capacity exceeded"), "{stderr}");
+        }
+        assert!(lines[3].starts_with(error), "{stderr}");
+        assert!(lines[3].contains("memory capacity exceeded"), "{stderr}");
     }
-    assert!(lines[3].starts_with("error: escalation exhausted at qsub 2: "), "{stderr}");
-    assert!(lines[3].contains("memory capacity exceeded"), "{stderr}");
 }
 
 #[test]

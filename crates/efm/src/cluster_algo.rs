@@ -22,16 +22,15 @@
 //!    state with the whole cluster's counters in its statistics.
 //!
 //! So the run statistics are replicated like the mode matrix: every rank
-//! holds whole-cluster totals. Phase wall-times and per-phase work
-//! counters stay per rank and are recorded through the cluster's
-//! instrumentation. The memory meter charges the replicated mode
-//! matrix, every generation batch, the rank's **local survivor stripe**
-//! (whose size varies across ranks), the fold of the exchange, and the
-//! merged survivors with their values before the state advances; a
-//! failing charge on any single rank aborts the whole run through the
-//! cluster's cooperative abort propagation — peers blocked in the
-//! allgather are woken with [`ClusterError::Aborted`] and `run_cluster`
-//! reports the originating `MemoryExceeded`.
+//! holds whole-cluster totals. Only the phase times stay per rank; the
+//! outcome takes the slowest rank's per phase. The memory meter charges
+//! the replicated mode matrix, every generation batch, the rank's **local
+//! survivor stripe** (whose size varies across ranks), the fold of the
+//! exchange, and the merged survivors with their values before the state
+//! advances; a failing charge on any single rank aborts the whole run
+//! through the cluster's cooperative abort propagation — peers blocked in
+//! the allgather are woken with [`ClusterError::Aborted`] and
+//! `run_cluster` reports the originating `MemoryExceeded`.
 //!
 //! Rank 0 can additionally write an iteration-boundary
 //! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) after each
@@ -45,13 +44,13 @@ use crate::engine::{
     CandidateSet, Engine, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
 use crate::problem::EfmProblem;
-use crate::types::{EfmError, EfmOptions, RunStats};
+use crate::types::{EfmError, EfmOptions, PhaseBreakdown, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// Phase labels used with the cluster instrumentation (match Table II rows).
+/// Phase labels of the trace spans (match Table II rows).
 pub mod phases {
     /// Candidate generation.
     pub const GENERATE: &str = "gen cand";
@@ -64,8 +63,6 @@ pub mod phases {
     pub const RANK: &str = "rank test";
     /// Allgather of candidate buffers.
     pub const COMMUNICATE: &str = "communicate";
-    /// Bytes shipped through allgather (work counter, not a timer).
-    pub const COMM_BYTES: &str = "comm bytes";
     /// Global merge + dedup + state advance.
     pub const MERGE: &str = "merge";
 }
@@ -78,8 +75,7 @@ pub struct ClusterNodeOutcome {
     /// segment boundary before finishing.
     pub supports: Vec<Vec<usize>>,
     /// Run statistics: whole-cluster totals, identical on every rank
-    /// except for the rank-local times. A rank's own stripe share is in
-    /// its report's `phase_work`.
+    /// except for the phase times, which are this rank's own.
     pub stats: RunStats,
     /// Rank 0's snapshot of the (replicated) engine state when a bounded
     /// segment paused before `eng.done()`; `None` on completion and on all
@@ -96,7 +92,8 @@ pub struct ClusterOutcome {
     /// phase times are the *maximum* over ranks per phase (the
     /// bulk-synchronous model of wall time).
     pub stats: RunStats,
-    /// Per-rank phase times in seconds, keyed by phase label.
+    /// Per-rank reports: each rank's outcome, its own phase times in
+    /// `value.stats.phases`, and its memory peak.
     pub per_rank: Vec<efm_cluster::NodeReport<ClusterNodeOutcome>>,
 }
 
@@ -143,21 +140,25 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
 
     // Every rank's statistics are whole-cluster totals (each survivor
     // stripe travels with its rank's counters), so rank 0's stand for the
-    // run, resumed or not. Only the meters and the wall times are per rank.
+    // run, resumed or not. Only the meters and the times are per rank.
     let mut stats = reports[0].value.stats.clone();
     // Rank 0's own peak includes a resumed checkpoint's high water, which
     // the segment's fresh meters know nothing about.
     stats.peak_bytes = reports.iter().map(|r| r.peak_memory).fold(stats.peak_bytes, u64::max);
     // Bulk-synchronous wall-time model: each phase costs its slowest rank.
-    let phase_max = |label: &str| {
-        reports.iter().filter_map(|r| r.phase_times.get(label).copied()).max().unwrap_or_default()
+    // A resumed rank's clocks start from the checkpoint's, so these cover
+    // the whole run, not just this segment.
+    let phase_max = |phase: fn(&PhaseBreakdown) -> Duration| {
+        reports.iter().map(|r| phase(&r.value.stats.phases)).max().unwrap_or_default()
     };
-    stats.phases.generate = phase_max(phases::GENERATE);
-    stats.phases.dedup = phase_max(phases::DEDUP);
-    stats.phases.tree_filter = phase_max(phases::TREE);
-    stats.phases.rank_test = phase_max(phases::RANK);
-    stats.phases.communicate = phase_max(phases::COMMUNICATE);
-    stats.phases.merge = phase_max(phases::MERGE);
+    stats.phases = PhaseBreakdown {
+        generate: phase_max(|p| p.generate),
+        dedup: phase_max(|p| p.dedup),
+        tree_filter: phase_max(|p| p.tree_filter),
+        rank_test: phase_max(|p| p.rank_test),
+        communicate: phase_max(|p| p.communicate),
+        merge: phase_max(|p| p.merge),
+    };
     stats.total_time = reports.iter().map(|r| r.value.stats.total_time).max().unwrap_or_default();
     stats.final_modes = reports[0].value.supports.len();
     let supports = reports[0].value.supports.clone();
@@ -260,10 +261,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         ctx.fault_point("iteration", iter_no)?;
         let modes_bytes = eng.modes.approx_bytes();
         let mut stripe_bytes = 0;
-        // `Engine::iterate` runs the tail after `drive` returns; these two
-        // split its time between the rank-test and merge clocks.
-        let mut t_stream_test = Duration::ZERO;
-        let mut t_tail = Instant::now();
         let drive = |eng: &Engine<P, S>, part: &SignPartition<P>| {
             // --- Generation, sort/dedup, duplicate drop and the
             // per-candidate rank test run fused per bounded batch over
@@ -271,22 +268,15 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // transient footprint is charged against the node capacity.
             let weights = opts.stripe_weights.as_deref();
             let (start, end) = stripe_bounds(part.pairs(), nodes, rank, weights);
-            ctx.add_work(phases::GENERATE, end - start);
             let meter = ctx.memory();
             let mut transient_now = 0;
-            let (local, pass) =
+            let (local, mut pass) =
                 eng.stream_range(part, start, end, STREAM_BATCH_PAIRS, &mut arena, &mut |t| {
                     meter.realloc(modes_bytes + transient_now, modes_bytes + t)?;
                     transient_now = t;
                     Ok(())
                 })?;
             accounted.set(modes_bytes + transient_now);
-            ctx.add_time(phases::GENERATE, pass.t_generate);
-            ctx.add_time(phases::DEDUP, pass.t_dedup);
-            ctx.add_time(phases::TREE, pass.t_tree);
-            ctx.add_time(phases::RANK, pass.t_test);
-            ctx.add_work(phases::RANK, pass.tested);
-            t_stream_test = pass.t_test;
             ctx.fault_point("generate", iter_no)?;
             ctx.fault_point("dedup", iter_no)?;
             // The outgoing survivor stripe is this rank's private memory
@@ -306,7 +296,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // duplicates collapse on key collision, the lower rank's copy
             // winning; parent indices mean the same on every rank, whose
             // mode matrices are identical.
-            ctx.add_work(phases::COMM_BYTES, out_bytes * (nodes - 1));
             if efm_obs::enabled() {
                 for dst in 0..nodes as usize {
                     if dst != my_rank {
@@ -358,10 +347,9 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             )?;
             drop(sp);
             accounted.set(charged);
-            ctx.add_time(phases::COMMUNICATE, t_comm.elapsed().saturating_sub(t_merge));
-            ctx.add_time(phases::MERGE, t_merge);
+            pass.t_communicate = t_comm.elapsed().saturating_sub(t_merge);
+            pass.t_merge = t_merge;
             ctx.fault_point("communicate", iter_no)?;
-            t_tail = Instant::now();
             let set = folded.expect("cluster size is at least one rank");
             Ok(Survivors { set, local: pass, remote })
         };
@@ -369,13 +357,10 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // then RemoveNegColumns + append: every rank advances to the
         // identical next state, the merged survivors' values charged first.
         let mut charge = |bytes: u64| -> Result<(), EfmError> { Ok(track(modes_bytes + bytes)?) };
-        let rec = eng.iterate(drive, &mut charge).map_err(|e| match e {
+        eng.iterate(drive, &mut charge).map_err(|e| match e {
             EfmError::Cluster(c) => c,
             other => as_protocol(other),
         })?;
-        let t_accept = rec.t_test.saturating_sub(t_stream_test);
-        ctx.add_time(phases::RANK, t_accept);
-        ctx.add_time(phases::MERGE, t_tail.elapsed().saturating_sub(t_accept));
         eng.stats.comm_messages += nodes * (nodes - 1);
         eng.stats.comm_bytes += stripe_bytes * (nodes - 1);
         track(eng.modes.approx_bytes())?;
@@ -440,14 +425,24 @@ mod tests {
     fn uniform_weights_reproduce_classic_stripes() {
         // The weighted split must be bit-identical to `rank·pairs/nodes`
         // under uniform weights — fault-free runs see no change at all.
+        // Those stripes abut, cover the grid, and differ by at most one
+        // pair: the paper's balanced split.
         for pairs in [0u64, 1, 7, 100, 12_345, u32::MAX as u64] {
             for nodes in 1u64..=8 {
                 let w = vec![1u64; nodes as usize];
+                let mut cursor = 0;
+                let mut sizes = Vec::new();
                 for rank in 0..nodes {
                     let classic = (rank * pairs / nodes, (rank + 1) * pairs / nodes);
                     assert_eq!(stripe_bounds(pairs, nodes, rank, Some(&w)), classic);
                     assert_eq!(stripe_bounds(pairs, nodes, rank, None), classic);
+                    assert_eq!(classic.0, cursor, "stripe {rank} must abut its predecessor");
+                    cursor = classic.1;
+                    sizes.push(classic.1 - classic.0);
                 }
+                assert_eq!(cursor, pairs, "stripes must cover the whole grid");
+                let spread = sizes.iter().max().unwrap() - sizes.iter().min().unwrap();
+                assert!(spread <= 1, "{pairs} pairs over {nodes} ranks: {sizes:?}");
             }
         }
     }

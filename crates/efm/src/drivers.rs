@@ -10,7 +10,7 @@ use crate::problem::EfmProblem;
 use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use rayon::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Supports (in reduced-network reaction indices) plus run statistics.
 pub type SupportsAndStats = (Vec<Vec<usize>>, RunStats);
@@ -226,12 +226,12 @@ fn merge_runs_parallel<P: BitPattern>(mut runs: Vec<CandidateSet<P>>) -> Candida
 /// so no worker ever materializes its full chunk. The per-worker transient
 /// peaks are *summed* into the charged footprint (chunks run
 /// concurrently), and the sorted survivor runs merge in parallel pairwise
-/// rounds.
+/// rounds. Phase times are the workers' own clocks, summed, with the
+/// measured merge of the runs added to `t_dedup`.
 fn rayon_pass<P: BitPattern, S: EfmScalar>(
     eng: &Engine<P, S>,
     part: &SignPartition<P>,
 ) -> Result<Survivors<P>, EfmError> {
-    let t0 = Instant::now();
     let pairs = part.pairs();
     let nchunks = (rayon::current_num_threads() * 4).max(1) as u64;
     let chunk = pairs.div_ceil(nchunks).max(1);
@@ -257,26 +257,10 @@ fn rayon_pass<P: BitPattern, S: EfmScalar>(
         pass.absorb(&ss);
         runs.push(set);
     }
-    let t1 = Instant::now();
+    let t_runs = Instant::now();
     let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
     let set = merge_runs_parallel(runs);
     drop(sp);
-    let t2 = Instant::now();
-    // The streaming phases interleave inside the parallel section, so the
-    // wall time of that section is attributed proportionally to the summed
-    // per-worker phase durations.
-    let wall = t1 - t0;
-    let sums = pass.t_generate + pass.t_dedup + pass.t_tree + pass.t_test;
-    let scale = |d: Duration| {
-        if sums.is_zero() {
-            Duration::ZERO
-        } else {
-            wall.mul_f64(d.as_secs_f64() / sums.as_secs_f64())
-        }
-    };
-    pass.t_generate = scale(pass.t_generate);
-    pass.t_dedup = scale(pass.t_dedup) + (t2 - t1);
-    pass.t_tree = scale(pass.t_tree);
-    pass.t_test = scale(pass.t_test);
+    pass.t_dedup += t_runs.elapsed();
     Ok(Survivors::local((set, pass)))
 }

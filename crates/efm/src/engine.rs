@@ -364,12 +364,14 @@ impl<P, S> GenArena<P, S> {
 }
 
 /// Counters and phase timings of one bounded streaming generation pass
-/// ([`Engine::stream_range`]).
+/// ([`Engine::stream_range`]), and of the rest of the iteration that
+/// follows it: a cluster rank's exchange and the merge.
 ///
 /// The pass interleaves all pipeline phases per batch, so timings are
 /// accumulated here and folded into the run statistics afterwards by
 /// `Engine::iterate` (an RAII phase timer per batch would misattribute
-/// the interleaving).
+/// the interleaving). This is the only phase clock: on every backend a
+/// process's `RunStats::phases` is the sum of these.
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
     /// Pairs of the grid the pass covered.
@@ -400,6 +402,11 @@ pub struct StreamStats {
     pub t_tree: std::time::Duration,
     /// Time spent in the per-batch elementarity test.
     pub t_test: std::time::Duration,
+    /// Time spent exchanging survivor stripes with the other cluster
+    /// ranks (zero off the cluster).
+    pub t_communicate: std::time::Duration,
+    /// Time spent merging exchanged stripes and advancing the state.
+    pub t_merge: std::time::Duration,
 }
 
 impl StreamStats {
@@ -415,6 +422,8 @@ impl StreamStats {
         self.t_dedup += other.t_dedup;
         self.t_tree += other.t_tree;
         self.t_test += other.t_test;
+        self.t_communicate += other.t_communicate;
+        self.t_merge += other.t_merge;
     }
 
     /// Folds in the counters of another cluster rank's stripe of the same
@@ -438,7 +447,8 @@ pub(crate) struct Survivors<P> {
     /// Survivors of the whole pair grid, sorted by `(pattern, val_sup)`
     /// with key duplicates dropped.
     pub set: CandidateSet<P>,
-    /// Counters and phase times of the passes this process ran.
+    /// Counters and phase times of the passes this process ran, the
+    /// exchange and fold-merge included on a cluster rank.
     pub local: StreamStats,
     /// Counters of the passes other cluster ranks ran (their times stay
     /// theirs); empty off the cluster.
@@ -892,8 +902,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// rest happens here, once: the cross-candidate half of the
     /// elementarity test (timed into `t_test`), recomputing the survivors'
     /// values, charging them through `charge` (with the survivor set they
-    /// are computed from, both being live at that point), advancing the
-    /// state, telemetry and the iteration record.
+    /// are computed from, both being live at that point) and advancing the
+    /// state (timed into `t_merge`), telemetry and the iteration record.
     pub(crate) fn iterate(
         &mut self,
         drive: impl FnOnce(&Self, &SignPartition<P>) -> Result<Survivors<P>, EfmError>,
@@ -906,12 +916,14 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let t_accept = std::time::Instant::now();
         let accepted = self.accept_survivors(&mut set, &part);
         local.t_test += t_accept.elapsed();
+        let t_tail = std::time::Instant::now();
         let sp = efm_obs::span(phases::MERGE);
         let buf = self.materialize(&set);
         charge(set.approx_bytes() + buf.approx_bytes())?;
         drop(set);
         self.advance(&part, buf);
         drop(sp);
+        local.t_merge += t_tail.elapsed();
         self.trace_iteration(&local);
         let mut pass = local;
         pass.add_stripe(&remote);
@@ -957,6 +969,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         st.phases.dedup += pass.t_dedup;
         st.phases.tree_filter += pass.t_tree;
         st.phases.rank_test += pass.t_test;
+        st.phases.communicate += pass.t_communicate;
+        st.phases.merge += pass.t_merge;
         st.candidates_generated += pairs;
         st.tree_pruned += pairs - pass.prefiltered;
         st.dedup_hits += pass.prefiltered - pass.tested;

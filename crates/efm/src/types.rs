@@ -191,7 +191,12 @@ pub struct IterationStats {
     pub t_test: std::time::Duration,
 }
 
-/// Wall-clock time spent per algorithm phase (the paper's Table II rows).
+/// Time spent per algorithm phase (the paper's Table II rows).
+///
+/// Each number is the time spent in the phase summed over one process's
+/// threads: a rayon run's workers add up, so a phase can exceed the wall
+/// time. For a cluster run each phase is its slowest rank's (the
+/// bulk-synchronous model of wall time).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Candidate generation (pairing + summary rejection).
@@ -205,7 +210,8 @@ pub struct PhaseBreakdown {
     pub rank_test: Duration,
     /// Inter-node communication (cluster backend only).
     pub communicate: Duration,
-    /// Merging exchanged candidate sets (cluster backend only).
+    /// Merging exchanged candidate sets (cluster backend only), computing
+    /// the survivors' values and advancing to the next mode matrix.
     pub merge: Duration,
 }
 

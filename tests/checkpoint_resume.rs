@@ -213,6 +213,44 @@ fn resumed_cluster_run_counts_like_uninterrupted() {
     assert!(checked >= 8, "only {checked} seeds ran long enough to pause");
 }
 
+/// A resumed cluster run reports the whole run's phase times, not just
+/// the resumed segment's: each rank's clocks start from the checkpoint's.
+/// The pause comes once nine tenths of the pairs are generated, so the
+/// resumed segment alone would clock far less generation than the
+/// checkpoint already holds. (This network's last iteration generates
+/// 987 of 14,694 pairs; most networks' last iteration is their largest.)
+#[test]
+fn resumed_cluster_run_reports_whole_run_phase_clocks() {
+    use efm_core::{build_problem, cluster_supports_resumable, cluster_supports_segment};
+    use efm_metnet::compress;
+    type P = efm_bitset::Pattern1;
+    let opts = EfmOptions::default();
+    let cfg = efm_cluster::ClusterConfig::new(2);
+    let params = RandomNetworkParams { metabolites: 10, reactions: 22, ..small_params() };
+    let (red, _) = compress(&random_network(&params, 36));
+    let problem = build_problem::<DynInt>(&red, &opts).unwrap();
+    let full =
+        cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, None, None).unwrap().stats;
+    let pairs: Vec<u64> = full.iterations.iter().map(|it| it.pairs).collect();
+    let total: u64 = pairs.iter().sum();
+    let k = (0..pairs.len())
+        .find(|&k| pairs[k..].iter().sum::<u64>() * 10 <= total)
+        .expect("the last tenth of the pairs falls in later iterations");
+    let (_, ck) =
+        cluster_supports_segment::<P, DynInt>(&problem, &opts, &cfg, None, None, Some(k as u64))
+            .unwrap();
+    let ck = ck.expect("a paused run returns rank 0's snapshot");
+    let resumed = cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, Some(&ck), None)
+        .unwrap()
+        .stats;
+    assert!(
+        resumed.phases.generate >= ck.stats.phases.generate,
+        "resumed run reports {:?} of generation, the checkpoint already holds {:?}",
+        resumed.phases.generate,
+        ck.stats.phases.generate
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Divide-and-conquer progress resume: a resumed run skips the
 // subsets the checkpoint records as complete and re-enumerates the rest.
