@@ -56,8 +56,8 @@ pub mod phases {
     pub const GENERATE: &str = "gen cand";
     /// Local sort + duplicate removal.
     pub const DEDUP: &str = "sort/dedup";
-    /// Duplicate drop against zero-row modes (traces and the benchmark read
-    /// this label).
+    /// The zero-row scan against the zero-row modes' masked supports
+    /// (traces and the benchmark read this label).
     pub const TREE: &str = "tree filter";
     /// Local rank tests.
     pub const RANK: &str = "rank test";
@@ -262,7 +262,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         let modes_bytes = eng.modes.approx_bytes();
         let mut stripe_bytes = 0;
         let drive = |eng: &Engine<P, S>, part: &SignPartition<P>| {
-            // --- Generation, sort/dedup, duplicate drop and the
+            // --- Generation, sort/dedup, the zero-row scan and the
             // per-candidate rank test run fused per bounded batch over
             // this rank's stripe of the pair grid, and every batch's
             // transient footprint is charged against the node capacity.

@@ -17,9 +17,11 @@
 //!    paper's "generated candidate modes" count;
 //! 3. summary rejection: a candidate whose support exceeds `m+1` entries
 //!    cannot have nullity 1;
-//! 4. sort + remove duplicate candidates (by support);
-//! 5. elementarity test (algebraic rank test, or the combinatorial
-//!    support-minimality test for the ablation);
+//! 4. sort + remove duplicate candidates (by support), then the zero-row
+//!    scan: drop a candidate whose masked support contains a zero-row
+//!    mode's;
+//! 5. elementarity test over the processed positions (algebraic rank
+//!    test, or the combinatorial support-minimality test);
 //! 6. advance: keep zero and positive modes, keep negative modes only for
 //!    reversible rows, append accepted candidates.
 //!
@@ -36,7 +38,7 @@ use crate::problem::EfmProblem;
 use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
 use efm_bitset::{BitPattern, KernelTier};
 use efm_linalg::{nullity_of_cols, Mat};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Absolute pivot tolerance of the floating-point rank test, which
 /// eliminates over rows of the kernel `K = [I; R]` whose columns are
@@ -280,6 +282,10 @@ impl<P: BitPattern> CandidateSet<P> {
 /// negative, and zero value.
 #[derive(Debug, Clone, Default)]
 pub struct SignPartition<P> {
+    /// The processed positions: the identity block, the processed rows
+    /// and the current row. Elementarity is decided on supports
+    /// intersected with this mask.
+    pub mask: P,
     /// Modes with positive entry.
     pub pos: Vec<u32>,
     /// Modes with negative entry.
@@ -295,6 +301,11 @@ pub struct SignPartition<P> {
     /// `xor_count(pos_sup, neg_sup)` is a true lower bound on the
     /// candidate's tail nonzeros — a second cheap rejection level.
     pub neg_tail_sups: Vec<P>,
+    /// Masked supports of the zero-row modes sorted by popcount: the slab
+    /// the per-batch zero-row scan probes.
+    pub zero_slab: Vec<P>,
+    /// Popcounts of `zero_slab`, ascending.
+    pub zero_counts: Vec<u32>,
 }
 
 impl<P> SignPartition<P> {
@@ -387,8 +398,8 @@ pub struct StreamStats {
     /// Pairs that survived the summary rejection (raw candidates).
     pub prefiltered: u64,
     /// Candidates reaching the elementarity test after per-batch dedup and
-    /// the duplicate-of-existing drop (cross-batch duplicates count once
-    /// per batch they appear in).
+    /// the zero-row scan (cross-batch duplicates count once per batch they
+    /// appear in).
     pub tested: u64,
     /// High-water transient footprint in bytes: accumulated survivors +
     /// in-flight batch + generation arena, maximised over batches. This is
@@ -398,7 +409,7 @@ pub struct StreamStats {
     pub t_generate: std::time::Duration,
     /// Time spent in per-batch sort/dedup.
     pub t_dedup: std::time::Duration,
-    /// Time spent in the duplicate drop against zero-row modes.
+    /// Time spent in the zero-row scan.
     pub t_tree: std::time::Duration,
     /// Time spent in the per-batch elementarity test.
     pub t_test: std::time::Duration,
@@ -610,6 +621,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
         p.neg_pats = p.neg.iter().map(|&i| self.modes.patterns[i as usize]).collect();
         p.neg_tail_sups = p.neg.iter().map(|&i| self.val_support(i as usize)).collect();
+        (0..=self.cursor).for_each(|pos| p.mask.set(pos));
+        p.zero_slab =
+            p.zero.iter().map(|&i| self.mode_support(i as usize).intersect(&p.mask)).collect();
+        p.zero_slab.sort_unstable_by_key(P::count);
+        p.zero_counts = p.zero_slab.iter().map(P::count).collect();
         p
     }
 
@@ -781,15 +797,23 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         stats.prefiltered += survivors;
     }
 
-    /// Drops candidates whose full support is already the support of a
-    /// zero-row mode (one of `zero_sups`): cancellation at processed
-    /// reversible rows can make a combination reproduce an existing ray
-    /// (both have nullity-1 supports, hence are the same ray).
-    /// Positive/negative modes carry the current-row position and can never
-    /// collide.
-    fn drop_existing(&self, buf: &mut CandidateSet<P>, zero_sups: &HashSet<P>) {
+    /// The zero-row scan: drops every candidate whose masked support
+    /// contains a zero-row mode's (equality included), probing only the
+    /// prefix of the count-sorted slab that can be a subset.
+    ///
+    /// If `masked(z) ⊆ masked(c)`, the mode `z` vanishes wherever `c`
+    /// does on the processed positions, so `c` either fails the masked
+    /// elementarity test or is the ray `z` again — which cancellation at
+    /// processed reversible rows can reproduce. Either way it goes, under
+    /// both tests. Positive/negative modes carry the current-row position,
+    /// which no candidate does, so they can never reject.
+    fn drop_covered(&self, buf: &mut CandidateSet<P>, part: &SignPartition<P>) {
         let keep: Vec<u32> = (0..buf.len())
-            .filter(|&i| !zero_sups.contains(&self.candidate_support(buf, i)))
+            .filter(|&i| {
+                let cs = self.candidate_support(buf, i).intersect(&part.mask);
+                let zp = part.zero_counts.partition_point(|&c| c <= cs.count());
+                !P::subset_any(self.kernel_tier, &part.zero_slab[..zp], &cs)
+            })
             .map(|i| i as u32)
             .collect();
         if keep.len() < buf.len() {
@@ -799,13 +823,12 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// The iteration's pipeline over the pair-index range `[start, end)`:
     /// the range is processed in bounded batches of at most `batch_pairs`
-    /// pairs, and each batch flows through sort/dedup → duplicate drop
-    /// against zero-row modes (a hash set of their full supports, built
-    /// once per call) → (for the rank test) the per-candidate elementarity
-    /// test *before* the next batch is generated. Only survivors
-    /// accumulate in the returned set, sorted by key, so the transient
-    /// footprint is one batch plus the accumulated survivor set — not the
-    /// full materialized pair range.
+    /// pairs, and each batch flows through sort/dedup → the zero-row scan
+    /// against the partition's slab (`Engine::drop_covered`) → (for the
+    /// rank test) the per-candidate elementarity test *before* the next
+    /// batch is generated. Only survivors accumulate in the returned set,
+    /// sorted by key, so the transient footprint is one batch plus the
+    /// accumulated survivor set — not the full materialized pair range.
     ///
     /// `charge` is invoked once per batch with the current transient
     /// footprint in bytes (survivors + in-flight batch + arena); a driver
@@ -818,8 +841,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// function of the support columns, so batch-local verdicts agree with
     /// global ones, and cross-batch duplicates receive equal verdicts and
     /// collapse in the sorted merge (which keeps the first copy, exactly
-    /// like a global sort+dedup). The cross-candidate adjacency test cannot
-    /// run batch-locally; `Engine::iterate` runs it on the merged set.
+    /// like a global sort+dedup). The zero-row scan is per candidate too.
+    /// The adjacency test's cross-candidate half cannot run batch-locally;
+    /// `Engine::iterate` runs it on the merged set.
     pub fn stream_range(
         &self,
         part: &SignPartition<P>,
@@ -837,10 +861,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
         ss.pairs = end - start;
         let batch_pairs = batch_pairs.max(1);
-        // The zero-row modes' full supports, built once per call: a
-        // candidate equal to one of them is a duplicate of an existing mode.
-        let zero_sups: HashSet<P> =
-            part.zero.iter().map(|&i| self.mode_support(i as usize)).collect();
         let per_batch_rank = matches!(self.test, CandidateTest::Rank);
         let mut s = start;
         while s < end {
@@ -857,8 +877,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             drop(sp);
             let t2 = Instant::now();
             let sp = efm_obs::span(phases::TREE);
-            if !zero_sups.is_empty() {
-                self.drop_existing(&mut batch, &zero_sups);
+            if !part.zero_slab.is_empty() {
+                self.drop_covered(&mut batch, part);
             }
             drop(sp);
             let t3 = Instant::now();
@@ -959,8 +979,8 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             accepted,
             modes_after: self.modes.len(),
             t_generate: pass.t_generate,
-            t_dedup: pass.t_dedup + pass.t_tree,
-            t_merge: pass.t_dedup,
+            t_dedup: pass.t_dedup,
+            t_merge: pass.t_merge,
             t_tree_filter: pass.t_tree,
             t_test: pass.t_test,
         };
@@ -1084,16 +1104,16 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// The cross-candidate half of the elementarity test, run on an
     /// iteration's merged survivors: the rank test already ran per batch,
-    /// so every survivor is accepted; the adjacency test
-    /// ([`Engine::adjacency_filter`], the count-sorted slab scan) compares
-    /// candidates with each other and with the zero-row modes and runs
-    /// here. Keeps only accepted candidates and returns their number.
+    /// so every survivor is accepted; the adjacency test's comparison of
+    /// candidates with each other ([`Engine::adjacency_filter`], the
+    /// count-sorted slab scan) runs here. Keeps only accepted candidates
+    /// and returns their number.
     fn accept_survivors(&self, set: &mut CandidateSet<P>, part: &SignPartition<P>) -> u64 {
         let _sp = efm_obs::span(phases::RANK);
         match self.test {
             CandidateTest::Rank => set.len() as u64,
             CandidateTest::Adjacency => {
-                let keep = self.adjacency_filter(set, part);
+                let keep = self.adjacency_filter(set, &part.mask);
                 set.gather(&keep);
                 keep.len() as u64
             }
@@ -1103,9 +1123,12 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// Numerical nullity-1 test of a candidate with full support `sup`
     /// (positions), run on the kernel `K = [I; R]` instead of on `N`.
     ///
-    /// Every steady-state flux is `K·λ`, so the fluxes supported inside
-    /// `sup` are the `λ` with `K[Z,:]·λ = 0` for the zero set `Z`, and
-    /// `nullity(N[:,sup]) = d − rank(K[Z,:])`. The identity rows in `Z` are
+    /// Elementarity is decided over the processed positions only: the
+    /// zero set `Z` is the identity block and processed rows (`d..=cursor`)
+    /// outside `sup`, since a zero on an unprocessed row is not a
+    /// constraint yet. Every steady-state flux is `K·λ`, so the fluxes
+    /// vanishing on `Z` are the `λ` with `K[Z,:]·λ = 0`, a space of
+    /// dimension `d − rank(K[Z,:])`. The identity rows in `Z` are
     /// multiples of unit rows; eliminating them leaves the test
     /// `rank(K[Z∖I, sup∩I]) == k − 1` with `k = |sup∩I|`: a `|Z∖I|×k`
     /// elimination, smaller than the `m×|sup|` one on `N`.
@@ -1126,14 +1149,14 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         if k <= 1 {
             return k == 1;
         }
-        let q = self.row_order.len();
-        let zero_rows = (q - d) - (sup.count() as usize - k);
+        let processed = d..self.cursor + 1;
+        let zero_rows = processed.clone().filter(|&p| !sup.get(p)).count();
         // rank ≤ |Z∖I|: too few zero rows to reach rank k − 1.
         if zero_rows + 1 < k {
             return false;
         }
         scratch.clear();
-        for p in (d..q).filter(|&p| !sup.get(p)) {
+        for p in processed.filter(|&p| !sup.get(p)) {
             let row = &self.kernel_tail[(p - d) * d..(p - d + 1) * d];
             scratch.extend(cols.iter().map(|&j| row[j]));
         }
@@ -1142,6 +1165,10 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
 
     /// Rank test on a sub-range of candidates: returns indices (relative
     /// to the buffer) that pass. Used by parallel drivers.
+    ///
+    /// The exact reference ([`EfmOptions::exact_rank_test`]) decides the
+    /// same masked question on `N`: `nullity(N[:, sup ∪ U]) == 1` with `U`
+    /// the unprocessed positions, which leaves those columns free.
     pub fn rank_filter_range(
         &self,
         buf: &CandidateSet<P>,
@@ -1151,9 +1178,16 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let mut keep = Vec::new();
         if self.exact_rank_test {
             let mut scratch = Vec::new();
+            let unprocessed = self.cursor + 1..self.row_order.len();
             for i in range {
                 cols.clear();
-                self.candidate_support(buf, i).for_each_one(|p| cols.push(self.row_order[p]));
+                let sup = self.candidate_support(buf, i);
+                sup.for_each_one(|p| {
+                    if p <= self.cursor {
+                        cols.push(self.row_order[p]);
+                    }
+                });
+                cols.extend(unprocessed.clone().map(|p| self.row_order[p]));
                 if nullity_of_cols(&self.stoich, &cols, &mut scratch) == 1 {
                     keep.push(i as u32);
                 }
@@ -1175,47 +1209,40 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         keep
     }
 
-    /// Combinatorial (support-minimality) test, the classical alternative
-    /// to the rank test: a candidate survives iff no *other* mode of the
-    /// next generation has support strictly contained in the candidate's.
+    /// The cross-candidate half of the combinatorial (support-minimality)
+    /// test, the classical alternative to the rank test: a candidate
+    /// survives iff no *other* mode of the next generation has support
+    /// strictly contained in the candidate's.
     ///
     /// Modes kept with a nonzero current-row entry (positive, and negative
     /// on reversible rows) carry the current-row position in their support
-    /// while candidates never do, so they cannot be subsets; only zero-row
-    /// modes and the other candidates can reject.
+    /// while candidates never do, so they cannot be subsets; zero-row
+    /// modes already rejected their supersets in the per-batch zero-row
+    /// scan ([`Engine::drop_covered`]), so only the other candidates are
+    /// left to reject here.
     ///
-    /// Supports are compared on the positions `≤ cursor` only — the
-    /// identity block, the processed rows and the current row. A zero on
-    /// an unprocessed row is not a constraint yet; counting it would
+    /// Supports are compared on the processed positions (`mask`) only —
+    /// the identity block, the processed rows and the current row. A zero
+    /// on an unprocessed row is not a constraint yet; counting it would
     /// accept modes whose masked support strictly contains another
     /// mode's. Distinct candidates can therefore share a masked support,
     /// and then neither is extreme: equality rejects too.
     ///
     /// Classical linear-scan adjacency test, slab-vectorized: subset
-    /// probes run over dense count-sorted support slabs with the batched
-    /// kernel. A subset has at most as many bits as its superset — and a
-    /// *proper* subset strictly fewer — so sorting each slab by popcount
-    /// lets every probe scan only the prefix that can possibly reject,
-    /// instead of the full `O(|zero|·|cand| + |cand|²)` pair grid.
+    /// probes run over a dense count-sorted support slab with the batched
+    /// kernel. A *proper* subset has strictly fewer bits than its
+    /// superset, so sorting the slab by popcount lets every probe scan
+    /// only the prefix that can possibly reject, instead of the full
+    /// `O(|cand|²)` pair grid.
     ///
     /// Returns the ascending indices of the surviving candidates.
-    fn adjacency_filter(&self, set: &CandidateSet<P>, part: &SignPartition<P>) -> Vec<u32> {
+    fn adjacency_filter(&self, set: &CandidateSet<P>, mask: &P) -> Vec<u32> {
         let tier = self.kernel_tier;
-        let mut mask = P::empty();
-        (0..=self.cursor).for_each(|p| mask.set(p));
-        let by_count = |sups: Vec<P>| -> (Vec<P>, Vec<u32>) {
-            let mut order: Vec<usize> = (0..sups.len()).collect();
-            order.sort_by_key(|&i| sups[i].count());
-            let sorted: Vec<P> = order.iter().map(|&i| sups[i]).collect();
-            let counts: Vec<u32> = sorted.iter().map(P::count).collect();
-            (sorted, counts)
-        };
-        let (zero_sorted, zero_counts) = by_count(
-            part.zero.iter().map(|&i| self.mode_support(i as usize).intersect(&mask)).collect(),
-        );
         let cand_sups: Vec<P> =
-            (0..set.len()).map(|i| self.candidate_support(set, i).intersect(&mask)).collect();
-        let (cand_sorted, cand_counts) = by_count(cand_sups.clone());
+            (0..set.len()).map(|i| self.candidate_support(set, i).intersect(mask)).collect();
+        let mut cand_sorted = cand_sups.clone();
+        cand_sorted.sort_unstable_by_key(P::count);
+        let cand_counts: Vec<u32> = cand_sorted.iter().map(P::count).collect();
         let mut multiplicity: HashMap<P, u32> = HashMap::new();
         for s in &cand_sups {
             *multiplicity.entry(*s).or_default() += 1;
@@ -1223,12 +1250,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let mut keep = Vec::new();
         for (i, cs) in cand_sups.iter().enumerate() {
             let k = cs.count();
-            // Zero-row modes reject on any subset (equality included):
-            // probe the prefix with count ≤ k.
-            let zp = zero_counts.partition_point(|&c| c <= k);
-            if P::subset_any(tier, &zero_sorted[..zp], cs) {
-                continue;
-            }
             // Another candidate with the same masked support rejects.
             if multiplicity[cs] > 1 {
                 continue;
@@ -1607,30 +1628,115 @@ mod tests {
         assert!(assert_rank_tests_agree(&sub) > 0);
     }
 
+    /// The full problem of a random 6×12 network and, when it has one,
+    /// the same network split on its first reversible reaction.
+    fn random_problems(seed: u64) -> Vec<EfmProblem<DynInt>> {
+        let params = efm_metnet::generator::RandomNetworkParams {
+            metabolites: 6,
+            reactions: 12,
+            reversible_prob: 0.4,
+            mean_degree: 2.5,
+            exchange_prob: 0.4,
+            max_coeff: 3,
+        };
+        let net = efm_metnet::generator::random_network(&params, seed);
+        let (red, _) = compress(&net);
+        if red.num_reduced() == 0 {
+            return Vec::new();
+        }
+        let mut out = vec![build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap()];
+        if let Some(r) = (0..red.num_reduced()).find(|&r| red.reversible[r]) {
+            out.extend(nonzero_subproblem(&red, r));
+        }
+        out
+    }
+
+    /// Runs an engine with elementarity test `test` over `problem` and, at
+    /// every iteration, checks the zero-row scan against a brute-force
+    /// probe of the deduplicated candidates of the whole pair grid: the
+    /// scan drops exactly the candidates whose masked support contains a
+    /// zero-row mode's, each of them fails the masked exact rank test or
+    /// has that mode's full support, and none of them survives
+    /// [`Engine::stream_range`]. Returns how many candidates the scan had
+    /// to drop.
+    fn assert_zero_scan_sound(problem: &EfmProblem<DynInt>, test: CandidateTest) -> usize {
+        let opts = EfmOptions { test, ..Default::default() };
+        let mut eng: Engine<Pattern1, DynInt> = Engine::new(problem, &opts).unwrap();
+        let mut dropped = 0;
+        while !eng.done() {
+            let part = eng.partition();
+            let masked = |s: Pattern1| s.intersect(&part.mask);
+            let zero_modes: Vec<Pattern1> =
+                part.zero.iter().map(|&i| eng.mode_support(i as usize)).collect();
+            let covered =
+                |s: Pattern1| zero_modes.iter().any(|z| masked(*z).is_subset_of(&masked(s)));
+            let mut set = CandidateSet::default();
+            let mut stats = StreamStats::default();
+            eng.generate_range(&part, 0, part.pairs(), &mut set, &mut GenArena::new(), &mut stats);
+            set.sort_dedup();
+            eng.exact_rank_test = true;
+            let elementary = eng.rank_filter_range(&set, 0..set.len());
+            eng.exact_rank_test = false;
+            let mut scanned = set.clone();
+            eng.drop_covered(&mut scanned, &part);
+            let uncovered: Vec<u32> = (0..set.len() as u32)
+                .filter(|&i| !covered(eng.candidate_support(&set, i as usize)))
+                .collect();
+            let mut expected = set.clone();
+            expected.gather(&uncovered);
+            assert_eq!(scanned.patterns, expected.patterns);
+            assert_eq!(scanned.val_sups, expected.val_sups);
+            for i in 0..set.len() {
+                let sup = eng.candidate_support(&set, i);
+                if covered(sup) {
+                    dropped += 1;
+                    assert!(
+                        !elementary.contains(&(i as u32)) || zero_modes.contains(&sup),
+                        "dropped an elementary new mode at position {}",
+                        eng.cursor
+                    );
+                }
+            }
+            let (survivors, _) = eng
+                .stream_range(&part, 0, part.pairs(), 3, &mut GenArena::new(), &mut |_| Ok(()))
+                .unwrap();
+            for i in 0..survivors.len() {
+                assert!(!covered(eng.candidate_support(&survivors, i)), "{test:?} kept a superset");
+            }
+            eng.step();
+        }
+        dropped
+    }
+
+    #[test]
+    fn zero_row_scan_drops_only_non_elementary_or_existing_modes() {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = compress(&net);
+        let r8 = red.reduced_index_of(net.reaction_index("r8r").unwrap()).unwrap();
+        let mut problems = vec![build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap()];
+        problems.extend(nonzero_subproblem(&red, r8));
+        problems.extend((0..8).flat_map(random_problems));
+        for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+            let dropped: usize = problems.iter().map(|p| assert_zero_scan_sound(p, test)).sum();
+            assert!(dropped > 0, "{test:?}: the scan must have candidates to drop");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         #[test]
         fn kernel_rank_test_matches_exact_on_random_networks(seed in 0u64..5000) {
-            let params = efm_metnet::generator::RandomNetworkParams {
-                metabolites: 6,
-                reactions: 12,
-                reversible_prob: 0.4,
-                mean_degree: 2.5,
-                exchange_prob: 0.4,
-                max_coeff: 3,
-            };
-            let net = efm_metnet::generator::random_network(&params, seed);
-            let (red, _) = compress(&net);
-            if red.num_reduced() == 0 {
-                return Ok(());
+            for problem in random_problems(seed) {
+                assert_rank_tests_agree(&problem);
             }
-            let full = build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap();
-            assert_rank_tests_agree(&full);
-            // The same network split on its first reversible reaction.
-            if let Some(r) = (0..red.num_reduced()).find(|&r| red.reversible[r]) {
-                if let Some(sub) = nonzero_subproblem(&red, r) {
-                    assert_rank_tests_agree(&sub);
+        }
+
+        #[test]
+        fn zero_row_scan_is_sound_on_random_networks(seed in 0u64..5000) {
+            for problem in random_problems(seed) {
+                for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+                    assert_zero_scan_sound(&problem, test);
                 }
             }
         }

@@ -101,13 +101,14 @@ pub struct EfmOptions {
     /// part of the kernel. Used by the golden tests that reproduce the
     /// paper's worked example exactly; `None` lets elimination choose.
     pub force_free: Option<Vec<usize>>,
-    /// Run rank tests in exact (Bareiss) arithmetic on the support columns
-    /// of the stoichiometry instead of the default floating-point
-    /// elimination the paper prescribes (which the engine runs on the
-    /// kernel rows of each candidate's zero set; both decide the same
-    /// nullity). Exact tests are orders of magnitude slower on
-    /// genome-scale submatrices (intermediate integers grow to hundreds of
-    /// digits) and exist as the reference for verification.
+    /// Run rank tests in exact (Bareiss) arithmetic on the stoichiometry's
+    /// columns of the support and of the unprocessed rows instead of the
+    /// default floating-point elimination the paper prescribes (which the
+    /// engine runs on the kernel rows of each candidate's processed zero
+    /// set; both decide the same nullity). Exact tests are orders of
+    /// magnitude slower on genome-scale submatrices (intermediate integers
+    /// grow to hundreds of digits) and exist as the reference for
+    /// verification.
     pub exact_rank_test: bool,
     /// Which network-reduction stages run before enumeration (ablation
     /// hook; the default is the paper's full preprocessing).
@@ -171,7 +172,8 @@ pub struct IterationStats {
     pub numeric_pass: u64,
     /// Candidates surviving the summary (too-many-nonzeros) rejection.
     pub prefiltered: u64,
-    /// Candidates surviving duplicate removal.
+    /// Candidates surviving duplicate removal and the zero-row scan: those
+    /// the rank test eliminates over.
     pub deduped: u64,
     /// Candidates accepted by the elementarity test.
     pub accepted: u64,
@@ -179,12 +181,13 @@ pub struct IterationStats {
     pub modes_after: usize,
     /// Wall time of candidate generation.
     pub t_generate: std::time::Duration,
-    /// Wall time of duplicate removal: `t_merge + t_tree_filter`.
-    pub t_dedup: std::time::Duration,
     /// Wall time of the per-batch sort + dedup and of merging the sorted
-    /// survivor runs.
+    /// survivor runs (the `dedup` phase).
+    pub t_dedup: std::time::Duration,
+    /// Wall time of merging exchanged stripes (cluster), computing the
+    /// survivors' values and advancing the state (the `merge` phase).
     pub t_merge: std::time::Duration,
-    /// Wall time of the duplicate drop against zero-row modes.
+    /// Wall time of the zero-row scan (the `tree filter` phase).
     pub t_tree_filter: std::time::Duration,
     /// Wall time of the elementarity test (per batch for the rank test,
     /// on the merged survivors for the adjacency test).
@@ -204,7 +207,8 @@ pub struct PhaseBreakdown {
     /// Sorting and duplicate removal (parallel drivers: merging per-chunk
     /// sorted runs — no longer a serial barrier).
     pub dedup: Duration,
-    /// Duplicate drop against zero-row modes.
+    /// The zero-row scan: candidates whose masked support contains a
+    /// zero-row mode's are dropped.
     pub tree_filter: Duration,
     /// Rank (or adjacency) tests.
     pub rank_test: Duration,
@@ -373,8 +377,8 @@ pub struct RunStats {
     /// Candidate pairs eliminated by the bit-pattern prefilter (summary
     /// rejection) before any numeric work.
     pub tree_pruned: u64,
-    /// Duplicate candidates removed, both within a batch (sort+dedup) and
-    /// by the duplicate drop against zero-row modes.
+    /// Candidates removed before the elementarity test: duplicates within
+    /// a batch (sort+dedup) and those the zero-row scan drops.
     pub dedup_hits: u64,
     /// Candidates submitted to the elementarity test (rank or adjacency).
     pub rank_tests: u64,

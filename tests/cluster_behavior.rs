@@ -4,8 +4,8 @@
 
 use efm_cluster::{ClusterConfig, ClusterError};
 use efm_core::{
-    build_problem, cluster_supports_resumable, serial_supports, Backend, EfmError, EfmOptions,
-    PhaseBreakdown, Run,
+    build_problem, cluster_supports_resumable, rayon_supports, serial_supports, Backend, EfmError,
+    EfmOptions, IterationStats, PhaseBreakdown, Run, RunStats,
 };
 use efm_metnet::generator::layered_branches;
 use efm_metnet::{compress, examples::toy_network};
@@ -92,6 +92,45 @@ fn phase_clocks_are_recorded() {
             assert!(!t.is_zero(), "rank {} recorded no {label} time", rank.rank);
         }
         assert!(rank.peak_memory > 0, "memory meter must account the mode matrix");
+    }
+}
+
+/// The per-iteration records hold the same clocks as the run's phase
+/// totals: summed over the iterations, generate, dedup, tree filter,
+/// test and merge equal `RunStats.phases` on serial, rayon and every rank
+/// of a 3-rank cluster (whose records and totals are that rank's own).
+#[test]
+fn iteration_times_sum_to_the_phase_totals() {
+    let net = layered_branches(4, 3);
+    let (red, _) = compress(&net);
+    let opts = EfmOptions::default();
+    let problem = build_problem::<DynInt>(&red, &opts).unwrap();
+    let assert_sums = |label: &str, stats: &RunStats| {
+        let sum = |time: fn(&IterationStats) -> Duration| -> Duration {
+            stats.iterations.iter().map(time).sum()
+        };
+        let p = &stats.phases;
+        assert_eq!(sum(|r| r.t_generate), p.generate, "{label}: generate");
+        assert_eq!(sum(|r| r.t_dedup), p.dedup, "{label}: dedup");
+        assert_eq!(sum(|r| r.t_tree_filter), p.tree_filter, "{label}: tree filter");
+        assert_eq!(sum(|r| r.t_test), p.rank_test, "{label}: test");
+        assert_eq!(sum(|r| r.t_merge), p.merge, "{label}: merge");
+        assert!(!p.merge.is_zero(), "{label}: merge is timed");
+    };
+    let (_, serial) = serial_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts).unwrap();
+    assert_sums("serial", &serial);
+    let (_, rayon) = rayon_supports::<efm_bitset::Pattern1, DynInt>(&problem, &opts).unwrap();
+    assert_sums("rayon", &rayon);
+    let cluster = cluster_supports_resumable::<efm_bitset::Pattern1, DynInt>(
+        &problem,
+        &opts,
+        &ClusterConfig::new(3),
+        None,
+        None,
+    )
+    .unwrap();
+    for rank in &cluster.per_rank {
+        assert_sums(&format!("cluster rank {}", rank.rank), &rank.value.stats);
     }
 }
 

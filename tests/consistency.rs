@@ -41,8 +41,11 @@ proptest! {
     #[test]
     fn backends_agree(seed in 0u64..5000) {
         // Both elementarity tests: adjacency compares candidates across
-        // the rayon chunks and the cluster stripes of the pair grid.
+        // the rayon chunks and the cluster stripes of the pair grid. Both
+        // decide over the processed rows, so they also keep the same
+        // intermediate modes on every iteration.
         let net = oracle_net(seed);
+        let mut series = Vec::new();
         for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
             let o = EfmOptions { test, ..opts() };
             let on = |backend| Run { opts: o.clone(), backend, ..Default::default() };
@@ -53,7 +56,16 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(serial.efms.as_support_sets(), rayon.efms.as_support_sets());
             prop_assert_eq!(serial.efms.as_support_sets(), cluster.efms.as_support_sets());
+            series.push(
+                serial
+                    .stats
+                    .iterations
+                    .iter()
+                    .map(|r| (r.pairs, r.accepted, r.modes_after))
+                    .collect::<Vec<_>>(),
+            );
         }
+        prop_assert_eq!(&series[0], &series[1]);
     }
 
     #[test]

@@ -24,9 +24,10 @@ fn network_i_lite() -> MetabolicNetwork {
     network_without(efm_metnet::yeast::NETWORK_I_TEXT, &["R15", "R70"])
 }
 
-/// Per-iteration `(accepted, modes_after)` of a run.
-fn accepted_series(stats: &RunStats) -> Vec<(u64, usize)> {
-    stats.iterations.iter().map(|r| (r.accepted, r.modes_after)).collect()
+/// Per-iteration `(pairs, accepted, modes_after)` of a run: equal series
+/// mean equal intermediate mode sets, iteration by iteration.
+fn mode_series(stats: &RunStats) -> Vec<(u64, u64, usize)> {
+    stats.iterations.iter().map(|r| (r.pairs, r.accepted, r.modes_after)).collect()
 }
 
 #[test]
@@ -46,19 +47,22 @@ fn exact_and_float_agree_on_yeast_lite() {
         "identical pipelines must generate identical candidate counts"
     );
     // Pinned per-iteration work: an equivalent elementarity test must
-    // generate, test and accept exactly as many candidates.
-    assert_eq!(exact.stats.candidates_generated, 4_038_173);
-    assert_eq!(exact.stats.rank_tests, 166_454);
+    // generate, test and accept exactly as many candidates. Elementarity
+    // is decided over the processed rows, and the zero-row scan drops
+    // most non-elementary candidates before the rank test.
+    assert_eq!(exact.stats.candidates_generated, 3_827_018);
+    assert_eq!(exact.stats.rank_tests, 31_336);
     let accepted: u64 = exact.stats.iterations.iter().map(|r| r.accepted).sum();
-    assert_eq!(accepted, 5689);
+    assert_eq!(accepted, 5617);
 }
 
 /// Certificate on real data: the default (kernel-row f64) rank test and
 /// the exact Bareiss test on the stoichiometry take identical decisions on
-/// every iteration of Network I-lite. The exact test takes tens of seconds
-/// even in release, so this runs on request (`--ignored`) and in CI.
+/// every iteration of Network I-lite. The exact test takes about ten
+/// seconds even in release, so this runs on request (`--ignored`) and in
+/// CI.
 #[test]
-#[ignore = "exact rank test: about a minute in release"]
+#[ignore = "exact rank test: about ten seconds in release"]
 fn float_rank_test_matches_exact_on_every_iteration_of_yeast_lite() {
     let net = network_i_lite();
     let opts = EfmOptions::default();
@@ -152,7 +156,25 @@ fn cluster_backend_agrees_on_yeast_lite() {
     assert_eq!(serial.efms, cluster.efms);
     assert_eq!(serial.stats.candidates_generated, cluster.stats.candidates_generated);
     // A survivor two ranks share is accepted once, not once per rank.
-    assert_eq!(accepted_series(&serial.stats), accepted_series(&cluster.stats));
+    assert_eq!(mode_series(&serial.stats), mode_series(&cluster.stats));
+}
+
+/// Both elementarity tests decide over the identity block and the
+/// processed rows, so they keep the same intermediate modes on every
+/// iteration, not only the same final set.
+#[test]
+fn rank_and_adjacency_agree_on_every_iteration() {
+    let net = network_i_lite();
+    let run = |test| {
+        let opts = EfmOptions { test, ..Default::default() };
+        Run { opts, backend: Backend::Serial, ..Default::default() }
+            .enumerate::<F64Tol>(&net)
+            .unwrap()
+    };
+    let rank = run(CandidateTest::Rank);
+    let adjacency = run(CandidateTest::Adjacency);
+    assert_eq!(mode_series(&rank.stats), mode_series(&adjacency.stats));
+    assert_eq!(rank.stats.candidates_generated, 3_827_018);
 }
 
 /// The combinatorial test compares zero sets over the identity block and
@@ -175,8 +197,9 @@ fn adjacency_matches_rank_on_yeast_lite() {
 }
 
 /// The same on Network II-lite without R56, split over {R74r, R88r} on
-/// rayon. Seconds in release but minutes in a debug build, so this runs
-/// on request (`--ignored`, in release) and in CI.
+/// rayon, subset by subset and iteration by iteration. Seconds in release
+/// but minutes in a debug build, so this runs on request (`--ignored`, in
+/// release) and in CI.
 #[test]
 #[ignore = "Network II-lite divide-and-conquer: run it in release"]
 fn adjacency_matches_rank_on_network_ii_lite() {
@@ -194,7 +217,13 @@ fn adjacency_matches_rank_on_network_ii_lite() {
     };
     let rank = run(CandidateTest::Rank);
     assert_eq!(rank.efms.len(), 17_871);
-    assert_eq!(run(CandidateTest::Adjacency).efms, rank.efms);
+    let adjacency = run(CandidateTest::Adjacency);
+    assert_eq!(adjacency.efms, rank.efms);
+    assert_eq!(adjacency.subsets.len(), rank.subsets.len());
+    for (a, r) in adjacency.subsets.iter().zip(&rank.subsets) {
+        assert_eq!(a.id, r.id);
+        assert_eq!(mode_series(&a.stats), mode_series(&r.stats), "subset {}", r.pattern);
+    }
 }
 
 /// The four yeast networks compression is pinned on: Network I-lite,
