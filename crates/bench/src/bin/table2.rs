@@ -92,12 +92,7 @@ fn main() {
         // Modeled time on one core per rank: the single-rank run's compute
         // time divides by n (the pair stripes are balanced — asserted in
         // `stripe_bounds`' unit tests), communication follows the α/β model.
-        let compute_this = (out.stats.phases.generate
-            + out.stats.phases.dedup
-            + out.stats.phases.tree_filter
-            + out.stats.phases.rank_test
-            + out.stats.phases.merge)
-            .as_secs_f64();
+        let compute_this = (out.stats.phases.total() - out.stats.phases.communicate).as_secs_f64();
         let base_compute = *serial_model.get_or_insert(compute_this);
         let rounds = out.stats.iterations.len() as f64;
         let bytes = comm_bytes(&out);

@@ -5,7 +5,7 @@
 //! provides the common pieces: scaled workload presets, paper reference
 //! numbers, and table formatting.
 
-use efm_core::{EfmOptions, RunStats};
+use efm_core::EfmOptions;
 use efm_metnet::{yeast, MetabolicNetwork};
 use std::time::Duration;
 
@@ -162,17 +162,6 @@ pub fn harness_options() -> EfmOptions {
 /// Formats a `Duration` in seconds with two decimals (paper style).
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// Prints a phase-breakdown row in the style of Table II.
-pub fn print_phase_rows(stats: &RunStats) {
-    println!("  gen cand    (sec)  {}", secs(stats.phases.generate));
-    println!("  sort/dedup  (sec)  {}", secs(stats.phases.dedup));
-    println!("  tree filter (sec)  {}", secs(stats.phases.tree_filter));
-    println!("  rank test   (sec)  {}", secs(stats.phases.rank_test));
-    println!("  communicate (sec)  {}", secs(stats.phases.communicate));
-    println!("  merge       (sec)  {}", secs(stats.phases.merge));
-    println!("  total       (sec)  {}", secs(stats.total_time));
 }
 
 /// Simple fixed-width table printer.

@@ -957,11 +957,10 @@ impl<'a> NodeCtx<'a> {
     /// `dst`. The cluster fabric moves boxed values, not serialized bytes,
     /// so senders that know their payload's true size (the engine knows
     /// its candidate buffers') report it here; the per-(src→dst) counters
-    /// feed the merged trace and the `comm bytes` total.
+    /// feed the merged trace.
     pub fn note_traffic(&self, dst: usize, bytes: u64) {
         if efm_obs::enabled() {
             efm_obs::counter_add_dyn(format!("link {}->{} bytes", self.rank, dst), bytes);
-            efm_obs::counter_add("comm bytes", bytes);
         }
     }
 
@@ -970,7 +969,6 @@ impl<'a> NodeCtx<'a> {
         let mut flow = 0u64;
         if efm_obs::enabled() {
             efm_obs::counter_add_dyn(format!("link {}->{} msgs", self.rank, dst), 1);
-            efm_obs::counter_add("comm msgs", 1);
             // Stamp the frame with a causal flow: started here on the
             // sender's track, closed where the receiver consumes the
             // payload. A duplicated delivery reuses the duplicate's id and

@@ -58,7 +58,8 @@
 
 use efm_core::{
     Backend, CandidateTest, CheckpointConfig, DncCheckpoint, DncConfig, DncSchedule, EfmError,
-    EfmOptions, EfmOutcome, EngineCheckpoint, EscalationAttempt, RowOrdering, Run, SuperviseConfig,
+    EfmOptions, EfmOutcome, EngineCheckpoint, EscalationAttempt, Phase, RowOrdering, Run,
+    SuperviseConfig, COUNTERS,
 };
 use efm_metnet::{examples, parse_metatool, parse_network, to_metatool, yeast, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
@@ -558,38 +559,17 @@ fn main() -> ExitCode {
         );
     }
     println!("elementary flux modes: {}", outcome.efms.len());
-    println!(
-        "candidates generated:  {}   peak intermediate modes: {}",
-        outcome.stats.candidates_generated, outcome.stats.peak_modes
-    );
-    if !args.quiet {
-        println!(
-            "tree-pruned: {}   dedup hits: {}   rank tests: {}   comm: {} msgs / {} bytes",
-            outcome.stats.tree_pruned,
-            outcome.stats.dedup_hits,
-            outcome.stats.rank_tests,
-            outcome.stats.comm_messages,
-            outcome.stats.comm_bytes
-        );
-        if outcome.stats.stream_batches > 0 || outcome.stats.spill_bytes > 0 {
-            println!(
-                "streaming: {} batches   peak transient: {} B   spilled stripes: {} B",
-                outcome.stats.stream_batches,
-                outcome.stats.peak_transient_bytes,
-                outcome.stats.spill_bytes
-            );
-        }
+    let stats = &outcome.stats;
+    for row in COUNTERS.chunks(4) {
+        let cells: Vec<String> =
+            row.iter().map(|c| format!("{}: {} {}", c.name, (c.get)(stats), c.unit)).collect();
+        println!("{}", cells.join("   "));
     }
-    let ph = &outcome.stats.phases;
-    println!(
-        "phase times: gen={:.3}s dedup={:.3}s ranktest={:.3}s comm={:.3}s merge={:.3}s total={:.3}s",
-        ph.generate.as_secs_f64(),
-        ph.dedup.as_secs_f64(),
-        ph.rank_test.as_secs_f64(),
-        ph.communicate.as_secs_f64(),
-        ph.merge.as_secs_f64(),
-        outcome.stats.total_time.as_secs_f64()
-    );
+    let phases: String = Phase::ALL
+        .iter()
+        .map(|&p| format!("{}={:.3}s ", p.label(), stats.phases[p].as_secs_f64()))
+        .collect();
+    println!("phase times: {phases}total={:.3}s", stats.total_time.as_secs_f64());
     if !outcome.subsets.is_empty() && !args.quiet {
         println!("divide-and-conquer subsets:");
         for s in &outcome.subsets {

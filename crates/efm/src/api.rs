@@ -141,7 +141,10 @@ impl Run {
             Solved::default()
         } else if self.partition.is_empty() {
             // A direct run's width counts the split twin columns too.
-            let problem = build_problem::<S>(&red, &self.opts)?;
+            let problem = {
+                let _span = efm_obs::span("build problem");
+                build_problem::<S>(&red, &self.opts)?
+            };
             dispatch_width!(
                 problem.num_cols(),
                 run_width(self, net, &red, Some(&problem), &mut escalation)
@@ -259,6 +262,6 @@ pub(crate) fn divided<P: BitPattern, S: EfmScalar>(
     for s in &subsets {
         stats.accumulate(&s.stats);
     }
-    stats.final_modes = sups.len();
+    stats.final_modes = sups.len() as u64;
     Ok(Solved { sups, stats, subsets })
 }

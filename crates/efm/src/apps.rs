@@ -126,6 +126,7 @@ pub fn mode_yields(
 /// count. Returns original-network reaction names (one representative per
 /// reduced reaction), most-preferred first.
 pub fn suggest_partition(net: &MetabolicNetwork, red: &ReducedNetwork, qsub: usize) -> Vec<String> {
+    let _span = efm_obs::span("partition pick");
     // Build the problem once to get the paper ordering.
     let opts = crate::types::EfmOptions::default();
     let Ok(problem) = crate::problem::build_problem::<efm_numeric::DynInt>(red, &opts) else {

@@ -23,9 +23,11 @@
 
 use crate::bridge::EfmScalar;
 use crate::engine::{Engine, ModeMatrix};
+use crate::metrics::{Phase, COUNTERS};
 use crate::problem::EfmProblem;
 use crate::types::{
-    EfmError, EfmOptions, FailureClass, IterationStats, RecoveryAction, RecoveryEvent, RunStats,
+    EfmError, EfmOptions, FailureClass, IterationStats, PhaseBreakdown, RecoveryAction,
+    RecoveryEvent, RunStats,
 };
 use efm_bitset::BitPattern;
 use std::io::{self, Read, Write};
@@ -39,7 +41,7 @@ const MAGIC: &[u8; 4] = b"EFCK";
 /// exactly on a field boundary or silently bit-flipped is rejected with a
 /// typed error instead of restoring garbage state. Files of any other
 /// version are rejected with an error naming it (DESIGN.md §9.4).
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 
 /// Record kind: an engine snapshot at an iteration boundary.
 const KIND_ENGINE: u32 = 0;
@@ -318,7 +320,7 @@ impl EngineCheckpoint {
         write_record(self, w)
     }
 
-    /// Reads the binary checkpoint format (version 7, kind 0).
+    /// Reads the binary checkpoint format (version 8, kind 0).
     pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
         read_record(r)
     }
@@ -971,31 +973,12 @@ fn get_action(v: u32) -> io::Result<RecoveryAction> {
 }
 
 fn put_stats(w: &mut impl Write, s: &RunStats) -> io::Result<()> {
-    put_u64(w, s.candidates_generated)?;
-    put_u64(w, s.peak_modes as u64)?;
-    put_u64(w, s.peak_bytes)?;
-    put_u64(w, s.final_modes as u64)?;
-    for v in [
-        s.tree_pruned,
-        s.dedup_hits,
-        s.rank_tests,
-        s.comm_messages,
-        s.comm_bytes,
-        s.peak_transient_bytes,
-    ] {
-        put_u64(w, v)?;
+    for c in COUNTERS {
+        put_u64(w, (c.get)(s))?;
     }
-    for d in [
-        s.phases.generate,
-        s.phases.dedup,
-        s.phases.tree_filter,
-        s.phases.rank_test,
-        s.phases.communicate,
-        s.phases.merge,
-        s.total_time,
-    ] {
-        put_duration(w, d)?;
-    }
+    put_phases(w, &s.phases)?;
+    put_duration(w, s.total_time)?;
+    put_str(w, &s.kernel_tier)?;
     put_u64(w, s.iterations.len() as u64)?;
     for it in &s.iterations {
         put_u64(w, it.position as u64)?;
@@ -1014,9 +997,7 @@ fn put_stats(w: &mut impl Write, s: &RunStats) -> io::Result<()> {
         ] {
             put_u64(w, v)?;
         }
-        for d in [it.t_generate, it.t_dedup, it.t_merge, it.t_tree_filter, it.t_test] {
-            put_duration(w, d)?;
-        }
+        put_phases(w, &it.phases)?;
     }
     put_u64(w, s.recovery.events.len() as u64)?;
     for e in &s.recovery.events {
@@ -1033,37 +1014,29 @@ fn put_stats(w: &mut impl Write, s: &RunStats) -> io::Result<()> {
             None => put_u32(w, 0)?,
         }
     }
-    put_str(w, &s.kernel_tier)?;
-    put_u64(w, s.kernel_blocks)?;
-    put_u64(w, s.kernel_pruned)?;
-    put_u64(w, s.arena_peak_bytes)?;
-    put_u64(w, s.stream_batches)?;
-    put_u64(w, s.spill_bytes)?;
-    put_u32(w, s.failovers)?;
-    put_u32(w, s.ranks_lost)
+    Ok(())
+}
+
+fn put_phases(w: &mut impl Write, p: &PhaseBreakdown) -> io::Result<()> {
+    Phase::ALL.iter().try_for_each(|&phase| put_duration(w, p[phase]))
+}
+
+fn get_phases<R: Read>(r: &mut R) -> io::Result<PhaseBreakdown> {
+    let mut p = PhaseBreakdown::default();
+    for &phase in Phase::ALL {
+        p[phase] = get_duration(r)?;
+    }
+    Ok(p)
 }
 
 fn get_stats<R: Read>(r: &mut R) -> io::Result<RunStats> {
-    let mut s = RunStats {
-        candidates_generated: get_u64(r)?,
-        peak_modes: get_u64(r)? as usize,
-        peak_bytes: get_u64(r)?,
-        final_modes: get_u64(r)? as usize,
-        tree_pruned: get_u64(r)?,
-        dedup_hits: get_u64(r)?,
-        rank_tests: get_u64(r)?,
-        comm_messages: get_u64(r)?,
-        comm_bytes: get_u64(r)?,
-        peak_transient_bytes: get_u64(r)?,
-        ..Default::default()
-    };
-    s.phases.generate = get_duration(r)?;
-    s.phases.dedup = get_duration(r)?;
-    s.phases.tree_filter = get_duration(r)?;
-    s.phases.rank_test = get_duration(r)?;
-    s.phases.communicate = get_duration(r)?;
-    s.phases.merge = get_duration(r)?;
+    let mut s = RunStats::default();
+    for c in COUNTERS {
+        *(c.get_mut)(&mut s) = get_u64(r)?;
+    }
+    s.phases = get_phases(r)?;
     s.total_time = get_duration(r)?;
+    s.kernel_tier = get_str(r)?;
     let niter = checked_len(get_u64(r)?)?;
     s.iterations = get_vec(r, niter, |r| {
         Ok(IterationStats {
@@ -1079,11 +1052,7 @@ fn get_stats<R: Read>(r: &mut R) -> io::Result<RunStats> {
             deduped: get_u64(r)?,
             accepted: get_u64(r)?,
             modes_after: get_u64(r)? as usize,
-            t_generate: get_duration(r)?,
-            t_dedup: get_duration(r)?,
-            t_merge: get_duration(r)?,
-            t_tree_filter: get_duration(r)?,
-            t_test: get_duration(r)?,
+            phases: get_phases(r)?,
         })
     })?;
     let nevents = checked_len(get_u64(r)?)?;
@@ -1097,14 +1066,6 @@ fn get_stats<R: Read>(r: &mut R) -> io::Result<RunStats> {
             resumed_from: if get_u32(r)? != 0 { Some(get_u64(r)?) } else { None },
         })
     })?;
-    s.kernel_tier = get_str(r)?;
-    s.kernel_blocks = get_u64(r)?;
-    s.kernel_pruned = get_u64(r)?;
-    s.arena_peak_bytes = get_u64(r)?;
-    s.stream_batches = get_u64(r)?;
-    s.spill_bytes = get_u64(r)?;
-    s.failovers = get_u32(r)?;
-    s.ranks_lost = get_u32(r)?;
     Ok(s)
 }
 
@@ -1280,25 +1241,34 @@ mod tests {
 
     #[test]
     fn every_stats_field_roundtrips() {
-        // Every `RunStats` field, one recovery event and the stripe
-        // weights set to distinct nonzero values: a field the codec drops
-        // or swaps shows up as an inequality.
+        // Every declared counter and phase, of the run and of each
+        // iteration record, the other `RunStats` fields, one recovery event
+        // and the stripe weights set to distinct nonzero values: a field
+        // the codec drops or swaps shows up as an inequality.
         let problem = toy_problem();
         let opts = EfmOptions::default();
         let mut eng = Engine::<Pattern1, DynInt>::new(&problem, &opts).unwrap();
         eng.step();
+        eng.step();
         let mut ck = EngineCheckpoint::capture(&eng, problem_fingerprint(&problem));
         let ms = Duration::from_millis;
         let s = &mut ck.stats;
-        (s.candidates_generated, s.tree_pruned, s.dedup_hits, s.rank_tests) = (101, 11, 22, 33);
-        (s.comm_messages, s.comm_bytes, s.peak_transient_bytes) = (44, 55, 66);
-        (s.peak_modes, s.peak_bytes, s.final_modes) = (77, 88, 99);
-        (s.phases.generate, s.phases.dedup, s.phases.tree_filter) = (ms(1), ms(2), ms(3));
-        (s.phases.rank_test, s.phases.communicate, s.phases.merge) = (ms(4), ms(5), ms(6));
+        for (i, c) in COUNTERS.iter().enumerate() {
+            *(c.get_mut)(s) = 101 + i as u64;
+        }
+        let phases = |base: u64| {
+            let mut p = PhaseBreakdown::default();
+            for (i, &phase) in Phase::ALL.iter().enumerate() {
+                p[phase] = ms(base + i as u64);
+            }
+            p
+        };
+        s.phases = phases(1);
+        for (i, it) in s.iterations.iter_mut().enumerate() {
+            it.phases = phases(100 * (i as u64 + 1));
+        }
         s.total_time = ms(7);
         s.kernel_tier = "avx2".to_string();
-        (s.kernel_blocks, s.kernel_pruned, s.arena_peak_bytes) = (110, 120, 130);
-        (s.stream_batches, s.spill_bytes, s.failovers, s.ranks_lost) = (19, 4096, 2, 1);
         s.recovery.events.push(RecoveryEvent {
             at_us: 1_234_567,
             attempt: 2,
@@ -1308,7 +1278,7 @@ mod tests {
             resumed_from: Some(3),
         });
         ck.stripe_weights = vec![3, 1, 2, 2];
-        assert!(!ck.stats.iterations.is_empty());
+        assert!(ck.stats.iterations.len() >= 2);
         let mut buf = Vec::new();
         ck.write_to(&mut buf).unwrap();
         assert_eq!(EngineCheckpoint::read_from(&buf[..]).unwrap(), ck);
@@ -1325,7 +1295,7 @@ mod tests {
             .unwrap();
         let mut dnc_buf = Vec::new();
         DncCheckpoint::new("dynint", 1, 1).write_to(&mut dnc_buf).unwrap();
-        for version in [6u32, 8] {
+        for version in [7u32, 9] {
             let patch = |buf: &[u8]| {
                 let mut b = buf.to_vec();
                 b[4..8].copy_from_slice(&version.to_le_bytes());

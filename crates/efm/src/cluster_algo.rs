@@ -43,29 +43,13 @@ use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint}
 use crate::engine::{
     CandidateSet, Engine, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
+use crate::metrics::{self, Phase};
 use crate::problem::EfmProblem;
-use crate::types::{EfmError, EfmOptions, PhaseBreakdown, RunStats};
+use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
-
-/// Phase labels of the trace spans (match Table II rows).
-pub mod phases {
-    /// Candidate generation.
-    pub const GENERATE: &str = "gen cand";
-    /// Local sort + duplicate removal.
-    pub const DEDUP: &str = "sort/dedup";
-    /// The zero-row scan against the zero-row modes' masked supports
-    /// (traces and the benchmark read this label).
-    pub const TREE: &str = "tree filter";
-    /// Local rank tests.
-    pub const RANK: &str = "rank test";
-    /// Allgather of candidate buffers.
-    pub const COMMUNICATE: &str = "communicate";
-    /// Global merge + dedup + state advance.
-    pub const MERGE: &str = "merge";
-}
 
 /// Result of one rank of a cluster run.
 #[derive(Debug, Clone)]
@@ -148,19 +132,17 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     // Bulk-synchronous wall-time model: each phase costs its slowest rank.
     // A resumed rank's clocks start from the checkpoint's, so these cover
     // the whole run, not just this segment.
-    let phase_max = |phase: fn(&PhaseBreakdown) -> Duration| {
-        reports.iter().map(|r| phase(&r.value.stats.phases)).max().unwrap_or_default()
-    };
-    stats.phases = PhaseBreakdown {
-        generate: phase_max(|p| p.generate),
-        dedup: phase_max(|p| p.dedup),
-        tree_filter: phase_max(|p| p.tree_filter),
-        rank_test: phase_max(|p| p.rank_test),
-        communicate: phase_max(|p| p.communicate),
-        merge: phase_max(|p| p.merge),
-    };
+    for &p in Phase::ALL {
+        stats.phases[p] = reports.iter().map(|r| r.value.stats.phases[p]).max().unwrap_or_default();
+    }
     stats.total_time = reports.iter().map(|r| r.value.stats.total_time).max().unwrap_or_default();
-    stats.final_modes = reports[0].value.supports.len();
+    // The meters and the final count are the run's, published once here
+    // rather than by every rank.
+    metrics::trace(&RunStats {
+        peak_bytes: stats.peak_bytes,
+        final_modes: stats.final_modes,
+        ..Default::default()
+    });
     let supports = reports[0].value.supports.clone();
     let paused = reports[0].value.checkpoint.clone();
     Ok((ClusterOutcome { supports, stats, per_rank: reports }, paused))
@@ -260,7 +242,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         let _iter_span = efm_obs::span("iteration");
         ctx.fault_point("iteration", iter_no)?;
         let modes_bytes = eng.modes.approx_bytes();
-        let mut stripe_bytes = 0;
         let drive = |eng: &Engine<P, S>, part: &SignPartition<P>| {
             // --- Generation, sort/dedup, the zero-row scan and the
             // per-candidate rank test run fused per bounded batch over
@@ -295,7 +276,10 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // it is charged against the memory meter. Cross-rank
             // duplicates collapse on key collision, the lower rank's copy
             // winning; parent indices mean the same on every rank, whose
-            // mode matrices are identical.
+            // mode matrices are identical. The stripe goes to every other
+            // rank, which is what this rank's traffic counts.
+            pass.comm_messages = nodes - 1;
+            pass.comm_bytes = out_bytes * (nodes - 1);
             if efm_obs::enabled() {
                 for dst in 0..nodes as usize {
                     if dst != my_rank {
@@ -315,12 +299,11 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             // when the fold reaches `my_rank`; until then its bytes stay
             // charged on top of accumulator + incoming stripe.
             let held = |src: usize| if src < my_rank { out_bytes } else { 0 };
-            let sp = efm_obs::span(phases::COMMUNICATE);
+            let sp = efm_obs::span(Phase::Communicate.span());
             let folded = ctx.allgather_fold(
                 (local, pass.clone()),
                 None::<CandidateSet<P>>,
                 |acc, src, (incoming, counts)| {
-                    stripe_bytes += incoming.approx_bytes();
                     if src != my_rank {
                         remote.add_stripe(&counts);
                     }
@@ -335,7 +318,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
                     meter.realloc(charged, now)?;
                     charged = now;
                     let t0 = Instant::now();
-                    let msp = efm_obs::span(phases::MERGE);
+                    let msp = efm_obs::span(Phase::Merge.span());
                     let m = CandidateSet::merge_sorted(acc, incoming);
                     drop(msp);
                     t_merge += t0.elapsed();
@@ -347,8 +330,8 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             )?;
             drop(sp);
             accounted.set(charged);
-            pass.t_communicate = t_comm.elapsed().saturating_sub(t_merge);
-            pass.t_merge = t_merge;
+            pass.phases.communicate = t_comm.elapsed().saturating_sub(t_merge);
+            pass.phases.merge = t_merge;
             ctx.fault_point("communicate", iter_no)?;
             let set = folded.expect("cluster size is at least one rank");
             Ok(Survivors { set, local: pass, remote })
@@ -361,8 +344,6 @@ fn node_body<P: BitPattern, S: EfmScalar>(
             EfmError::Cluster(c) => c,
             other => as_protocol(other),
         })?;
-        eng.stats.comm_messages += nodes * (nodes - 1);
-        eng.stats.comm_bytes += stripe_bytes * (nodes - 1);
         track(eng.modes.approx_bytes())?;
         ctx.fault_point("merge", iter_no)?;
         if ctx.rank() == 0 {
@@ -411,7 +392,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
     let final_span = efm_obs::span("finalize");
     let supports: Vec<Vec<usize>> = crate::drivers::map_final_supports(problem, &eng);
     drop(final_span);
-    eng.stats.final_modes = supports.len();
+    eng.stats.final_modes = supports.len() as u64;
     eng.stats.total_time = t_run.elapsed();
     let stats = eng.stats.clone();
     Ok(ClusterNodeOutcome { supports, stats, checkpoint: None })

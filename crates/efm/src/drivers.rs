@@ -6,6 +6,7 @@ use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint}
 use crate::engine::{
     CandidateSet, Engine, GenArena, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
+use crate::metrics;
 use crate::problem::EfmProblem;
 use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
@@ -64,8 +65,9 @@ fn finalize<P: BitPattern, S: EfmScalar>(
     t0: Instant,
 ) -> SupportsAndStats {
     let sups = map_final_supports(problem, &eng);
-    eng.stats.final_modes = sups.len();
+    eng.stats.final_modes = sups.len() as u64;
     eng.stats.total_time = t0.elapsed();
+    metrics::trace(&RunStats { final_modes: eng.stats.final_modes, ..Default::default() });
     (sups, eng.stats)
 }
 
@@ -227,7 +229,7 @@ fn merge_runs_parallel<P: BitPattern>(mut runs: Vec<CandidateSet<P>>) -> Candida
 /// peaks are *summed* into the charged footprint (chunks run
 /// concurrently), and the sorted survivor runs merge in parallel pairwise
 /// rounds. Phase times are the workers' own clocks, summed, with the
-/// measured merge of the runs added to `t_dedup`.
+/// measured merge of the runs added to the `dedup` phase.
 fn rayon_pass<P: BitPattern, S: EfmScalar>(
     eng: &Engine<P, S>,
     part: &SignPartition<P>,
@@ -258,9 +260,9 @@ fn rayon_pass<P: BitPattern, S: EfmScalar>(
         runs.push(set);
     }
     let t_runs = Instant::now();
-    let sp = efm_obs::span(crate::cluster_algo::phases::DEDUP);
+    let sp = efm_obs::span(metrics::Phase::Dedup.span());
     let set = merge_runs_parallel(runs);
     drop(sp);
-    pass.t_dedup += t_runs.elapsed();
+    pass.phases.dedup += t_runs.elapsed();
     Ok(Survivors::local((set, pass)))
 }

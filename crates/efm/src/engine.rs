@@ -33,9 +33,9 @@
 //! on the merged survivors for all of them.
 
 use crate::bridge::EfmScalar;
-use crate::cluster_algo::phases;
+use crate::metrics::{self, Phase};
 use crate::problem::EfmProblem;
-use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, RunStats};
+use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, PhaseBreakdown, RunStats};
 use efm_bitset::{BitPattern, KernelTier};
 use efm_linalg::{nullity_of_cols, Mat};
 use std::collections::HashMap;
@@ -405,19 +405,13 @@ pub struct StreamStats {
     /// in-flight batch + generation arena, maximised over batches. This is
     /// exactly what the pass reports to its `charge` hook.
     pub transient_peak: u64,
-    /// Time spent generating candidates.
-    pub t_generate: std::time::Duration,
-    /// Time spent in per-batch sort/dedup.
-    pub t_dedup: std::time::Duration,
-    /// Time spent in the zero-row scan.
-    pub t_tree: std::time::Duration,
-    /// Time spent in the per-batch elementarity test.
-    pub t_test: std::time::Duration,
-    /// Time spent exchanging survivor stripes with the other cluster
-    /// ranks (zero off the cluster).
-    pub t_communicate: std::time::Duration,
-    /// Time spent merging exchanged stripes and advancing the state.
-    pub t_merge: std::time::Duration,
+    /// Messages a cluster rank sent its survivor stripe as (zero off the
+    /// cluster).
+    pub comm_messages: u64,
+    /// Payload bytes of those messages.
+    pub comm_bytes: u64,
+    /// Time spent per phase.
+    pub phases: PhaseBreakdown,
 }
 
 impl StreamStats {
@@ -429,12 +423,7 @@ impl StreamStats {
         let transient = self.transient_peak + other.transient_peak;
         self.add_stripe(other);
         self.transient_peak = transient;
-        self.t_generate += other.t_generate;
-        self.t_dedup += other.t_dedup;
-        self.t_tree += other.t_tree;
-        self.t_test += other.t_test;
-        self.t_communicate += other.t_communicate;
-        self.t_merge += other.t_merge;
+        self.phases.accumulate(&other.phases);
     }
 
     /// Folds in the counters of another cluster rank's stripe of the same
@@ -450,6 +439,36 @@ impl StreamStats {
         self.prefiltered += other.prefiltered;
         self.tested += other.tested;
         self.transient_peak = self.transient_peak.max(other.transient_peak);
+        self.comm_messages += other.comm_messages;
+        self.comm_bytes += other.comm_bytes;
+    }
+
+    /// Adds this pass's counts and times to `st`, the statistics of the
+    /// run it belongs to: `resident_before` is the mode matrix's bytes
+    /// when generation started, `modes` the matrix once the state
+    /// advanced.
+    fn add_to<P: BitPattern, S: Scalar>(
+        &self,
+        st: &mut RunStats,
+        resident_before: u64,
+        modes: &ModeMatrix<P, S>,
+    ) {
+        st.candidates_generated += self.pairs;
+        st.tree_pruned += self.pairs - self.prefiltered;
+        st.dedup_hits += self.prefiltered - self.tested;
+        st.rank_tests += self.tested;
+        st.comm_messages += self.comm_messages;
+        st.comm_bytes += self.comm_bytes;
+        st.stream_batches += self.batches;
+        st.kernel_blocks += self.blocks;
+        st.kernel_pruned += self.pairs - self.numeric_pass;
+        st.arena_peak_bytes = st.arena_peak_bytes.max(self.arena_bytes);
+        st.peak_transient_bytes = st.peak_transient_bytes.max(self.transient_peak);
+        st.peak_modes = st.peak_modes.max(modes.len() as u64);
+        // Honest charged peak: resident modes plus the bounded transient.
+        let charged = resident_before + self.transient_peak;
+        st.peak_bytes = st.peak_bytes.max(charged).max(modes.approx_bytes());
+        st.phases.accumulate(&self.phases);
     }
 }
 
@@ -569,8 +588,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             stats: RunStats::default(),
             kernel_tail,
         };
-        engine.stats.peak_modes = engine.modes.len();
+        engine.stats.peak_modes = engine.modes.len() as u64;
         engine.stats.kernel_tier = engine.kernel_tier.name().to_string();
+        metrics::trace(&engine.stats);
         if efm_obs::enabled() {
             efm_obs::meta_set("kernel_tier", engine.kernel_tier.name());
             efm_obs::meta_set("kernel_block_pairs", &P::block_pairs().to_string());
@@ -867,16 +887,16 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let e = (s + batch_pairs).min(end);
             ss.batches += 1;
             let t0 = Instant::now();
-            let sp = efm_obs::span(phases::GENERATE);
+            let sp = efm_obs::span(Phase::Generate.span());
             let mut batch = CandidateSet::default();
             self.generate_range(part, s, e, &mut batch, arena, &mut ss);
             drop(sp);
             let t1 = Instant::now();
-            let sp = efm_obs::span(phases::DEDUP);
+            let sp = efm_obs::span(Phase::Dedup.span());
             batch.sort_dedup();
             drop(sp);
             let t2 = Instant::now();
-            let sp = efm_obs::span(phases::TREE);
+            let sp = efm_obs::span(Phase::TreeFilter.span());
             if !part.zero_slab.is_empty() {
                 self.drop_covered(&mut batch, part);
             }
@@ -884,7 +904,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             let t3 = Instant::now();
             ss.tested += batch.len() as u64;
             if per_batch_rank {
-                let sp = efm_obs::span(phases::RANK);
+                let sp = efm_obs::span(Phase::RankTest.span());
                 let keep = self.rank_filter_range(&batch, 0..batch.len());
                 batch.gather(&keep);
                 drop(sp);
@@ -894,10 +914,10 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             ss.transient_peak = ss.transient_peak.max(transient);
             charge(transient)?;
             out = CandidateSet::merge_sorted(out, batch);
-            ss.t_generate += t1 - t0;
-            ss.t_dedup += t2 - t1;
-            ss.t_tree += t3 - t2;
-            ss.t_test += t4 - t3;
+            ss.phases.generate += t1 - t0;
+            ss.phases.dedup += t2 - t1;
+            ss.phases.tree_filter += t3 - t2;
+            ss.phases.rank_test += t4 - t3;
             s = e;
         }
         ss.arena_bytes = arena.approx_bytes();
@@ -920,10 +940,11 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// backend splits it (one pass, worker chunks, or a cluster rank's
     /// stripe plus the exchange) and returns the merged survivors. The
     /// rest happens here, once: the cross-candidate half of the
-    /// elementarity test (timed into `t_test`), recomputing the survivors'
-    /// values, charging them through `charge` (with the survivor set they
-    /// are computed from, both being live at that point) and advancing the
-    /// state (timed into `t_merge`), telemetry and the iteration record.
+    /// elementarity test (timed into the `rank_test` phase), recomputing
+    /// the survivors' values, charging them through `charge` (with the
+    /// survivor set they are computed from, both being live at that point)
+    /// and advancing the state (timed into the `merge` phase), the
+    /// iteration record and telemetry.
     pub(crate) fn iterate(
         &mut self,
         drive: impl FnOnce(&Self, &SignPartition<P>) -> Result<Survivors<P>, EfmError>,
@@ -935,27 +956,27 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let Survivors { mut set, mut local, remote } = drive(self, &part)?;
         let t_accept = std::time::Instant::now();
         let accepted = self.accept_survivors(&mut set, &part);
-        local.t_test += t_accept.elapsed();
+        local.phases.rank_test += t_accept.elapsed();
         let t_tail = std::time::Instant::now();
-        let sp = efm_obs::span(phases::MERGE);
+        let sp = efm_obs::span(Phase::Merge.span());
         let buf = self.materialize(&set);
         charge(set.approx_bytes() + buf.approx_bytes())?;
         drop(set);
         self.advance(&part, buf);
         drop(sp);
-        local.t_merge += t_tail.elapsed();
-        self.trace_iteration(&local);
-        let mut pass = local;
+        local.phases.merge += t_tail.elapsed();
+        let mut pass = local.clone();
         pass.add_stripe(&remote);
-        Ok(self.record_iteration(&part, resident, accepted, &pass))
+        let rec = self.record_iteration(&part, resident, accepted, &pass);
+        self.trace_iteration(&local, resident);
+        Ok(rec)
     }
 
     /// Folds one finished iteration into the run statistics, pushes its
     /// record and returns it: `part` is the iteration's sign partition,
     /// `resident_before` the mode matrix's bytes when generation started,
-    /// and `pass` the counters over the whole pair grid, with times
-    /// attributed to phases (the cross-candidate test's time included in
-    /// `t_test`).
+    /// and `pass` the counters and phase times over the whole pair grid
+    /// (the cross-candidate test's time included in `rank_test`).
     fn record_iteration(
         &mut self,
         part: &SignPartition<P>,
@@ -964,7 +985,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         pass: &StreamStats,
     ) -> IterationStats {
         let position = self.cursor - 1;
-        let pairs = part.pairs();
         let rec = IterationStats {
             position,
             reaction: self.name_at[position].clone(),
@@ -972,64 +992,33 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             pos: part.pos.len(),
             neg: part.neg.len(),
             zero: part.zero.len(),
-            pairs,
+            pairs: pass.pairs,
             numeric_pass: pass.numeric_pass,
             prefiltered: pass.prefiltered,
             deduped: pass.tested,
             accepted,
             modes_after: self.modes.len(),
-            t_generate: pass.t_generate,
-            t_dedup: pass.t_dedup,
-            t_merge: pass.t_merge,
-            t_tree_filter: pass.t_tree,
-            t_test: pass.t_test,
+            phases: pass.phases.clone(),
         };
-        let st = &mut self.stats;
-        st.phases.generate += pass.t_generate;
-        st.phases.dedup += pass.t_dedup;
-        st.phases.tree_filter += pass.t_tree;
-        st.phases.rank_test += pass.t_test;
-        st.phases.communicate += pass.t_communicate;
-        st.phases.merge += pass.t_merge;
-        st.candidates_generated += pairs;
-        st.tree_pruned += pairs - pass.prefiltered;
-        st.dedup_hits += pass.prefiltered - pass.tested;
-        st.rank_tests += pass.tested;
-        st.stream_batches += pass.batches;
-        st.kernel_blocks += pass.blocks;
-        st.kernel_pruned += pairs - pass.numeric_pass;
-        st.arena_peak_bytes = st.arena_peak_bytes.max(pass.arena_bytes);
-        st.peak_transient_bytes = st.peak_transient_bytes.max(pass.transient_peak);
-        // Honest charged peak: resident modes plus the bounded transient.
-        let resident = self.modes.approx_bytes();
-        st.peak_bytes = st.peak_bytes.max(resident_before + pass.transient_peak).max(resident);
-        st.iterations.push(rec.clone());
+        pass.add_to(&mut self.stats, resident_before, &self.modes);
+        self.stats.iterations.push(rec.clone());
         rec
     }
 
-    /// Emits one finished iteration's telemetry counters, gauges and
-    /// rank-test histogram for the passes this process ran (`local`). A
-    /// cluster rank emits its stripe's share, so the process-wide counters
-    /// count every pair once.
-    fn trace_iteration(&self, local: &StreamStats) {
+    /// Emits one finished iteration's telemetry for the passes this
+    /// process ran (`local`): its counts through [`metrics::trace`], the
+    /// live mode count and the rank-test histogram. A cluster rank emits
+    /// its stripe's share, so the process-wide counters count every pair
+    /// once.
+    fn trace_iteration(&self, local: &StreamStats, resident_before: u64) {
         if !efm_obs::enabled() {
             return;
         }
-        efm_obs::counter_add("candidates", local.pairs);
-        efm_obs::counter_add("tree pruned", local.pairs - local.prefiltered);
-        efm_obs::counter_add("dedup hits", local.prefiltered - local.tested);
-        efm_obs::counter_add("rank tests", local.tested);
-        efm_obs::counter_add("kernel blocks", local.blocks);
-        efm_obs::counter_add_dyn(
-            format!("kernel pruned ({})", self.kernel_tier),
-            local.pairs - local.numeric_pass,
-        );
-        efm_obs::gauge_max("arena bytes", local.arena_bytes);
-        efm_obs::gauge_max("peak transient bytes", local.transient_peak);
+        let mut added = RunStats::default();
+        local.add_to(&mut added, resident_before, &self.modes);
+        metrics::trace(&added);
         efm_obs::gauge_set("survivors", self.modes.len() as u64);
-        efm_obs::gauge_max("peak modes", self.stats.peak_modes as u64);
-        efm_obs::gauge_max("peak bytes", self.modes.approx_bytes());
-        efm_obs::hist::record("rank test batch us", local.t_test.as_micros() as u64);
+        efm_obs::hist::record("rank test batch us", local.phases.rank_test.as_micros() as u64);
     }
 
     /// Recomputes the numeric sections for the surviving candidates (their
@@ -1109,7 +1098,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// count-sorted slab scan) runs here. Keeps only accepted candidates
     /// and returns their number.
     fn accept_survivors(&self, set: &mut CandidateSet<P>, part: &SignPartition<P>) -> u64 {
-        let _sp = efm_obs::span(phases::RANK);
+        let _sp = efm_obs::span(Phase::RankTest.span());
         match self.test {
             CandidateTest::Rank => set.len() as u64,
             CandidateTest::Adjacency => {
@@ -1311,7 +1300,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
             self.modes =
                 ModeMatrix { patterns, vals, rev_len: head, tail_len: self.modes.tail_len - 1 };
         }
-        self.stats.peak_modes = self.stats.peak_modes.max(self.modes.len());
         self.cursor += 1;
     }
 

@@ -63,6 +63,7 @@ mod drivers;
 mod engine;
 mod escalate;
 pub mod io;
+mod metrics;
 mod oracle;
 mod problem;
 mod recover;
@@ -79,8 +80,7 @@ pub use checkpoint::{
     EngineCheckpoint,
 };
 pub use cluster_algo::{
-    cluster_supports_resumable, cluster_supports_segment, phases, ClusterNodeOutcome,
-    ClusterOutcome,
+    cluster_supports_resumable, cluster_supports_segment, ClusterNodeOutcome, ClusterOutcome,
 };
 pub use divide::{resolve_partition, run_subset, subset_pattern, Backend, Partition, SubsetReport};
 pub use drivers::{rayon_supports, serial_supports, SupportsAndStats};
@@ -88,6 +88,7 @@ pub use engine::{
     CandidateSet, Engine, GenArena, ModeMatrix, SignPartition, StreamStats, RANK_TOL,
 };
 pub use escalate::EscalationAttempt;
+pub use metrics::{Counter, Merge, Phase, COUNTERS};
 pub use oracle::brute_force_efms;
 pub use problem::{build_problem, build_subproblem, EfmProblem};
 pub use recover::{recover_flux, verify_flux};

@@ -212,8 +212,7 @@ pub(crate) fn fail_over(
         .unwrap_or_else(|| vec![1; n]);
     *weights = Some(survivor_weights(&prior, dead));
     *group = n - 1;
-    efm_obs::counter_add("failovers", 1);
-    efm_obs::counter_add("ranks lost", 1);
+    crate::metrics::trace(&RunStats { failovers: 1, ranks_lost: 1, ..Default::default() });
     if efm_obs::enabled() {
         efm_obs::instant_dyn(format!("{label}: rank {dead} lost, continuing on {} nodes", n - 1));
     }
@@ -378,7 +377,7 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
 ) -> Result<(SupportsAndStats, u32), EfmError> {
     let mut log: Vec<RecoveryEvent> = Vec::new();
     let mut retries = 0u32;
-    let mut failed_over = 0u32;
+    let mut failed_over = 0u64;
     let stealing = shared.is_some_and(|s| s.steal);
     let out = match backend {
         Backend::Serial | Backend::Rayon => loop {
@@ -567,7 +566,9 @@ impl ProgressSink<'_> {
                 let mut st = store.lock().unwrap();
                 let spilled_before = st.spill_bytes();
                 st.put(id, &sups)?;
-                report.stats.spill_bytes += st.spill_bytes() - spilled_before;
+                let spilled = st.spill_bytes() - spilled_before;
+                report.stats.spill_bytes += spilled;
+                crate::metrics::trace(&RunStats { spill_bytes: spilled, ..Default::default() });
                 // The progress record still needs the uncompressed list; it
                 // is written out (or dropped) inside this call either way.
                 if self.checkpoint.is_some() {

@@ -109,7 +109,6 @@ impl StripeStore {
         self.enforce_budget()?;
         if efm_obs::enabled() {
             efm_obs::gauge_max("stripe resident bytes", self.resident_bytes);
-            efm_obs::gauge_max("spill bytes", self.spill_bytes);
         }
         Ok(())
     }

@@ -175,8 +175,8 @@ pub(crate) fn supervise<P: BitPattern, S: EfmScalar>(
     // (including plain restarts) runs on the degraded group.
     let mut nodes = cluster.nodes;
     let mut run_opts = run.opts.clone();
-    let mut failovers: u32 = 0;
-    let finish = |mut solved: Solved, log: RecoveryLog, failovers: u32| {
+    let mut failovers: u64 = 0;
+    let finish = |mut solved: Solved, log: RecoveryLog, failovers: u64| {
         solved.stats.recovery = log;
         solved.stats.failovers += failovers;
         solved.stats.ranks_lost += failovers;

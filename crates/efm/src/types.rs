@@ -179,19 +179,9 @@ pub struct IterationStats {
     pub accepted: u64,
     /// Modes alive after the iteration.
     pub modes_after: usize,
-    /// Wall time of candidate generation.
-    pub t_generate: std::time::Duration,
-    /// Wall time of the per-batch sort + dedup and of merging the sorted
-    /// survivor runs (the `dedup` phase).
-    pub t_dedup: std::time::Duration,
-    /// Wall time of merging exchanged stripes (cluster), computing the
-    /// survivors' values and advancing the state (the `merge` phase).
-    pub t_merge: std::time::Duration,
-    /// Wall time of the zero-row scan (the `tree filter` phase).
-    pub t_tree_filter: std::time::Duration,
-    /// Wall time of the elementarity test (per batch for the rank test,
-    /// on the merged survivors for the adjacency test).
-    pub t_test: std::time::Duration,
+    /// Time spent per phase in this iteration (the cross-candidate half
+    /// of the adjacency test included in `rank_test`).
+    pub phases: PhaseBreakdown,
 }
 
 /// Time spent per algorithm phase (the paper's Table II rows).
@@ -199,7 +189,8 @@ pub struct IterationStats {
 /// Each number is the time spent in the phase summed over one process's
 /// threads: a rayon run's workers add up, so a phase can exceed the wall
 /// time. For a cluster run each phase is its slowest rank's (the
-/// bulk-synchronous model of wall time).
+/// bulk-synchronous model of wall time). Indexed by
+/// [`Phase`](crate::Phase), whose table declares the phases.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Candidate generation (pairing + summary rejection).
@@ -217,28 +208,6 @@ pub struct PhaseBreakdown {
     /// Merging exchanged candidate sets (cluster backend only), computing
     /// the survivors' values and advancing to the next mode matrix.
     pub merge: Duration,
-}
-
-impl PhaseBreakdown {
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.generate
-            + self.dedup
-            + self.tree_filter
-            + self.rank_test
-            + self.communicate
-            + self.merge
-    }
-
-    /// Element-wise accumulation.
-    pub fn accumulate(&mut self, other: &PhaseBreakdown) {
-        self.generate += other.generate;
-        self.dedup += other.dedup;
-        self.tree_filter += other.tree_filter;
-        self.rank_test += other.rank_test;
-        self.communicate += other.communicate;
-        self.merge += other.merge;
-    }
 }
 
 /// How the supervisor classified an observed failure.
@@ -367,7 +336,8 @@ impl std::fmt::Display for RecoveryLog {
     }
 }
 
-/// Statistics of a whole run.
+/// Statistics of a whole run. Its scalar counters are declared in
+/// [`COUNTERS`](crate::COUNTERS), its phases in [`Phase`](crate::Phase).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Per-iteration records, in processing order.
@@ -389,7 +359,7 @@ pub struct RunStats {
     /// from the actual buffers handed to the collectives.
     pub comm_bytes: u64,
     /// Peak number of intermediate modes.
-    pub peak_modes: usize,
+    pub peak_modes: u64,
     /// Peak accounted memory in bytes, maximised over cluster ranks. It
     /// *includes* the bounded transient generation buffer — resident modes
     /// plus the charged batch-pipeline high water (DESIGN.md §13).
@@ -405,7 +375,7 @@ pub struct RunStats {
     /// the stripe store (`0` when spilling never engaged).
     pub spill_bytes: u64,
     /// Final mode count.
-    pub final_modes: usize,
+    pub final_modes: u64,
     /// Instruction tier the generation kernel ran at (`"scalar"`,
     /// `"sse2"` or `"avx2"`; empty for stats that never ran an engine).
     /// A restored engine re-resolves it live. One engine runs exactly one
@@ -427,43 +397,13 @@ pub struct RunStats {
     /// In-place failovers performed (rank lost, survivors continued with
     /// the dead rank's stripe redistributed). `0` for runs without
     /// `--failover` or without rank deaths.
-    pub failovers: u32,
+    pub failovers: u64,
     /// Ranks declared dead over the run's lifetime. Usually equals
     /// `failovers`; differs when a loss fell back to the restart ladder.
-    pub ranks_lost: u32,
+    pub ranks_lost: u64,
     /// Faults observed and recovery actions taken by the supervisor
     /// (empty for unsupervised or fault-free runs).
     pub recovery: RecoveryLog,
-}
-
-impl RunStats {
-    /// Accumulates another run's statistics (used by divide-and-conquer to
-    /// report cumulative numbers across subproblems).
-    pub fn accumulate(&mut self, other: &RunStats) {
-        self.candidates_generated += other.candidates_generated;
-        self.tree_pruned += other.tree_pruned;
-        self.dedup_hits += other.dedup_hits;
-        self.rank_tests += other.rank_tests;
-        self.comm_messages += other.comm_messages;
-        self.comm_bytes += other.comm_bytes;
-        self.peak_modes = self.peak_modes.max(other.peak_modes);
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-        self.peak_transient_bytes = self.peak_transient_bytes.max(other.peak_transient_bytes);
-        if self.kernel_tier.is_empty() {
-            self.kernel_tier = other.kernel_tier.clone();
-        }
-        self.kernel_blocks += other.kernel_blocks;
-        self.kernel_pruned += other.kernel_pruned;
-        self.arena_peak_bytes = self.arena_peak_bytes.max(other.arena_peak_bytes);
-        self.stream_batches += other.stream_batches;
-        self.spill_bytes += other.spill_bytes;
-        self.failovers += other.failovers;
-        self.ranks_lost += other.ranks_lost;
-        self.final_modes += other.final_modes;
-        self.phases.accumulate(&other.phases);
-        self.total_time += other.total_time;
-        self.recovery.events.extend(other.recovery.events.iter().cloned());
-    }
 }
 
 /// A set of elementary flux modes over a fixed reaction universe, stored as
@@ -765,38 +705,6 @@ mod tests {
         b.push_support(&[1]);
         a.extend_from(&b);
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn phase_breakdown_totals() {
-        let mut p = PhaseBreakdown {
-            generate: Duration::from_millis(10),
-            rank_test: Duration::from_millis(5),
-            ..Default::default()
-        };
-        let q = PhaseBreakdown { merge: Duration::from_millis(1), ..Default::default() };
-        p.accumulate(&q);
-        assert_eq!(p.total(), Duration::from_millis(16));
-    }
-
-    #[test]
-    fn runstats_accumulate() {
-        let mut a = RunStats {
-            candidates_generated: 10,
-            peak_modes: 5,
-            final_modes: 2,
-            ..Default::default()
-        };
-        let b = RunStats {
-            candidates_generated: 7,
-            peak_modes: 9,
-            final_modes: 3,
-            ..Default::default()
-        };
-        a.accumulate(&b);
-        assert_eq!(a.candidates_generated, 17);
-        assert_eq!(a.peak_modes, 9);
-        assert_eq!(a.final_modes, 5);
     }
 
     #[test]

@@ -163,14 +163,14 @@ fn run_counts(s: &efm_core::RunStats) -> Vec<u64> {
         s.rank_tests,
         s.comm_messages,
         s.comm_bytes,
-        s.peak_modes as u64,
-        s.final_modes as u64,
+        s.peak_modes,
+        s.final_modes,
         s.stream_batches,
         s.spill_bytes,
         s.kernel_blocks,
         s.kernel_pruned,
-        s.failovers as u64,
-        s.ranks_lost as u64,
+        s.failovers,
+        s.ranks_lost,
     ]
 }
 

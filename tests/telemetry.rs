@@ -9,6 +9,7 @@
 use efm_cluster::ClusterConfig;
 use efm_core::{
     Backend, DncConfig, EfmError, EfmOptions, EfmOutcome, RecoveryAction, Run, SuperviseConfig,
+    COUNTERS,
 };
 use efm_metnet::generator::{random_network, RandomNetworkParams};
 use efm_metnet::{parse_network, MetabolicNetwork};
@@ -139,31 +140,38 @@ fn jsonl_export_is_line_wise_valid() {
     assert_eq!(lines, snap.event_count(), "one line per recorded event");
 }
 
+/// Every declared counter reads in the metrics JSON what `RunStats` holds
+/// (an absent key reads 0) on every backend and on a divide-and-conquer
+/// run. The cluster input guards against double counting: every rank
+/// holds whole-cluster statistics, but each pair enters the telemetry
+/// once.
 #[test]
 fn metrics_json_carries_engine_counters() {
-    // The cluster input guards against double counting: every rank holds
-    // whole-cluster statistics, but each pair enters the telemetry once.
     let _g = OBS_LOCK.lock().unwrap();
     let net = network_i_lite();
-    let opts = EfmOptions::default();
-    for backend in [Backend::Serial, Backend::Cluster(efm_cluster::ClusterConfig::new(3))] {
-        let (out, snap) = traced(|| {
-            Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() }
-                .enumerate::<F64Tol>(&net)
-                .unwrap()
-        });
+    let (red, _) = efm_metnet::compress(&net);
+    let on = |backend| Run { backend, ..Default::default() };
+    let split = Run {
+        partition: efm_bench::pick_partition(&net, &red, &["R89r", "R74r"], 2),
+        ..Default::default()
+    };
+    let runs = [
+        ("serial", on(Backend::Serial)),
+        ("rayon", on(Backend::Rayon)),
+        ("3-rank cluster", on(Backend::Cluster(ClusterConfig::new(3)))),
+        ("two-reaction split", split),
+    ];
+    for (label, run) in runs {
+        let (out, snap) = traced(|| run.enumerate::<F64Tol>(&net).unwrap());
         let text = efm_obs::export::metrics_json(&snap);
         let root = efm_obs::json::parse(&text).expect("metrics must be valid JSON");
         let counters = root.get("counters").expect("counters object");
-        let candidates =
-            counters.get("candidates").and_then(Value::as_num).expect("candidates counter") as u64;
-        assert_eq!(candidates, out.stats.candidates_generated, "{backend:?}");
-        let rank_tests =
-            counters.get("rank tests").and_then(Value::as_num).expect("rank tests counter") as u64;
-        assert_eq!(rank_tests, out.stats.rank_tests, "{backend:?}");
-        let lp_solves =
-            counters.get("lp solves").and_then(Value::as_num).expect("lp solves counter") as u64;
-        assert_eq!(lp_solves, out.compression.lp_solves as u64, "{backend:?}");
+        let read = |name: &str| counters.get(name).and_then(Value::as_num).unwrap_or(0.0) as u64;
+        for c in COUNTERS {
+            assert_eq!(read(c.name), (c.get)(&out.stats), "{label}: {}", c.name);
+        }
+        assert!(out.stats.candidates_generated > 0, "{label}");
+        assert_eq!(read("lp solves"), out.compression.lp_solves as u64, "{label}");
     }
 }
 
