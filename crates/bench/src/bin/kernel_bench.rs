@@ -23,7 +23,7 @@
 //! `BENCH_pr6.json`.
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
-use efm_bitset::kernel::{bounds_sweep, is_subset_any, prefilter_hits, union_counts};
+use efm_bitset::kernel::{bounds_sweep, is_subset_any, prefilter_hits, union_counts, PairBound};
 use efm_bitset::{detect_tier, KernelTier, Pattern2};
 use efm_core::{Backend, CandidateTest, EfmOptions, EfmOutcome, KernelKind, Run};
 use efm_numeric::F64Tol;
@@ -86,6 +86,8 @@ fn micro(reps: usize, best: KernelTier) -> Vec<LaneResult> {
     let mut state = 0x1234_5678u64;
     let pat = pattern(&mut state, 2);
     let sup = pattern(&mut state, 2);
+    // The first half of the value slots stand for processed reversible rows.
+    let rev = P::first_n(W * 64 / 2);
     let negs: Vec<P> = (0..BATCH).map(|_| pattern(&mut state, 2)).collect();
     let nsups: Vec<P> = (0..BATCH).map(|_| pattern(&mut state, 2)).collect();
     let iters = 2_000;
@@ -110,10 +112,12 @@ fn micro(reps: usize, best: KernelTier) -> Vec<LaneResult> {
         .collect();
 
     let mut bounds = Vec::new();
+    let mut counts = Vec::new();
     let mut hits: Vec<u32> = Vec::new();
-    // A bound every block meets occasionally, so the compare loop does
+    // Limits every block meets occasionally, so the compare loop does
     // real gather work without every pair surviving.
-    let max_nz = (W as u32 * 64) / 2;
+    let whole = (W as u32 * 64) / 2;
+    let max = PairBound { whole, masked: 3 * whole / 4 };
 
     let run = |name: &'static str, f: &mut dyn FnMut(KernelTier)| {
         let s = best_secs(reps, iters, || f(KernelTier::Scalar));
@@ -123,19 +127,19 @@ fn micro(reps: usize, best: KernelTier) -> Vec<LaneResult> {
 
     vec![
         run("bounds_sweep", &mut |tier| {
-            bounds_sweep(tier, &pat, &sup, &negs, &nsups, &mut bounds);
+            bounds_sweep(tier, &pat, &sup, &rev, &negs, &nsups, &mut bounds);
             std::hint::black_box(&bounds);
         }),
         run("union_counts", &mut |tier| {
-            union_counts(tier, &pat, &negs, &mut bounds);
-            std::hint::black_box(&bounds);
+            union_counts(tier, &pat, &negs, &mut counts);
+            std::hint::black_box(&counts);
         }),
         run("is_subset_any", &mut |tier| {
             std::hint::black_box(is_subset_any(tier, &sub_cands, &sub_sup));
         }),
         run("prefilter_block", &mut |tier| {
             hits.clear();
-            prefilter_hits(tier, &pat, &sup, &negs, &nsups, max_nz, 0, &mut bounds, &mut hits);
+            prefilter_hits(tier, &pat, &sup, &rev, &negs, &nsups, max, 0, &mut bounds, &mut hits);
             std::hint::black_box(&hits);
         }),
     ]

@@ -2,10 +2,11 @@
 //!
 //! The Nullspace Algorithm's inner loop streams one positive mode's pattern
 //! pair (`pat`, tail support `sup`) against dense arrays of negative-side
-//! patterns, computing for every pair the adjacency pre-filter bound
+//! patterns, computing for every pair the two prefilter bounds
 //!
 //! ```text
-//! bound[i] = popcount(pat | negs[i]) + popcount(sup ^ nsups[i])
+//! whole[i]  = popcount(pat | negs[i]) + popcount(sup ^ nsups[i])
+//! masked[i] = popcount(pat | negs[i]) + popcount((sup ^ nsups[i]) & rev)
 //! ```
 //!
 //! Because the positive side is fixed across a whole block, the sweep is a
@@ -107,46 +108,75 @@ fn flat<const W: usize>(pats: &[Pattern<W>]) -> &[u64] {
     unsafe { std::slice::from_raw_parts(pats.as_ptr().cast::<u64>(), pats.len() * W) }
 }
 
-/// Fused union+xor popcount sweep: `out[i] = (pat | negs[i]).count() +
-/// (sup ^ nsups[i]).count()` for every pair in the block.
+/// The two prefilter bounds of one pair (or, passed to
+/// [`prefilter_hits`], the largest value of each a pair may have).
+///
+/// `#[repr(C)]` so a vector lane `whole | masked << 32` stores as one
+/// `PairBound` on little-endian x86.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairBound {
+    /// `popcount(pat | neg) + popcount(sup ^ nsup)`.
+    pub whole: u32,
+    /// `popcount(pat | neg) + popcount((sup ^ nsup) & rev)`.
+    pub masked: u32,
+}
+
+/// Both bounds of the pair given by the word slices of its operands.
+#[inline]
+fn pair_bound(pat: &[u64], sup: &[u64], rev: &[u64], neg: &[u64], nsup: &[u64]) -> PairBound {
+    let mut b = PairBound::default();
+    for k in 0..pat.len() {
+        let u = (pat[k] | neg[k]).count_ones();
+        let x = sup[k] ^ nsup[k];
+        b.whole += u + x.count_ones();
+        b.masked += u + (x & rev[k]).count_ones();
+    }
+    b
+}
+
+/// Fused bound sweep: `out[i]` holds both [`PairBound`]s of pair `i`,
+/// `pat | negs[i]` counted once for the two of them.
 ///
 /// `out` is cleared and resized to `negs.len()`.
 pub fn bounds_sweep<const W: usize>(
     tier: KernelTier,
     pat: &Pattern<W>,
     sup: &Pattern<W>,
+    rev: &Pattern<W>,
     negs: &[Pattern<W>],
     nsups: &[Pattern<W>],
-    out: &mut Vec<u32>,
+    out: &mut Vec<PairBound>,
 ) {
     assert_eq!(negs.len(), nsups.len(), "pattern/support blocks must pair up");
     let n = negs.len();
     out.clear();
-    out.resize(n, 0);
+    out.resize(n, PairBound::default());
+    let (p, s, r) = (pat.words(), sup.words(), rev.words());
     match tier.clamp() {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => {
             // SAFETY: clamp() verified AVX2 via is_x86_feature_detected;
             // all slices are in-bounds (flat() preserves lengths, out has n).
-            unsafe { x86::bounds_avx2(pat.words(), sup.words(), flat(negs), flat(nsups), W, out) }
+            unsafe { x86::bounds_avx2(p, s, r, flat(negs), flat(nsups), W, out) }
         }
         #[cfg(target_arch = "x86_64")]
         KernelTier::Sse2 => {
             // SAFETY: SSE2 is part of the x86-64 baseline and clamp()
             // re-checked it; slice lengths as above.
-            unsafe { x86::bounds_sse2(pat.words(), sup.words(), flat(negs), flat(nsups), W, out) }
+            unsafe { x86::bounds_sse2(p, s, r, flat(negs), flat(nsups), W, out) }
         }
         _ => {
             for i in 0..n {
-                out[i] = pat.union_count(&negs[i]) + sup.xor_count(&nsups[i]);
+                out[i] = pair_bound(p, s, r, negs[i].words(), nsups[i].words());
             }
         }
     }
 }
 
-/// Runs the adjacency pre-filter over a block: computes [`bounds_sweep`]
+/// Runs the generation prefilter over a block: computes [`bounds_sweep`]
 /// into `bounds`, then appends `base + i` to `hits` for every pair whose
-/// bound is ≤ `max`. Returns the number of hits appended.
+/// bounds are both within `max`. Returns the number of hits appended.
 ///
 /// `bounds` is caller-provided scratch (arena-backed in the engine) so the
 /// sweep allocates nothing in steady state; `hits` is appended to, not
@@ -156,17 +186,18 @@ pub fn prefilter_hits<const W: usize>(
     tier: KernelTier,
     pat: &Pattern<W>,
     sup: &Pattern<W>,
+    rev: &Pattern<W>,
     negs: &[Pattern<W>],
     nsups: &[Pattern<W>],
-    max: u32,
+    max: PairBound,
     base: u32,
-    bounds: &mut Vec<u32>,
+    bounds: &mut Vec<PairBound>,
     hits: &mut Vec<u32>,
 ) -> usize {
-    bounds_sweep(tier, pat, sup, negs, nsups, bounds);
+    bounds_sweep(tier, pat, sup, rev, negs, nsups, bounds);
     let before = hits.len();
-    for (i, &b) in bounds.iter().enumerate() {
-        if b <= max {
+    for (i, b) in bounds.iter().enumerate() {
+        if b.whole <= max.whole && b.masked <= max.masked {
             hits.push(base + i as u32);
         }
     }
@@ -266,9 +297,10 @@ mod x86 {
     //! `std::arch` implementations. Every function here is `unsafe fn`
     //! with `#[target_feature]`; callers must have verified the feature
     //! (done centrally by `KernelTier::clamp`) and pass slices whose
-    //! lengths satisfy `pat.len() == sup.len() == w` and
+    //! lengths satisfy `pat.len() == sup.len() == rev.len() == w` and
     //! `negs.len() == nsups.len() == out.len() * w`.
 
+    use super::{pair_bound, PairBound};
     use std::arch::x86_64::*;
 
     /// Per-byte popcount via the classic `vpshufb` nibble lookup.
@@ -304,175 +336,194 @@ mod x86 {
         lanes
     }
 
+    /// Packs each 64-bit lane as `whole | masked << 32`: the layout of a
+    /// `PairBound` stored from that lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pack_bounds(u: __m256i, x: __m256i, rev: __m256i) -> __m256i {
+        // Byte counts of the `or` and `xor` halves are added *before* the
+        // `psadbw` reduction: each byte holds ≤ 8 + 8 = 16, far below
+        // 255, so one `_mm256_sad_epu8` yields a fused per-lane sum.
+        let zero = _mm256_setzero_si256();
+        let cu = popcnt_bytes(u);
+        let whole = _mm256_sad_epu8(_mm256_add_epi8(cu, popcnt_bytes(x)), zero);
+        let xr = _mm256_and_si256(x, rev);
+        let masked = _mm256_sad_epu8(_mm256_add_epi8(cu, popcnt_bytes(xr)), zero);
+        _mm256_or_si256(whole, _mm256_slli_epi64::<32>(masked))
+    }
+
+    /// Splits a lane packed by `pack_bounds` (or a sum of such lanes,
+    /// each half far below 2^32).
+    #[inline]
+    fn unpack(v: u64) -> PairBound {
+        PairBound { whole: v as u32, masked: (v >> 32) as u32 }
+    }
+
     /// AVX2 fused bound sweep. See `bounds_sweep` for the contract.
-    ///
-    /// Byte counts of the `or` and `xor` halves are added *before* the
-    /// `psadbw` reduction: each byte holds ≤ 8 + 8 = 16, far below 255,
-    /// so one `_mm256_sad_epu8` yields the fused per-lane sum directly.
     #[target_feature(enable = "avx2")]
     pub unsafe fn bounds_avx2(
         pat: &[u64],
         sup: &[u64],
+        rev: &[u64],
         negs: &[u64],
         nsups: &[u64],
         w: usize,
-        out: &mut [u32],
+        out: &mut [PairBound],
     ) {
         let n = out.len();
-        let zero = _mm256_setzero_si256();
         match w {
             1 => {
                 // Four pairs per iteration: one 256-bit load per stream,
-                // lane k of the sad result is pair i+k's fused bound.
+                // lane k of the packed result is pair i+k's bounds.
                 let vp = _mm256_set1_epi64x(pat[0] as i64);
                 let vs = _mm256_set1_epi64x(sup[0] as i64);
+                let vr = _mm256_set1_epi64x(rev[0] as i64);
                 let mut i = 0;
                 while i + 4 <= n {
-                    // SAFETY (loads): i+4 <= n and the flat slices hold
-                    // exactly n words at w=1, so 32-byte loads at offset i
-                    // stay in bounds. loadu tolerates any alignment.
+                    // SAFETY (loads/store): i+4 <= n and the flat slices
+                    // hold exactly n words at w=1, so 32-byte loads at
+                    // offset i stay in bounds, as does the 32-byte store
+                    // of four 8-byte PairBounds. loadu/storeu tolerate any
+                    // alignment.
                     let vn = _mm256_loadu_si256(negs.as_ptr().add(i).cast());
                     let vx = _mm256_loadu_si256(nsups.as_ptr().add(i).cast());
-                    let cnt = _mm256_add_epi8(
-                        popcnt_bytes(_mm256_or_si256(vp, vn)),
-                        popcnt_bytes(_mm256_xor_si256(vs, vx)),
-                    );
-                    let lanes = lanes_epi64(_mm256_sad_epu8(cnt, zero));
-                    for k in 0..4 {
-                        out[i + k] = lanes[k] as u32;
-                    }
+                    let packed = pack_bounds(_mm256_or_si256(vp, vn), _mm256_xor_si256(vs, vx), vr);
+                    _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), packed);
                     i += 4;
                 }
                 while i < n {
-                    out[i] = (pat[0] | negs[i]).count_ones() + (sup[0] ^ nsups[i]).count_ones();
+                    out[i] = pair_bound(pat, sup, rev, &negs[i..i + 1], &nsups[i..i + 1]);
                     i += 1;
                 }
             }
             2 => {
                 // Two pairs per iteration: broadcast the 128-bit positive
-                // side into both halves; sad lanes map to
+                // side into both halves; lanes map to
                 // [p_i.w0, p_i.w1, p_{i+1}.w0, p_{i+1}.w1].
                 let vp = _mm256_broadcastsi128_si256(_mm_loadu_si128(pat.as_ptr().cast()));
                 let vs = _mm256_broadcastsi128_si256(_mm_loadu_si128(sup.as_ptr().cast()));
+                let vr = _mm256_broadcastsi128_si256(_mm_loadu_si128(rev.as_ptr().cast()));
                 let mut i = 0;
                 while i + 2 <= n {
                     let vn = _mm256_loadu_si256(negs.as_ptr().add(2 * i).cast());
                     let vx = _mm256_loadu_si256(nsups.as_ptr().add(2 * i).cast());
-                    let cnt = _mm256_add_epi8(
-                        popcnt_bytes(_mm256_or_si256(vp, vn)),
-                        popcnt_bytes(_mm256_xor_si256(vs, vx)),
-                    );
-                    let lanes = lanes_epi64(_mm256_sad_epu8(cnt, zero));
-                    out[i] = (lanes[0] + lanes[1]) as u32;
-                    out[i + 1] = (lanes[2] + lanes[3]) as u32;
+                    let packed = pack_bounds(_mm256_or_si256(vp, vn), _mm256_xor_si256(vs, vx), vr);
+                    let lanes = lanes_epi64(packed);
+                    out[i] = unpack(lanes[0] + lanes[1]);
+                    out[i + 1] = unpack(lanes[2] + lanes[3]);
                     i += 2;
                 }
                 if i < n {
-                    out[i] = (pat[0] | negs[2 * i]).count_ones()
-                        + (pat[1] | negs[2 * i + 1]).count_ones()
-                        + (sup[0] ^ nsups[2 * i]).count_ones()
-                        + (sup[1] ^ nsups[2 * i + 1]).count_ones();
+                    out[i] = pair_bound(pat, sup, rev, &negs[2 * i..], &nsups[2 * i..]);
                 }
             }
             _ => {
                 // Generic width: 4-word lane groups per pair, scalar tail
-                // for w % 4 words. Group sums accumulate in 64-bit lanes
-                // so arbitrary widths cannot overflow the byte counters.
+                // for w % 4 words. Packed group sums accumulate in 64-bit
+                // lanes; each half stays far below 2^32 at any width.
+                let zero = _mm256_setzero_si256();
                 let g4 = w / 4 * 4;
                 for i in 0..n {
-                    let nb = negs.as_ptr().add(i * w);
-                    let xb = nsups.as_ptr().add(i * w);
+                    let nb = &negs[i * w..(i + 1) * w];
+                    let xb = &nsups[i * w..(i + 1) * w];
                     let mut acc = zero;
                     let mut k = 0;
                     while k < g4 {
                         let u = _mm256_or_si256(
                             _mm256_loadu_si256(pat.as_ptr().add(k).cast()),
-                            _mm256_loadu_si256(nb.add(k).cast()),
+                            _mm256_loadu_si256(nb.as_ptr().add(k).cast()),
                         );
                         let x = _mm256_xor_si256(
                             _mm256_loadu_si256(sup.as_ptr().add(k).cast()),
-                            _mm256_loadu_si256(xb.add(k).cast()),
+                            _mm256_loadu_si256(xb.as_ptr().add(k).cast()),
                         );
-                        let cnt = _mm256_add_epi8(popcnt_bytes(u), popcnt_bytes(x));
-                        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, zero));
+                        let r = _mm256_loadu_si256(rev.as_ptr().add(k).cast());
+                        acc = _mm256_add_epi64(acc, pack_bounds(u, x, r));
                         k += 4;
                     }
-                    let mut c = hsum_epi64(acc) as u32;
-                    for t in g4..w {
-                        c +=
-                            (pat[t] | *nb.add(t)).count_ones() + (sup[t] ^ *xb.add(t)).count_ones();
-                    }
-                    out[i] = c;
+                    let head = unpack(hsum_epi64(acc));
+                    let tail = pair_bound(&pat[g4..], &sup[g4..], &rev[g4..], &nb[g4..], &xb[g4..]);
+                    out[i] = PairBound {
+                        whole: head.whole + tail.whole,
+                        masked: head.masked + tail.masked,
+                    };
                 }
             }
         }
     }
 
-    /// SSE2 fused bound sweep: 128-bit wide `or`/`xor`, scalar popcounts
-    /// of the extracted words (SSE2 has neither `pshufb` nor `popcnt`,
-    /// so the win over scalar is load width only).
+    /// SSE2 fused bound sweep: 128-bit wide `or`/`xor`/`and`, scalar
+    /// popcounts of the extracted words (SSE2 has neither `pshufb` nor
+    /// `popcnt`, so the win over scalar is load width only).
     #[target_feature(enable = "sse2")]
     pub unsafe fn bounds_sse2(
         pat: &[u64],
         sup: &[u64],
+        rev: &[u64],
         negs: &[u64],
         nsups: &[u64],
         w: usize,
-        out: &mut [u32],
+        out: &mut [PairBound],
     ) {
+        // Adds the bounds of two 64-bit words (`or` half in `u`, `xor`
+        // half in `x`, rev-masked `xor` half in `xr`) into `b`.
+        fn add_words(b: &mut PairBound, u: [u64; 2], x: [u64; 2], xr: [u64; 2]) {
+            let cu = u[0].count_ones() + u[1].count_ones();
+            b.whole += cu + x[0].count_ones() + x[1].count_ones();
+            b.masked += cu + xr[0].count_ones() + xr[1].count_ones();
+        }
         let n = out.len();
+        let store = |v: __m128i| {
+            let mut words = [0u64; 2];
+            _mm_storeu_si128(words.as_mut_ptr().cast(), v);
+            words
+        };
         if w == 1 {
             let vp = _mm_set1_epi64x(pat[0] as i64);
             let vs = _mm_set1_epi64x(sup[0] as i64);
+            let vr = _mm_set1_epi64x(rev[0] as i64);
             let mut i = 0;
             while i + 2 <= n {
-                // SAFETY (loads/stores): i+2 <= n keeps the 16-byte loads
-                // in bounds of the n-word flat slices.
-                let u = _mm_or_si128(vp, _mm_loadu_si128(negs.as_ptr().add(i).cast()));
+                // SAFETY (loads): i+2 <= n keeps the 16-byte loads in
+                // bounds of the n-word flat slices.
+                let u = store(_mm_or_si128(vp, _mm_loadu_si128(negs.as_ptr().add(i).cast())));
                 let x = _mm_xor_si128(vs, _mm_loadu_si128(nsups.as_ptr().add(i).cast()));
-                let mut uw = [0u64; 2];
-                let mut xw = [0u64; 2];
-                _mm_storeu_si128(uw.as_mut_ptr().cast(), u);
-                _mm_storeu_si128(xw.as_mut_ptr().cast(), x);
-                out[i] = uw[0].count_ones() + xw[0].count_ones();
-                out[i + 1] = uw[1].count_ones() + xw[1].count_ones();
+                let (x, xr) = (store(x), store(_mm_and_si128(x, vr)));
+                for k in 0..2 {
+                    let cu = u[k].count_ones();
+                    out[i + k] = PairBound {
+                        whole: cu + x[k].count_ones(),
+                        masked: cu + xr[k].count_ones(),
+                    };
+                }
                 i += 2;
             }
             if i < n {
-                out[i] = (pat[0] | negs[i]).count_ones() + (sup[0] ^ nsups[i]).count_ones();
+                out[i] = pair_bound(pat, sup, rev, &negs[i..], &nsups[i..]);
             }
             return;
         }
         // Generic width: 2-word vector groups per pair + scalar tail word.
         let g2 = w / 2 * 2;
         for i in 0..n {
-            let nb = negs.as_ptr().add(i * w);
-            let xb = nsups.as_ptr().add(i * w);
-            let mut c = 0u32;
+            let nb = &negs[i * w..(i + 1) * w];
+            let xb = &nsups[i * w..(i + 1) * w];
+            let mut b = pair_bound(&pat[g2..], &sup[g2..], &rev[g2..], &nb[g2..], &xb[g2..]);
             let mut k = 0;
             while k < g2 {
                 let u = _mm_or_si128(
                     _mm_loadu_si128(pat.as_ptr().add(k).cast()),
-                    _mm_loadu_si128(nb.add(k).cast()),
+                    _mm_loadu_si128(nb.as_ptr().add(k).cast()),
                 );
                 let x = _mm_xor_si128(
                     _mm_loadu_si128(sup.as_ptr().add(k).cast()),
-                    _mm_loadu_si128(xb.add(k).cast()),
+                    _mm_loadu_si128(xb.as_ptr().add(k).cast()),
                 );
-                let mut uw = [0u64; 2];
-                let mut xw = [0u64; 2];
-                _mm_storeu_si128(uw.as_mut_ptr().cast(), u);
-                _mm_storeu_si128(xw.as_mut_ptr().cast(), x);
-                c += uw[0].count_ones()
-                    + uw[1].count_ones()
-                    + xw[0].count_ones()
-                    + xw[1].count_ones();
+                let xr = _mm_and_si128(x, _mm_loadu_si128(rev.as_ptr().add(k).cast()));
+                add_words(&mut b, store(u), store(x), store(xr));
                 k += 2;
             }
-            for t in g2..w {
-                c += (pat[t] | *nb.add(t)).count_ones() + (sup[t] ^ *xb.add(t)).count_ones();
-            }
-            out[i] = c;
+            out[i] = b;
         }
     }
 
@@ -714,6 +765,11 @@ mod tests {
         p
     }
 
+    /// Bit by bit: positions of `rev` where exactly one of `a`, `b` is set.
+    fn rev_xor_count<const W: usize>(a: &Pattern<W>, b: &Pattern<W>, rev: &Pattern<W>) -> u32 {
+        rev.iter_ones().filter(|&i| a.get(i) != b.get(i)).count() as u32
+    }
+
     fn tiers() -> Vec<KernelTier> {
         vec![KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2]
     }
@@ -734,14 +790,21 @@ mod tests {
     fn check_all<const W: usize>() {
         let pat_p = pat::<W>(1, 30);
         let sup_p = pat::<W>(2, 50);
+        let rev = pat::<W>(3, 50);
         // Ragged length 7 exercises every vector tail path.
         let negs: Vec<Pattern<W>> = (0..7).map(|i| pat::<W>(10 + i, 40)).collect();
         let nsups: Vec<Pattern<W>> = (0..7).map(|i| pat::<W>(20 + i, 60)).collect();
-        let mut want = Vec::new();
-        bounds_sweep(KernelTier::Scalar, &pat_p, &sup_p, &negs, &nsups, &mut want);
+        let want: Vec<PairBound> = negs
+            .iter()
+            .zip(&nsups)
+            .map(|(n, x)| PairBound {
+                whole: pat_p.union_count(n) + sup_p.xor_count(x),
+                masked: pat_p.union_count(n) + rev_xor_count(&sup_p, x, &rev),
+            })
+            .collect();
         for tier in tiers() {
             let mut got = Vec::new();
-            bounds_sweep(tier, &pat_p, &sup_p, &negs, &nsups, &mut got);
+            bounds_sweep(tier, &pat_p, &sup_p, &rev, &negs, &nsups, &mut got);
             assert_eq!(got, want, "bounds_sweep W={W} tier={tier}");
 
             let mut uc = Vec::new();
@@ -795,26 +858,26 @@ mod tests {
     fn prefilter_hits_filters_and_offsets() {
         let pat_p = pat::<2>(3, 20);
         let sup_p = pat::<2>(4, 20);
+        let rev = pat::<2>(5, 50);
         let negs: Vec<Pattern<2>> = (0..40).map(|i| pat::<2>(30 + i, 35)).collect();
         let nsups: Vec<Pattern<2>> = (0..40).map(|i| pat::<2>(70 + i, 35)).collect();
         let mut bounds = Vec::new();
-        let max = {
-            let mut b = Vec::new();
-            bounds_sweep(KernelTier::Scalar, &pat_p, &sup_p, &negs, &nsups, &mut b);
-            b.iter().copied().sum::<u32>() / b.len() as u32 // prune roughly half
-        };
-        let mut want = Vec::new();
-        for (i, n) in negs.iter().enumerate() {
-            if pat_p.union_count(n) + sup_p.xor_count(&nsups[i]) <= max {
-                want.push(100 + i as u32);
-            }
-        }
+        bounds_sweep(KernelTier::Scalar, &pat_p, &sup_p, &rev, &negs, &nsups, &mut bounds);
+        // Each limit at its mean prunes roughly half on its own.
+        let mean = |f: fn(&PairBound) -> u32| bounds.iter().map(f).sum::<u32>() / 40;
+        let max = PairBound { whole: mean(|b| b.whole), masked: mean(|b| b.masked) };
+        let want: Vec<u32> = (0..40)
+            .filter(|&i| bounds[i].whole <= max.whole && bounds[i].masked <= max.masked)
+            .map(|i| 100 + i as u32)
+            .collect();
+        assert!(!want.is_empty() && want.len() < 40);
         for tier in tiers() {
             let mut hits = Vec::new();
             let got = prefilter_hits(
                 tier,
                 &pat_p,
                 &sup_p,
+                &rev,
                 &negs,
                 &nsups,
                 max,

@@ -21,7 +21,7 @@ pub mod compressed;
 pub mod kernel;
 
 pub use compressed::CompressedPattern;
-pub use kernel::{detect_tier, KernelTier};
+pub use kernel::{detect_tier, KernelTier, PairBound};
 
 /// A fixed-capacity inline bit pattern of `64*W` bits.
 ///
@@ -329,32 +329,23 @@ pub trait BitPattern:
         kernel::block_pairs(std::mem::size_of::<Self>())
     }
 
-    /// Batched adjacency pre-filter over one block: appends `base + i` to
-    /// `hits` for every pair with `(pat | negs[i]).count() +
-    /// (sup ^ nsups[i]).count() <= max`, returning the number appended.
-    /// `bounds` is caller-owned scratch. The default is the portable
-    /// scalar loop; inline widths dispatch into the SIMD [`kernel`].
+    /// Batched generation prefilter over one block
+    /// ([`kernel::prefilter_hits`]): appends `base + i` to `hits` for every
+    /// pair whose whole and rev-masked bounds are both within `max`,
+    /// returning the number appended. `bounds` is caller-owned scratch.
     #[allow(clippy::too_many_arguments)] // hot-path API: scratch + output buffers ride with the block operands
     fn prefilter_block(
         tier: KernelTier,
         pat: &Self,
         sup: &Self,
+        rev: &Self,
         negs: &[Self],
         nsups: &[Self],
-        max: u32,
+        max: PairBound,
         base: u32,
-        bounds: &mut Vec<u32>,
+        bounds: &mut Vec<PairBound>,
         hits: &mut Vec<u32>,
-    ) -> usize {
-        let _ = (tier, bounds);
-        let before = hits.len();
-        for (i, n) in negs.iter().enumerate() {
-            if pat.union_count(n) + sup.xor_count(&nsups[i]) <= max {
-                hits.push(base + i as u32);
-            }
-        }
-        hits.len() - before
-    }
+    ) -> usize;
 
     /// Whether any pattern in `cands` is a subset of `sup` (batched form
     /// of the naive adjacency scan's early-exit probe).
@@ -418,14 +409,15 @@ impl<const W: usize> BitPattern for Pattern<W> {
         tier: KernelTier,
         pat: &Self,
         sup: &Self,
+        rev: &Self,
         negs: &[Self],
         nsups: &[Self],
-        max: u32,
+        max: PairBound,
         base: u32,
-        bounds: &mut Vec<u32>,
+        bounds: &mut Vec<PairBound>,
         hits: &mut Vec<u32>,
     ) -> usize {
-        kernel::prefilter_hits(tier, pat, sup, negs, nsups, max, base, bounds, hits)
+        kernel::prefilter_hits(tier, pat, sup, rev, negs, nsups, max, base, bounds, hits)
     }
     #[inline]
     fn subset_any(tier: KernelTier, cands: &[Self], sup: &Self) -> bool {

@@ -152,6 +152,7 @@ impl Run {
         } else {
             dispatch_width!(red.num_reduced(), run_width(self, net, &red, None, &mut escalation))?
         };
+        crate::metrics::trace(&solved.stats);
         let mut efms = EfmSet::new(net.reaction_names());
         for sup in &solved.sups {
             efms.push_support(&red.expand_support(sup));

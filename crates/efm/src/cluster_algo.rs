@@ -43,7 +43,7 @@ use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint}
 use crate::engine::{
     CandidateSet, Engine, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
-use crate::metrics::{self, Phase};
+use crate::metrics::Phase;
 use crate::problem::EfmProblem;
 use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
@@ -136,13 +136,6 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
         stats.phases[p] = reports.iter().map(|r| r.value.stats.phases[p]).max().unwrap_or_default();
     }
     stats.total_time = reports.iter().map(|r| r.value.stats.total_time).max().unwrap_or_default();
-    // The meters and the final count are the run's, published once here
-    // rather than by every rank.
-    metrics::trace(&RunStats {
-        peak_bytes: stats.peak_bytes,
-        final_modes: stats.final_modes,
-        ..Default::default()
-    });
     let supports = reports[0].value.supports.clone();
     let paused = reports[0].value.checkpoint.clone();
     Ok((ClusterOutcome { supports, stats, per_rank: reports }, paused))

@@ -67,7 +67,6 @@ fn finalize<P: BitPattern, S: EfmScalar>(
     let sups = map_final_supports(problem, &eng);
     eng.stats.final_modes = sups.len() as u64;
     eng.stats.total_time = t0.elapsed();
-    metrics::trace(&RunStats { final_modes: eng.stats.final_modes, ..Default::default() });
     (sups, eng.stats)
 }
 

@@ -15,8 +15,9 @@
 //! 1. partition modes by the sign of the current row's value;
 //! 2. pair every positive with every negative mode — `|pos|·|neg|` is the
 //!    paper's "generated candidate modes" count;
-//! 3. summary rejection: a candidate whose support exceeds `m+1` entries
-//!    cannot have nullity 1;
+//! 3. summary rejection: a candidate whose support exceeds `m+1` entries,
+//!    or whose support on the identity block and the processed rows
+//!    exceeds `cursor − d + 2`, cannot have nullity 1;
 //! 4. sort + remove duplicate candidates (by support), then the zero-row
 //!    scan: drop a candidate whose masked support contains a zero-row
 //!    mode's;
@@ -33,10 +34,10 @@
 //! on the merged survivors for all of them.
 
 use crate::bridge::EfmScalar;
-use crate::metrics::{self, Phase};
+use crate::metrics::Phase;
 use crate::problem::EfmProblem;
 use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, PhaseBreakdown, RunStats};
-use efm_bitset::{BitPattern, KernelTier};
+use efm_bitset::{BitPattern, KernelTier, PairBound};
 use efm_linalg::{nullity_of_cols, Mat};
 use std::collections::HashMap;
 
@@ -299,7 +300,8 @@ pub struct SignPartition<P> {
     /// excluded), aligned with `neg_pats`. Slots where exactly one parent
     /// is nonzero survive any positive combination, so
     /// `xor_count(pos_sup, neg_sup)` is a true lower bound on the
-    /// candidate's tail nonzeros — a second cheap rejection level.
+    /// candidate's tail nonzeros, and the same count on the rev slots
+    /// alone one on its processed reversible rows.
     pub neg_tail_sups: Vec<P>,
     /// Masked supports of the zero-row modes sorted by popcount: the slab
     /// the per-batch zero-row scan probes.
@@ -334,12 +336,11 @@ pub struct GenArena<P, S> {
     pos_coeffs: Vec<S>,
     /// Positive row index the hoisted vectors start at.
     row_base: usize,
-    /// Prefilter bound buffer (one `u32` per pair of the active block).
-    bounds: Vec<u32>,
+    /// Prefilter bound buffer (one pair of bounds per pair of the active
+    /// block).
+    bounds: Vec<PairBound>,
     /// Surviving pair indices of the active (row, block) sweep.
     hits: Vec<u32>,
-    /// Candidate numeric-section scratch for the exact-arithmetic pass.
-    scratch: Vec<S>,
 }
 
 impl<P, S> Default for GenArena<P, S> {
@@ -351,7 +352,6 @@ impl<P, S> Default for GenArena<P, S> {
             row_base: 0,
             bounds: Vec::new(),
             hits: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 }
@@ -368,9 +368,8 @@ impl<P, S> GenArena<P, S> {
         (self.pos_pats.capacity() * std::mem::size_of::<P>()
             + self.pos_sups.capacity() * std::mem::size_of::<P>()
             + self.pos_coeffs.capacity() * std::mem::size_of::<S>()
-            + self.bounds.capacity() * std::mem::size_of::<u32>()
-            + self.hits.capacity() * std::mem::size_of::<u32>()
-            + self.scratch.capacity() * std::mem::size_of::<S>()) as u64
+            + self.bounds.capacity() * std::mem::size_of::<PairBound>()
+            + self.hits.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -590,7 +589,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         };
         engine.stats.peak_modes = engine.modes.len() as u64;
         engine.stats.kernel_tier = engine.kernel_tier.name().to_string();
-        metrics::trace(&engine.stats);
         if efm_obs::enabled() {
             efm_obs::meta_set("kernel_tier", engine.kernel_tier.name());
             efm_obs::meta_set("kernel_block_pairs", &P::block_pairs().to_string());
@@ -723,9 +721,20 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// [`BitPattern::block_pairs`]-sized blocks; for each block every
     /// hoisted positive row runs the batched prefilter
     /// ([`BitPattern::prefilter_block`], SIMD for inline widths) and only
-    /// surviving pairs reach the exact-arithmetic pass. The bound is exact
-    /// for settled rows (pattern union) and uses the one-parent-nonzero
-    /// guarantee for value slots (XOR of tail supports).
+    /// surviving pairs reach the exact-arithmetic pass.
+    ///
+    /// A pair is cut by either of two support bounds. The whole support
+    /// of a nullity-1 candidate has at most `m + 1` positions. Its masked
+    /// support (the identity block and the processed rows) has at most
+    /// `cursor − d + 2`: with fewer than `d − 1` zero positions there, the
+    /// fluxes vanishing on them form a space of dimension at least 2, so
+    /// both rank tests reject it (the count check of
+    /// `Engine::nullity_is_one_kernel`), and so does the adjacency test,
+    /// which keeps the same modes. Each bound is exact for settled rows
+    /// (pattern union) and uses the one-parent-nonzero guarantee for value
+    /// slots (XOR of tail supports); the masked one counts the rev slots
+    /// only. The exact pass visits the rev slots first, so it stops as
+    /// soon as either count is passed.
     fn generate_tiles(
         &self,
         part: &SignPartition<P>,
@@ -740,11 +749,15 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         }
         let stride = self.modes.stride();
         let head = self.modes.rev_len;
-        let max_nz = self.max_support as u32;
+        let max = PairBound {
+            whole: self.max_support as u32,
+            masked: (self.cursor + 2 - self.free_count) as u32,
+        };
+        let mut rev = P::empty();
+        (0..head).for_each(|t| rev.set(t));
         let reversible = self.current_reversible();
         let block = P::block_pairs();
-        let GenArena { pos_pats, pos_sups, pos_coeffs, row_base, bounds, hits, scratch } =
-            &mut *arena;
+        let GenArena { pos_pats, pos_sups, pos_coeffs, row_base, bounds, hits } = &mut *arena;
         let mut survivors = 0u64;
         let mut cs = cols.start;
         while cs < cols.end {
@@ -763,16 +776,18 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                     self.kernel_tier,
                     &pat_p,
                     &pos_sups[r],
+                    &rev,
                     negs,
                     nsups,
-                    max_nz,
+                    max,
                     cs as u32,
                     bounds,
                     hits,
                 );
                 stats.numeric_pass += hits.len() as u64;
-                // Numeric pass on prefilter survivors only; values go to
-                // the arena scratch — only the support bits are recorded.
+                // Numeric pass on prefilter survivors only: only the
+                // support bits are recorded, the values are recomputed for
+                // the accepted candidates (`Engine::materialize`).
                 'hits: for &bidx in hits.iter() {
                     let ni = part.neg[bidx as usize] as usize;
                     let pat_n = &self.modes.patterns[ni];
@@ -780,31 +795,18 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                     let vals_n = self.modes.vals(ni);
                     let coeff_p = vals_n[head].neg(); // = −v_n > 0
                     let mut nz = base;
-                    scratch.clear();
                     let mut sup = P::empty();
-                    for t in 0..stride {
-                        if t == head {
-                            continue;
-                        }
-                        let v = S::fused_comb(&coeff_p, &vals_p[t], coeff_n, &vals_n[t]);
-                        if !v.is_zero() {
+                    for t in (0..stride).filter(|&t| t != head) {
+                        if !S::fused_comb(&coeff_p, &vals_p[t], coeff_n, &vals_n[t]).is_zero() {
                             nz += 1;
-                            if nz > max_nz {
+                            if nz > max.whole || (t < head && nz > max.masked) {
                                 continue 'hits;
                             }
-                            sup.set(scratch.len());
+                            // On reversible rows the (zero) current-row slot
+                            // stays part of the numeric section; on
+                            // irreversible ones the slots after it move up.
+                            sup.set(if t > head && !reversible { t - 1 } else { t });
                         }
-                        scratch.push(v);
-                    }
-                    // On reversible rows the (zero) current-row slot stays
-                    // part of the numeric section; its support bit is never
-                    // set, but slot indices must account for it.
-                    if reversible {
-                        let mut shifted = P::empty();
-                        sup.for_each_one(|slot| {
-                            shifted.set(if slot >= head { slot + 1 } else { slot });
-                        });
-                        sup = shifted;
                     }
                     out.patterns.push(pat_p.union(pat_n));
                     out.val_sups.push(sup);
@@ -968,7 +970,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         let mut pass = local.clone();
         pass.add_stripe(&remote);
         let rec = self.record_iteration(&part, resident, accepted, &pass);
-        self.trace_iteration(&local, resident);
+        self.trace_iteration(&local);
         Ok(rec)
     }
 
@@ -1005,18 +1007,15 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         rec
     }
 
-    /// Emits one finished iteration's telemetry for the passes this
-    /// process ran (`local`): its counts through [`metrics::trace`], the
-    /// live mode count and the rank-test histogram. A cluster rank emits
-    /// its stripe's share, so the process-wide counters count every pair
-    /// once.
-    fn trace_iteration(&self, local: &StreamStats, resident_before: u64) {
+    /// Emits one finished iteration's telemetry: the live mode count and
+    /// the rank-test time of the passes this process ran (`local`). The
+    /// counters reach the trace once, from the finished run's
+    /// [`RunStats`] (`Run::enumerate`), so an iteration a resumed engine
+    /// replays is not counted twice.
+    fn trace_iteration(&self, local: &StreamStats) {
         if !efm_obs::enabled() {
             return;
         }
-        let mut added = RunStats::default();
-        local.add_to(&mut added, resident_before, &self.modes);
-        metrics::trace(&added);
         efm_obs::gauge_set("survivors", self.modes.len() as u64);
         efm_obs::hist::record("rank test batch us", local.phases.rank_test.as_micros() as u64);
     }
@@ -1727,6 +1726,128 @@ mod tests {
                     assert_zero_scan_sound(&problem, test);
                 }
             }
+        }
+
+        #[test]
+        fn masked_bound_is_sound_on_random_networks(seed in 0u64..5000) {
+            for problem in random_problems(seed) {
+                for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+                    assert_masked_bound_sound(&problem, test);
+                }
+            }
+        }
+    }
+
+    /// Pattern and value support of the candidate of pair `(pi, ni)`,
+    /// combined in exact arithmetic with no bound applied and numbered as
+    /// `Engine::generate_tiles` numbers them.
+    fn exact_candidate(eng: &Engine<Pattern1, DynInt>, pi: u32, ni: u32) -> (Pattern1, Pattern1) {
+        let head = eng.modes.rev_len;
+        let (vals_p, vals_n) = (eng.modes.vals(pi as usize), eng.modes.vals(ni as usize));
+        let (coeff_n, coeff_p) = (vals_p[head].neg(), vals_n[head].neg());
+        let mut sup = Pattern1::empty();
+        for t in (0..vals_p.len()).filter(|&t| t != head) {
+            if !DynInt::fused_comb(&coeff_p, &vals_p[t], &coeff_n, &vals_n[t]).is_zero() {
+                // A reversible row keeps its (zero) slot; an irreversible
+                // one drops it.
+                sup.set(if t > head && !eng.current_reversible() { t - 1 } else { t });
+            }
+        }
+        (eng.modes.patterns[pi as usize].union(&eng.modes.patterns[ni as usize]), sup)
+    }
+
+    /// Runs an engine with elementarity test `test` over `problem` and, at
+    /// every iteration, holds generation to a brute-force pass over the
+    /// whole pair grid. A pair is generated iff its support has at most
+    /// `m + 1` positions and at most `cursor − d + 2` on the identity block
+    /// and the processed rows; every pair the second (masked) bound cuts,
+    /// whether in the sweep or in the exact pass, fails the exact masked
+    /// rank test; and the iteration accepts exactly what the same pipeline
+    /// accepts when it is fed every pair within the whole-support bound.
+    /// Returns how many pairs the masked bound cut.
+    fn assert_masked_bound_sound(problem: &EfmProblem<DynInt>, test: CandidateTest) -> usize {
+        let opts = EfmOptions { test, ..Default::default() };
+        let mut eng: Engine<Pattern1, DynInt> = Engine::new(problem, &opts).unwrap();
+        let mut cut_total = 0;
+        while !eng.done() {
+            let part = eng.partition();
+            let head = eng.modes.rev_len;
+            let masked_max = eng.cursor + 2 - eng.free_count;
+            let (mut kept, mut cut) = (CandidateSet::default(), CandidateSet::default());
+            for &pi in &part.pos {
+                for &ni in &part.neg {
+                    let (pat, sup) = exact_candidate(&eng, pi, ni);
+                    if (pat.count() + sup.count()) as usize > eng.max_support {
+                        continue;
+                    }
+                    let masked =
+                        pat.count() as usize + sup.iter_ones().filter(|&t| t < head).count();
+                    let into = if masked > masked_max { &mut cut } else { &mut kept };
+                    into.patterns.push(pat);
+                    into.val_sups.push(sup);
+                    into.parents.push((pi, ni));
+                }
+            }
+            let mut generated = CandidateSet::default();
+            let mut stats = StreamStats::default();
+            eng.generate_range(
+                &part,
+                0,
+                part.pairs(),
+                &mut generated,
+                &mut GenArena::new(),
+                &mut stats,
+            );
+            let mut got: Vec<_> = (0..generated.len())
+                .map(|i| (generated.parents[i], generated.patterns[i], generated.val_sups[i]))
+                .collect();
+            got.sort_unstable();
+            let want: Vec<_> = (0..kept.len())
+                .map(|i| (kept.parents[i], kept.patterns[i], kept.val_sups[i]))
+                .collect();
+            assert_eq!(got, want, "generation at position {}", eng.cursor);
+            eng.exact_rank_test = true;
+            let elementary = eng.rank_filter_range(&cut, 0..cut.len());
+            eng.exact_rank_test = false;
+            assert!(
+                elementary.is_empty(),
+                "cut an elementary candidate at position {}",
+                eng.cursor
+            );
+            cut_total += cut.len();
+
+            // The pipeline fed the bound's cuts too accepts the same set.
+            let mut reference = kept;
+            reference.append(&mut cut);
+            reference.sort_dedup();
+            eng.drop_covered(&mut reference, &part);
+            if test == CandidateTest::Rank {
+                let keep = eng.rank_filter_range(&reference, 0..reference.len());
+                reference.gather(&keep);
+            }
+            eng.accept_survivors(&mut reference, &part);
+            let (mut survivors, _) = eng
+                .stream_range(&part, 0, part.pairs(), 3, &mut GenArena::new(), &mut |_| Ok(()))
+                .unwrap();
+            eng.accept_survivors(&mut survivors, &part);
+            assert_eq!(survivors.patterns, reference.patterns, "{test:?} at {}", eng.cursor);
+            assert_eq!(survivors.val_sups, reference.val_sups, "{test:?} at {}", eng.cursor);
+            eng.step();
+        }
+        cut_total
+    }
+
+    #[test]
+    fn masked_bound_cuts_only_non_elementary_pairs() {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = compress(&net);
+        let r8 = red.reduced_index_of(net.reaction_index("r8r").unwrap()).unwrap();
+        let mut problems = vec![build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap()];
+        problems.extend(nonzero_subproblem(&red, r8));
+        problems.extend((0..8).flat_map(random_problems));
+        for test in [CandidateTest::Rank, CandidateTest::Adjacency] {
+            let cut: usize = problems.iter().map(|p| assert_masked_bound_sound(p, test)).sum();
+            assert!(cut > 0, "{test:?}: the masked bound must have pairs to cut");
         }
     }
 

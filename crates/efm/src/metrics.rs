@@ -160,17 +160,18 @@ impl RunStats {
     }
 }
 
-/// Publishes counts this process added to the run's statistics (`added`
-/// holds the increments and, for peaks, the new values) to the trace: sums
-/// are added to their counters and peaks raise their gauges, so the
-/// metrics JSON reads what [`RunStats`] holds. A cluster rank passes its
-/// own share only, so every count reaches the trace once.
-pub(crate) fn trace(added: &RunStats) {
+/// Publishes a finished run's statistics to the trace: sums are added to
+/// their counters and peaks raise their gauges, so the metrics JSON reads
+/// what [`RunStats`] holds. `Run::enumerate` calls it once, with the
+/// statistics the run returns: work a restart or a retry threw away,
+/// which those statistics leave out, never reaches the trace. The entry
+/// points below `Run` publish no counters.
+pub(crate) fn trace(stats: &RunStats) {
     if !efm_obs::enabled() {
         return;
     }
     for c in COUNTERS {
-        let v = (c.get)(added);
+        let v = (c.get)(stats);
         match c.merge {
             Merge::Sum => efm_obs::counter_add(c.name, v),
             Merge::Max => efm_obs::gauge_max(c.name, v),

@@ -212,7 +212,6 @@ pub(crate) fn fail_over(
         .unwrap_or_else(|| vec![1; n]);
     *weights = Some(survivor_weights(&prior, dead));
     *group = n - 1;
-    crate::metrics::trace(&RunStats { failovers: 1, ranks_lost: 1, ..Default::default() });
     if efm_obs::enabled() {
         efm_obs::instant_dyn(format!("{label}: rank {dead} lost, continuing on {} nodes", n - 1));
     }
@@ -568,7 +567,6 @@ impl ProgressSink<'_> {
                 st.put(id, &sups)?;
                 let spilled = st.spill_bytes() - spilled_before;
                 report.stats.spill_bytes += spilled;
-                crate::metrics::trace(&RunStats { spill_bytes: spilled, ..Default::default() });
                 // The progress record still needs the uncompressed list; it
                 // is written out (or dropped) inside this call either way.
                 if self.checkpoint.is_some() {

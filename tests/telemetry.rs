@@ -141,10 +141,12 @@ fn jsonl_export_is_line_wise_valid() {
 }
 
 /// Every declared counter reads in the metrics JSON what `RunStats` holds
-/// (an absent key reads 0) on every backend and on a divide-and-conquer
-/// run. The cluster input guards against double counting: every rank
-/// holds whole-cluster statistics, but each pair enters the telemetry
-/// once.
+/// (an absent key reads 0) on every backend, on a divide-and-conquer run
+/// and on a supervised run that crashes and restarts. The cluster input
+/// guards against double counting: every rank holds whole-cluster
+/// statistics, but the run's count enters the telemetry once. So does the
+/// restart: the resumed engine replays the iterations after its snapshot,
+/// which `RunStats` counts once.
 #[test]
 fn metrics_json_carries_engine_counters() {
     let _g = OBS_LOCK.lock().unwrap();
@@ -155,11 +157,20 @@ fn metrics_json_carries_engine_counters() {
         partition: efm_bench::pick_partition(&net, &red, &["R89r", "R74r"], 2),
         ..Default::default()
     };
+    let ckpt =
+        std::env::temp_dir().join(format!("efm-telemetry-{}-restart.efck", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let crash = efm_cluster::FaultPlan::parse("seed=42;crash@1:phase=communicate,iter=3").unwrap();
+    let supervised = Run {
+        supervise: Some(SuperviseConfig::new(&ckpt).with_fault_plan(crash)),
+        ..on(Backend::Cluster(ClusterConfig::new(4)))
+    };
     let runs = [
         ("serial", on(Backend::Serial)),
         ("rayon", on(Backend::Rayon)),
         ("3-rank cluster", on(Backend::Cluster(ClusterConfig::new(3)))),
         ("two-reaction split", split),
+        ("supervised restart", supervised),
     ];
     for (label, run) in runs {
         let (out, snap) = traced(|| run.enumerate::<F64Tol>(&net).unwrap());
@@ -172,7 +183,11 @@ fn metrics_json_carries_engine_counters() {
         }
         assert!(out.stats.candidates_generated > 0, "{label}");
         assert_eq!(read("lp solves"), out.compression.lp_solves as u64, "{label}");
+        let restarted =
+            out.stats.recovery.events.iter().any(|e| e.action == RecoveryAction::Restarted);
+        assert_eq!(restarted, label == "supervised restart", "{label}: restarts");
     }
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]

@@ -48,10 +48,13 @@ fn exact_and_float_agree_on_yeast_lite() {
     );
     // Pinned per-iteration work: an equivalent elementarity test must
     // generate, test and accept exactly as many candidates. Elementarity
-    // is decided over the processed rows, and the zero-row scan drops
-    // most non-elementary candidates before the rank test.
+    // is decided over the processed rows; the generation prefilter cuts
+    // every pair whose support bounds rule out nullity 1 before any exact
+    // arithmetic, and the zero-row scan drops most remaining
+    // non-elementary candidates before the rank test.
     assert_eq!(exact.stats.candidates_generated, 3_827_018);
-    assert_eq!(exact.stats.rank_tests, 31_336);
+    assert_eq!(exact.stats.kernel_pruned, 2_996_355);
+    assert_eq!(exact.stats.rank_tests, 27_098);
     let accepted: u64 = exact.stats.iterations.iter().map(|r| r.accepted).sum();
     assert_eq!(accepted, 5617);
 }
