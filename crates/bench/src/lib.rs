@@ -7,7 +7,7 @@
 
 use efm_core::EfmOptions;
 use efm_metnet::{yeast, MetabolicNetwork};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Paper reference numbers (Tables II–IV) for side-by-side reporting.
 pub mod paper {
@@ -230,6 +230,102 @@ pub fn parse_cli() -> (Vec<(String, String)>, Vec<String>) {
 /// Looks up a flag value.
 pub fn flag<'a>(flags: &'a [(String, String)], key: &str) -> Option<&'a str> {
     flags.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+/// An A/B wall-time comparison for the overhead benchmarks: the best time
+/// of a base and of a variant way to run the same enumeration, with the
+/// result of each best run.
+pub struct Overhead<R> {
+    /// Best wall time of the base arm, seconds.
+    pub base_s: f64,
+    /// The base arm's result at its best time.
+    pub base: R,
+    /// Best wall time of the variant arm, seconds.
+    pub variant_s: f64,
+    /// The variant arm's result at its best time.
+    pub variant: R,
+}
+
+impl<R> Overhead<R> {
+    /// Runs one warm-up of each arm, then `reps` interleaved base/variant
+    /// pairs: run-to-run drift on a shared box dwarfs the quantity under
+    /// test, and measuring every base rep before every variant rep would
+    /// fold that drift into the overhead. `run(variant)` is one timed run
+    /// of an arm; `prepare(variant)` runs before it, off the clock.
+    pub fn measure(
+        reps: usize,
+        mut prepare: impl FnMut(bool),
+        mut run: impl FnMut(bool) -> R,
+    ) -> Self {
+        let mut timed = |variant: bool| {
+            prepare(variant);
+            let t = Instant::now();
+            let r = run(variant);
+            (t.elapsed().as_secs_f64(), r)
+        };
+        let _ = timed(false);
+        let _ = timed(true);
+        let mut best: [Option<(f64, R)>; 2] = [None, None];
+        for _ in 0..reps {
+            for arm in [false, true] {
+                let (s, r) = timed(arm);
+                if best[arm as usize].as_ref().is_none_or(|(b, _)| s < *b) {
+                    best[arm as usize] = Some((s, r));
+                }
+            }
+        }
+        let [Some((base_s, base)), Some((variant_s, variant))] = best else {
+            panic!("an overhead measurement needs at least one rep");
+        };
+        Overhead { base_s, base, variant_s, variant }
+    }
+
+    /// The variant's wall-time overhead over the base, percent.
+    pub fn pct(&self) -> f64 {
+        (self.variant_s / self.base_s.max(1e-9) - 1.0) * 100.0
+    }
+
+    /// Prints the overhead against `budget_pct`, writes `path` as one flat
+    /// JSON object — `benchmark`, the Network I workload at `scale` on the
+    /// cluster backend with `nodes` ranks and `reps`, then `fields`
+    /// (values written verbatim), then `overhead_pct`, `budget_pct` and
+    /// `within_budget` — and fails when the overhead is over budget.
+    pub fn report(
+        &self,
+        path: &str,
+        benchmark: &str,
+        (scale, nodes, reps): (Scale, usize, usize),
+        fields: &[(&str, String)],
+        budget_pct: f64,
+    ) {
+        let pct = self.pct();
+        let within = pct <= budget_pct;
+        let verdict = if within { "PASS" } else { "FAIL" };
+        println!("  overhead: {pct:+.2}%  (budget ≤ {budget_pct}%: {verdict})");
+        let head = [
+            ("benchmark", format!("\"{benchmark}\"")),
+            ("network", "\"yeast_network_i\"".to_string()),
+            ("scale", format!("\"{scale:?}\"")),
+            ("backend", "\"cluster\"".to_string()),
+            ("nodes", nodes.to_string()),
+            ("reps", reps.to_string()),
+        ];
+        let tail = [
+            ("overhead_pct", format!("{pct:.4}")),
+            ("budget_pct", format!("{budget_pct:?}")),
+            ("within_budget", within.to_string()),
+        ];
+        let body: Vec<String> = head
+            .iter()
+            .chain(fields)
+            .chain(&tail)
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n")))
+            .expect("write benchmark json");
+        println!("  wrote {path}");
+        assert!(within, "{benchmark}: overhead {pct:.2}% exceeds the {budget_pct}% budget");
+    }
 }
 
 #[cfg(test)]

@@ -13,14 +13,14 @@
 //!   --nodes <N>                     simulated cluster ranks [default: 4]
 //!   --memory-limit <BYTES>          per-node memory cap (cluster backend)
 //!   --partition <R1,R2,...>         divide-and-conquer partition reactions
-//!   --dnc-schedule <serial|static|steal> subset schedule  [default: serial]
+//!   --dnc-schedule <serial|steal>   subset schedule      [default: serial]
 //!   --dnc-workers <N>               subset worker threads (0 = one per core)
 //!   --ordering <paper|nnz|asis|random> row ordering      [default: paper]
 //!   --test <rank|adjacency>         elementarity test    [default: rank]
 //!   --float                         f64 arithmetic instead of exact
 //!   --spill-budget <BYTES>          compress finished divide-and-conquer subsets
 //!                                   and spill them to disk beyond BYTES resident
-//!   --max-modes <N>                 abort beyond N intermediate modes
+//!   --max-modes <N>                 abort beyond N intermediate modes (every backend)
 //!   --print-modes <N>               print up to N modes  [default: 20]
 //!   --coefficients                  recover numeric coefficients
 //!   --quiet                         summary only
@@ -32,6 +32,7 @@
 //!   --output <FILE>                 write the computed modes to FILE
 //!   --output-format <text|packed>   mode file format        [default: text]
 //!   --checkpoint <FILE>             snapshot engine state to FILE at iteration boundaries
+//!                                   (encoded and written on a background thread)
 //!   --checkpoint-every <N>          snapshot every N iterations [default: 1]
 //!   --resume <FILE>                 resume an aborted run from a checkpoint FILE
 //!   --auto-escalate <K>             on memory abort, retry as divide-and-conquer
@@ -109,7 +110,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: efm-compute [--builtin toy|yeast1|yeast2] [--backend serial|rayon|cluster]\n\
          \x20                 [--nodes N] [--memory-limit BYTES] [--partition R1,R2,...]\n\
-         \x20                 [--dnc-schedule serial|static|steal] [--dnc-workers N]\n\
+         \x20                 [--dnc-schedule serial|steal] [--dnc-workers N]\n\
          \x20                 [--ordering paper|nnz|asis|random] [--test rank|adjacency]\n\
          \x20                 [--kernel auto|scalar|simd]\n\
          \x20                 [--float] [--spill-budget BYTES]\n\
@@ -285,7 +286,7 @@ fn run<S: efm_core::EfmScalar>(
         ..Default::default()
     };
     let dnc_schedule = DncSchedule::parse(&args.dnc_schedule).unwrap_or_else(|| {
-        eprintln!("error: bad --dnc-schedule {} (want serial|static|steal)", args.dnc_schedule);
+        eprintln!("error: bad --dnc-schedule {} (want serial|steal)", args.dnc_schedule);
         usage();
     });
     let dnc = DncConfig {

@@ -11,7 +11,7 @@ use crate::bridge::EfmScalar;
 use crate::checkpoint::{CheckpointConfig, EngineCheckpoint};
 use crate::cluster_algo::cluster_supports_resumable;
 use crate::divide::{Backend, SubsetReport};
-use crate::drivers::{rayon_run, serial_run, SupportsAndStats};
+use crate::drivers::{local_supports, SupportsAndStats};
 use crate::escalate::{escalate, EscalationAttempt};
 use crate::problem::{build_problem, EfmProblem};
 use crate::schedule::{run_partition, DncConfig};
@@ -239,8 +239,8 @@ pub(crate) fn supports<P: BitPattern, S: EfmScalar>(
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<SupportsAndStats, EfmError> {
     match backend {
-        Backend::Serial => serial_run::<P, S>(problem, opts, resume, ckpt),
-        Backend::Rayon => rayon_run::<P, S>(problem, opts, resume, ckpt),
+        Backend::Serial => local_supports::<P, S>(problem, opts, resume, ckpt, &mut || false),
+        Backend::Rayon => local_supports::<P, S>(problem, opts, resume, ckpt, &mut || true),
         Backend::Cluster(cfg) => {
             let o = cluster_supports_resumable::<P, S>(problem, opts, cfg, resume, ckpt)?;
             Ok((o.supports, o.stats))

@@ -174,20 +174,21 @@ impl Fnv {
 }
 
 impl EngineCheckpoint {
-    /// Snapshots an engine at an iteration boundary.
+    /// Snapshots an engine at an iteration boundary (no stripe provenance).
     pub fn capture<P: BitPattern, S: EfmScalar>(eng: &Engine<P, S>, fingerprint: u64) -> Self {
-        Self::capture_deferred(eng, fingerprint)()
+        Self::capture_deferred(eng, fingerprint, Vec::new())()
     }
 
-    /// Like [`EngineCheckpoint::capture`], but splits the work: the
-    /// synchronous part is a plain clone of the engine state (memcpy-class
-    /// for the hot vectors), and the returned closure finishes the
-    /// per-value text encoding — the expensive half — wherever it is
-    /// called, e.g. on the [`CheckpointWriter`]'s thread instead of the
-    /// collective-synchronized iteration loop.
+    /// Like [`EngineCheckpoint::capture`] with `stripe_weights` as the
+    /// provenance, but splits the work: the synchronous part is a plain
+    /// clone of the engine state (memcpy-class for the hot vectors), and
+    /// the returned closure finishes the per-value text encoding — the
+    /// expensive half — wherever it is called, e.g. on the
+    /// [`CheckpointWriter`]'s thread instead of the iteration loop.
     pub fn capture_deferred<P: BitPattern, S: EfmScalar>(
         eng: &Engine<P, S>,
         fingerprint: u64,
+        stripe_weights: Vec<u64>,
     ) -> impl FnOnce() -> EngineCheckpoint + Send + 'static {
         let free_count = eng.free_count as u64;
         let stop_at = eng.stop_at as u64;
@@ -214,7 +215,7 @@ impl EngineCheckpoint {
                 .collect(),
             vals: vals.iter().map(EfmScalar::encode_checkpoint).collect(),
             stats,
-            stripe_weights: Vec::new(),
+            stripe_weights,
         }
     }
 

@@ -32,14 +32,16 @@
 //! the allgather are woken with [`ClusterError::Aborted`] and
 //! `run_cluster` reports the originating `MemoryExceeded`.
 //!
-//! Rank 0 can additionally write an iteration-boundary
-//! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) after each
-//! state advance (the state, statistics included, is identical on every
-//! rank at that point), so an aborted run resumes from the last completed
-//! iteration and counts like an uninterrupted one.
+//! Every rank iterates through the drivers' one loop, which checks the
+//! mode limit, pauses segments and has rank 0 hand iteration-boundary
+//! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint)s to the
+//! background writer (the state, statistics included, is identical on
+//! every rank at that point), so an aborted run resumes from the last
+//! completed iteration and counts like an uninterrupted one.
 
 use crate::bridge::EfmScalar;
-use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
+use crate::checkpoint::{CheckpointConfig, EngineCheckpoint};
+use crate::drivers::{run_resumable, trace_rank_tests, Segment};
 use crate::engine::{
     CandidateSet, Engine, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
@@ -49,6 +51,7 @@ use crate::types::{EfmError, EfmOptions, RunStats};
 use efm_bitset::BitPattern;
 use efm_cluster::{run_cluster, ClusterConfig, ClusterError, NodeCtx};
 use std::cell::Cell;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Result of one rank of a cluster run.
@@ -113,14 +116,20 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     ckpt: Option<&CheckpointConfig>,
     stop_after: Option<u64>,
 ) -> Result<(ClusterOutcome, Option<EngineCheckpoint>), EfmError> {
-    // Surface width/checkpoint errors before spawning the cluster.
-    match resume {
-        Some(ck) => drop(ck.restore::<P, S>(problem, opts)?),
-        None => drop(Engine::<P, S>::new(problem, opts)?),
-    }
-
-    let reports =
-        run_cluster(cfg, |ctx| node_body::<P, S>(ctx, problem, opts, resume, ckpt, stop_after))?;
+    let failed = Mutex::new(None);
+    let reports = run_cluster(cfg, |ctx| {
+        let seg = Segment {
+            stop_after,
+            lead: ctx.rank() == 0,
+            stripes: stripe_provenance(opts, ctx.size()),
+            ..Segment::new(resume, ckpt)
+        };
+        node_body::<P, S>(ctx, problem, opts, seg, &failed)
+    })
+    .map_err(|e| {
+        let failed = failed.into_inner().expect("no rank panics holding the error slot");
+        failed.unwrap_or(EfmError::Cluster(e))
+    })?;
 
     // Every rank's statistics are whole-cluster totals (each survivor
     // stripe travels with its rank's counters), so rank 0's stand for the
@@ -138,6 +147,11 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     stats.total_time = reports.iter().map(|r| r.value.stats.total_time).max().unwrap_or_default();
     let supports = reports[0].value.supports.clone();
     let paused = reports[0].value.checkpoint.clone();
+    if paused.is_none() {
+        for r in &reports {
+            trace_rank_tests(&r.value.stats);
+        }
+    }
     Ok((ClusterOutcome { supports, stats, per_rank: reports }, paused))
 }
 
@@ -175,30 +189,17 @@ fn stripe_provenance(opts: &EfmOptions, nodes: usize) -> Vec<u64> {
     }
 }
 
+/// One rank of Algorithm 2: the driver loop with this rank's stripe of
+/// every pair grid, the exchange and fold-merge, the memory meter and the
+/// fault points. A non-cluster error (the mode limit, a failed snapshot
+/// write) is kept in `failed`, so the run reports it typed.
 fn node_body<P: BitPattern, S: EfmScalar>(
     ctx: &NodeCtx,
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
-    resume: Option<&EngineCheckpoint>,
-    ckpt: Option<&CheckpointConfig>,
-    stop_after: Option<u64>,
+    seg: Segment<'_>,
+    failed: &Mutex<Option<EfmError>>,
 ) -> Result<ClusterNodeOutcome, ClusterError> {
-    let t_run = Instant::now();
-    let as_protocol = |e: EfmError| ClusterError::Protocol(e.to_string());
-    let setup_span = efm_obs::span("setup");
-    let mut eng = match resume {
-        Some(ck) => ck.restore::<P, S>(problem, opts).map_err(as_protocol)?,
-        None => Engine::<P, S>::new(problem, opts).map_err(as_protocol)?,
-    };
-    let fingerprint = problem_fingerprint(problem);
-    // Rank 0 snapshots for everyone; the writes happen on a background
-    // thread so the collective-synchronized iteration loop never waits on
-    // disk. Dropping the writer (success *or* error return) drains it, so
-    // the newest snapshot is durable before run_cluster reports back.
-    let mut writer = match ckpt {
-        Some(c) if ctx.rank() == 0 => Some(crate::checkpoint::CheckpointWriter::spawn(&c.path)),
-        _ => None,
-    };
     let rank = ctx.rank() as u64;
     let nodes = ctx.size() as u64;
     let my_rank = ctx.rank();
@@ -210,31 +211,20 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         accounted.set(now);
         Ok(())
     };
-    track(eng.modes.approx_bytes())?;
     // Candidate-generation arena: lives for the whole run, reset (not
     // freed) each iteration, so steady-state iterations do not allocate
     // on the generation hot path.
     let mut arena = crate::engine::GenArena::new();
-    drop(setup_span);
-
-    while !eng.done() {
+    let run = run_resumable::<P, S>(problem, opts, seg, &mut |eng| {
         // Absolute iteration index (checkpoint-stable): a resumed run
         // continues the numbering, so a fault planted at iteration k fires
         // at the same global point whether or not a restart happened.
         let iter_no = (eng.cursor - eng.free_count) as u64;
-        // Segment bound: every rank computes the same iter_no from the
-        // same replicated state, so all ranks pause together — no rank is
-        // left blocked in a collective.
-        if stop_after.is_some_and(|s| iter_no >= s) {
-            break;
-        }
-        // One span per loop body: together with the phase spans nested
-        // inside it, a rank track is covered wall-to-wall, which is what
-        // lets `efm-analyze` attribute (rather than guess at) every
-        // microsecond between setup and finalize.
-        let _iter_span = efm_obs::span("iteration");
-        ctx.fault_point("iteration", iter_no)?;
         let modes_bytes = eng.modes.approx_bytes();
+        // Charges the mode matrix the loop built; after the first
+        // iteration the previous one's end has charged it already.
+        track(modes_bytes)?;
+        ctx.fault_point("iteration", iter_no)?;
         let drive = |eng: &Engine<P, S>, part: &SignPartition<P>| {
             // --- Generation, sort/dedup, the zero-row scan and the
             // per-candidate rank test run fused per bounded batch over
@@ -333,62 +323,22 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         // then RemoveNegColumns + append: every rank advances to the
         // identical next state, the merged survivors' values charged first.
         let mut charge = |bytes: u64| -> Result<(), EfmError> { Ok(track(modes_bytes + bytes)?) };
-        eng.iterate(drive, &mut charge).map_err(|e| match e {
-            EfmError::Cluster(c) => c,
-            other => as_protocol(other),
-        })?;
+        eng.iterate(drive, &mut charge)?;
         track(eng.modes.approx_bytes())?;
         ctx.fault_point("merge", iter_no)?;
-        if ctx.rank() == 0 {
-            crate::drivers::note_progress(&eng);
+        Ok(())
+    });
+    match run {
+        Ok(((supports, stats), checkpoint)) => {
+            Ok(ClusterNodeOutcome { supports, stats, checkpoint })
         }
-        // --- Iteration boundary: the state is again identical on every
-        // rank, so rank 0's snapshot stands for all.
-        if let (Some(c), Some(w)) = (ckpt, writer.as_mut()) {
-            // Lazy mode sheds a due snapshot while the writer is busy or
-            // over its time budget — the collective-synchronized loop
-            // never waits on serialization, and checkpoint overhead stays
-            // a bounded fraction of the run.
-            if c.due(eng.cursor - eng.free_count) && (!c.lazy || w.within_budget(t_run.elapsed())) {
-                // Stamp stripe provenance onto the deferred snapshot: the
-                // serialization thread knows the engine state but not the
-                // striping, which lives in the options.
-                let weights = stripe_provenance(opts, nodes as usize);
-                let job = EngineCheckpoint::capture_deferred(&eng, fingerprint);
-                w.submit(move || {
-                    let mut ck = job();
-                    ck.stripe_weights = weights;
-                    ck
-                })
-                .map_err(as_protocol)?;
-            }
+        Err(EfmError::Cluster(e)) => Err(e),
+        Err(e) => {
+            let message = e.to_string();
+            failed.lock().expect("no rank panics holding the error slot").get_or_insert(e);
+            Err(ClusterError::Protocol(message))
         }
     }
-    if let Some(w) = writer.take() {
-        w.finish().map_err(as_protocol)?;
-    }
-
-    if !eng.done() {
-        // Paused at a segment boundary: no final supports yet. Rank 0's
-        // snapshot (the state is replicated) lets the caller resume —
-        // possibly on a differently-sized cluster.
-        eng.stats.total_time = t_run.elapsed();
-        let checkpoint = (ctx.rank() == 0).then(|| {
-            let mut ck = EngineCheckpoint::capture(&eng, fingerprint);
-            ck.stripe_weights = stripe_provenance(opts, nodes as usize);
-            ck
-        });
-        let stats = eng.stats.clone();
-        return Ok(ClusterNodeOutcome { supports: Vec::new(), stats, checkpoint });
-    }
-
-    let final_span = efm_obs::span("finalize");
-    let supports: Vec<Vec<usize>> = crate::drivers::map_final_supports(problem, &eng);
-    drop(final_span);
-    eng.stats.final_modes = supports.len() as u64;
-    eng.stats.total_time = t_run.elapsed();
-    let stats = eng.stats.clone();
-    Ok(ClusterNodeOutcome { supports, stats, checkpoint: None })
 }
 
 #[cfg(test)]

@@ -1,8 +1,12 @@
 //! Serial and shared-memory (rayon) drivers — the paper's Algorithm 1 and
-//! the EFMTools-style multithreaded variant it cites as prior work.
+//! the EFMTools-style multithreaded variant it cites as prior work — and
+//! [`run_resumable`], the one loop these and every cluster rank iterate
+//! an [`Engine`] through.
 
 use crate::bridge::EfmScalar;
-use crate::checkpoint::{problem_fingerprint, CheckpointConfig, EngineCheckpoint};
+use crate::checkpoint::{
+    problem_fingerprint, CheckpointConfig, CheckpointWriter, EngineCheckpoint,
+};
 use crate::engine::{
     CandidateSet, Engine, GenArena, SignPartition, StreamStats, Survivors, STREAM_BATCH_PAIRS,
 };
@@ -31,7 +35,7 @@ fn check_limit<P: BitPattern, S: EfmScalar>(
 /// Maps the engine's final position-space supports into reduced-network
 /// reaction indices, dropping two-cycle artifacts of split reversible
 /// columns (a mode using both direction twins of one reaction).
-pub(crate) fn map_final_supports<P: BitPattern, S: EfmScalar>(
+fn map_final_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     eng: &Engine<P, S>,
 ) -> Vec<Vec<usize>> {
@@ -59,53 +63,124 @@ pub(crate) fn map_final_supports<P: BitPattern, S: EfmScalar>(
     out
 }
 
-fn finalize<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    mut eng: Engine<P, S>,
-    t0: Instant,
-) -> SupportsAndStats {
-    let sups = map_final_supports(problem, &eng);
-    eng.stats.final_modes = sups.len() as u64;
-    eng.stats.total_time = t0.elapsed();
-    (sups, eng.stats)
+/// One iteration of [`run_resumable`], however the backend splits it.
+type Step<'a, P, S> = dyn FnMut(&mut Engine<P, S>) -> Result<(), EfmError> + 'a;
+
+/// Where one run of [`run_resumable`] starts, where it may pause, and who
+/// snapshots it.
+pub(crate) struct Segment<'a> {
+    /// Snapshot to restore the engine from instead of building it fresh.
+    pub resume: Option<&'a EngineCheckpoint>,
+    /// Snapshot policy; `None` writes no snapshots.
+    pub ckpt: Option<&'a CheckpointConfig>,
+    /// Pause before absolute iteration `k` instead of finishing.
+    pub stop_after: Option<u64>,
+    /// Whether this process writes the snapshots, reports progress and
+    /// captures the paused state: the single process, or a cluster's rank
+    /// 0 (the state is replicated, so its snapshot stands for all ranks).
+    pub lead: bool,
+    /// Stripe provenance stamped on every snapshot; empty off the cluster.
+    pub stripes: Vec<u64>,
 }
 
-/// Shared resumable loop: builds the engine (fresh or from a checkpoint),
-/// runs `step` until done, snapshotting at iteration boundaries per `ckpt`.
-fn run_resumable<P: BitPattern, S: EfmScalar>(
+impl<'a> Segment<'a> {
+    /// A whole run of a single process.
+    pub fn new(resume: Option<&'a EngineCheckpoint>, ckpt: Option<&'a CheckpointConfig>) -> Self {
+        Segment { resume, ckpt, stop_after: None, lead: true, stripes: Vec::new() }
+    }
+}
+
+/// The one loop every backend iterates an [`Engine`] through: builds or
+/// restores the engine, then runs `step` (one iteration, however the
+/// backend splits it) until the engine is done or the segment's
+/// `stop_after` bound is reached, checking `max_modes` before every
+/// iteration and handing due snapshots to the background
+/// [`CheckpointWriter`]. Every cluster rank runs it on the same replicated
+/// state, so all ranks stop, pause and fail the mode limit at the same
+/// boundary, and none is left waiting in a collective. Returns the
+/// supports and statistics, plus the lead's snapshot of the state when the
+/// segment paused (the supports are then empty). `step` (and
+/// [`local_supports`]'s `grow`) are trait objects so that all backends
+/// share one compiled copy of the loop per pattern width and scalar: a
+/// generic copy per caller grew the binary's text by about 50 KB and the
+/// cluster benchmark's peak RSS by about 0.2 MiB.
+pub(crate) fn run_resumable<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
-    resume: Option<&EngineCheckpoint>,
-    ckpt: Option<&CheckpointConfig>,
-    mut step: impl FnMut(&mut Engine<P, S>) -> Result<(), EfmError>,
-) -> Result<SupportsAndStats, EfmError> {
+    seg: Segment<'_>,
+    step: &mut Step<'_, P, S>,
+) -> Result<(SupportsAndStats, Option<EngineCheckpoint>), EfmError> {
     let t0 = Instant::now();
-    let fingerprint = problem_fingerprint(problem);
-    let mut eng = match resume {
+    let setup = efm_obs::span("setup");
+    let mut eng = match seg.resume {
         Some(ck) => ck.restore::<P, S>(problem, opts)?,
         None => Engine::<P, S>::new(problem, opts)?,
     };
+    let fingerprint = problem_fingerprint(problem);
+    let snapshot = |eng: &Engine<P, S>| {
+        EngineCheckpoint::capture_deferred(eng, fingerprint, seg.stripes.clone())
+    };
+    // Dropping the writer (success *or* error return) drains it, so the
+    // newest snapshot is durable before the run returns.
+    let mut writer = seg.ckpt.filter(|_| seg.lead).map(|c| CheckpointWriter::spawn(&c.path));
+    drop(setup);
     while !eng.done() {
+        if seg.stop_after.is_some_and(|s| (eng.cursor - eng.free_count) as u64 >= s) {
+            break;
+        }
         check_limit(&eng, opts)?;
         {
+            // Together with the setup and finalize spans, this covers a
+            // rank's track wall to wall, which is what lets `efm-analyze`
+            // attribute every microsecond.
             let _span = efm_obs::span("iteration");
             step(&mut eng)?;
         }
+        if !seg.lead {
+            continue;
+        }
         note_progress(&eng);
-        if let Some(c) = ckpt {
-            if c.due(eng.cursor - eng.free_count) {
+        if let (Some(c), Some(w)) = (seg.ckpt, writer.as_mut()) {
+            // Lazy mode sheds a due snapshot while the writer is busy or
+            // over its time budget, so the loop never waits on encoding.
+            if c.due(eng.cursor - eng.free_count) && (!c.lazy || w.within_budget(t0.elapsed())) {
                 let _span = efm_obs::span("checkpoint");
-                EngineCheckpoint::capture(&eng, fingerprint).save(&c.path)?;
+                w.submit(snapshot(&eng))?;
             }
         }
     }
-    Ok(finalize(problem, eng, t0))
+    if let Some(w) = writer {
+        w.finish()?;
+    }
+    if !eng.done() {
+        eng.stats.total_time = t0.elapsed();
+        let paused = seg.lead.then(|| snapshot(&eng)());
+        return Ok(((Vec::new(), eng.stats), paused));
+    }
+    let _span = efm_obs::span("finalize");
+    let sups = map_final_supports(problem, &eng);
+    eng.stats.final_modes = sups.len() as u64;
+    eng.stats.total_time = t0.elapsed();
+    Ok(((sups, eng.stats), None))
+}
+
+/// Records each iteration's rank-test time from a finished run's records:
+/// once per process that ran the engine, and only when the whole run
+/// finished. A paused segment or a failed attempt records nothing, and the
+/// run resuming it holds the earlier iterations' records, so a replayed
+/// iteration is never counted twice.
+pub(crate) fn trace_rank_tests(stats: &RunStats) {
+    if !efm_obs::enabled() {
+        return;
+    }
+    for it in &stats.iterations {
+        efm_obs::hist::record("rank test batch us", it.phases.rank_test.as_micros() as u64);
+    }
 }
 
 /// Emits the human `--progress` line for the engine's latest iteration
-/// (no-op unless progress reporting is enabled). Shared by the serial and
-/// rayon drivers here and by the cluster driver's rank 0.
-pub(crate) fn note_progress<P: BitPattern, S: EfmScalar>(eng: &Engine<P, S>) {
+/// (no-op unless progress reporting is enabled).
+fn note_progress<P: BitPattern, S: EfmScalar>(eng: &Engine<P, S>) {
     if !efm_obs::progress::progress_enabled() {
         return;
     }
@@ -125,55 +200,7 @@ pub fn serial_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
 ) -> Result<SupportsAndStats, EfmError> {
-    serial_run::<P, S>(problem, opts, None, None)
-}
-
-/// Serial Algorithm 1 with optional resume-from-checkpoint and optional
-/// iteration-boundary checkpoint writes.
-pub(crate) fn serial_run<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    opts: &EfmOptions,
-    resume: Option<&EngineCheckpoint>,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<SupportsAndStats, EfmError> {
-    // One arena for the whole run: reset (not freed) each iteration, so
-    // steady-state iterations perform no candidate-buffer allocation.
-    let mut arena = GenArena::new();
-    run_resumable::<P, S>(problem, opts, resume, ckpt, move |eng| {
-        eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(())).map(drop)
-    })
-}
-
-/// Serial Algorithm 1 that can *grow* mid-run: once `grow()` first returns
-/// true the remaining iterations split their pair grids across the shared
-/// pool like [`rayon_supports`]. The divide-and-conquer scheduler uses
-/// this as its straggler path for the serial backend — while other
-/// subsets are queued, each runs single-threaded (maximum throughput
-/// across subsets); when workers go idle because the queue is drained,
-/// the survivors' pair grids are re-split across the pool instead of
-/// leaving cores parked. The serial and rayon passes advance the engine
-/// through identical states, so the switch point cannot change the
-/// result.
-pub(crate) fn adaptive_supports<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    opts: &EfmOptions,
-    mut grow: impl FnMut() -> bool,
-) -> Result<SupportsAndStats, EfmError> {
-    let mut grown = false;
-    let mut arena = GenArena::new();
-    run_resumable::<P, S>(problem, opts, None, None, move |eng| {
-        if !grown && grow() {
-            grown = true;
-            efm_obs::instant("dnc grow to pool");
-            efm_obs::counter_add("dnc resplits", 1);
-        }
-        let iteration = if grown {
-            eng.iterate(rayon_pass, &mut |_| Ok(()))
-        } else {
-            eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(()))
-        };
-        iteration.map(drop)
-    })
+    local_supports::<P, S>(problem, opts, None, None, &mut || false)
 }
 
 /// Runs the shared-memory parallel variant: the pair grid and the rank
@@ -182,20 +209,42 @@ pub fn rayon_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
 ) -> Result<SupportsAndStats, EfmError> {
-    rayon_run::<P, S>(problem, opts, None, None)
+    local_supports::<P, S>(problem, opts, None, None, &mut || true)
 }
 
-/// Shared-memory parallel variant with optional resume-from-checkpoint and
-/// optional iteration-boundary checkpoint writes.
-pub(crate) fn rayon_run<P: BitPattern, S: EfmScalar>(
+/// Algorithm 1 in one process, with optional resume-from-checkpoint and
+/// optional iteration-boundary snapshots. Each iteration's pair grid runs
+/// in one pass until `grow()` first returns true, and is split across the
+/// rayon pool from then on (`|| false` is the serial driver, `|| true` the
+/// rayon one). The divide-and-conquer scheduler grows a serial subset this
+/// way once workers go idle because its queue is drained: the survivors'
+/// pair grids are re-split across the pool instead of leaving cores
+/// parked. Both passes advance the engine through identical states, so
+/// the switch point cannot change the result.
+pub(crate) fn local_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     resume: Option<&EngineCheckpoint>,
     ckpt: Option<&CheckpointConfig>,
+    grow: &mut dyn FnMut() -> bool,
 ) -> Result<SupportsAndStats, EfmError> {
-    run_resumable::<P, S>(problem, opts, resume, ckpt, |eng| {
-        eng.iterate(rayon_pass, &mut |_| Ok(())).map(drop)
-    })
+    let mut grown = false;
+    // One arena for the whole serial run: reset (not freed) each
+    // iteration, so steady-state iterations perform no candidate-buffer
+    // allocation.
+    let mut arena = GenArena::new();
+    let ((sups, stats), _) =
+        run_resumable::<P, S>(problem, opts, Segment::new(resume, ckpt), &mut |eng| {
+            grown = grown || grow();
+            let iteration = if grown {
+                eng.iterate(rayon_pass, &mut |_| Ok(()))
+            } else {
+                eng.iterate(|eng, part| eng.stream_whole(part, &mut arena), &mut |_| Ok(()))
+            };
+            iteration.map(drop)
+        })?;
+    trace_rank_tests(&stats);
+    Ok((sups, stats))
 }
 
 /// Merges sorted candidate runs by parallel pairwise rounds: each round

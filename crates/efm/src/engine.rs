@@ -967,10 +967,9 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         self.advance(&part, buf);
         drop(sp);
         local.phases.merge += t_tail.elapsed();
-        let mut pass = local.clone();
-        pass.add_stripe(&remote);
-        let rec = self.record_iteration(&part, resident, accepted, &pass);
-        self.trace_iteration(&local);
+        local.add_stripe(&remote);
+        let rec = self.record_iteration(&part, resident, accepted, &local);
+        efm_obs::gauge_set("survivors", self.modes.len() as u64);
         Ok(rec)
     }
 
@@ -1005,19 +1004,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         pass.add_to(&mut self.stats, resident_before, &self.modes);
         self.stats.iterations.push(rec.clone());
         rec
-    }
-
-    /// Emits one finished iteration's telemetry: the live mode count and
-    /// the rank-test time of the passes this process ran (`local`). The
-    /// counters reach the trace once, from the finished run's
-    /// [`RunStats`] (`Run::enumerate`), so an iteration a resumed engine
-    /// replays is not counted twice.
-    fn trace_iteration(&self, local: &StreamStats) {
-        if !efm_obs::enabled() {
-            return;
-        }
-        efm_obs::gauge_set("survivors", self.modes.len() as u64);
-        efm_obs::hist::record("rank test batch us", local.phases.rank_test.as_micros() as u64);
     }
 
     /// Recomputes the numeric sections for the surviving candidates (their

@@ -216,9 +216,14 @@ mod tests {
     fn mode_limit_is_enforced() {
         let net = efm_metnet::generator::layered_branches(4, 3);
         let opts = EfmOptions { max_modes: Some(10), ..Default::default() };
-        match enumerate(&net, &opts) {
-            Err(EfmError::ModeLimitExceeded { limit: 10, .. }) => {}
-            other => panic!("expected mode limit error, got {other:?}"),
+        let backends =
+            [Backend::Serial, Backend::Rayon, Backend::Cluster(efm_cluster::ClusterConfig::new(2))];
+        for backend in backends {
+            let run = Run { opts: opts.clone(), backend: backend.clone(), ..Default::default() };
+            match run.enumerate::<DynInt>(&net) {
+                Err(EfmError::ModeLimitExceeded { limit: 10, .. }) => {}
+                other => panic!("{backend:?}: expected mode limit error, got {other:?}"),
+            }
         }
     }
 

@@ -11,8 +11,7 @@
 //!    spawning a worker and yields the inputs of a cost model — processed
 //!    row count, kernel width, reversible-row count ([`estimate_cost`]).
 //! 2. **Order + deal.** Runnable subsets are sorted longest-first and dealt
-//!    round-robin into per-worker deques (the classic LPT heuristic);
-//!    [`DncSchedule::Static`] stops there.
+//!    round-robin into per-worker deques (the classic LPT heuristic).
 //! 3. **Steal.** Under [`DncSchedule::Steal`] an idle worker steals from
 //!    the *back* of the deque of the victim with the most estimated work
 //!    remaining — the owner always holds its costliest subsets at the
@@ -23,7 +22,7 @@
 //! 4. **Grow stragglers.** When the queues drain, idle capacity is fed
 //!    back into the survivors instead of parking: a serial-backend subset
 //!    switches its remaining iterations onto the shared rayon pool
-//!    (`adaptive_supports` in the drivers module), and a cluster-backend
+//!    (`local_supports` in the drivers module), and a cluster-backend
 //!    subset runs in bounded *segments*
 //!    ([`crate::cluster_algo::cluster_supports_segment`]) whose boundary
 //!    checkpoints let it restart on a larger node group drawn from the
@@ -45,16 +44,16 @@
 //!
 //! Every schedule produces the identical result: subset outcomes are
 //! deterministic and results are assembled in subset-id order, so
-//! [`DncSchedule::Serial`] (the paper's loop, still the default), `Static`
-//! and `Steal` differ only in wall-clock shape — a property enforced by
-//! the differential suite in `tests/backend_equivalence.rs`.
+//! [`DncSchedule::Serial`] (the paper's loop, still the default) and
+//! `Steal` differ only in wall-clock shape — a property enforced by the
+//! differential suite in `tests/backend_equivalence.rs`.
 
 use crate::api::supports;
 use crate::bridge::EfmScalar;
 use crate::checkpoint::{dnc_fingerprint, DncCheckpoint, DncSubsetResult, EngineCheckpoint};
 use crate::cluster_algo::cluster_supports_segment;
 use crate::divide::{resolve_partition, subset_pattern, Backend, Partition, SubsetReport};
-use crate::drivers::{adaptive_supports, SupportsAndStats};
+use crate::drivers::{local_supports, SupportsAndStats};
 use crate::problem::{build_subproblem, EfmProblem};
 use crate::supervise::classify_failure;
 use crate::types::{EfmError, EfmOptions, FailureClass, RecoveryAction, RecoveryEvent, RunStats};
@@ -71,19 +70,16 @@ pub enum DncSchedule {
     /// bit-identical to the pre-scheduler behaviour.
     #[default]
     Serial,
-    /// Longest-first static assignment onto the worker pool (LPT): no
-    /// migration after the initial deal.
-    Static,
-    /// Static deal plus work stealing and straggler re-splitting.
+    /// Longest-first deal onto a worker pool (LPT), plus work stealing and
+    /// straggler re-splitting.
     Steal,
 }
 
 impl DncSchedule {
-    /// Parses a CLI spelling (`serial`, `static`, `steal`).
+    /// Parses a CLI spelling (`serial`, `steal`).
     pub fn parse(s: &str) -> Option<DncSchedule> {
         match s {
             "serial" => Some(DncSchedule::Serial),
-            "static" => Some(DncSchedule::Static),
             "steal" => Some(DncSchedule::Steal),
             _ => None,
         }
@@ -94,7 +90,6 @@ impl std::fmt::Display for DncSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DncSchedule::Serial => write!(f, "serial"),
-            DncSchedule::Static => write!(f, "static"),
             DncSchedule::Steal => write!(f, "steal"),
         }
     }
@@ -105,7 +100,7 @@ impl std::fmt::Display for DncSchedule {
 pub struct DncConfig {
     /// Subset execution order.
     pub schedule: DncSchedule,
-    /// Worker threads for the concurrent schedules (`0` = one per
+    /// Worker threads for the stealing schedule (`0` = one per
     /// available core, capped at the number of runnable subsets).
     pub workers: usize,
     /// Per-subset restart budget: how many times one subset's *retryable*
@@ -123,8 +118,8 @@ pub struct DncConfig {
     /// [`FaultInjector`] built from the plan (one-shot latches survive that
     /// subset's retries). Cluster backend only; used by the chaos suite.
     pub fault_plans: Vec<(usize, FaultPlan)>,
-    /// Cluster-backend segment length in iterations for the concurrent
-    /// schedules: a subset pauses at every `segment_iters` boundary so a
+    /// Cluster-backend segment length in iterations for the stealing
+    /// schedule: a subset pauses at every `segment_iters` boundary so a
     /// straggler can absorb idle nodes (`0` = never pause; stealing then
     /// happens at whole-subset granularity only).
     pub segment_iters: u64,
@@ -282,7 +277,7 @@ impl NodePool {
     }
 }
 
-/// State shared by the workers of a concurrent schedule.
+/// State shared by the workers of the stealing schedule.
 struct Shared {
     /// Per-worker task deques (subset ids, costliest at the front).
     deques: Vec<Mutex<VecDeque<usize>>>,
@@ -296,21 +291,15 @@ struct Shared {
     abort: AtomicBool,
     /// Idle cluster nodes (cluster backend only).
     pool: NodePool,
-    /// Whether migration (stealing + re-splitting) is enabled.
-    steal: bool,
 }
 
 impl Shared {
-    /// Pops the next subset for worker `w`: own front first, then — under
-    /// the stealing schedule — the back of the victim with the most
-    /// estimated work left.
+    /// Pops the next subset for worker `w`: own front first, then the
+    /// back of the victim with the most estimated work left.
     fn next_task(&self, w: usize, costs: &[u64]) -> Option<usize> {
         if let Some(id) = self.deques[w].lock().unwrap().pop_front() {
             self.remaining[w].fetch_sub(costs[id], Ordering::Relaxed);
             return Some(id);
-        }
-        if !self.steal {
-            return None;
         }
         loop {
             // Victim choice re-reads the tallies every round: a failed
@@ -377,18 +366,22 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
     let mut log: Vec<RecoveryEvent> = Vec::new();
     let mut retries = 0u32;
     let mut failed_over = 0u64;
-    let stealing = shared.is_some_and(|s| s.steal);
     let out = match backend {
         Backend::Serial | Backend::Rayon => loop {
-            let r = if stealing && matches!(backend, Backend::Serial) {
+            let r = match shared {
                 // Straggler path: switch the remaining iterations onto the
                 // rayon pool once workers go spare.
-                let spare = shared.map(|s| &s.spare);
-                adaptive_supports::<P, S>(problem, opts, || {
-                    spare.is_some_and(|s| s.load(Ordering::Relaxed) > 0)
-                })
-            } else {
-                supports::<P, S>(problem, opts, backend, None, None)
+                Some(s) if matches!(backend, Backend::Serial) => {
+                    local_supports::<P, S>(problem, opts, None, None, &mut || {
+                        let spare = s.spare.load(Ordering::Relaxed) > 0;
+                        if spare {
+                            efm_obs::instant("dnc grow to pool");
+                            efm_obs::counter_add("dnc resplits", 1);
+                        }
+                        spare
+                    })
+                }
+                _ => supports::<P, S>(problem, opts, backend, None, None),
             };
             match r {
                 Ok(out) => break out,
@@ -417,7 +410,7 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
                 if let Some(inj) = injector.clone().or_else(|| base.injector.clone()) {
                     cfg = cfg.with_injector(inj);
                 }
-                let stop = (stealing && dnc.segment_iters > 0).then(|| {
+                let stop = (shared.is_some() && dnc.segment_iters > 0).then(|| {
                     seg_ck.as_ref().map_or(0, |c| c.iterations_completed()) + dnc.segment_iters
                 });
                 match cluster_supports_segment::<P, S>(
@@ -622,7 +615,7 @@ pub(crate) fn run_partition<P: BitPattern, S: EfmScalar>(
         DncSchedule::Serial => {
             serial_schedule::<P, S>(red, &partition, opts, backend, dnc, progress, &injectors)?
         }
-        DncSchedule::Static | DncSchedule::Steal => {
+        DncSchedule::Steal => {
             concurrent_schedule::<P, S>(red, &partition, opts, backend, dnc, progress, &injectors)?
         }
     };
@@ -710,9 +703,8 @@ fn serial_schedule<P: BitPattern, S: EfmScalar>(
     Ok(sink.into_parts())
 }
 
-/// The concurrent schedules: probe, deal longest-first, run on a scoped
-/// worker pool (with stealing and straggler growth under
-/// [`DncSchedule::Steal`]).
+/// The stealing schedule: probe, deal longest-first, run on a scoped
+/// worker pool with stealing and straggler growth.
 fn concurrent_schedule<P: BitPattern, S: EfmScalar>(
     red: &efm_metnet::ReducedNetwork,
     partition: &Partition,
@@ -763,7 +755,6 @@ fn concurrent_schedule<P: BitPattern, S: EfmScalar>(
         spare: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
         pool: NodePool::new(cluster_nodes),
-        steal: dnc.schedule == DncSchedule::Steal,
     };
     for (i, &id) in runnable.iter().enumerate() {
         shared.deques[i % workers].lock().unwrap().push_back(id);
@@ -865,10 +856,9 @@ mod tests {
     #[test]
     fn schedule_parses_cli_spellings() {
         assert_eq!(DncSchedule::parse("serial"), Some(DncSchedule::Serial));
-        assert_eq!(DncSchedule::parse("static"), Some(DncSchedule::Static));
         assert_eq!(DncSchedule::parse("steal"), Some(DncSchedule::Steal));
-        assert_eq!(DncSchedule::parse("adaptive"), None);
-        for s in [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal] {
+        assert_eq!(DncSchedule::parse("static"), None);
+        for s in [DncSchedule::Serial, DncSchedule::Steal] {
             assert_eq!(DncSchedule::parse(&s.to_string()), Some(s));
         }
     }
@@ -886,7 +876,6 @@ mod tests {
             spare: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
             pool: NodePool::new(0),
-            steal: true,
         };
         // Worker 0 is idle: it must steal from worker 1 (busiest), and
         // from the *back* (subset 2, the cheaper of worker 1's tasks).
@@ -898,21 +887,6 @@ mod tests {
         assert_eq!(shared.next_task(0, &costs), Some(3));
         assert_eq!(shared.next_task(0, &costs), Some(1));
         assert_eq!(shared.next_task(0, &costs), None);
-    }
-
-    #[test]
-    fn static_schedule_never_steals() {
-        let costs = vec![7];
-        let shared = Shared {
-            deques: vec![Mutex::new(VecDeque::new()), Mutex::new(VecDeque::from([0]))],
-            remaining: vec![AtomicU64::new(0), AtomicU64::new(7)],
-            spare: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            pool: NodePool::new(0),
-            steal: false,
-        };
-        assert_eq!(shared.next_task(0, &costs), None);
-        assert_eq!(shared.next_task(1, &costs), Some(0));
     }
 
     #[test]

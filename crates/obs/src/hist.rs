@@ -16,11 +16,6 @@
 //!   histograms merge associatively and commutatively into the rank-0
 //!   aggregate — the same shape as the counter aggregation in
 //!   `cluster_supports_segment`.
-//! * **Resume-correctable.** [`Histogram::unmerge`] subtracts a
-//!   previously-merged histogram (bucket-wise, saturating), mirroring
-//!   the `ck.stats.* × replicas` double-count correction used for
-//!   counters when ranks resume from a shared checkpoint. `max` is a
-//!   peak and survives unmerge unchanged, exactly like `peak_bytes`.
 //! * **Cheap.** Recording is one branch, one `ilog2`, four adds under
 //!   the global registry mutex. Hot paths only reach here after the
 //!   global [`crate::enabled`] gate, and only on events that are
@@ -46,7 +41,7 @@ pub struct Histogram {
     pub count: u64,
     /// Sum of all samples (saturating).
     pub sum: u64,
-    /// Largest sample seen. Peak semantics: survives [`Histogram::unmerge`].
+    /// Largest sample seen.
     pub max: u64,
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also
     /// holds zeros.
@@ -89,19 +84,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b = b.saturating_add(*o);
-        }
-    }
-
-    /// Subtract a previously-merged histogram — the double-count
-    /// correction for ranks that resumed from a shared checkpoint (the
-    /// checkpointed distribution was replicated into every survivor's
-    /// report, so the aggregate subtracts `replicas` copies). Counts
-    /// and sum subtract saturating; `max` is a peak and is kept.
-    pub fn unmerge(&mut self, other: &Histogram) {
-        self.count = self.count.saturating_sub(other.count);
-        self.sum = self.sum.saturating_sub(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_sub(*o);
         }
     }
 
@@ -211,27 +193,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), 1_000_000);
         assert!(h.p99() <= 1_000_000);
         assert!(h.p99() >= 100);
-    }
-
-    #[test]
-    fn merge_then_unmerge_roundtrips() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [5, 10, 80] {
-            a.record(v);
-        }
-        for v in [3, 700] {
-            b.record(v);
-        }
-        let orig = a.clone();
-        a.merge(&b);
-        assert_eq!(a.count, 5);
-        a.unmerge(&b);
-        assert_eq!(a.count, orig.count);
-        assert_eq!(a.sum, orig.sum);
-        assert_eq!(a.buckets, orig.buckets);
-        // max is a peak: unmerge keeps it, mirroring peak_bytes.
-        assert_eq!(a.max, 700);
     }
 
     #[test]

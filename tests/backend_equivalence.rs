@@ -1,7 +1,7 @@
 //! Differential backend/schedule equality suite.
 //!
 //! Every execution strategy — serial, rayon, simulated cluster, and the
-//! three divide-and-conquer schedules (`serial`, `static`, `steal`) — must
+//! two divide-and-conquer schedules (`serial`, `steal`) — must
 //! enumerate the *identical* EFM set. Each comparison goes through one
 //! shared canonical form ([`canon`]: sorted support sets over original
 //! reactions) so there is exactly one notion of equality in the suite.
@@ -27,7 +27,7 @@ fn canon(out: &EfmOutcome) -> Vec<Vec<usize>> {
 
 /// The schedule axis, optionally filtered by `DNC_SCHEDULE` (CI matrix).
 fn schedules() -> Vec<DncSchedule> {
-    let all = [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal];
+    let all = [DncSchedule::Serial, DncSchedule::Steal];
     match std::env::var("DNC_SCHEDULE") {
         Ok(want) => all.iter().copied().filter(|m| m.to_string() == want).collect(),
         Err(_) => all.to_vec(),
@@ -328,7 +328,7 @@ fn reports_are_id_ordered_and_stats_never_double_count() {
     ];
     for (bname, backend, segment_iters) in inputs {
         let mut totals = Vec::new();
-        for schedule in [DncSchedule::Serial, DncSchedule::Static, DncSchedule::Steal] {
+        for schedule in [DncSchedule::Serial, DncSchedule::Steal] {
             let cfg = DncConfig { segment_iters, ..dnc(schedule, 3) };
             let out = Run {
                 opts: opts.clone(),
@@ -352,8 +352,7 @@ fn reports_are_id_ordered_and_stats_never_double_count() {
         }
         // Identical subproblems generate identical counts whatever the
         // schedule; a double-counted concurrent subset would break this.
-        assert_eq!(totals[0], totals[1], "{bname}: static disagrees with serial");
-        assert_eq!(totals[0], totals[2], "{bname}: steal disagrees with serial");
+        assert_eq!(totals[0], totals[1], "{bname}: steal disagrees with serial");
     }
 }
 
@@ -426,7 +425,7 @@ fn killing_any_rank_at_any_phase_fails_over_to_identical_set() {
 }
 
 /// The same degradation argument through the divide-and-conquer scheduler:
-/// under the `static` and `steal` schedules a killed subset rank fails
+/// under the `steal` schedule a killed subset rank fails
 /// over inside its node group — the run completes with the identical set
 /// and the per-subset recovery events show failover, not restart.
 #[test]
@@ -439,33 +438,32 @@ fn dnc_schedules_fail_over_killed_ranks_to_identical_set() {
             .enumerate::<DynInt>(&net)
             .unwrap(),
     );
-    for schedule in [DncSchedule::Static, DncSchedule::Steal] {
-        // One one-shot kill in the shared base injector: whichever subset
-        // group's rank 1 reaches generate[0] first loses that rank.
-        let plan = efm_cluster::FaultPlan::new(77).kill_rank(1, "generate", 0);
-        let base = failover_cluster(4)
-            .with_injector(std::sync::Arc::new(efm_cluster::FaultInjector::new(plan)));
-        let out = Run {
-            opts: opts.clone(),
-            partition: vec!["r6r".into(), "r8r".into()],
-            backend: Backend::Cluster(base),
-            dnc: dnc(schedule, 2),
-            ..Default::default()
-        }
-        .enumerate::<DynInt>(&net)
-        .unwrap_or_else(|e| panic!("schedule {schedule}: {e}"));
-        assert_eq!(canon(&out), reference, "schedule {schedule}: EFM set diverged");
-        assert!(
-            out.stats.recovery.events.iter().any(|e| e.action == RecoveryAction::FailedOver),
-            "schedule {schedule}: no failover recorded\n{}",
-            out.stats.recovery
-        );
-        assert_eq!(
-            out.stats.recovery.restarts(),
-            0,
-            "schedule {schedule}: failover must not consume a retry\n{}",
-            out.stats.recovery
-        );
-        assert!(out.stats.failovers >= 1, "schedule {schedule}");
+    let schedule = DncSchedule::Steal;
+    // One one-shot kill in the shared base injector: whichever subset
+    // group's rank 1 reaches generate[0] first loses that rank.
+    let plan = efm_cluster::FaultPlan::new(77).kill_rank(1, "generate", 0);
+    let base = failover_cluster(4)
+        .with_injector(std::sync::Arc::new(efm_cluster::FaultInjector::new(plan)));
+    let out = Run {
+        opts: opts.clone(),
+        partition: vec!["r6r".into(), "r8r".into()],
+        backend: Backend::Cluster(base),
+        dnc: dnc(schedule, 2),
+        ..Default::default()
     }
+    .enumerate::<DynInt>(&net)
+    .unwrap_or_else(|e| panic!("schedule {schedule}: {e}"));
+    assert_eq!(canon(&out), reference, "schedule {schedule}: EFM set diverged");
+    assert!(
+        out.stats.recovery.events.iter().any(|e| e.action == RecoveryAction::FailedOver),
+        "schedule {schedule}: no failover recorded\n{}",
+        out.stats.recovery
+    );
+    assert_eq!(
+        out.stats.recovery.restarts(),
+        0,
+        "schedule {schedule}: failover must not consume a retry\n{}",
+        out.stats.recovery
+    );
+    assert!(out.stats.failovers >= 1, "schedule {schedule}");
 }

@@ -371,25 +371,45 @@ fn histogram_rank0_aggregation_equals_global_recording() {
     assert_eq!(merged.max, 1 << 40);
 }
 
+/// The `rank test batch us` histogram holds one sample per rank and
+/// iteration of the run that finished. A supervised 4-rank toy run that
+/// crashes in the exchange of iteration 3 and restarts from its checkpoint
+/// records as many samples as the same run without the fault: the failed
+/// attempt records nothing, and the resumed run's iteration records cover
+/// the checkpointed iterations once.
 #[test]
-fn histogram_resume_unmerge_corrects_double_count() {
-    // Resume replays the checkpointed prefix: the live histogram holds
-    // prefix + prefix + suffix. Subtracting the checkpoint copy restores
-    // prefix + suffix exactly (max stays the observed peak, mirroring the
-    // peak-bytes convention in the engine's resume correction).
-    let prefix = [4u64, 99, 2048, 7];
-    let suffix = [1u64, 1_000_000];
-    let ck = hist_of(&prefix);
-    let mut live = efm_obs::hist::Histogram::default();
-    for &v in prefix.iter().chain(&prefix).chain(&suffix) {
-        live.record(v);
-    }
-    live.unmerge(&ck);
-    let want = hist_of(&[&prefix[..], &suffix[..]].concat());
-    assert_eq!(live.count, want.count);
-    assert_eq!(live.sum, want.sum);
-    assert_eq!(live.buckets, want.buckets);
-    assert_eq!(live.max, 1_000_000, "max is a peak, not subtractable");
+fn rank_test_histogram_counts_a_restarted_run_once() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let net = efm_metnet::examples::toy_network();
+    let dir = std::env::temp_dir().join(format!("efm-telemetry-hist-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let samples = |plan: Option<&str>| {
+        let mut sup = SuperviseConfig::new(dir.join("restart.efck"));
+        if let Some(spec) = plan {
+            sup = sup.with_fault_plan(efm_cluster::FaultPlan::parse(spec).unwrap());
+        }
+        let _ = std::fs::remove_file(&sup.checkpoint.path);
+        let run = Run {
+            backend: Backend::Cluster(ClusterConfig::new(4)),
+            supervise: Some(sup),
+            ..Default::default()
+        };
+        let (out, snap) = traced(|| run.enumerate::<DynInt>(&net));
+        let out = out.unwrap();
+        let count = snap
+            .hists
+            .iter()
+            .find(|(name, _)| name == "rank test batch us")
+            .map_or(0, |(_, h)| h.count);
+        (out.stats.recovery.events.len(), out.stats.iterations.len(), count)
+    };
+    let crashed = samples(Some("seed=42;crash@1:phase=communicate,iter=3"));
+    let clean = samples(None);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(crashed.0 > 0, "the planted crash must force a restart");
+    assert_eq!(clean.0, 0);
+    assert_eq!(clean.2, 4 * clean.1 as u64, "one sample per rank and iteration");
+    assert_eq!(crashed.2, clean.2, "a restarted run records its iterations once");
 }
 
 fn small_params() -> RandomNetworkParams {
@@ -437,23 +457,6 @@ proptest! {
         let mut right = ha.clone();
         right.merge(&bc);
         prop_assert_eq!(left, right);
-    }
-
-    /// Merge-then-unmerge round-trips counts, sums and buckets for any
-    /// pair of histograms whose sums stay clear of saturation (max stays
-    /// the peak by design).
-    #[test]
-    fn histogram_unmerge_inverts_merge(
-        a in proptest::collection::vec(0u64..1 << 50, 0..40),
-        b in proptest::collection::vec(0u64..1 << 50, 0..40),
-    ) {
-        let (ha, hb) = (hist_of(&a), hist_of(&b));
-        let mut m = ha.clone();
-        m.merge(&hb);
-        m.unmerge(&hb);
-        prop_assert_eq!(m.count, ha.count);
-        prop_assert_eq!(m.sum, ha.sum);
-        prop_assert_eq!(m.buckets, ha.buckets);
     }
 
     /// Tracing on vs. off is observationally inert across random networks
