@@ -679,7 +679,7 @@ impl CheckpointWriter {
         self.tx = None; // close the channel: the worker drains and exits
         match self.worker.take() {
             Some(h) => h.join().unwrap_or_else(|_| {
-                Err(EfmError::Checkpoint(format!(
+                Err(EfmError::CheckpointWrite(format!(
                     "checkpoint writer panicked for {}",
                     self.path.display()
                 )))
@@ -795,7 +795,7 @@ fn save_record(rec: &impl Record, path: &Path) -> Result<(), EfmError> {
     };
     let out = write().map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
-        EfmError::Checkpoint(format!("cannot write {}: {e}", path.display()))
+        EfmError::CheckpointWrite(format!("cannot write {}: {e}", path.display()))
     });
     efm_obs::hist::record("checkpoint write us", t0.elapsed().as_micros() as u64);
     out

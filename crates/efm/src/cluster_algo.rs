@@ -116,7 +116,7 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     ckpt: Option<&CheckpointConfig>,
     stop_after: Option<u64>,
 ) -> Result<(ClusterOutcome, Option<EngineCheckpoint>), EfmError> {
-    let failed = Mutex::new(None);
+    let failed = Mutex::new(Vec::new());
     let reports = run_cluster(cfg, |ctx| {
         let seg = Segment {
             stop_after,
@@ -127,8 +127,17 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
         node_body::<P, S>(ctx, problem, opts, seg, &failed)
     })
     .map_err(|e| {
-        let failed = failed.into_inner().expect("no rank panics holding the error slot");
-        failed.unwrap_or(EfmError::Cluster(e))
+        // A rank's typed error stands for the run only when it is the
+        // abort's origin; any other origin (a peer's memory abort, say)
+        // is reported as the cluster failure it is.
+        let mut failed = failed.into_inner().expect("no rank panics holding the error slot");
+        match &e {
+            ClusterError::Protocol(m) => match failed.iter().position(|f| f.to_string() == *m) {
+                Some(i) => failed.swap_remove(i),
+                None => EfmError::Cluster(e),
+            },
+            _ => EfmError::Cluster(e),
+        }
     })?;
 
     // Every rank's statistics are whole-cluster totals (each survivor
@@ -192,13 +201,14 @@ fn stripe_provenance(opts: &EfmOptions, nodes: usize) -> Vec<u64> {
 /// One rank of Algorithm 2: the driver loop with this rank's stripe of
 /// every pair grid, the exchange and fold-merge, the memory meter and the
 /// fault points. A non-cluster error (the mode limit, a failed snapshot
-/// write) is kept in `failed`, so the run reports it typed.
+/// write) is kept in `failed` and returned as the `ClusterError::Protocol`
+/// carrying its message, so the run can report it typed.
 fn node_body<P: BitPattern, S: EfmScalar>(
     ctx: &NodeCtx,
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     seg: Segment<'_>,
-    failed: &Mutex<Option<EfmError>>,
+    failed: &Mutex<Vec<EfmError>>,
 ) -> Result<ClusterNodeOutcome, ClusterError> {
     let rank = ctx.rank() as u64;
     let nodes = ctx.size() as u64;
@@ -335,7 +345,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         Err(EfmError::Cluster(e)) => Err(e),
         Err(e) => {
             let message = e.to_string();
-            failed.lock().expect("no rank panics holding the error slot").get_or_insert(e);
+            failed.lock().expect("no rank panics holding the error slot").push(e);
             Err(ClusterError::Protocol(message))
         }
     }

@@ -17,8 +17,10 @@
 //!   the `2^qsub` divide-and-conquer ladder instead (the paper's Network II
 //!   recovery, automated), starting at one split — the failed attempt is
 //!   the ladder's unsplit rung, so it is not run again;
-//! * **fatal** (protocol bugs, bad partitions, mode limits) — surfaced
-//!   immediately; no restart can fix a broken program.
+//! * **fatal** (protocol bugs, bad partitions, mode limits, a snapshot
+//!   that cannot be written) — surfaced immediately; no restart can fix a
+//!   broken program, and the newest snapshot, which an atomic save left
+//!   intact, stays on disk for a later resume.
 //!
 //! Every observed fault and action is recorded in a [`RecoveryLog`] that
 //! lands in [`RunStats::recovery`] on success and inside
@@ -141,7 +143,8 @@ pub fn classify_failure(e: &EfmError) -> FailureClass {
         EfmError::Cluster(ClusterError::RankLost { .. }) => FailureClass::RankLost,
         EfmError::Cluster(ce) if ce.is_retryable() => FailureClass::Retryable,
         // An unreadable or mismatched checkpoint is recoverable by
-        // discarding it and restarting fresh.
+        // discarding it and restarting fresh. A failed write is not: the
+        // file it failed to replace is the run's valid progress.
         EfmError::Checkpoint(_) => FailureClass::Retryable,
         _ => FailureClass::Fatal,
     }
@@ -488,6 +491,32 @@ mod tests {
             "{}",
             out.stats.recovery
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_snapshot_write_is_fatal_and_keeps_the_checkpoint() {
+        let net = efm_metnet::examples::toy_network();
+        let opts = EfmOptions::default();
+        let path = temp_ckpt("unwritable");
+        let tmp = path.with_extension("tmp");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&tmp);
+        // A crash with no restart budget leaves a mid-run snapshot behind.
+        let crash = SuperviseConfig::new(&path)
+            .max_restarts(0)
+            .with_fault_plan(FaultPlan::new(13).crash(1, "communicate", 2));
+        supervised(&net, &opts, &ClusterConfig::new(2), &crash).unwrap_err();
+        let before = std::fs::read(&path).expect("the crashed run left a snapshot");
+        // A directory where the save's temp file goes makes every write
+        // fail, whatever the process's privileges.
+        std::fs::create_dir(&tmp).unwrap();
+        let err = supervised(&net, &opts, &ClusterConfig::new(2), &SuperviseConfig::new(&path))
+            .unwrap_err();
+        assert!(matches!(err, EfmError::CheckpointWrite(_)), "{err:?}");
+        assert_eq!(classify_failure(&err), FailureClass::Fatal);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "the resumed snapshot must survive");
+        std::fs::remove_dir(&tmp).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 

@@ -571,9 +571,12 @@ pub enum EfmError {
     },
     /// The simulated cluster failed (memory exhaustion, node panic).
     Cluster(efm_cluster::ClusterError),
-    /// A checkpoint file could not be written, read, or does not match the
-    /// problem being resumed.
+    /// A checkpoint file could not be read, or does not match the problem
+    /// being resumed.
     Checkpoint(String),
+    /// A snapshot could not be written. Saves are atomic, so the previous
+    /// snapshot on disk is intact.
+    CheckpointWrite(String),
     /// The supervisor exhausted its restart budget; carries the last
     /// failure and the full recovery log.
     RestartsExhausted {
@@ -632,7 +635,9 @@ impl std::fmt::Display for EfmError {
                 write!(f, "mode limit {limit} exceeded at iteration {at_iteration}")
             }
             EfmError::Cluster(e) => write!(f, "cluster failure: {e}"),
-            EfmError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
+            EfmError::Checkpoint(m) | EfmError::CheckpointWrite(m) => {
+                write!(f, "checkpoint error: {m}")
+            }
             EfmError::RestartsExhausted { max_restarts, last, log } => {
                 write!(f, "supervisor exhausted {max_restarts} restarts; last error: {last}; recovery log:\n{log}")
             }
