@@ -33,7 +33,7 @@
 //! `run_cluster` reports the originating `MemoryExceeded`.
 //!
 //! Every rank iterates through the drivers' one loop, which checks the
-//! mode limit, pauses segments and has rank 0 hand iteration-boundary
+//! mode limit and has rank 0 hand iteration-boundary
 //! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint)s to the
 //! background writer (the state, statistics included, is identical on
 //! every rank at that point), so an aborted run resumes from the last
@@ -58,16 +58,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ClusterNodeOutcome {
     /// Supports in reduced-reaction indices (identical on every rank; only
-    /// rank 0's copy is used by callers). Empty when the run paused at a
-    /// segment boundary before finishing.
+    /// rank 0's copy is used by callers).
     pub supports: Vec<Vec<usize>>,
     /// Run statistics: whole-cluster totals, identical on every rank
     /// except for the phase times, which are this rank's own.
     pub stats: RunStats,
-    /// Rank 0's snapshot of the (replicated) engine state when a bounded
-    /// segment paused before `eng.done()`; `None` on completion and on all
-    /// other ranks.
-    pub checkpoint: Option<EngineCheckpoint>,
 }
 
 /// Outcome of a cluster run plus per-rank reports.
@@ -95,31 +90,9 @@ pub fn cluster_supports_resumable<P: BitPattern, S: EfmScalar>(
     resume: Option<&EngineCheckpoint>,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<ClusterOutcome, EfmError> {
-    let (out, _paused) = cluster_supports_segment::<P, S>(problem, opts, cfg, resume, ckpt, None)?;
-    Ok(out)
-}
-
-/// Runs Algorithm 2 up to an iteration bound: like
-/// [`cluster_supports_resumable`], but when `stop_after` is `Some(k)` the
-/// replicated engine pauses before executing absolute iteration `k` and
-/// rank 0 captures the state as an [`EngineCheckpoint`], returned alongside
-/// the (partial) outcome. The scheduler's straggler path uses this to
-/// re-split a slow subset's pair grid mid-run: resume the returned
-/// checkpoint under a `ClusterConfig` with more nodes and the stripes
-/// re-balance automatically (`rank * pairs / nodes` is recomputed each
-/// iteration). A `None` second element means the run finished.
-pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
-    problem: &EfmProblem<S>,
-    opts: &EfmOptions,
-    cfg: &ClusterConfig,
-    resume: Option<&EngineCheckpoint>,
-    ckpt: Option<&CheckpointConfig>,
-    stop_after: Option<u64>,
-) -> Result<(ClusterOutcome, Option<EngineCheckpoint>), EfmError> {
     let failed = Mutex::new(Vec::new());
     let reports = run_cluster(cfg, |ctx| {
         let seg = Segment {
-            stop_after,
             lead: ctx.rank() == 0,
             stripes: stripe_provenance(opts, ctx.size()),
             ..Segment::new(resume, ckpt)
@@ -145,23 +118,20 @@ pub fn cluster_supports_segment<P: BitPattern, S: EfmScalar>(
     // run, resumed or not. Only the meters and the times are per rank.
     let mut stats = reports[0].value.stats.clone();
     // Rank 0's own peak includes a resumed checkpoint's high water, which
-    // the segment's fresh meters know nothing about.
+    // the resumed run's fresh meters know nothing about.
     stats.peak_bytes = reports.iter().map(|r| r.peak_memory).fold(stats.peak_bytes, u64::max);
     // Bulk-synchronous wall-time model: each phase costs its slowest rank.
     // A resumed rank's clocks start from the checkpoint's, so these cover
-    // the whole run, not just this segment.
+    // the whole run, not just the resumed part.
     for &p in Phase::ALL {
         stats.phases[p] = reports.iter().map(|r| r.value.stats.phases[p]).max().unwrap_or_default();
     }
     stats.total_time = reports.iter().map(|r| r.value.stats.total_time).max().unwrap_or_default();
     let supports = reports[0].value.supports.clone();
-    let paused = reports[0].value.checkpoint.clone();
-    if paused.is_none() {
-        for r in &reports {
-            trace_rank_tests(&r.value.stats);
-        }
+    for r in &reports {
+        trace_rank_tests(&r.value.stats);
     }
-    Ok((ClusterOutcome { supports, stats, per_rank: reports }, paused))
+    Ok(ClusterOutcome { supports, stats, per_rank: reports })
 }
 
 /// This rank's half-open slice of the iteration's `pos × neg` pair grid.
@@ -339,9 +309,7 @@ fn node_body<P: BitPattern, S: EfmScalar>(
         Ok(())
     });
     match run {
-        Ok(((supports, stats), checkpoint)) => {
-            Ok(ClusterNodeOutcome { supports, stats, checkpoint })
-        }
+        Ok((supports, stats)) => Ok(ClusterNodeOutcome { supports, stats }),
         Err(EfmError::Cluster(e)) => Err(e),
         Err(e) => {
             let message = e.to_string();

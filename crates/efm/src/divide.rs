@@ -95,6 +95,23 @@ pub fn resolve_partition(
     Ok(Partition { reduced_indices, names })
 }
 
+/// Builds subset `subset_id`'s subproblem: the partition reactions whose
+/// bit is 0 are removed, those whose bit is 1 must be nonzero. `None` when
+/// the subset is provably empty.
+pub(crate) fn subset_problem<S: EfmScalar>(
+    red: &ReducedNetwork,
+    partition: &Partition,
+    subset_id: usize,
+    opts: &EfmOptions,
+) -> Result<Option<EfmProblem<S>>, EfmError> {
+    let idx = &partition.reduced_indices;
+    let nonzero: Vec<usize> =
+        (0..idx.len()).filter(|i| subset_id >> i & 1 == 1).map(|i| idx[i]).collect();
+    let keep: Vec<usize> =
+        (0..red.num_reduced()).filter(|c| nonzero.contains(c) || !idx.contains(c)).collect();
+    build_subproblem(red, &keep, &nonzero, opts)
+}
+
 /// Runs one subproblem of the partition at the pattern width it needs;
 /// returns supports in reduced indices plus stats, or `None` when the
 /// subset is provably empty.
@@ -105,19 +122,8 @@ pub fn run_subset<S: EfmScalar>(
     opts: &EfmOptions,
     backend: &Backend,
 ) -> Result<Option<SupportsAndStats>, EfmError> {
-    let qsub = partition.reduced_indices.len();
-    debug_assert!(subset_id < 1usize << qsub);
-    let nonzero: Vec<usize> = (0..qsub)
-        .filter(|i| subset_id >> i & 1 == 1)
-        .map(|i| partition.reduced_indices[i])
-        .collect();
-    let zero: Vec<usize> = (0..qsub)
-        .filter(|i| subset_id >> i & 1 == 0)
-        .map(|i| partition.reduced_indices[i])
-        .collect();
-    let keep: Vec<usize> = (0..red.num_reduced()).filter(|c| !zero.contains(c)).collect();
-    let problem: Option<EfmProblem<S>> = build_subproblem(red, &keep, &nonzero, opts)?;
-    let Some(problem) = problem else {
+    debug_assert!(subset_id < 1usize << partition.reduced_indices.len());
+    let Some(problem) = subset_problem::<S>(red, partition, subset_id, opts)? else {
         return Ok(None);
     };
     dispatch_width!(problem.num_cols(), supports(&problem, opts, backend, None, None)).map(Some)

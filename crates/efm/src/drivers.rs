@@ -66,18 +66,15 @@ fn map_final_supports<P: BitPattern, S: EfmScalar>(
 /// One iteration of [`run_resumable`], however the backend splits it.
 type Step<'a, P, S> = dyn FnMut(&mut Engine<P, S>) -> Result<(), EfmError> + 'a;
 
-/// Where one run of [`run_resumable`] starts, where it may pause, and who
-/// snapshots it.
+/// Where one run of [`run_resumable`] starts and who snapshots it.
 pub(crate) struct Segment<'a> {
     /// Snapshot to restore the engine from instead of building it fresh.
     pub resume: Option<&'a EngineCheckpoint>,
     /// Snapshot policy; `None` writes no snapshots.
     pub ckpt: Option<&'a CheckpointConfig>,
-    /// Pause before absolute iteration `k` instead of finishing.
-    pub stop_after: Option<u64>,
-    /// Whether this process writes the snapshots, reports progress and
-    /// captures the paused state: the single process, or a cluster's rank
-    /// 0 (the state is replicated, so its snapshot stands for all ranks).
+    /// Whether this process writes the snapshots and reports progress:
+    /// the single process, or a cluster's rank 0 (the state is
+    /// replicated, so its snapshot stands for all ranks).
     pub lead: bool,
     /// Stripe provenance stamped on every snapshot; empty off the cluster.
     pub stripes: Vec<u64>,
@@ -86,20 +83,17 @@ pub(crate) struct Segment<'a> {
 impl<'a> Segment<'a> {
     /// A whole run of a single process.
     pub fn new(resume: Option<&'a EngineCheckpoint>, ckpt: Option<&'a CheckpointConfig>) -> Self {
-        Segment { resume, ckpt, stop_after: None, lead: true, stripes: Vec::new() }
+        Segment { resume, ckpt, lead: true, stripes: Vec::new() }
     }
 }
 
 /// The one loop every backend iterates an [`Engine`] through: builds or
 /// restores the engine, then runs `step` (one iteration, however the
-/// backend splits it) until the engine is done or the segment's
-/// `stop_after` bound is reached, checking `max_modes` before every
-/// iteration and handing due snapshots to the background
+/// backend splits it) until the engine is done, checking `max_modes`
+/// before every iteration and handing due snapshots to the background
 /// [`CheckpointWriter`]. Every cluster rank runs it on the same replicated
-/// state, so all ranks stop, pause and fail the mode limit at the same
-/// boundary, and none is left waiting in a collective. Returns the
-/// supports and statistics, plus the lead's snapshot of the state when the
-/// segment paused (the supports are then empty). `step` (and
+/// state, so all ranks stop and fail the mode limit at the same boundary,
+/// and none is left waiting in a collective. `step` (and
 /// [`local_supports`]'s `grow`) are trait objects so that all backends
 /// share one compiled copy of the loop per pattern width and scalar: a
 /// generic copy per caller grew the binary's text by about 50 KB and the
@@ -109,7 +103,7 @@ pub(crate) fn run_resumable<P: BitPattern, S: EfmScalar>(
     opts: &EfmOptions,
     seg: Segment<'_>,
     step: &mut Step<'_, P, S>,
-) -> Result<(SupportsAndStats, Option<EngineCheckpoint>), EfmError> {
+) -> Result<SupportsAndStats, EfmError> {
     let t0 = Instant::now();
     let setup = efm_obs::span("setup");
     let mut eng = match seg.resume {
@@ -117,17 +111,11 @@ pub(crate) fn run_resumable<P: BitPattern, S: EfmScalar>(
         None => Engine::<P, S>::new(problem, opts)?,
     };
     let fingerprint = problem_fingerprint(problem);
-    let snapshot = |eng: &Engine<P, S>| {
-        EngineCheckpoint::capture_deferred(eng, fingerprint, seg.stripes.clone())
-    };
     // Dropping the writer (success *or* error return) drains it, so the
     // newest snapshot is durable before the run returns.
     let mut writer = seg.ckpt.filter(|_| seg.lead).map(|c| CheckpointWriter::spawn(&c.path));
     drop(setup);
     while !eng.done() {
-        if seg.stop_after.is_some_and(|s| (eng.cursor - eng.free_count) as u64 >= s) {
-            break;
-        }
         check_limit(&eng, opts)?;
         {
             // Together with the setup and finalize spans, this covers a
@@ -145,30 +133,29 @@ pub(crate) fn run_resumable<P: BitPattern, S: EfmScalar>(
             // over its time budget, so the loop never waits on encoding.
             if c.due(eng.cursor - eng.free_count) && (!c.lazy || w.within_budget(t0.elapsed())) {
                 let _span = efm_obs::span("checkpoint");
-                w.submit(snapshot(&eng))?;
+                w.submit(EngineCheckpoint::capture_deferred(
+                    &eng,
+                    fingerprint,
+                    seg.stripes.clone(),
+                ))?;
             }
         }
     }
     if let Some(w) = writer {
         w.finish()?;
     }
-    if !eng.done() {
-        eng.stats.total_time = t0.elapsed();
-        let paused = seg.lead.then(|| snapshot(&eng)());
-        return Ok(((Vec::new(), eng.stats), paused));
-    }
     let _span = efm_obs::span("finalize");
     let sups = map_final_supports(problem, &eng);
     eng.stats.final_modes = sups.len() as u64;
     eng.stats.total_time = t0.elapsed();
-    Ok(((sups, eng.stats), None))
+    Ok((sups, eng.stats))
 }
 
 /// Records each iteration's rank-test time from a finished run's records:
 /// once per process that ran the engine, and only when the whole run
-/// finished. A paused segment or a failed attempt records nothing, and the
-/// run resuming it holds the earlier iterations' records, so a replayed
-/// iteration is never counted twice.
+/// finished. A failed attempt records nothing, and the run resuming it
+/// holds the earlier iterations' records, so a replayed iteration is never
+/// counted twice.
 pub(crate) fn trace_rank_tests(stats: &RunStats) {
     if !efm_obs::enabled() {
         return;
@@ -233,7 +220,7 @@ pub(crate) fn local_supports<P: BitPattern, S: EfmScalar>(
     // iteration, so steady-state iterations perform no candidate-buffer
     // allocation.
     let mut arena = GenArena::new();
-    let ((sups, stats), _) =
+    let (sups, stats) =
         run_resumable::<P, S>(problem, opts, Segment::new(resume, ckpt), &mut |eng| {
             grown = grown || grow();
             let iteration = if grown {

@@ -79,9 +79,7 @@ pub use checkpoint::{
     dnc_fingerprint, problem_fingerprint, CheckpointConfig, DncCheckpoint, DncSubsetResult,
     EngineCheckpoint,
 };
-pub use cluster_algo::{
-    cluster_supports_resumable, cluster_supports_segment, ClusterNodeOutcome, ClusterOutcome,
-};
+pub use cluster_algo::{cluster_supports_resumable, ClusterNodeOutcome, ClusterOutcome};
 pub use divide::{resolve_partition, run_subset, subset_pattern, Backend, Partition, SubsetReport};
 pub use drivers::{rayon_supports, serial_supports, SupportsAndStats};
 pub use engine::{

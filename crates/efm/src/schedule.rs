@@ -4,7 +4,10 @@
 //! subproblems but runs them one after another; its own Table IV shows the
 //! subsets are wildly imbalanced (candidate counts spread over orders of
 //! magnitude), so a fixed execution order leaves most of the machine idle
-//! behind the largest subset. This module runs the subsets *concurrently*:
+//! behind the largest subset. This module runs the subsets through one
+//! worker loop; [`DncSchedule::Serial`] is that loop with one worker taking
+//! the subsets in id order (the paper's loop), [`DncSchedule::Steal`] runs
+//! it *concurrently*:
 //!
 //! 1. **Probe.** Every subset's reduced subproblem is built up front (it is
 //!    needed anyway), which both detects provably-empty subsets without
@@ -22,20 +25,17 @@
 //! 4. **Grow stragglers.** When the queues drain, idle capacity is fed
 //!    back into the survivors instead of parking: a serial-backend subset
 //!    switches its remaining iterations onto the shared rayon pool
-//!    (`local_supports` in the drivers module), and a cluster-backend
-//!    subset runs in bounded *segments*
-//!    ([`crate::cluster_algo::cluster_supports_segment`]) whose boundary
-//!    checkpoints let it restart on a larger node group drawn from the
-//!    idle-node pool — the pair grid is re-striped over the new group, the
-//!    paper's mid-run re-split.
+//!    (`local_supports` in the drivers module). A cluster-backend subset
+//!    keeps the node group it was dealt: the configured nodes are carved
+//!    into one group per worker, so one worker runs on all of them.
 //!
 //! Failures are handled per subset, reusing the supervisor's
 //! classification ([`crate::supervise::classify_failure`]): a retryable
 //! failure (crashed rank, lost message, stale checkpoint) restarts *that
-//! subset only* — from its last segment boundary if it has one — under a
-//! per-subset [`DncConfig::max_retries`] budget, while its siblings keep
-//! running; fatal and memory failures propagate. Every recovery action is
-//! recorded as a [`RecoveryEvent`] in the subset's statistics.
+//! subset only*, from iteration 0, under a per-subset
+//! [`DncConfig::max_retries`] budget, while its siblings keep running;
+//! fatal and memory failures propagate. Every recovery action is recorded
+//! as a [`RecoveryEvent`] in the subset's statistics.
 //!
 //! Progress is durable through [`DncCheckpoint`]: each completed
 //! subset atomically rewrites a per-subset completion bitmap plus the
@@ -44,17 +44,18 @@
 //!
 //! Every schedule produces the identical result: subset outcomes are
 //! deterministic and results are assembled in subset-id order, so
-//! [`DncSchedule::Serial`] (the paper's loop, still the default) and
-//! `Steal` differ only in wall-clock shape — a property enforced by the
-//! differential suite in `tests/backend_equivalence.rs`.
+//! [`DncSchedule::Serial`] (the default) and `Steal` differ only in
+//! wall-clock shape — a property enforced by the differential suite in
+//! `tests/backend_equivalence.rs`.
 
-use crate::api::supports;
 use crate::bridge::EfmScalar;
-use crate::checkpoint::{dnc_fingerprint, DncCheckpoint, DncSubsetResult, EngineCheckpoint};
-use crate::cluster_algo::cluster_supports_segment;
-use crate::divide::{resolve_partition, subset_pattern, Backend, Partition, SubsetReport};
+use crate::checkpoint::{dnc_fingerprint, DncCheckpoint, DncSubsetResult};
+use crate::cluster_algo::cluster_supports_resumable;
+use crate::divide::{
+    resolve_partition, subset_pattern, subset_problem, Backend, Partition, SubsetReport,
+};
 use crate::drivers::{local_supports, SupportsAndStats};
-use crate::problem::{build_subproblem, EfmProblem};
+use crate::problem::EfmProblem;
 use crate::supervise::classify_failure;
 use crate::types::{EfmError, EfmOptions, FailureClass, RecoveryAction, RecoveryEvent, RunStats};
 use efm_bitset::BitPattern;
@@ -66,12 +67,12 @@ use std::sync::{Arc, Mutex};
 /// Execution order of the `2^qsub` divide-and-conquer subsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DncSchedule {
-    /// The paper's sequential loop, subset 0 to `2^qsub − 1`. Default;
-    /// bit-identical to the pre-scheduler behaviour.
+    /// The paper's sequential loop, subset 0 to `2^qsub − 1`: one worker
+    /// with the whole machine. Default.
     #[default]
     Serial,
     /// Longest-first deal onto a worker pool (LPT), plus work stealing and
-    /// straggler re-splitting.
+    /// straggler growth.
     Steal,
 }
 
@@ -101,7 +102,8 @@ pub struct DncConfig {
     /// Subset execution order.
     pub schedule: DncSchedule,
     /// Worker threads for the stealing schedule (`0` = one per
-    /// available core, capped at the number of runnable subsets).
+    /// available core, capped at the number of runnable subsets); the
+    /// serial schedule always runs one.
     pub workers: usize,
     /// Per-subset restart budget: how many times one subset's *retryable*
     /// failures (crashed rank, lost message, stale checkpoint) are retried
@@ -118,11 +120,6 @@ pub struct DncConfig {
     /// [`FaultInjector`] built from the plan (one-shot latches survive that
     /// subset's retries). Cluster backend only; used by the chaos suite.
     pub fault_plans: Vec<(usize, FaultPlan)>,
-    /// Cluster-backend segment length in iterations for the stealing
-    /// schedule: a subset pauses at every `segment_iters` boundary so a
-    /// straggler can absorb idle nodes (`0` = never pause; stealing then
-    /// happens at whole-subset granularity only).
-    pub segment_iters: u64,
 }
 
 impl Default for DncConfig {
@@ -134,7 +131,6 @@ impl Default for DncConfig {
             checkpoint: None,
             resume: false,
             fault_plans: Vec::new(),
-            segment_iters: 0,
         }
     }
 }
@@ -144,14 +140,6 @@ impl DncConfig {
     pub fn steal(workers: usize) -> Self {
         DncConfig { schedule: DncSchedule::Steal, workers, ..Default::default() }
     }
-}
-
-/// Per-subset probe result: the prebuilt subproblem (`None` = provably
-/// empty) and its estimated cost.
-struct Probe<S: EfmScalar> {
-    pattern: String,
-    problem: Option<EfmProblem<S>>,
-    cost: u64,
 }
 
 /// Cost model seeding the longest-first order: processed-row count ×
@@ -220,42 +208,27 @@ pub(crate) fn fail_over(
     })
 }
 
-/// Builds subset `id`'s subproblem exactly as [`crate::divide::run_subset`]
-/// does, plus the cost estimate.
-fn probe_subset<S: EfmScalar>(
-    red: &efm_metnet::ReducedNetwork,
-    partition: &Partition,
-    id: usize,
-    opts: &EfmOptions,
-) -> Result<Probe<S>, EfmError> {
-    let qsub = partition.reduced_indices.len();
-    let nonzero: Vec<usize> =
-        (0..qsub).filter(|i| id >> i & 1 == 1).map(|i| partition.reduced_indices[i]).collect();
-    let zero: Vec<usize> =
-        (0..qsub).filter(|i| id >> i & 1 == 0).map(|i| partition.reduced_indices[i]).collect();
-    let keep: Vec<usize> = (0..red.num_reduced()).filter(|c| !zero.contains(c)).collect();
-    let problem: Option<EfmProblem<S>> = build_subproblem(red, &keep, &nonzero, opts)?;
-    let cost = problem.as_ref().map_or(0, estimate_cost);
-    Ok(Probe { pattern: subset_pattern(partition, id), problem, cost })
-}
-
 /// Idle-node accounting for concurrent cluster subsets: the configured
-/// `nodes` ranks are a shared machine, carved into per-subset groups.
+/// `nodes` ranks are a shared machine, carved into per-subset groups of
+/// one worker's share each (so one worker runs on all of them). Off the
+/// cluster the pool is empty.
 struct NodePool {
     free: Mutex<usize>,
+    share: usize,
 }
 
 impl NodePool {
-    fn new(total: usize) -> Self {
-        NodePool { free: Mutex::new(total) }
+    fn new(total: usize, workers: usize) -> Self {
+        NodePool { free: Mutex::new(total), share: total / workers }
     }
 
-    /// Takes up to `want` nodes; always returns a group of at least one
-    /// rank (a fully-committed pool oversubscribes by one simulated rank
-    /// rather than deadlocking). Returns `(group size, nodes charged)`.
-    fn acquire(&self, want: usize) -> (usize, usize) {
+    /// Takes up to one worker's share of nodes; always returns a group of
+    /// at least one rank (a fully-committed or empty pool gives a one-rank
+    /// group rather than deadlocking). Returns `(group size, nodes
+    /// charged)`.
+    fn acquire(&self) -> (usize, usize) {
         let mut f = self.free.lock().unwrap();
-        let take = want.max(1).min(*f);
+        let take = self.share.max(1).min(*f);
         if take == 0 {
             (1, 0)
         } else {
@@ -264,28 +237,20 @@ impl NodePool {
         }
     }
 
-    /// Takes up to `cap` additional nodes for a straggler (may be zero).
-    fn try_grow(&self, cap: usize) -> usize {
-        let mut f = self.free.lock().unwrap();
-        let extra = (*f).min(cap);
-        *f -= extra;
-        extra
-    }
-
     fn release(&self, n: usize) {
         *self.free.lock().unwrap() += n;
     }
 }
 
-/// State shared by the workers of the stealing schedule.
+/// State shared by the workers of the subset loop.
 struct Shared {
     /// Per-worker task deques (subset ids, costliest at the front).
     deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Per-worker estimated work remaining — the live signal steals and
-    /// re-splits are steered by.
+    /// Per-worker estimated work remaining — the live signal steals are
+    /// steered by.
     remaining: Vec<AtomicU64>,
     /// Workers that found every deque empty and exited; survivors treat a
-    /// nonzero value as an invitation to re-split.
+    /// nonzero value as an invitation to grow onto the rayon pool.
     spare: AtomicUsize,
     /// First error wins; everyone else drains out.
     abort: AtomicBool,
@@ -294,6 +259,17 @@ struct Shared {
 }
 
 impl Shared {
+    /// Whether a worker has gone spare, inviting a straggler onto the rayon
+    /// pool; a yes is traced and counted as a re-split.
+    fn grow_into_spare(&self) -> bool {
+        let spare = self.spare.load(Ordering::Relaxed) > 0;
+        if spare {
+            efm_obs::instant("dnc grow to pool");
+            efm_obs::counter_add("dnc resplits", 1);
+        }
+        spare
+    }
+
     /// Pops the next subset for worker `w`: own front first, then the
     /// back of the victim with the most estimated work left.
     fn next_task(&self, w: usize, costs: &[u64]) -> Option<usize> {
@@ -331,7 +307,6 @@ fn retry_or_fail(
     retries: &mut u32,
     max_retries: u32,
     log: &mut Vec<RecoveryEvent>,
-    resumed_from: Option<u64>,
 ) -> Result<(), EfmError> {
     let class = classify_failure(&e);
     if class != FailureClass::Retryable || *retries >= max_retries {
@@ -343,7 +318,7 @@ fn retry_or_fail(
         error: e.to_string(),
         class,
         action: RecoveryAction::Restarted,
-        resumed_from,
+        resumed_from: None,
     });
     *retries += 1;
     efm_obs::counter_add("dnc retries", 1);
@@ -351,58 +326,35 @@ fn retry_or_fail(
 }
 
 /// Runs one (non-empty) subset to completion under the per-subset retry
-/// budget, including the cluster segment/re-split loop. Returns the
+/// budget, on a node group carved out of the shared pool. Returns the
 /// supports, the stats of the successful attempt (with the recovery events
 /// of failed attempts appended), and the retry count.
-#[allow(clippy::too_many_arguments)]
 fn execute_subset<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,
     backend: &Backend,
     dnc: &DncConfig,
     injector: Option<Arc<FaultInjector>>,
-    shared: Option<&Shared>,
+    shared: &Shared,
 ) -> Result<(SupportsAndStats, u32), EfmError> {
     let mut log: Vec<RecoveryEvent> = Vec::new();
     let mut retries = 0u32;
     let mut failed_over = 0u64;
-    let out = match backend {
-        Backend::Serial | Backend::Rayon => loop {
-            let r = match shared {
-                // Straggler path: switch the remaining iterations onto the
-                // rayon pool once workers go spare.
-                Some(s) if matches!(backend, Backend::Serial) => {
-                    local_supports::<P, S>(problem, opts, None, None, &mut || {
-                        let spare = s.spare.load(Ordering::Relaxed) > 0;
-                        if spare {
-                            efm_obs::instant("dnc grow to pool");
-                            efm_obs::counter_add("dnc resplits", 1);
-                        }
-                        spare
-                    })
-                }
-                _ => supports::<P, S>(problem, opts, backend, None, None),
-            };
-            match r {
-                Ok(out) => break out,
-                Err(e) => retry_or_fail(e, &mut retries, dnc.max_retries, &mut log, None)?,
+    // Off the cluster the one-rank group is nominal.
+    let (mut group, charged) = shared.pool.acquire();
+    // Local copy so a failover can re-stripe the survivors.
+    let mut sub_opts = opts.clone();
+    let run = loop {
+        let attempt = match backend {
+            Backend::Serial | Backend::Rayon => {
+                let rayon = matches!(backend, Backend::Rayon);
+                // Straggler path: a serial subset switches its remaining
+                // iterations onto the rayon pool once workers go spare.
+                local_supports::<P, S>(problem, opts, None, None, &mut || {
+                    rayon || shared.grow_into_spare()
+                })
             }
-        },
-        Backend::Cluster(base) => {
-            // Carve a node group out of the shared pool (serial schedule:
-            // the whole machine, exactly the pre-scheduler behaviour).
-            let (mut group, mut charged) = match shared {
-                Some(s) => s.pool.acquire(base.nodes / s.deques.len().max(1)),
-                None => (base.nodes, 0),
-            };
-            // Segment progress survives retries: a crashed attempt resumes
-            // from the last boundary snapshot, not from scratch.
-            let mut seg_ck: Option<EngineCheckpoint> = None;
-            // Local copy so a failover can re-stripe the survivors; the
-            // group may also regrow at segment boundaries (re-split), which
-            // resets the weights to uniform over the grown group.
-            let mut sub_opts = opts.clone();
-            let run = loop {
+            Backend::Cluster(base) => {
                 let mut cfg = ClusterConfig::new(group).with_timeouts(base.timeouts.clone());
                 cfg.memory_limit = base.memory_limit;
                 cfg.failover = base.failover;
@@ -410,66 +362,29 @@ fn execute_subset<P: BitPattern, S: EfmScalar>(
                 if let Some(inj) = injector.clone().or_else(|| base.injector.clone()) {
                     cfg = cfg.with_injector(inj);
                 }
-                let stop = (shared.is_some() && dnc.segment_iters > 0).then(|| {
-                    seg_ck.as_ref().map_or(0, |c| c.iterations_completed()) + dnc.segment_iters
-                });
-                match cluster_supports_segment::<P, S>(
-                    problem,
-                    &sub_opts,
-                    &cfg,
-                    seg_ck.as_ref(),
-                    None,
-                    stop,
-                ) {
-                    Ok((out, None)) => break Ok((out.supports, out.stats)),
-                    Ok((_, Some(ck))) => {
-                        seg_ck = Some(ck);
-                        // Segment boundary: a straggler absorbs whatever
-                        // the pool has freed — the next segment re-stripes
-                        // its pair grid over the grown group.
-                        if let Some(s) = shared {
-                            let extra = s.pool.try_grow(base.nodes.saturating_sub(group));
-                            if extra > 0 {
-                                group += extra;
-                                charged += extra;
-                                sub_opts.stripe_weights = None;
-                                efm_obs::counter_add("dnc resplits", 1);
-                                if efm_obs::enabled() {
-                                    efm_obs::instant_dyn(format!("resplit onto {group} nodes"));
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let resumed = seg_ck.as_ref().map(|c| c.iterations_completed());
-                        // In-place failover: a lost non-coordinator rank
-                        // degrades the group instead of burning a retry —
-                        // survivors re-enter from the last boundary with
-                        // the dead rank's stripe redistributed.
-                        let weights = &mut sub_opts.stripe_weights;
-                        let attempt = retries + 1;
-                        if let Some(ev) =
-                            fail_over("failover", &e, &mut group, weights, None, attempt, resumed)
-                        {
-                            log.push(ev);
-                            failed_over += 1;
-                            continue;
-                        }
-                        if let Err(e) =
-                            retry_or_fail(e, &mut retries, dnc.max_retries, &mut log, resumed)
-                        {
-                            break Err(e);
-                        }
-                    }
-                }
-            };
-            if let Some(s) = shared {
-                s.pool.release(charged);
+                cluster_supports_resumable::<P, S>(problem, &sub_opts, &cfg, None, None)
+                    .map(|out| (out.supports, out.stats))
             }
-            run?
+        };
+        let e = match attempt {
+            Ok(out) => break Ok(out),
+            Err(e) => e,
+        };
+        // In-place failover: a lost non-coordinator rank degrades the group
+        // instead of burning a retry — survivors restart with the dead
+        // rank's stripe redistributed.
+        let weights = &mut sub_opts.stripe_weights;
+        if let Some(ev) = fail_over("failover", &e, &mut group, weights, None, retries + 1, None) {
+            log.push(ev);
+            failed_over += 1;
+            continue;
+        }
+        if let Err(e) = retry_or_fail(e, &mut retries, dnc.max_retries, &mut log) {
+            break Err(e);
         }
     };
-    let (sups, mut stats) = out;
+    shared.pool.release(charged);
+    let (sups, mut stats) = run?;
     stats.failovers += failed_over;
     stats.ranks_lost += failed_over;
     stats.recovery.events.extend(log);
@@ -518,9 +433,10 @@ fn load_progress<S: EfmScalar>(
 /// A finished subset as the scheduler tracks it before final assembly.
 type SlotResult = (SubsetReport, Vec<Vec<usize>>);
 
-/// Records subset completion: fills the result slot and, when configured,
-/// atomically rewrites the progress record. One lock covers both so the
-/// on-disk record never misses a filled slot.
+/// Records subset completion: fills the result slot and, when a checkpoint
+/// is configured, records the subset and atomically rewrites the progress
+/// record. One lock covers both so the on-disk record never misses a
+/// filled slot.
 struct ProgressSink<'a> {
     slots: Mutex<(Vec<Option<SlotResult>>, DncCheckpoint)>,
     checkpoint: Option<&'a crate::checkpoint::CheckpointConfig>,
@@ -553,35 +469,26 @@ impl ProgressSink<'_> {
         mut report: SubsetReport,
         sups: Vec<Vec<usize>>,
     ) -> Result<(), EfmError> {
-        let sups = match &self.store {
-            Some(store) => {
-                let mut st = store.lock().unwrap();
-                let spilled_before = st.spill_bytes();
-                st.put(id, &sups)?;
-                let spilled = st.spill_bytes() - spilled_before;
-                report.stats.spill_bytes += spilled;
-                // The progress record still needs the uncompressed list; it
-                // is written out (or dropped) inside this call either way.
-                if self.checkpoint.is_some() {
-                    sups
-                } else {
-                    Vec::new()
-                }
-            }
-            None => sups,
-        };
+        if let Some(store) = &self.store {
+            let mut st = store.lock().unwrap();
+            let spilled_before = st.spill_bytes();
+            st.put(id, &sups)?;
+            report.stats.spill_bytes += st.spill_bytes() - spilled_before;
+        }
         let mut g = self.slots.lock().unwrap();
-        g.1.record(DncSubsetResult {
-            id,
-            skipped_empty: report.skipped_empty,
-            supports: sups.clone(),
-            stats: report.stats.clone(),
-        });
-        let stored = self.store.is_some();
-        g.0[id] = Some((report, if stored { Vec::new() } else { sups }));
+        // Only a configured checkpoint keeps (and saves) a copy of the
+        // supports in the progress record.
         if let Some(cfg) = self.checkpoint {
+            g.1.record(DncSubsetResult {
+                id,
+                skipped_empty: report.skipped_empty,
+                supports: sups.clone(),
+                stats: report.stats.clone(),
+            });
             g.1.save(&cfg.path)?;
         }
+        let inline = if self.store.is_some() { Vec::new() } else { sups };
+        g.0[id] = Some((report, inline));
         Ok(())
     }
 
@@ -593,8 +500,7 @@ impl ProgressSink<'_> {
 
 /// Entry point: resolves the partition and runs all `2^qsub` subsets under
 /// `dnc`, returning `(all supports in reduced indices, reports in
-/// subset-id order)` — the same contract as the legacy serial loop, for
-/// every schedule.
+/// subset-id order)` — the same for every schedule.
 pub(crate) fn run_partition<P: BitPattern, S: EfmScalar>(
     net: &efm_metnet::MetabolicNetwork,
     red: &efm_metnet::ReducedNetwork,
@@ -609,16 +515,9 @@ pub(crate) fn run_partition<P: BitPattern, S: EfmScalar>(
     let subsets = 1usize << qsub;
     let fingerprint = dnc_fingerprint(red, &partition.reduced_indices);
     let progress = load_progress::<S>(dnc, fingerprint, qsub as u32)?;
-    let injectors = build_injectors(dnc);
-
-    let (results, mut store) = match dnc.schedule {
-        DncSchedule::Serial => {
-            serial_schedule::<P, S>(red, &partition, opts, backend, dnc, progress, &injectors)?
-        }
-        DncSchedule::Steal => {
-            concurrent_schedule::<P, S>(red, &partition, opts, backend, dnc, progress, &injectors)?
-        }
-    };
+    let sink = ProgressSink::new(subsets, progress, dnc, opts);
+    run_subsets::<P, S>(red, &partition, opts, backend, dnc, &sink)?;
+    let (results, mut store) = sink.into_parts();
 
     // Assembly in subset-id order, regardless of completion order: both
     // the concatenated support list and the report vector are identical
@@ -650,101 +549,55 @@ pub(crate) fn run_partition<P: BitPattern, S: EfmScalar>(
     Ok((all, reports))
 }
 
-/// The paper's sequential loop (bit-identical to the pre-scheduler
-/// behaviour when no checkpoint/faults are configured), with resume-skip
-/// and per-subset retry hooks.
-fn serial_schedule<P: BitPattern, S: EfmScalar>(
+/// The one subset loop: probe every subset, deal the runnable ones onto
+/// the workers (one worker in id order under [`DncSchedule::Serial`],
+/// longest-first under `Steal`), and run them with stealing and straggler
+/// growth, each completion going into `sink`. Worker 0 runs on the calling
+/// thread, whose trace track and `--progress` context it keeps.
+fn run_subsets<P: BitPattern, S: EfmScalar>(
     red: &efm_metnet::ReducedNetwork,
     partition: &Partition,
     opts: &EfmOptions,
     backend: &Backend,
     dnc: &DncConfig,
-    progress: DncCheckpoint,
-    injectors: &[(usize, Arc<FaultInjector>)],
-) -> Result<(Vec<Option<SlotResult>>, Option<crate::stripes::StripeStore>), EfmError> {
-    let subsets = 1usize << partition.reduced_indices.len();
-    let sink = ProgressSink::new(subsets, progress, dnc, opts);
-    for id in 0..subsets {
-        let pattern = subset_pattern(partition, id);
-        if let Some(prev) = resume_slot(&sink, id, &pattern) {
-            sink.slots.lock().unwrap().0[id] = Some(prev);
-            continue;
-        }
-        let _span = if efm_obs::enabled() {
-            efm_obs::span_dyn(format!("subset {id}: {pattern}"))
-        } else {
-            efm_obs::Span::off()
-        };
-        if efm_obs::progress::progress_enabled() {
-            efm_obs::progress::set_progress_context(Some(format!("subset {id}")));
-        }
-        let probe = probe_subset::<S>(red, partition, id, opts)?;
-        let (report, sups) = match probe.problem {
-            None => (empty_report(id, pattern), Vec::new()),
-            Some(problem) => {
-                let injector = injectors.iter().find(|(s, _)| *s == id).map(|(_, i)| i.clone());
-                let ((sups, stats), retries) =
-                    execute_subset::<P, S>(&problem, opts, backend, dnc, injector, None)?;
-                (
-                    SubsetReport {
-                        id,
-                        pattern,
-                        efm_count: sups.len(),
-                        skipped_empty: false,
-                        retries,
-                        stats,
-                    },
-                    sups,
-                )
-            }
-        };
-        sink.complete(id, report, sups)?;
-    }
-    Ok(sink.into_parts())
-}
-
-/// The stealing schedule: probe, deal longest-first, run on a scoped
-/// worker pool with stealing and straggler growth.
-fn concurrent_schedule<P: BitPattern, S: EfmScalar>(
-    red: &efm_metnet::ReducedNetwork,
-    partition: &Partition,
-    opts: &EfmOptions,
-    backend: &Backend,
-    dnc: &DncConfig,
-    progress: DncCheckpoint,
-    injectors: &[(usize, Arc<FaultInjector>)],
-) -> Result<(Vec<Option<SlotResult>>, Option<crate::stripes::StripeStore>), EfmError> {
+    sink: &ProgressSink<'_>,
+) -> Result<(), EfmError> {
     let subsets = 1usize << partition.reduced_indices.len();
 
-    // --- Probe: build every subproblem, estimate costs, pre-fill the
-    // slots of empty and already-completed subsets.
-    let probes: Vec<Probe<S>> = {
-        let _span = efm_obs::span("dnc probe");
-        (0..subsets)
-            .map(|id| probe_subset::<S>(red, partition, id, opts))
-            .collect::<Result<Vec<_>, EfmError>>()?
-    };
-    let costs: Vec<u64> = probes.iter().map(|p| p.cost).collect();
-    let sink = ProgressSink::new(subsets, progress, dnc, opts);
+    // --- Probe: build every subproblem not already done, estimate costs,
+    // and fill the slots of empty and already-completed subsets.
+    let mut problems: Vec<Option<EfmProblem<S>>> = Vec::with_capacity(subsets);
     let mut runnable: Vec<usize> = Vec::new();
-    for (id, probe) in probes.iter().enumerate() {
-        if let Some(prev) = resume_slot(&sink, id, &probe.pattern) {
-            sink.slots.lock().unwrap().0[id] = Some(prev);
-        } else if probe.problem.is_none() {
-            sink.complete(id, empty_report(id, probe.pattern.clone()), Vec::new())?;
-        } else {
-            runnable.push(id);
+    {
+        let _span = efm_obs::span("dnc probe");
+        for id in 0..subsets {
+            let mut problem = None;
+            if let Some(prev) = resume_slot(sink, id, &subset_pattern(partition, id)) {
+                sink.slots.lock().unwrap().0[id] = Some(prev);
+            } else if let Some(p) = subset_problem::<S>(red, partition, id, opts)? {
+                problem = Some(p);
+                runnable.push(id);
+            } else {
+                sink.complete(id, empty_report(id, subset_pattern(partition, id)), Vec::new())?;
+            }
+            problems.push(problem);
         }
     }
     efm_obs::counter_add("dnc subsets probed", subsets as u64);
+    let costs: Vec<u64> = problems.iter().map(|p| p.as_ref().map_or(0, estimate_cost)).collect();
 
-    // --- Order + deal: longest-first round-robin (LPT).
-    runnable.sort_by_key(|&id| std::cmp::Reverse(costs[id]));
-    let workers = match dnc.workers {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(runnable.len().max(1));
+    // --- Order + deal: longest-first round-robin (LPT) when stealing.
+    let workers = match dnc.schedule {
+        DncSchedule::Serial => 1,
+        DncSchedule::Steal => {
+            runnable.sort_by_key(|&id| std::cmp::Reverse(costs[id]));
+            match dnc.workers {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                n => n,
+            }
+            .min(runnable.len().max(1))
+        }
+    };
     let cluster_nodes = match backend {
         Backend::Cluster(cfg) => cfg.nodes,
         _ => 0,
@@ -754,7 +607,7 @@ fn concurrent_schedule<P: BitPattern, S: EfmScalar>(
         remaining: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         spare: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
-        pool: NodePool::new(cluster_nodes),
+        pool: NodePool::new(cluster_nodes, workers),
     };
     for (i, &id) in runnable.iter().enumerate() {
         shared.deques[i % workers].lock().unwrap().push_back(id);
@@ -762,60 +615,59 @@ fn concurrent_schedule<P: BitPattern, S: EfmScalar>(
     }
 
     // --- Run. First error wins; siblings drain and exit.
+    let injectors = build_injectors(dnc);
     let first_error: Mutex<Option<EfmError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            let probes = &probes;
-            let costs = &costs;
-            let sink = &sink;
-            let first_error = &first_error;
-            scope.spawn(move || {
-                let _wspan = if efm_obs::enabled() {
-                    efm_obs::span_dyn(format!("dnc worker {w}"))
-                } else {
-                    efm_obs::Span::off()
-                };
-                while !shared.abort.load(Ordering::Relaxed) {
-                    let Some(id) = shared.next_task(w, costs) else { break };
-                    let probe = &probes[id];
-                    let _span = if efm_obs::enabled() {
-                        efm_obs::span_dyn(format!("subset {id}: {}", probe.pattern))
-                    } else {
-                        efm_obs::Span::off()
+    let work = |w: usize| {
+        let _wspan = if efm_obs::enabled() {
+            efm_obs::span_dyn(format!("dnc worker {w}"))
+        } else {
+            efm_obs::Span::off()
+        };
+        while !shared.abort.load(Ordering::Relaxed) {
+            let Some(id) = shared.next_task(w, &costs) else { break };
+            let pattern = subset_pattern(partition, id);
+            let _span = if efm_obs::enabled() {
+                efm_obs::span_dyn(format!("subset {id}: {pattern}"))
+            } else {
+                efm_obs::Span::off()
+            };
+            if efm_obs::progress::progress_enabled() {
+                efm_obs::progress::set_progress_context(Some(format!("subset {id}")));
+            }
+            let problem = problems[id].as_ref().expect("runnable ⇒ probed non-empty");
+            let injector = injectors.iter().find(|(s, _)| *s == id).map(|(_, i)| i.clone());
+            let done = execute_subset::<P, S>(problem, opts, backend, dnc, injector, &shared)
+                .and_then(|((sups, stats), retries)| {
+                    let efm_count = sups.len();
+                    let report = SubsetReport {
+                        id,
+                        pattern,
+                        efm_count,
+                        skipped_empty: false,
+                        retries,
+                        stats,
                     };
-                    if efm_obs::progress::progress_enabled() {
-                        efm_obs::progress::set_progress_context(Some(format!("subset {id}")));
-                    }
-                    let problem = probe.problem.as_ref().expect("runnable ⇒ probed non-empty");
-                    let injector = injectors.iter().find(|(s, _)| *s == id).map(|(_, i)| i.clone());
-                    let done =
-                        execute_subset::<P, S>(problem, opts, backend, dnc, injector, Some(shared))
-                            .and_then(|((sups, stats), retries)| {
-                                let report = SubsetReport {
-                                    id,
-                                    pattern: probe.pattern.clone(),
-                                    efm_count: sups.len(),
-                                    skipped_empty: false,
-                                    retries,
-                                    stats,
-                                };
-                                sink.complete(id, report, sups)
-                            });
-                    if let Err(e) = done {
-                        shared.abort.store(true, Ordering::Relaxed);
-                        first_error.lock().unwrap().get_or_insert(e);
-                        break;
-                    }
-                }
-                shared.spare.fetch_add(1, Ordering::Relaxed);
-            });
+                    sink.complete(id, report, sups)
+                });
+            if let Err(e) = done {
+                shared.abort.store(true, Ordering::Relaxed);
+                first_error.lock().unwrap().get_or_insert(e);
+                break;
+            }
         }
+        shared.spare.fetch_add(1, Ordering::Relaxed);
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
-    if let Some(e) = first_error.into_inner().unwrap() {
-        return Err(e);
+    match first_error.into_inner().unwrap() {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-    Ok(sink.into_parts())
 }
 
 /// Report for a probed-empty subset.
@@ -875,7 +727,7 @@ mod tests {
             remaining: vec![AtomicU64::new(0), AtomicU64::new(140), AtomicU64::new(60)],
             spare: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
-            pool: NodePool::new(0),
+            pool: NodePool::new(0, 3),
         };
         // Worker 0 is idle: it must steal from worker 1 (busiest), and
         // from the *back* (subset 2, the cheaper of worker 1's tasks).
@@ -890,22 +742,23 @@ mod tests {
     }
 
     #[test]
-    fn node_pool_carves_grows_and_releases() {
-        let pool = NodePool::new(8);
-        let (g1, c1) = pool.acquire(4);
+    fn node_pool_carves_and_releases() {
+        let pool = NodePool::new(8, 2);
+        let (g1, c1) = pool.acquire();
         assert_eq!((g1, c1), (4, 4));
-        let (g2, c2) = pool.acquire(4);
+        let (g2, c2) = pool.acquire();
         assert_eq!((g2, c2), (4, 4));
         // Pool exhausted: a third subset still gets a 1-rank group.
-        let (g3, c3) = pool.acquire(4);
+        let (g3, c3) = pool.acquire();
         assert_eq!((g3, c3), (1, 0));
-        assert_eq!(pool.try_grow(2), 0);
         pool.release(c1);
-        // A straggler absorbs the freed nodes, bounded by its cap.
-        assert_eq!(pool.try_grow(3), 3);
-        pool.release(c2 + 3);
+        pool.release(c2);
         pool.release(c3);
         assert_eq!(*pool.free.lock().unwrap(), 8);
+        // One worker gets the whole machine; an empty pool (off the
+        // cluster) hands out a nominal group.
+        assert_eq!(NodePool::new(5, 1).acquire(), (5, 5));
+        assert_eq!(NodePool::new(0, 1).acquire(), (1, 0));
     }
 
     #[test]
@@ -918,19 +771,56 @@ mod tests {
                 phase: "barrier".into(),
             })
         };
-        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log, None).is_ok());
-        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log, Some(4)).is_ok());
+        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log).is_ok());
+        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log).is_ok());
         // Budget exhausted: the third transient failure propagates.
-        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log, None).is_err());
+        assert!(retry_or_fail(transient(), &mut retries, 2, &mut log).is_err());
         assert_eq!(retries, 2);
         assert_eq!(log.len(), 2);
-        assert_eq!(log[1].resumed_from, Some(4));
+        assert_eq!(log[1].attempt, 2);
         assert!(log.iter().all(|e| e.action == RecoveryAction::Restarted));
         // Fatal failures are never retried, budget or not.
         let mut retries2 = 0;
         let fatal = EfmError::UnknownReaction("r".into());
-        assert!(retry_or_fail(fatal, &mut retries2, 2, &mut Vec::new(), None).is_err());
+        assert!(retry_or_fail(fatal, &mut retries2, 2, &mut Vec::new()).is_err());
         assert_eq!(retries2, 0);
+    }
+
+    /// Runs the toy network's {r6r, r8r} split through the subset loop and
+    /// returns the progress record the sink kept, with the filled slots.
+    fn toy_run(dnc: &DncConfig) -> (DncCheckpoint, usize) {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = efm_metnet::compress(&net);
+        let partition = resolve_partition(&net, &red, &["r6r", "r8r"]).unwrap();
+        let opts = EfmOptions::default();
+        let progress = DncCheckpoint::new("test", 0, 2);
+        let sink = ProgressSink::new(4, progress, dnc, &opts);
+        run_subsets::<efm_bitset::Pattern1, efm_numeric::DynInt>(
+            &red,
+            &partition,
+            &opts,
+            &Backend::Serial,
+            dnc,
+            &sink,
+        )
+        .unwrap();
+        let (slots, record) = sink.slots.into_inner().unwrap();
+        (record, slots.iter().filter(|s| s.is_some()).count())
+    }
+
+    #[test]
+    fn progress_record_is_kept_only_with_a_checkpoint() {
+        // Without a checkpoint nothing saves or reads the record, so it must
+        // not hold a second copy of every subset's supports.
+        let (record, filled) = toy_run(&DncConfig::default());
+        assert_eq!(filled, 4);
+        assert!(record.done.is_empty(), "{} subsets recorded", record.done.len());
+        let path =
+            std::env::temp_dir().join(format!("efm_schedule_record_{}.efck", std::process::id()));
+        let checkpoint = Some(crate::checkpoint::CheckpointConfig::new(&path));
+        let (record, filled) = toy_run(&DncConfig { checkpoint, ..DncConfig::default() });
+        let _ = std::fs::remove_file(&path);
+        assert_eq!((filled, record.done.len()), (4, 4));
     }
 
     #[test]

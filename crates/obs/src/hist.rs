@@ -15,7 +15,7 @@
 //! * **Mergeable.** Bucket counts are plain sums, so per-rank
 //!   histograms merge associatively and commutatively into the rank-0
 //!   aggregate — the same shape as the counter aggregation in
-//!   `cluster_supports_segment`.
+//!   `cluster_supports_resumable`.
 //! * **Cheap.** Recording is one branch, one `ilog2`, four adds under
 //!   the global registry mutex. Hot paths only reach here after the
 //!   global [`crate::enabled`] gate, and only on events that are

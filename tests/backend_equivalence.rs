@@ -314,22 +314,21 @@ fn kernel_on_off_agree_on_yeast_lite() {
 /// finishes subsets in, reports come back sorted by subset id, and
 /// aggregated statistics count each subset exactly once — the totals are
 /// identical across schedules because each report carries only its own
-/// successful attempt. The cluster input pauses every subset after each
-/// iteration (`segment_iters: 1`), so the stealing schedule resumes every
-/// segment from a rank-0 snapshot: that snapshot must carry whole-cluster
-/// counts, or the resumed subsets under-count.
+/// successful attempt. On the cluster input the serial schedule runs each
+/// subset on all four ranks and the stealing one on a smaller group, so
+/// the per-rank counts must add up to whole-cluster totals either way.
 #[test]
 fn reports_are_id_ordered_and_stats_never_double_count() {
     let net = toy_network();
     let opts = EfmOptions::default();
     let inputs = [
-        ("serial", Backend::Serial, 0),
-        ("cluster-4", Backend::Cluster(efm_cluster::ClusterConfig::new(4)), 1),
+        ("serial", Backend::Serial),
+        ("cluster-4", Backend::Cluster(efm_cluster::ClusterConfig::new(4))),
     ];
-    for (bname, backend, segment_iters) in inputs {
+    for (bname, backend) in inputs {
         let mut totals = Vec::new();
         for schedule in [DncSchedule::Serial, DncSchedule::Steal] {
-            let cfg = DncConfig { segment_iters, ..dnc(schedule, 3) };
+            let cfg = dnc(schedule, 3);
             let out = Run {
                 opts: opts.clone(),
                 partition: vec!["r6r".into(), "r8r".into()],

@@ -174,12 +174,41 @@ fn run_counts(s: &efm_core::RunStats) -> Vec<u64> {
     ]
 }
 
-/// A cluster run paused halfway and resumed from rank 0's snapshot counts
+/// Crashes a `nodes`-rank cluster run of `problem` just before iteration
+/// `k`, snapshotting every iteration, and returns rank 0's last snapshot:
+/// the state after the first `k` iterations.
+fn crashed_cluster_checkpoint(
+    problem: &efm_core::EfmProblem<DynInt>,
+    opts: &EfmOptions,
+    nodes: usize,
+    k: u64,
+    path: &PathBuf,
+) -> EngineCheckpoint {
+    let _ = std::fs::remove_file(path);
+    let plan = efm_cluster::FaultPlan::new(k).crash(0, "iteration", k);
+    let cfg = efm_cluster::ClusterConfig::new(nodes)
+        .with_injector(std::sync::Arc::new(efm_cluster::FaultInjector::new(plan)));
+    let ckpt = CheckpointConfig::new(path).every(1);
+    let crashed = efm_core::cluster_supports_resumable::<efm_bitset::Pattern1, DynInt>(
+        problem,
+        opts,
+        &cfg,
+        None,
+        Some(&ckpt),
+    );
+    assert!(crashed.is_err(), "the planted crash at iteration {k} must abort the run");
+    let ck = EngineCheckpoint::load(path).expect("rank 0 snapshots every iteration");
+    let _ = std::fs::remove_file(path);
+    assert_eq!(ck.iterations_completed(), k, "the last snapshot precedes the crash");
+    ck
+}
+
+/// A cluster run crashed halfway and resumed from rank 0's snapshot counts
 /// exactly like the uninterrupted run: the snapshot holds whole-cluster
 /// totals, because every rank's statistics do.
 #[test]
 fn resumed_cluster_run_counts_like_uninterrupted() {
-    use efm_core::{build_problem, cluster_supports_resumable, cluster_supports_segment};
+    use efm_core::{build_problem, cluster_supports_resumable};
     use efm_metnet::compress;
     type P = efm_bitset::Pattern1;
     let opts = EfmOptions::default();
@@ -195,10 +224,9 @@ fn resumed_cluster_run_counts_like_uninterrupted() {
         if half == 0 {
             continue;
         }
-        let (_, ck) =
-            cluster_supports_segment::<P, DynInt>(&problem, &opts, &cfg, None, None, Some(half))
-                .unwrap();
-        let ck = ck.expect("a run paused halfway returns rank 0's snapshot");
+        let path = std::env::temp_dir()
+            .join(format!("efm_cluster_counts_{}_{seed}.efck", std::process::id()));
+        let ck = crashed_cluster_checkpoint(&problem, &opts, 3, half, &path);
         let resumed =
             cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, Some(&ck), None)
                 .unwrap()
@@ -210,18 +238,18 @@ fn resumed_cluster_run_counts_like_uninterrupted() {
         assert_eq!(iters(&resumed), iters(&full), "seed {seed}: iteration records");
         checked += 1;
     }
-    assert!(checked >= 8, "only {checked} seeds ran long enough to pause");
+    assert!(checked >= 8, "only {checked} seeds ran long enough to crash halfway");
 }
 
 /// A resumed cluster run reports the whole run's phase times, not just
 /// the resumed segment's: each rank's clocks start from the checkpoint's.
-/// The pause comes once nine tenths of the pairs are generated, so the
+/// The crash comes once nine tenths of the pairs are generated, so the
 /// resumed segment alone would clock far less generation than the
 /// checkpoint already holds. (This network's last iteration generates
 /// 987 of 14,694 pairs; most networks' last iteration is their largest.)
 #[test]
 fn resumed_cluster_run_reports_whole_run_phase_clocks() {
-    use efm_core::{build_problem, cluster_supports_resumable, cluster_supports_segment};
+    use efm_core::{build_problem, cluster_supports_resumable};
     use efm_metnet::compress;
     type P = efm_bitset::Pattern1;
     let opts = EfmOptions::default();
@@ -236,10 +264,8 @@ fn resumed_cluster_run_reports_whole_run_phase_clocks() {
     let k = (0..pairs.len())
         .find(|&k| pairs[k..].iter().sum::<u64>() * 10 <= total)
         .expect("the last tenth of the pairs falls in later iterations");
-    let (_, ck) =
-        cluster_supports_segment::<P, DynInt>(&problem, &opts, &cfg, None, None, Some(k as u64))
-            .unwrap();
-    let ck = ck.expect("a paused run returns rank 0's snapshot");
+    let path = std::env::temp_dir().join(format!("efm_cluster_clocks_{}.efck", std::process::id()));
+    let ck = crashed_cluster_checkpoint(&problem, &opts, 2, k as u64, &path);
     let resumed = cluster_supports_resumable::<P, DynInt>(&problem, &opts, &cfg, Some(&ck), None)
         .unwrap()
         .stats;
