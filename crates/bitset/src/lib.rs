@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 
 pub mod compressed;
 pub mod kernel;
@@ -115,6 +116,49 @@ impl<const W: usize> Pattern<W> {
             *o = a & b;
         }
         Pattern { words: out }
+    }
+
+    /// Bitwise symmetric difference.
+    #[inline]
+    pub fn xor(&self, rhs: &Self) -> Self {
+        let mut out = [0u64; W];
+        for ((o, &a), &b) in out.iter_mut().zip(&self.words).zip(&rhs.words) {
+            *o = a ^ b;
+        }
+        Pattern { words: out }
+    }
+
+    /// The pattern with bit `i` removed and every bit above it moved down
+    /// one place; bits below `i` stay put. Word operations only: the
+    /// carry into each word is the next word's lowest bit.
+    #[inline]
+    pub fn drop_bit(&self, i: usize) -> Self {
+        debug_assert!(i < Self::CAPACITY, "bit index out of range");
+        let (wi, low) = (i / 64, (1u64 << (i % 64)) - 1);
+        let mut out = self.words;
+        for (k, o) in out.iter_mut().enumerate().skip(wi) {
+            *o = (self.words[k] >> 1) | self.words.get(k + 1).map_or(0, |w| w << 63);
+        }
+        out[wi] = (out[wi] & !low) | (self.words[wi] & low);
+        Pattern { words: out }
+    }
+
+    /// Calls `f` with every set bit index in ascending order until it
+    /// breaks, word by word with `trailing_zeros`; returns the break, if
+    /// any.
+    #[inline]
+    pub fn try_for_each_one<B, F: FnMut(usize) -> ControlFlow<B>>(
+        &self,
+        mut f: F,
+    ) -> ControlFlow<B> {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                f(wi * 64 + w.trailing_zeros() as usize)?;
+                w &= w - 1;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Number of set bits.
@@ -303,6 +347,13 @@ pub trait BitPattern:
     fn union(&self, rhs: &Self) -> Self;
     /// Intersection.
     fn intersect(&self, rhs: &Self) -> Self;
+    /// Symmetric difference.
+    fn xor(&self, rhs: &Self) -> Self;
+    /// Bit `i` removed, the bits above it moved down one place.
+    fn drop_bit(&self, i: usize) -> Self;
+    /// Calls `f` with every set bit index in ascending order until it
+    /// breaks; returns the break, if any.
+    fn try_for_each_one<B, F: FnMut(usize) -> ControlFlow<B>>(&self, f: F) -> ControlFlow<B>;
     /// Popcount.
     fn count(&self) -> u32;
     /// Popcount of the union (fused hot path).
@@ -379,6 +430,18 @@ impl<const W: usize> BitPattern for Pattern<W> {
     #[inline]
     fn intersect(&self, rhs: &Self) -> Self {
         Pattern::intersect(self, rhs)
+    }
+    #[inline]
+    fn xor(&self, rhs: &Self) -> Self {
+        Pattern::xor(self, rhs)
+    }
+    #[inline]
+    fn drop_bit(&self, i: usize) -> Self {
+        Pattern::drop_bit(self, i)
+    }
+    #[inline]
+    fn try_for_each_one<B, F: FnMut(usize) -> ControlFlow<B>>(&self, f: F) -> ControlFlow<B> {
+        Pattern::try_for_each_one(self, f)
     }
     #[inline]
     fn count(&self) -> u32 {
@@ -491,6 +554,89 @@ mod tests {
         let b = Pattern2::from_indices([5, 64, 101]);
         assert_eq!(a.xor_count(&b), 3); // {0, 100, 101}
         assert_eq!(a.xor_count(&a), 0);
+    }
+
+    /// Patterns probing every word boundary of a `Pattern<2>`: empty,
+    /// full, the bits around 63/64 and the top bit, and a few mixes.
+    fn boundary_patterns() -> Vec<Pattern2> {
+        let mut v = vec![Pattern2::empty(), Pattern2::first_n(128)];
+        for bits in [
+            &[0usize][..],
+            &[63],
+            &[64],
+            &[127],
+            &[62, 63, 64, 65],
+            &[0, 63, 64, 127],
+            &[1, 5, 40, 63, 70, 100, 126, 127],
+        ] {
+            v.push(Pattern2::from_indices(bits.iter().copied()));
+        }
+        v
+    }
+
+    #[test]
+    fn xor_matches_per_bit_reference() {
+        for a in boundary_patterns() {
+            for b in boundary_patterns() {
+                let x = a.xor(&b);
+                for i in 0..128 {
+                    assert_eq!(x.get(i), a.get(i) != b.get(i), "bit {i} of {a:?} ^ {b:?}");
+                }
+                assert_eq!(x.count(), a.xor_count(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn drop_bit_matches_per_bit_reference() {
+        for p in boundary_patterns() {
+            for head in [0, 1, 62, 63, 64, 65, 126, 127] {
+                let want = Pattern2::from_indices(p.iter_ones().filter(|&i| i != head).map(|i| {
+                    if i > head {
+                        i - 1
+                    } else {
+                        i
+                    }
+                }));
+                assert_eq!(p.drop_bit(head), want, "{p:?} without bit {head}");
+            }
+        }
+        let one = Pattern1::from_indices([0, 5, 63]);
+        assert_eq!(one.drop_bit(5), Pattern1::from_indices([0, 62]));
+        assert_eq!(one.drop_bit(63), Pattern1::from_indices([0, 5]));
+    }
+
+    #[test]
+    fn try_for_each_one_walks_ascending_and_stops_early() {
+        for p in boundary_patterns() {
+            let mut seen = Vec::new();
+            let done = p.try_for_each_one(|i| {
+                seen.push(i);
+                ControlFlow::<()>::Continue(())
+            });
+            assert!(done.is_continue());
+            assert_eq!(seen, p.iter_ones().collect::<Vec<_>>());
+            // Stop at the third bit: exactly the first three are visited.
+            let mut seen = Vec::new();
+            let stop = p.try_for_each_one(|i| {
+                seen.push(i);
+                if seen.len() == 3 {
+                    ControlFlow::Break(i)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            let want: Vec<usize> = p.iter_ones().take(3).collect();
+            assert_eq!(
+                stop,
+                if want.len() == 3 {
+                    ControlFlow::Break(want[2])
+                } else {
+                    ControlFlow::Continue(())
+                }
+            );
+            assert_eq!(seen, want);
+        }
     }
 
     #[test]

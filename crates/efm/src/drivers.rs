@@ -207,7 +207,14 @@ pub fn rayon_supports<P: BitPattern, S: EfmScalar>(
 /// way once workers go idle because its queue is drained: the survivors'
 /// pair grids are re-split across the pool instead of leaving cores
 /// parked. Both passes advance the engine through identical states, so
-/// the switch point cannot change the result.
+/// the switch point cannot change the modes, the EFM set or the per-
+/// iteration pair, prefilter and acceptance counts. It does change the
+/// counters that depend on how the grid is cut: rayon chunks dedup
+/// separately, so duplicates across chunks reach the rank test, and
+/// `dedup_hits`, `rank_tests`, `stream_batches`, `kernel_blocks` and the
+/// transient, arena and charged peaks follow the first iteration that
+/// runs grown. Under the scheduler's spare-worker probe that iteration
+/// depends on timing, so those counters vary from run to run.
 pub(crate) fn local_supports<P: BitPattern, S: EfmScalar>(
     problem: &EfmProblem<S>,
     opts: &EfmOptions,

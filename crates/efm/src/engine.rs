@@ -40,6 +40,7 @@ use crate::types::{CandidateTest, EfmError, EfmOptions, IterationStats, PhaseBre
 use efm_bitset::{BitPattern, KernelTier, PairBound};
 use efm_linalg::{nullity_of_cols, Mat};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Absolute pivot tolerance of the floating-point rank test, which
 /// eliminates over rows of the kernel `K = [I; R]` whose columns are
@@ -301,7 +302,9 @@ pub struct SignPartition<P> {
     /// is nonzero survive any positive combination, so
     /// `xor_count(pos_sup, neg_sup)` is a true lower bound on the
     /// candidate's tail nonzeros, and the same count on the rev slots
-    /// alone one on its processed reversible rows.
+    /// alone one on its processed reversible rows. The exact pass starts
+    /// from that XOR and combines only the slots of `pos_sup ∧ neg_sup`,
+    /// stopping at the first nonzero one that passes a bound.
     pub neg_tail_sups: Vec<P>,
     /// Masked supports of the zero-row modes sorted by popcount: the slab
     /// the per-batch zero-row scan probes.
@@ -733,8 +736,21 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
     /// which keeps the same modes. Each bound is exact for settled rows
     /// (pattern union) and uses the one-parent-nonzero guarantee for value
     /// slots (XOR of tail supports); the masked one counts the rev slots
-    /// only. The exact pass visits the rev slots first, so it stops as
-    /// soon as either count is passed.
+    /// only.
+    ///
+    /// The exact pass combines in exact arithmetic only the value slots
+    /// where both parents are nonzero (`pos_sup ∧ neg_sup`). Every other
+    /// slot is settled by word operations: a one-parent slot cannot
+    /// cancel and a both-zero slot stays zero, so a candidate's value
+    /// support is `pos_sup ⊕ neg_sup` plus the AND slots that combine to
+    /// nonzero, and its two counts start at the sweep's bounds. Each
+    /// nonzero AND slot adds to them in ascending slot order (rev slots
+    /// first), and the pass stops as soon as either count is passed.
+    /// Under `F64Tol` ([`Scalar::exact`] false) the same loop runs over
+    /// `pos_sup ∨ neg_sup` from an empty support, so the tolerance still
+    /// decides every slot either parent occupies; a slot both parents
+    /// leave within tolerance is taken as zero. An irreversible row's
+    /// slots above the current one are renumbered once per survivor.
     fn generate_tiles(
         &self,
         part: &SignPartition<P>,
@@ -747,7 +763,6 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
         if rows.is_empty() || cols.is_empty() {
             return;
         }
-        let stride = self.modes.stride();
         let head = self.modes.rev_len;
         let max = PairBound {
             whole: self.max_support as u32,
@@ -770,12 +785,13 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                 let pat_p = pos_pats[r];
                 let pi = part.pos[a] as usize;
                 let vals_p = self.modes.vals(pi);
+                let sup_p = &pos_sups[r];
                 let coeff_n = &pos_coeffs[r]; // multiplies the negative parent (−v_p)
                 hits.clear();
                 P::prefilter_block(
                     self.kernel_tier,
                     &pat_p,
-                    &pos_sups[r],
+                    sup_p,
                     &rev,
                     negs,
                     nsups,
@@ -788,25 +804,48 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                 // Numeric pass on prefilter survivors only: only the
                 // support bits are recorded, the values are recomputed for
                 // the accepted candidates (`Engine::materialize`).
-                'hits: for &bidx in hits.iter() {
+                for &bidx in hits.iter() {
                     let ni = part.neg[bidx as usize] as usize;
                     let pat_n = &self.modes.patterns[ni];
+                    let sup_n = &part.neg_tail_sups[bidx as usize];
                     let base = pat_p.union_count(pat_n);
+                    // Exact scalars settle every one-parent slot (nonzero)
+                    // and both-zero slot (zero) by word operations and
+                    // combine only the slots where both parents are
+                    // nonzero; `F64Tol` combines every slot either parent
+                    // occupies, so its tolerance decides those.
+                    let (mut sup, slots) = if S::exact() {
+                        (sup_p.xor(sup_n), sup_p.intersect(sup_n))
+                    } else {
+                        (P::empty(), sup_p.union(sup_n))
+                    };
+                    let mut nz = base + sup.count();
+                    let mut masked = base + sup.intersect(&rev).count();
+                    debug_assert!(
+                        nz <= max.whole && masked <= max.masked,
+                        "the sweep cuts this pair"
+                    );
                     let vals_n = self.modes.vals(ni);
                     let coeff_p = vals_n[head].neg(); // = −v_n > 0
-                    let mut nz = base;
-                    let mut sup = P::empty();
-                    for t in (0..stride).filter(|&t| t != head) {
+                    let cut = slots.try_for_each_one(|t| {
                         if !S::fused_comb(&coeff_p, &vals_p[t], coeff_n, &vals_n[t]).is_zero() {
                             nz += 1;
-                            if nz > max.whole || (t < head && nz > max.masked) {
-                                continue 'hits;
+                            masked += u32::from(t < head);
+                            if nz > max.whole || masked > max.masked {
+                                return ControlFlow::Break(());
                             }
-                            // On reversible rows the (zero) current-row slot
-                            // stays part of the numeric section; on
-                            // irreversible ones the slots after it move up.
-                            sup.set(if t > head && !reversible { t - 1 } else { t });
+                            sup.set(t);
                         }
+                        ControlFlow::Continue(())
+                    });
+                    if cut.is_break() {
+                        continue;
+                    }
+                    // On reversible rows the (zero) current-row slot stays
+                    // part of the numeric section; on irreversible ones the
+                    // slots after it move up.
+                    if !reversible {
+                        sup = sup.drop_bit(head);
                     }
                     out.patterns.push(pat_p.union(pat_n));
                     out.val_sups.push(sup);
@@ -1340,7 +1379,7 @@ mod tests {
     use crate::types::EfmOptions;
     use efm_bitset::Pattern1;
     use efm_metnet::compress;
-    use efm_numeric::DynInt;
+    use efm_numeric::{DynInt, F64Tol};
 
     fn toy_engine() -> Engine<Pattern1, DynInt> {
         let net = efm_metnet::examples::toy_network();
@@ -1577,10 +1616,10 @@ mod tests {
 
     /// Subproblem of `red` that leaves the reduced reaction `r` nonzero:
     /// ordered last and never processed (`stop_before == 1`).
-    fn nonzero_subproblem(
+    fn nonzero_subproblem<S: EfmScalar>(
         red: &efm_metnet::ReducedNetwork,
         r: usize,
-    ) -> Option<EfmProblem<DynInt>> {
+    ) -> Option<EfmProblem<S>> {
         let keep: Vec<usize> = (0..red.num_reduced()).collect();
         let p =
             crate::problem::build_subproblem(red, &keep, &[r], &EfmOptions::default()).ok()??;
@@ -1603,7 +1642,7 @@ mod tests {
 
     /// The full problem of a random 6×12 network and, when it has one,
     /// the same network split on its first reversible reaction.
-    fn random_problems(seed: u64) -> Vec<EfmProblem<DynInt>> {
+    fn random_problems<S: EfmScalar>(seed: u64) -> Vec<EfmProblem<S>> {
         let params = efm_metnet::generator::RandomNetworkParams {
             metabolites: 6,
             reactions: 12,
@@ -1617,7 +1656,7 @@ mod tests {
         if red.num_reduced() == 0 {
             return Vec::new();
         }
-        let mut out = vec![build_problem::<DynInt>(&red, &EfmOptions::default()).unwrap()];
+        let mut out = vec![build_problem::<S>(&red, &EfmOptions::default()).unwrap()];
         if let Some(r) = (0..red.num_reduced()).find(|&r| red.reversible[r]) {
             out.extend(nonzero_subproblem(&red, r));
         }
@@ -1725,15 +1764,19 @@ mod tests {
     }
 
     /// Pattern and value support of the candidate of pair `(pi, ni)`,
-    /// combined in exact arithmetic with no bound applied and numbered as
-    /// `Engine::generate_tiles` numbers them.
-    fn exact_candidate(eng: &Engine<Pattern1, DynInt>, pi: u32, ni: u32) -> (Pattern1, Pattern1) {
+    /// every value slot combined in `S` with no bound applied, and
+    /// numbered as `Engine::generate_tiles` numbers them.
+    fn exact_candidate<S: EfmScalar>(
+        eng: &Engine<Pattern1, S>,
+        pi: u32,
+        ni: u32,
+    ) -> (Pattern1, Pattern1) {
         let head = eng.modes.rev_len;
         let (vals_p, vals_n) = (eng.modes.vals(pi as usize), eng.modes.vals(ni as usize));
         let (coeff_n, coeff_p) = (vals_p[head].neg(), vals_n[head].neg());
         let mut sup = Pattern1::empty();
         for t in (0..vals_p.len()).filter(|&t| t != head) {
-            if !DynInt::fused_comb(&coeff_p, &vals_p[t], &coeff_n, &vals_n[t]).is_zero() {
+            if !S::fused_comb(&coeff_p, &vals_p[t], &coeff_n, &vals_n[t]).is_zero() {
                 // A reversible row keeps its (zero) slot; an irreversible
                 // one drops it.
                 sup.set(if t > head && !eng.current_reversible() { t - 1 } else { t });
@@ -1835,6 +1878,73 @@ mod tests {
             let cut: usize = problems.iter().map(|p| assert_masked_bound_sound(p, test)).sum();
             assert!(cut > 0, "{test:?}: the masked bound must have pairs to cut");
         }
+    }
+
+    /// Runs an `F64Tol` engine over `problem` and, at every iteration,
+    /// holds generation to an all-slots tolerance reference: a pair is
+    /// generated iff the sweep's bounds on its parents' value supports
+    /// admit it and its candidate, every slot combined with the
+    /// tolerance's zero test, is within both support bounds. Returns how
+    /// many candidates were compared.
+    fn assert_f64_generation_matches_all_slots(problem: &EfmProblem<F64Tol>) -> usize {
+        let mut eng: Engine<Pattern1, F64Tol> =
+            Engine::new(problem, &EfmOptions::default()).unwrap();
+        let mut compared = 0;
+        while !eng.done() {
+            let part = eng.partition();
+            let head = eng.modes.rev_len;
+            let rev = Pattern1::first_n(head);
+            let masked_max = (eng.cursor + 2 - eng.free_count) as u32;
+            let whole_max = eng.max_support as u32;
+            let mut want = Vec::new();
+            for &pi in &part.pos {
+                for &ni in &part.neg {
+                    let (pat_p, pat_n) =
+                        (eng.modes.patterns[pi as usize], eng.modes.patterns[ni as usize]);
+                    let x = eng.val_support(pi as usize).xor(&eng.val_support(ni as usize));
+                    let u = pat_p.union_count(&pat_n);
+                    if u + x.count() > whole_max || u + x.intersect(&rev).count() > masked_max {
+                        continue;
+                    }
+                    let (pat, sup) = exact_candidate(&eng, pi, ni);
+                    let rev_nz = sup.iter_ones().filter(|&t| t < head).count() as u32;
+                    if pat.count() + sup.count() <= whole_max && pat.count() + rev_nz <= masked_max
+                    {
+                        want.push(((pi, ni), pat, sup));
+                    }
+                }
+            }
+            let mut generated = CandidateSet::default();
+            let mut stats = StreamStats::default();
+            eng.generate_range(
+                &part,
+                0,
+                part.pairs(),
+                &mut generated,
+                &mut GenArena::new(),
+                &mut stats,
+            );
+            let mut got: Vec<_> = (0..generated.len())
+                .map(|i| (generated.parents[i], generated.patterns[i], generated.val_sups[i]))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "F64Tol generation at position {}", eng.cursor);
+            compared += want.len();
+            eng.step();
+        }
+        compared
+    }
+
+    #[test]
+    fn f64_generation_matches_all_slots_reference() {
+        let net = efm_metnet::examples::toy_network();
+        let (red, _) = compress(&net);
+        let r8 = red.reduced_index_of(net.reaction_index("r8r").unwrap()).unwrap();
+        let mut problems = vec![build_problem::<F64Tol>(&red, &EfmOptions::default()).unwrap()];
+        problems.extend(nonzero_subproblem(&red, r8));
+        problems.extend((0..24).flat_map(random_problems));
+        let compared: usize = problems.iter().map(assert_f64_generation_matches_all_slots).sum();
+        assert!(compared > 0, "the reference must have candidates to compare");
     }
 
     #[test]

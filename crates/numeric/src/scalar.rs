@@ -56,7 +56,11 @@ pub trait Scalar: Clone + PartialEq + Debug + Send + Sync + 'static {
     fn pivot_score(&self) -> f64 {
         self.to_f64().abs()
     }
-    /// True when this scalar type is exact (affects test oracles only).
+    /// True when this scalar type is exact. A product of nonzero exact
+    /// values is nonzero, so candidate generation then combines only the
+    /// value slots where both parents are nonzero; a tolerance type
+    /// combines every slot either parent occupies, so its tolerance
+    /// decides each of them.
     fn exact() -> bool;
 }
 
