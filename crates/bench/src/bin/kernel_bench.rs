@@ -7,12 +7,12 @@
 //! Three layers, finest first:
 //!
 //! 1. **Lane ops** — throughput of each batched bitset primitive
-//!    (`bounds_sweep`, `union_counts`, `is_subset_any`) at the scalar tier
-//!    vs the best tier the host supports, on synthetic dense batches.
+//!    (`bounds_sweep`, `is_subset_any`) at the scalar tier vs the best
+//!    tier the host supports, on synthetic dense two-word batches.
 //! 2. **Whole block** — `prefilter_hits` over one L1-sized block exactly as
 //!    [`efm_core::Engine`] issues it (bound sweep + compare + hit gather).
 //! 3. **Whole run** — yeast-lite Network I end to end (`--kernel scalar`
-//!    vs `--kernel simd`, adjacency test, shared-memory backend) through
+//!    vs `--kernel auto`, adjacency test, shared-memory backend) through
 //!    the kernel's slab pipeline: the count-pruned vectorized subset scan
 //!    replaces the pattern-tree probes of PR 1. The recorded
 //!    `BENCH_pr1.json` tree-pipeline phase times on the same host are the
@@ -23,14 +23,16 @@
 //! `BENCH_pr6.json`.
 
 use efm_bench::{flag, harness_options, network_i, parse_cli, Scale};
-use efm_bitset::kernel::{bounds_sweep, is_subset_any, prefilter_hits, union_counts, PairBound};
+use efm_bitset::kernel::{bounds_sweep, is_subset_any, prefilter_hits, PairBound};
 use efm_bitset::{detect_tier, KernelTier, Pattern2};
 use efm_core::{Backend, CandidateTest, EfmOptions, EfmOutcome, KernelKind, Run};
 use efm_numeric::F64Tol;
 use std::time::Instant;
 
-/// Pattern width used by the micro layers: two words (65–128 reactions)
-/// is the width yeast-lite dispatches to.
+/// Pattern width used by the micro layers: two words (65–128 value
+/// slots). Both lite networks dispatch to one word (Network I-lite has 48
+/// problem columns, Network II-lite without R56 51 reduced reactions), so
+/// the lanes measure the next width up rather than the workloads' own.
 type P = Pattern2;
 const W: usize = 2;
 
@@ -112,7 +114,6 @@ fn micro(reps: usize, best: KernelTier) -> Vec<LaneResult> {
         .collect();
 
     let mut bounds = Vec::new();
-    let mut counts = Vec::new();
     let mut hits: Vec<u32> = Vec::new();
     // Limits every block meets occasionally, so the compare loop does
     // real gather work without every pair surviving.
@@ -129,10 +130,6 @@ fn micro(reps: usize, best: KernelTier) -> Vec<LaneResult> {
         run("bounds_sweep", &mut |tier| {
             bounds_sweep(tier, &pat, &sup, &rev, &negs, &nsups, &mut bounds);
             std::hint::black_box(&bounds);
-        }),
-        run("union_counts", &mut |tier| {
-            union_counts(tier, &pat, &negs, &mut counts);
-            std::hint::black_box(&counts);
         }),
         run("is_subset_any", &mut |tier| {
             std::hint::black_box(is_subset_any(tier, &sub_cands, &sub_sup));
@@ -229,7 +226,7 @@ fn main() {
         scalar.generate, scalar.dedup, scalar.tree_filter, scalar.elementarity, scalar.total,
         scalar.efms
     );
-    let simd = run_whole(&net, KernelKind::Simd, reps);
+    let simd = run_whole(&net, KernelKind::Auto, reps);
     println!(
         "  {} kernel:   gen {:.3}s  dedup {:.3}s  tree {:.3}s  elem {:.3}s  (total {:.2}s, {} EFMs)",
         simd.tier, simd.generate, simd.dedup, simd.tree_filter, simd.elementarity, simd.total,

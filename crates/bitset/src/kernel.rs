@@ -11,16 +11,20 @@
 //!
 //! Because the positive side is fixed across a whole block, the sweep is a
 //! pure data-parallel map over contiguous `[u64; W]` patterns — exactly the
-//! shape SIMD wants. This module provides that sweep plus the two batch
-//! primitives the engine's other scans reduce to ([`union_counts`] /
-//! [`union_count_4`] and [`is_subset_any`]), each with an AVX2 path, an
-//! SSE2 path and a portable scalar fallback selected once per process by
-//! [`detect_tier`].
+//! shape SIMD wants. This module provides that sweep (and the prefilter
+//! over it, [`prefilter_hits`]) plus the adjacency scan's batch subset
+//! probe, [`is_subset_any`]: the only kernel calls the engine makes. Each
+//! runs at two tiers, the portable scalar reference (every platform) and
+//! an AVX2 path where the CPU has it, picked once per process by
+//! [`detect_tier`]. There is no SSE2 tier: without `pshufb` or `popcnt`
+//! its win was load width only, and it measured slower than scalar on
+//! every primitive at every width.
 //!
-//! Every tier is **bit-identical**: the vector paths compute the same word
+//! Both tiers are **bit-identical**: the AVX2 paths compute the same word
 //! ops and popcounts as the scalar reference, so results never depend on
-//! the host CPU. The property suite in `tests/kernel_props.rs` checks each
-//! primitive against the scalar ops across widths 1–8 and ragged tails.
+//! the host CPU. The property suite in `crates/bitset/tests/kernel_props.rs`
+//! checks each primitive at both tiers against the plain `Pattern` ops
+//! across widths 1–8 and ragged tails.
 //!
 //! Safety: the x86 paths view `&[Pattern<W>]` as a flat `&[u64]`, which is
 //! sound because [`Pattern`] is `#[repr(transparent)]` over `[u64; W]`.
@@ -41,8 +45,6 @@ use std::sync::OnceLock;
 pub enum KernelTier {
     /// Portable word-at-a-time reference path (always available).
     Scalar,
-    /// 128-bit `std::arch` path (x86-64 baseline).
-    Sse2,
     /// 256-bit `std::arch` path with `vpshufb` nibble-LUT popcounts.
     Avx2,
 }
@@ -52,7 +54,6 @@ impl KernelTier {
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Sse2 => "sse2",
             KernelTier::Avx2 => "avx2",
         }
     }
@@ -75,13 +76,8 @@ pub fn detect_tier() -> KernelTier {
     static TIER: OnceLock<KernelTier> = OnceLock::new();
     *TIER.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelTier::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return KernelTier::Sse2;
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return KernelTier::Avx2;
         }
         KernelTier::Scalar
     })
@@ -160,12 +156,6 @@ pub fn bounds_sweep<const W: usize>(
             // all slices are in-bounds (flat() preserves lengths, out has n).
             unsafe { x86::bounds_avx2(p, s, r, flat(negs), flat(nsups), W, out) }
         }
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => {
-            // SAFETY: SSE2 is part of the x86-64 baseline and clamp()
-            // re-checked it; slice lengths as above.
-            unsafe { x86::bounds_sse2(p, s, r, flat(negs), flat(nsups), W, out) }
-        }
         _ => {
             for i in 0..n {
                 out[i] = pair_bound(p, s, r, negs[i].words(), nsups[i].words());
@@ -204,67 +194,6 @@ pub fn prefilter_hits<const W: usize>(
     hits.len() - before
 }
 
-/// Batch union popcount: `out[i] = (a | bs[i]).count()`.
-///
-/// `out` is cleared and resized to `bs.len()`.
-pub fn union_counts<const W: usize>(
-    tier: KernelTier,
-    a: &Pattern<W>,
-    bs: &[Pattern<W>],
-    out: &mut Vec<u32>,
-) {
-    let n = bs.len();
-    out.clear();
-    out.resize(n, 0);
-    match tier.clamp() {
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => {
-            // SAFETY: AVX2 verified by clamp(); slices in-bounds.
-            unsafe { x86::union_counts_avx2(a.words(), flat(bs), W, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => {
-            // SAFETY: SSE2 verified by clamp(); slices in-bounds.
-            unsafe { x86::union_counts_sse2(a.words(), flat(bs), W, out) }
-        }
-        _ => {
-            for i in 0..n {
-                out[i] = a.union_count(&bs[i]);
-            }
-        }
-    }
-}
-
-/// Four-lane union popcount: `[ (a|bs[0]).count(), …, (a|bs[3]).count() ]`.
-///
-/// The fixed-arity form of [`union_counts`] — at `W = 1` the whole batch is
-/// a single 256-bit `or` + nibble-LUT popcount.
-pub fn union_count_4<const W: usize>(
-    tier: KernelTier,
-    a: &Pattern<W>,
-    bs: &[Pattern<W>; 4],
-) -> [u32; 4] {
-    let mut out = [0u32; 4];
-    match tier.clamp() {
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => {
-            // SAFETY: AVX2 verified by clamp(); bs is exactly 4 patterns.
-            unsafe { x86::union_counts_avx2(a.words(), flat(bs), W, &mut out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => {
-            // SAFETY: SSE2 verified by clamp(); bs is exactly 4 patterns.
-            unsafe { x86::union_counts_sse2(a.words(), flat(bs), W, &mut out) }
-        }
-        _ => {
-            for i in 0..4 {
-                out[i] = a.union_count(&bs[i]);
-            }
-        }
-    }
-    out
-}
-
 /// Whether any pattern in `cands` is a subset of `sup`.
 ///
 /// The batch form of the naive adjacency scan's early-exit subset probe:
@@ -279,11 +208,6 @@ pub fn is_subset_any<const W: usize>(
         KernelTier::Avx2 => {
             // SAFETY: AVX2 verified by clamp(); slices in-bounds.
             unsafe { x86::subset_any_avx2(flat(cands), sup.words(), W) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => {
-            // SAFETY: SSE2 verified by clamp(); slices in-bounds.
-            unsafe { x86::subset_any_sse2(flat(cands), sup.words(), W) }
         }
         _ => cands.iter().any(|c| c.is_subset_of(sup)),
     }
@@ -452,184 +376,6 @@ mod x86 {
         }
     }
 
-    /// SSE2 fused bound sweep: 128-bit wide `or`/`xor`/`and`, scalar
-    /// popcounts of the extracted words (SSE2 has neither `pshufb` nor
-    /// `popcnt`, so the win over scalar is load width only).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn bounds_sse2(
-        pat: &[u64],
-        sup: &[u64],
-        rev: &[u64],
-        negs: &[u64],
-        nsups: &[u64],
-        w: usize,
-        out: &mut [PairBound],
-    ) {
-        // Adds the bounds of two 64-bit words (`or` half in `u`, `xor`
-        // half in `x`, rev-masked `xor` half in `xr`) into `b`.
-        fn add_words(b: &mut PairBound, u: [u64; 2], x: [u64; 2], xr: [u64; 2]) {
-            let cu = u[0].count_ones() + u[1].count_ones();
-            b.whole += cu + x[0].count_ones() + x[1].count_ones();
-            b.masked += cu + xr[0].count_ones() + xr[1].count_ones();
-        }
-        let n = out.len();
-        let store = |v: __m128i| {
-            let mut words = [0u64; 2];
-            _mm_storeu_si128(words.as_mut_ptr().cast(), v);
-            words
-        };
-        if w == 1 {
-            let vp = _mm_set1_epi64x(pat[0] as i64);
-            let vs = _mm_set1_epi64x(sup[0] as i64);
-            let vr = _mm_set1_epi64x(rev[0] as i64);
-            let mut i = 0;
-            while i + 2 <= n {
-                // SAFETY (loads): i+2 <= n keeps the 16-byte loads in
-                // bounds of the n-word flat slices.
-                let u = store(_mm_or_si128(vp, _mm_loadu_si128(negs.as_ptr().add(i).cast())));
-                let x = _mm_xor_si128(vs, _mm_loadu_si128(nsups.as_ptr().add(i).cast()));
-                let (x, xr) = (store(x), store(_mm_and_si128(x, vr)));
-                for k in 0..2 {
-                    let cu = u[k].count_ones();
-                    out[i + k] = PairBound {
-                        whole: cu + x[k].count_ones(),
-                        masked: cu + xr[k].count_ones(),
-                    };
-                }
-                i += 2;
-            }
-            if i < n {
-                out[i] = pair_bound(pat, sup, rev, &negs[i..], &nsups[i..]);
-            }
-            return;
-        }
-        // Generic width: 2-word vector groups per pair + scalar tail word.
-        let g2 = w / 2 * 2;
-        for i in 0..n {
-            let nb = &negs[i * w..(i + 1) * w];
-            let xb = &nsups[i * w..(i + 1) * w];
-            let mut b = pair_bound(&pat[g2..], &sup[g2..], &rev[g2..], &nb[g2..], &xb[g2..]);
-            let mut k = 0;
-            while k < g2 {
-                let u = _mm_or_si128(
-                    _mm_loadu_si128(pat.as_ptr().add(k).cast()),
-                    _mm_loadu_si128(nb.as_ptr().add(k).cast()),
-                );
-                let x = _mm_xor_si128(
-                    _mm_loadu_si128(sup.as_ptr().add(k).cast()),
-                    _mm_loadu_si128(xb.as_ptr().add(k).cast()),
-                );
-                let xr = _mm_and_si128(x, _mm_loadu_si128(rev.as_ptr().add(k).cast()));
-                add_words(&mut b, store(u), store(x), store(xr));
-                k += 2;
-            }
-            out[i] = b;
-        }
-    }
-
-    /// AVX2 batch union popcount; same blocking as `bounds_avx2` minus
-    /// the xor half.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn union_counts_avx2(a: &[u64], bs: &[u64], w: usize, out: &mut [u32]) {
-        let n = out.len();
-        let zero = _mm256_setzero_si256();
-        match w {
-            1 => {
-                let va = _mm256_set1_epi64x(a[0] as i64);
-                let mut i = 0;
-                while i + 4 <= n {
-                    let u = _mm256_or_si256(va, _mm256_loadu_si256(bs.as_ptr().add(i).cast()));
-                    let lanes = lanes_epi64(_mm256_sad_epu8(popcnt_bytes(u), zero));
-                    for k in 0..4 {
-                        out[i + k] = lanes[k] as u32;
-                    }
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = (a[0] | bs[i]).count_ones();
-                    i += 1;
-                }
-            }
-            2 => {
-                let va = _mm256_broadcastsi128_si256(_mm_loadu_si128(a.as_ptr().cast()));
-                let mut i = 0;
-                while i + 2 <= n {
-                    let u = _mm256_or_si256(va, _mm256_loadu_si256(bs.as_ptr().add(2 * i).cast()));
-                    let lanes = lanes_epi64(_mm256_sad_epu8(popcnt_bytes(u), zero));
-                    out[i] = (lanes[0] + lanes[1]) as u32;
-                    out[i + 1] = (lanes[2] + lanes[3]) as u32;
-                    i += 2;
-                }
-                if i < n {
-                    out[i] = (a[0] | bs[2 * i]).count_ones() + (a[1] | bs[2 * i + 1]).count_ones();
-                }
-            }
-            _ => {
-                let g4 = w / 4 * 4;
-                for i in 0..n {
-                    let bb = bs.as_ptr().add(i * w);
-                    let mut acc = zero;
-                    let mut k = 0;
-                    while k < g4 {
-                        let u = _mm256_or_si256(
-                            _mm256_loadu_si256(a.as_ptr().add(k).cast()),
-                            _mm256_loadu_si256(bb.add(k).cast()),
-                        );
-                        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(popcnt_bytes(u), zero));
-                        k += 4;
-                    }
-                    let mut c = hsum_epi64(acc) as u32;
-                    for t in g4..w {
-                        c += (a[t] | *bb.add(t)).count_ones();
-                    }
-                    out[i] = c;
-                }
-            }
-        }
-    }
-
-    /// SSE2 batch union popcount.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn union_counts_sse2(a: &[u64], bs: &[u64], w: usize, out: &mut [u32]) {
-        let n = out.len();
-        if w == 1 {
-            let va = _mm_set1_epi64x(a[0] as i64);
-            let mut i = 0;
-            while i + 2 <= n {
-                let u = _mm_or_si128(va, _mm_loadu_si128(bs.as_ptr().add(i).cast()));
-                let mut uw = [0u64; 2];
-                _mm_storeu_si128(uw.as_mut_ptr().cast(), u);
-                out[i] = uw[0].count_ones();
-                out[i + 1] = uw[1].count_ones();
-                i += 2;
-            }
-            if i < n {
-                out[i] = (a[0] | bs[i]).count_ones();
-            }
-            return;
-        }
-        let g2 = w / 2 * 2;
-        for i in 0..n {
-            let bb = bs.as_ptr().add(i * w);
-            let mut c = 0u32;
-            let mut k = 0;
-            while k < g2 {
-                let u = _mm_or_si128(
-                    _mm_loadu_si128(a.as_ptr().add(k).cast()),
-                    _mm_loadu_si128(bb.add(k).cast()),
-                );
-                let mut uw = [0u64; 2];
-                _mm_storeu_si128(uw.as_mut_ptr().cast(), u);
-                c += uw[0].count_ones() + uw[1].count_ones();
-                k += 2;
-            }
-            for t in g2..w {
-                c += (a[t] | *bb.add(t)).count_ones();
-            }
-            out[i] = c;
-        }
-    }
-
     /// AVX2 any-subset probe: `cands[i] ⊆ sup` iff `cands[i] & !sup == 0`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn subset_any_avx2(cands: &[u64], sup: &[u64], w: usize) -> bool {
@@ -714,35 +460,6 @@ mod x86 {
             }
         }
     }
-
-    /// SSE2 any-subset probe.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn subset_any_sse2(cands: &[u64], sup: &[u64], w: usize) -> bool {
-        let n = cands.len() / w.max(1);
-        let g2 = w / 2 * 2;
-        'cand: for i in 0..n {
-            let cb = cands.as_ptr().add(i * w);
-            let mut k = 0;
-            while k < g2 {
-                let vc = _mm_loadu_si128(cb.add(k).cast());
-                let vs = _mm_loadu_si128(sup.as_ptr().add(k).cast());
-                let nots = _mm_andnot_si128(vs, vc);
-                let mut nw = [0u64; 2];
-                _mm_storeu_si128(nw.as_mut_ptr().cast(), nots);
-                if nw[0] | nw[1] != 0 {
-                    continue 'cand;
-                }
-                k += 2;
-            }
-            for t in g2..w {
-                if *cb.add(t) & !sup[t] != 0 {
-                    continue 'cand;
-                }
-            }
-            return true;
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -771,7 +488,7 @@ mod tests {
     }
 
     fn tiers() -> Vec<KernelTier> {
-        vec![KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2]
+        vec![KernelTier::Scalar, KernelTier::Avx2]
     }
 
     #[test]
@@ -806,18 +523,6 @@ mod tests {
             let mut got = Vec::new();
             bounds_sweep(tier, &pat_p, &sup_p, &rev, &negs, &nsups, &mut got);
             assert_eq!(got, want, "bounds_sweep W={W} tier={tier}");
-
-            let mut uc = Vec::new();
-            union_counts(tier, &pat_p, &negs, &mut uc);
-            let ucw: Vec<u32> = negs.iter().map(|b| pat_p.union_count(b)).collect();
-            assert_eq!(uc, ucw, "union_counts W={W} tier={tier}");
-
-            let four: [Pattern<W>; 4] = [negs[0], negs[1], negs[2], negs[3]];
-            assert_eq!(
-                union_count_4(tier, &pat_p, &four).to_vec(),
-                ucw[..4].to_vec(),
-                "union_count_4 W={W} tier={tier}"
-            );
 
             assert_eq!(
                 is_subset_any(tier, &negs, &sup_p),

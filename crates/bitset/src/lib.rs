@@ -296,7 +296,7 @@ impl DynPattern {
 
     /// Bitwise union written into a caller-provided pattern, reusing its
     /// word buffer — the allocation-free form for loops that union many
-    /// pairs (a fresh `Vec` per pair otherwise dominates the naive path).
+    /// pairs (a fresh `Vec` per pair would otherwise dominate such a loop).
     pub fn union_into(&self, rhs: &Self, out: &mut Self) {
         let n = self.words.len().max(rhs.words.len());
         out.words.clear();

@@ -59,8 +59,8 @@
 
 use efm_core::{
     Backend, CandidateTest, CheckpointConfig, DncCheckpoint, DncConfig, DncSchedule, EfmError,
-    EfmOptions, EfmOutcome, EngineCheckpoint, EscalationAttempt, Phase, RowOrdering, Run,
-    SuperviseConfig, COUNTERS,
+    EfmOptions, EfmOutcome, EngineCheckpoint, EscalationAttempt, KernelKind, Phase, RowOrdering,
+    Run, SuperviseConfig, COUNTERS,
 };
 use efm_metnet::{examples, parse_metatool, parse_network, to_metatool, yeast, MetabolicNetwork};
 use efm_numeric::{DynInt, F64Tol};
@@ -77,7 +77,7 @@ struct Args {
     dnc_workers: usize,
     ordering: String,
     test: String,
-    kernel: String,
+    kernel: Option<String>,
     float: bool,
     spill_budget: Option<u64>,
     max_modes: Option<usize>,
@@ -112,7 +112,7 @@ fn usage() -> ! {
          \x20                 [--nodes N] [--memory-limit BYTES] [--partition R1,R2,...]\n\
          \x20                 [--dnc-schedule serial|steal] [--dnc-workers N]\n\
          \x20                 [--ordering paper|nnz|asis|random] [--test rank|adjacency]\n\
-         \x20                 [--kernel auto|scalar|simd]\n\
+         \x20                 [--kernel auto|scalar]\n\
          \x20                 [--float] [--spill-budget BYTES]\n\
          \x20                 [--max-modes N] [--print-modes N] [--coefficients]\n\
          \x20                 [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n\
@@ -136,7 +136,7 @@ fn parse_args() -> Args {
         dnc_workers: 0,
         ordering: "paper".into(),
         test: "rank".into(),
-        kernel: "auto".into(),
+        kernel: None,
         float: false,
         spill_budget: None,
         max_modes: None,
@@ -183,7 +183,7 @@ fn parse_args() -> Args {
             "--dnc-workers" => args.dnc_workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--ordering" => args.ordering = val(&mut it),
             "--test" => args.test = val(&mut it),
-            "--kernel" => args.kernel = val(&mut it),
+            "--kernel" => args.kernel = Some(val(&mut it)),
             "--float" => args.float = true,
             "--spill-budget" => {
                 args.spill_budget = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
@@ -273,10 +273,14 @@ fn run<S: efm_core::EfmScalar>(
         "adjacency" => CandidateTest::Adjacency,
         _ => usage(),
     };
-    let kernel = args.kernel.parse().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage();
-    });
+    let kernel = match &args.kernel {
+        Some(k) => k.parse().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            usage();
+        }),
+        // Absent, the options' default applies (it honours `EFM_KERNEL`).
+        None => KernelKind::default(),
+    };
     let opts = EfmOptions {
         ordering,
         test,

@@ -14,9 +14,11 @@ fn run(args: &[&str]) -> (String, String, bool) {
 
 #[test]
 fn toy_builtin_end_to_end() {
-    let (stdout, _, ok) = run(&["--builtin", "toy"]);
-    assert!(ok);
-    assert!(stdout.contains("elementary flux modes: 8"), "{stdout}");
+    for args in [&["--builtin", "toy"][..], &["--builtin", "toy", "--kernel", "scalar"]] {
+        let (stdout, _, ok) = run(args);
+        assert!(ok, "{args:?}");
+        assert!(stdout.contains("elementary flux modes: 8"), "{args:?}: {stdout}");
+    }
 }
 
 #[test]
@@ -201,6 +203,9 @@ fn bad_arguments_fail_cleanly() {
     let (_, stderr, ok) = run(&["/does/not/exist.txt"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read"), "{stderr}");
+    let (_, stderr, ok) = run(&["--builtin", "toy", "--kernel", "simd"]);
+    assert!(!ok);
+    assert!(stderr.contains("auto|scalar"), "{stderr}");
 }
 
 #[test]

@@ -7,10 +7,9 @@
 //! overhead). A [`StripeStore`] keeps each completed stripe as
 //! delta/run-length compressed patterns ([`CompressedPattern`]) and, once a
 //! resident-byte budget is exceeded, serializes whole stripes to an
-//! anonymous spill file. Assembly streams them back one stripe at a time —
-//! the store is read (and written) through an `mmap` window on Unix, with a
-//! plain seek-and-read fallback elsewhere — so the peak survivor-set cost
-//! is one decoded stripe plus the compressed residents, never the full
+//! anonymous spill file. Assembly streams them back one stripe at a time,
+//! each with one seek and read, so the peak survivor-set cost is one
+//! decoded stripe plus the compressed residents, never the full
 //! concatenated list.
 
 use crate::types::EfmError;
@@ -229,67 +228,14 @@ impl SpillFile {
         Ok(offset)
     }
 
-    /// Reads back `[offset, offset + len)` — through a transient `mmap`
-    /// window on Unix, falling back to seek-and-read when mapping fails.
+    /// Reads back `[offset, offset + len)` with one seek and read.
     fn read(&mut self, offset: u64, len: u64) -> Result<Vec<u8>, EfmError> {
         let t0 = std::time::Instant::now();
-        #[cfg(unix)]
-        if let Some(bytes) = mmap::read(&self.file, self.len, offset, len) {
-            efm_obs::hist::record("spill read us", t0.elapsed().as_micros() as u64);
-            return Ok(bytes);
-        }
         self.file.seek(SeekFrom::Start(offset)).map_err(|e| io_err("seek", e))?;
         let mut buf = vec![0u8; len as usize];
         self.file.read_exact(&mut buf).map_err(|e| io_err("read", e))?;
         efm_obs::hist::record("spill read us", t0.elapsed().as_micros() as u64);
         Ok(buf)
-    }
-}
-
-/// Minimal read-only `mmap` shim over raw libc symbols (std already links
-/// libc on Unix, so no extra crate is needed). Any failure makes the caller
-/// fall back to buffered reads.
-#[cfg(unix)]
-mod mmap {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    /// Maps the whole file, copies `[offset, offset + len)` out, unmaps.
-    pub fn read(file: &File, file_len: u64, offset: u64, len: u64) -> Option<Vec<u8>> {
-        let end = offset.checked_add(len)?;
-        if end > file_len || file_len == 0 || file_len > usize::MAX as u64 {
-            return None;
-        }
-        let map_len = file_len as usize;
-        // SAFETY: read-only private mapping of a file we own for the
-        // duration of the copy; the pointer is checked against MAP_FAILED
-        // and unmapped before return.
-        unsafe {
-            let ptr =
-                mmap(std::ptr::null_mut(), map_len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0);
-            if ptr as isize == -1 || ptr.is_null() {
-                return None;
-            }
-            let slice = std::slice::from_raw_parts(ptr as *const u8, map_len);
-            let bytes = slice[offset as usize..end as usize].to_vec();
-            munmap(ptr, map_len);
-            Some(bytes)
-        }
     }
 }
 

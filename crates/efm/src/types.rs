@@ -29,38 +29,38 @@ pub enum CandidateTest {
 }
 
 /// Which candidate-generation kernel the engine dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// Both choices enumerate bit-identical results; only speed differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Pick the best tier the CPU supports (honours the `EFM_KERNEL`
-    /// environment variable, so differential CI lanes can force a tier
-    /// without plumbing options through every harness).
-    #[default]
+    /// The best tier the CPU supports ([`efm_bitset::detect_tier`]: AVX2
+    /// where present, scalar otherwise).
     Auto,
     /// Force the portable scalar reference path.
     Scalar,
-    /// Use the best vectorized tier available (SSE2/AVX2); degrades to
-    /// scalar on CPUs without vector support.
-    Simd,
+}
+
+impl Default for KernelKind {
+    /// `Scalar` when the `EFM_KERNEL` environment variable reads `scalar`
+    /// (read once per process; this is how the forced-scalar CI lane pins
+    /// every default-options run), `Auto` otherwise. An explicit `Auto`
+    /// ignores the variable.
+    fn default() -> Self {
+        use std::sync::OnceLock;
+        static ENV: OnceLock<KernelKind> = OnceLock::new();
+        *ENV.get_or_init(|| match std::env::var("EFM_KERNEL").as_deref() {
+            Ok("scalar") => KernelKind::Scalar,
+            _ => KernelKind::Auto,
+        })
+    }
 }
 
 impl KernelKind {
-    /// Resolves to the instruction tier the engine will run at. `Auto`
-    /// consults `EFM_KERNEL` (`auto`/`scalar`/`simd`, read once per
-    /// process) and then runtime CPU detection; all tiers produce
-    /// bit-identical results, so this only affects speed.
+    /// The instruction tier the engine will run at.
     pub fn resolve(self) -> efm_bitset::KernelTier {
-        use std::sync::OnceLock;
-        static ENV: OnceLock<Option<KernelKind>> = OnceLock::new();
-        let kind = match self {
-            KernelKind::Auto => *ENV
-                .get_or_init(|| std::env::var("EFM_KERNEL").ok().and_then(|v| v.parse().ok()))
-                .as_ref()
-                .unwrap_or(&KernelKind::Auto),
-            other => other,
-        };
-        match kind {
+        match self {
+            KernelKind::Auto => efm_bitset::detect_tier(),
             KernelKind::Scalar => efm_bitset::KernelTier::Scalar,
-            _ => efm_bitset::detect_tier(),
         }
     }
 }
@@ -70,7 +70,6 @@ impl std::fmt::Display for KernelKind {
         match self {
             KernelKind::Auto => write!(f, "auto"),
             KernelKind::Scalar => write!(f, "scalar"),
-            KernelKind::Simd => write!(f, "simd"),
         }
     }
 }
@@ -81,8 +80,7 @@ impl std::str::FromStr for KernelKind {
         match s {
             "auto" => Ok(KernelKind::Auto),
             "scalar" => Ok(KernelKind::Scalar),
-            "simd" => Ok(KernelKind::Simd),
-            other => Err(format!("unknown kernel {other:?} (expected auto|scalar|simd)")),
+            other => Err(format!("unknown kernel {other:?} (expected auto|scalar)")),
         }
     }
 }
@@ -113,9 +111,10 @@ pub struct EfmOptions {
     /// Which network-reduction stages run before enumeration (ablation
     /// hook; the default is the paper's full preprocessing).
     pub compression: efm_metnet::CompressionOptions,
-    /// Candidate-generation kernel dispatch (`--kernel` on the CLI). All
+    /// Candidate-generation kernel dispatch (`--kernel` on the CLI). Both
     /// choices are bit-identical; `Scalar` exists as the differential
-    /// baseline and escape hatch.
+    /// baseline and escape hatch. The default follows `EFM_KERNEL` (see
+    /// [`KernelKind::default`]).
     pub kernel: KernelKind,
     /// Resident-byte budget for completed divide-and-conquer survivor
     /// stripes. `Some(b)` compresses each finished subset's supports
@@ -143,7 +142,7 @@ impl Default for EfmOptions {
             force_free: None,
             exact_rank_test: false,
             compression: efm_metnet::CompressionOptions::default(),
-            kernel: KernelKind::Auto,
+            kernel: KernelKind::default(),
             spill_budget: None,
             stripe_weights: None,
         }
@@ -376,8 +375,8 @@ pub struct RunStats {
     pub spill_bytes: u64,
     /// Final mode count.
     pub final_modes: u64,
-    /// Instruction tier the generation kernel ran at (`"scalar"`,
-    /// `"sse2"` or `"avx2"`; empty for stats that never ran an engine).
+    /// Instruction tier the generation kernel ran at (`"scalar"` or
+    /// `"avx2"`; empty for stats that never ran an engine).
     /// A restored engine re-resolves it live. One engine runs exactly one
     /// tier, so together with `kernel_pruned` this gives the per-tier
     /// pruning attribution.

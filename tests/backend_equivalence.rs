@@ -255,7 +255,7 @@ fn backends_agree_on_every_iteration_for_both_tests() {
 fn kernel_on_off_agree_across_backends() {
     let net = toy_network();
     let scalar_opts = EfmOptions { kernel: KernelKind::Scalar, ..Default::default() };
-    let simd_opts = EfmOptions { kernel: KernelKind::Simd, ..Default::default() };
+    let simd_opts = EfmOptions { kernel: KernelKind::Auto, ..Default::default() };
     let reference = canon(
         &Run { opts: scalar_opts.clone(), backend: Backend::Serial, ..Default::default() }
             .enumerate::<DynInt>(&net)
@@ -290,13 +290,36 @@ fn kernel_on_off_agree_across_backends() {
     }
 }
 
+/// The kernel knob reaches the engine: a default-options run follows
+/// `EFM_KERNEL` (scalar in the forced-scalar CI lane, the detected tier
+/// otherwise), while an explicit `Auto` always runs the detected tier —
+/// which is what keeps the on/off tests above comparing scalar with AVX2
+/// in both lanes.
+#[test]
+fn kernel_tier_follows_env_default_and_explicit_auto() {
+    let net = toy_network();
+    let tier = |opts: EfmOptions| {
+        Run { opts, backend: Backend::Serial, ..Default::default() }
+            .enumerate::<DynInt>(&net)
+            .unwrap()
+            .stats
+            .kernel_tier
+    };
+    let detected = efm_bitset::detect_tier().name();
+    let want_default =
+        if std::env::var("EFM_KERNEL").as_deref() == Ok("scalar") { "scalar" } else { detected };
+    assert_eq!(tier(EfmOptions::default()), want_default, "default-options run");
+    let auto = EfmOptions { kernel: KernelKind::Auto, ..Default::default() };
+    assert_eq!(tier(auto), detected, "explicit KernelKind::Auto");
+}
+
 /// Same argument on a real network: yeast-lite under the float scalar,
 /// scalar vs SIMD kernel, serial and rayon backends.
 #[test]
 fn kernel_on_off_agree_on_yeast_lite() {
     let net = network_i(Scale::Lite);
     let scalar_opts = EfmOptions { kernel: KernelKind::Scalar, ..Default::default() };
-    let simd_opts = EfmOptions { kernel: KernelKind::Simd, ..Default::default() };
+    let simd_opts = EfmOptions { kernel: KernelKind::Auto, ..Default::default() };
     let reference = canon(
         &Run { opts: scalar_opts.clone(), backend: Backend::Serial, ..Default::default() }
             .enumerate::<F64Tol>(&net)
