@@ -479,6 +479,11 @@ fn export_telemetry(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    // A misspelt `EFM_KERNEL` is a usage error, not a silent fall-back.
+    if let Err(e) = KernelKind::from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let net = match load_network(&args) {
         Ok(n) => n,
         Err(e) => {

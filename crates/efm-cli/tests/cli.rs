@@ -160,7 +160,7 @@ fn failed_escalation_reports_every_attempt() {
                 "--nodes",
                 "2",
                 "--memory-limit",
-                "600",
+                "300",
                 "--auto-escalate",
                 "2",
             ])
@@ -206,6 +206,26 @@ fn bad_arguments_fail_cleanly() {
     let (_, stderr, ok) = run(&["--builtin", "toy", "--kernel", "simd"]);
     assert!(!ok);
     assert!(stderr.contains("auto|scalar"), "{stderr}");
+}
+
+#[test]
+fn efm_kernel_env_accepts_only_auto_and_scalar() {
+    let with_env = |value: &str| {
+        Command::new(env!("CARGO_BIN_EXE_efm-compute"))
+            .args(["--builtin", "toy", "--quiet"])
+            .env("EFM_KERNEL", value)
+            .output()
+            .expect("binary runs")
+    };
+    for good in ["", "auto", "scalar"] {
+        assert!(with_env(good).status.success(), "EFM_KERNEL={good:?}");
+    }
+    for bad in ["simd", "Scalar", "avx2"] {
+        let out = with_env(bad);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "EFM_KERNEL={bad:?}: {stderr}");
+        assert!(stderr.contains(bad) && stderr.contains("auto|scalar"), "{stderr}");
+    }
 }
 
 #[test]

@@ -806,7 +806,7 @@ impl<P: BitPattern, S: EfmScalar> Engine<P, S> {
                 // the accepted candidates (`Engine::materialize`).
                 for &bidx in hits.iter() {
                     let ni = part.neg[bidx as usize] as usize;
-                    let pat_n = &self.modes.patterns[ni];
+                    let pat_n = &part.neg_pats[bidx as usize];
                     let sup_n = &part.neg_tail_sups[bidx as usize];
                     let base = pat_p.union_count(pat_n);
                     // Exact scalars settle every one-parent slot (nonzero)

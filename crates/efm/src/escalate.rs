@@ -122,8 +122,8 @@ mod tests {
     #[test]
     fn exhausted_ladder_carries_every_attempt() {
         let net = efm_metnet::examples::toy_network();
-        // No split of the toy network fits under 600 bytes.
-        let run = cluster(ClusterConfig::new(2).with_memory_limit(600), 2);
+        // No split of the toy network fits under 300 bytes.
+        let run = cluster(ClusterConfig::new(2).with_memory_limit(300), 2);
         let err = run.enumerate::<DynInt>(&net).unwrap_err();
         assert!(err.is_memory_exceeded(), "{err:?}");
         assert_eq!(crate::classify_failure(&err), crate::FailureClass::Memory);

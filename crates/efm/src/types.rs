@@ -41,21 +41,35 @@ pub enum KernelKind {
 }
 
 impl Default for KernelKind {
-    /// `Scalar` when the `EFM_KERNEL` environment variable reads `scalar`
-    /// (read once per process; this is how the forced-scalar CI lane pins
-    /// every default-options run), `Auto` otherwise. An explicit `Auto`
-    /// ignores the variable.
+    /// The kernel `EFM_KERNEL` names ([`KernelKind::from_env`], read once
+    /// per process; this is how the forced-scalar CI lane pins every
+    /// default-options run). An explicit `Auto` ignores the variable.
+    ///
+    /// # Panics
+    ///
+    /// If `EFM_KERNEL` holds anything but `auto` or `scalar`: a misspelt
+    /// value must not quietly run another kernel. Front ends check
+    /// [`KernelKind::from_env`] first to report it as a usage error.
     fn default() -> Self {
         use std::sync::OnceLock;
-        static ENV: OnceLock<KernelKind> = OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("EFM_KERNEL").as_deref() {
-            Ok("scalar") => KernelKind::Scalar,
-            _ => KernelKind::Auto,
-        })
+        static ENV: OnceLock<Result<KernelKind, String>> = OnceLock::new();
+        ENV.get_or_init(KernelKind::from_env).clone().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 impl KernelKind {
+    /// Parses the `EFM_KERNEL` environment variable: unset, empty or `auto`
+    /// is `Auto`, `scalar` is `Scalar`, and anything else an error naming
+    /// the bad value and the valid ones.
+    pub fn from_env() -> Result<Self, String> {
+        let raw = std::env::var_os("EFM_KERNEL").unwrap_or_default();
+        match raw.to_str() {
+            Some("") => Ok(KernelKind::Auto),
+            Some(v) => v.parse().map_err(|e| format!("EFM_KERNEL: {e}")),
+            None => Err(format!("EFM_KERNEL: unknown kernel {raw:?} (expected auto|scalar)")),
+        }
+    }
+
     /// The instruction tier the engine will run at.
     pub fn resolve(self) -> efm_bitset::KernelTier {
         match self {

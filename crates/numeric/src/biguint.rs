@@ -4,7 +4,7 @@
 //! hatch for [`crate::DynInt`]. Limbs are `u64`, stored little-endian with no
 //! trailing zero limbs (the canonical form); the empty limb vector represents
 //! zero. The implementation favours simplicity and correctness: values in EFM
-//! computations almost always fit in `i128` after gcd normalization, so the
+//! computations almost always fit in `i64` after gcd normalization, so the
 //! big path is cold.
 
 use std::cmp::Ordering;

@@ -1,10 +1,16 @@
 //! Dynamically-sized signed integers.
 //!
-//! [`DynInt`] keeps values in a machine `i128` for as long as they fit and
+//! [`DynInt`] keeps values in a machine `i64` for as long as they fit and
 //! transparently promotes to a heap-allocated sign/magnitude big integer on
 //! overflow. EFM candidate combination normalizes every vector by its gcd, so
 //! in practice virtually all arithmetic stays on the fast small path; the big
 //! path exists so that exotic networks cannot silently corrupt supports.
+//!
+//! Small-path operations widen to `i128`, where a sum, a product or the
+//! difference of two products of `i64`s cannot overflow, and narrow the
+//! result back with one `i64::try_from`; only a result outside `i64` builds
+//! a [`BigInt`]. Division stays in `i64` except for `i64::MIN / -1`. Every constructor keeps the canonical form (`Small` exactly
+//! when the value fits in `i64`), which the derived `Eq`/`Hash` rely on.
 
 use crate::biguint::BigUint;
 use std::cmp::Ordering;
@@ -28,12 +34,13 @@ impl BigInt {
     }
 }
 
-/// A signed integer that automatically grows past `i128`.
+/// A signed integer that automatically grows past `i64`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum DynInt {
-    /// Fast path: fits in an `i128`.
-    Small(i128),
-    /// Cold path: promoted sign/magnitude representation.
+    /// Fast path: fits in an `i64`.
+    Small(i64),
+    /// Cold path: promoted sign/magnitude representation of a value outside
+    /// `i64`.
     Big(Box<BigInt>),
 }
 
@@ -44,28 +51,27 @@ impl Default for DynInt {
 }
 
 fn i128_to_big(v: i128) -> BigInt {
-    let negative = v < 0;
-    let mag = v.unsigned_abs();
-    BigInt { negative, magnitude: BigUint::from_u128(mag) }
+    BigInt { negative: v < 0, magnitude: BigUint::from_u128(v.unsigned_abs()) }
 }
 
-fn big_to_small(b: &BigInt) -> Option<i128> {
+fn big_to_i128(b: &BigInt) -> Option<i128> {
     let mag = b.magnitude.to_u128()?;
     if b.negative {
-        if mag <= (1u128 << 127) {
-            Some((mag as i128).wrapping_neg())
-        } else {
-            None
-        }
-    } else if mag <= i128::MAX as u128 {
-        Some(mag as i128)
+        0i128.checked_sub_unsigned(mag)
     } else {
-        None
+        i128::try_from(mag).ok()
     }
 }
 
-/// Greatest common divisor of two `u128`s (binary gcd).
-pub fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+/// `a / b` (`b != 0`, truncated) by a hardware `i64` division; only
+/// `i64::MIN / -1`, the one quotient outside `i64`, is widened and promotes.
+#[inline]
+fn small_quotient(a: i64, b: i64) -> DynInt {
+    a.checked_div(b).map_or_else(|| DynInt::from_i128(i128::from(a) / i128::from(b)), DynInt::Small)
+}
+
+/// Greatest common divisor of two `u64`s (binary gcd).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -99,18 +105,23 @@ impl DynInt {
 
     /// Builds from an `i64`.
     pub fn from_i64(v: i64) -> Self {
-        DynInt::Small(v as i128)
+        DynInt::Small(v)
     }
 
-    /// Builds from an `i128`.
+    /// Builds from an `i128`, promoting when it does not fit in `i64`. The
+    /// small path narrows every widened result through here.
+    #[inline]
     pub fn from_i128(v: i128) -> Self {
-        DynInt::Small(v)
+        match i64::try_from(v) {
+            Ok(s) => DynInt::Small(s),
+            Err(_) => DynInt::Big(Box::new(i128_to_big(v))),
+        }
     }
 
     /// Builds from a big integer, demoting to the small path when possible.
     pub fn from_big(b: BigInt) -> Self {
         let b = b.normalize();
-        match big_to_small(&b) {
+        match big_to_i128(&b).and_then(|v| i64::try_from(v).ok()) {
             Some(v) => DynInt::Small(v),
             None => DynInt::Big(Box::new(b)),
         }
@@ -119,8 +130,8 @@ impl DynInt {
     /// Returns the value as `i128` if it fits.
     pub fn to_i128(&self) -> Option<i128> {
         match self {
-            DynInt::Small(v) => Some(*v),
-            DynInt::Big(b) => big_to_small(b),
+            DynInt::Small(v) => Some(i128::from(*v)),
+            DynInt::Big(b) => big_to_i128(b),
         }
     }
 
@@ -142,11 +153,7 @@ impl DynInt {
     #[inline]
     pub fn signum(&self) -> i32 {
         match self {
-            DynInt::Small(v) => match v.cmp(&0) {
-                Ordering::Less => -1,
-                Ordering::Equal => 0,
-                Ordering::Greater => 1,
-            },
+            DynInt::Small(v) => v.signum() as i32,
             DynInt::Big(b) => {
                 if b.magnitude.is_zero() {
                     0
@@ -159,14 +166,14 @@ impl DynInt {
         }
     }
 
-    /// Whether this value has been promoted off the `i128` fast path.
+    /// Whether this value has been promoted off the `i64` fast path.
     pub fn is_promoted(&self) -> bool {
         matches!(self, DynInt::Big(_))
     }
 
     fn as_big(&self) -> BigInt {
         match self {
-            DynInt::Small(v) => i128_to_big(*v),
+            DynInt::Small(v) => i128_to_big(i128::from(*v)),
             DynInt::Big(b) => (**b).clone(),
         }
     }
@@ -174,13 +181,7 @@ impl DynInt {
     /// Absolute value.
     pub fn abs(&self) -> Self {
         match self {
-            DynInt::Small(v) => match v.checked_abs() {
-                Some(a) => DynInt::Small(a),
-                None => DynInt::from_big(BigInt {
-                    negative: false,
-                    magnitude: BigUint::from_u128(v.unsigned_abs()),
-                }),
-            },
+            DynInt::Small(v) => DynInt::from_i128(i128::from(*v).abs()),
             DynInt::Big(b) => {
                 DynInt::from_big(BigInt { negative: false, magnitude: b.magnitude.clone() })
             }
@@ -190,13 +191,7 @@ impl DynInt {
     /// Negation.
     pub fn neg(&self) -> Self {
         match self {
-            DynInt::Small(v) => match v.checked_neg() {
-                Some(n) => DynInt::Small(n),
-                None => DynInt::from_big(BigInt {
-                    negative: false,
-                    magnitude: BigUint::from_u128(v.unsigned_abs()),
-                }),
-            },
+            DynInt::Small(v) => DynInt::from_i128(-i128::from(*v)),
             DynInt::Big(b) => {
                 DynInt::from_big(BigInt { negative: !b.negative, magnitude: b.magnitude.clone() })
             }
@@ -206,9 +201,7 @@ impl DynInt {
     /// Addition.
     pub fn add(&self, rhs: &Self) -> Self {
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            if let Some(s) = a.checked_add(*b) {
-                return DynInt::Small(s);
-            }
+            return DynInt::from_i128(i128::from(*a) + i128::from(*b));
         }
         let a = self.as_big();
         let b = rhs.as_big();
@@ -231,9 +224,7 @@ impl DynInt {
     /// Subtraction.
     pub fn sub(&self, rhs: &Self) -> Self {
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            if let Some(s) = a.checked_sub(*b) {
-                return DynInt::Small(s);
-            }
+            return DynInt::from_i128(i128::from(*a) - i128::from(*b));
         }
         self.add(&rhs.neg())
     }
@@ -241,9 +232,7 @@ impl DynInt {
     /// Multiplication.
     pub fn mul(&self, rhs: &Self) -> Self {
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            if let Some(p) = a.checked_mul(*b) {
-                return DynInt::Small(p);
-            }
+            return DynInt::from_i128(i128::from(*a) * i128::from(*b));
         }
         let a = self.as_big();
         let b = rhs.as_big();
@@ -257,11 +246,8 @@ impl DynInt {
     pub fn exact_div(&self, rhs: &Self) -> Self {
         assert!(!rhs.is_zero(), "DynInt division by zero");
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            // i128::MIN / -1 is the only overflowing case.
-            if !(*a == i128::MIN && *b == -1) {
-                debug_assert_eq!(a % b, 0, "exact_div with remainder");
-                return DynInt::Small(a / b);
-            }
+            debug_assert_eq!(a.wrapping_rem(*b), 0, "exact_div with remainder");
+            return small_quotient(*a, *b);
         }
         let a = self.as_big();
         let b = rhs.as_big();
@@ -273,13 +259,12 @@ impl DynInt {
         })
     }
 
-    /// Quotient and remainder (truncated toward zero, like `i128`).
+    /// Quotient and remainder (truncated toward zero, like the primitive
+    /// integers).
     pub fn divrem(&self, rhs: &Self) -> (Self, Self) {
         assert!(!rhs.is_zero(), "DynInt division by zero");
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            if !(*a == i128::MIN && *b == -1) {
-                return (DynInt::Small(a / b), DynInt::Small(a % b));
-            }
+            return (small_quotient(*a, *b), DynInt::Small(a.wrapping_rem(*b)));
         }
         let a = self.as_big();
         let b = rhs.as_big();
@@ -296,7 +281,8 @@ impl DynInt {
     /// Greatest common divisor of absolute values; `gcd(0, 0) == 0`.
     pub fn gcd(&self, rhs: &Self) -> Self {
         if let (DynInt::Small(a), DynInt::Small(b)) = (self, rhs) {
-            return DynInt::Small(gcd_u128(a.unsigned_abs(), b.unsigned_abs()) as i128);
+            // `gcd(i64::MIN, 0)` is 2^63, one past `i64::MAX`.
+            return DynInt::from_i128(i128::from(gcd_u64(a.unsigned_abs(), b.unsigned_abs())));
         }
         let a = self.as_big();
         let b = rhs.as_big();
@@ -319,17 +305,18 @@ impl DynInt {
     }
 
     /// Fused combination `a*x - b*y`, the hot operation of candidate
-    /// generation. Stays entirely on the small path when everything fits.
+    /// generation. On the small path it is two widening multiplies and a
+    /// subtraction: each product of two `i64`s lies in `(-2^126, 2^126]`,
+    /// so their difference lies strictly inside `i128` and needs no
+    /// overflow check.
     #[inline]
     pub fn fused_comb(a: &Self, x: &Self, b: &Self, y: &Self) -> Self {
         if let (DynInt::Small(a), DynInt::Small(x), DynInt::Small(b), DynInt::Small(y)) =
             (a, x, b, y)
         {
-            if let (Some(p1), Some(p2)) = (a.checked_mul(*x), b.checked_mul(*y)) {
-                if let Some(d) = p1.checked_sub(p2) {
-                    return DynInt::Small(d);
-                }
-            }
+            return DynInt::from_i128(
+                i128::from(*a) * i128::from(*x) - i128::from(*b) * i128::from(*y),
+            );
         }
         a.mul(x).sub(&b.mul(y))
     }
@@ -417,17 +404,33 @@ impl From<i128> for DynInt {
 mod tests {
     use super::*;
 
-    fn small(v: i128) -> DynInt {
+    fn small(v: i64) -> DynInt {
         DynInt::Small(v)
+    }
+
+    /// `v` on the big path even when it fits in `i64`: operations on it run
+    /// on `BigUint` magnitudes, which makes them the reference for the small
+    /// path.
+    fn forced_big(v: &DynInt) -> DynInt {
+        DynInt::Big(Box::new(v.as_big()))
+    }
+
+    #[test]
+    fn value_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<DynInt>(), 16);
     }
 
     #[test]
     fn add_promotes_on_overflow() {
-        let a = small(i128::MAX);
+        let a = small(i64::MAX);
         let s = a.add(&small(1));
         assert!(s.is_promoted());
+        assert_eq!(s.to_i128(), Some(i128::from(i64::MAX) + 1));
         assert_eq!(s.sub(&small(1)), a);
         assert!(!s.sub(&small(1)).is_promoted());
+        assert!(small(i64::MIN).sub(&small(1)).is_promoted());
+        assert_eq!(DynInt::from_i128(i128::from(i64::MAX) + 1), s);
+        assert!(!DynInt::from_i128(i128::from(i64::MIN)).is_promoted());
     }
 
     #[test]
@@ -435,23 +438,26 @@ mod tests {
         assert_eq!(small(-5).signum(), -1);
         assert_eq!(small(0).signum(), 0);
         assert_eq!(small(5).signum(), 1);
-        let big = small(i128::MAX).mul(&small(-3));
+        let big = small(i64::MAX).mul(&small(-3));
         assert_eq!(big.signum(), -1);
         assert_eq!(big.neg().signum(), 1);
     }
 
     #[test]
     fn mul_promote_and_demote() {
-        let a = small(i128::MAX).mul(&small(2));
+        let a = small(i64::MAX).mul(&small(2));
         assert!(a.is_promoted());
         let back = a.exact_div(&small(2));
         assert!(!back.is_promoted());
-        assert_eq!(back, small(i128::MAX));
+        assert_eq!(back, small(i64::MAX));
+        let huge = a.mul(&a).mul(&a);
+        assert_eq!(huge.to_i128(), None);
+        assert_eq!(huge.exact_div(&a).exact_div(&a), a);
     }
 
     #[test]
     fn mixed_sign_add() {
-        let big_pos = small(i128::MAX).mul(&small(4));
+        let big_pos = small(i64::MAX).mul(&small(4));
         let big_neg = big_pos.neg();
         assert!(big_pos.add(&big_neg).is_zero());
         assert_eq!(big_pos.add(&small(-1)).sub(&big_pos), small(-1));
@@ -461,14 +467,14 @@ mod tests {
     fn exact_div_signs() {
         assert_eq!(small(-12).exact_div(&small(4)), small(-3));
         assert_eq!(small(-12).exact_div(&small(-4)), small(3));
-        let b = small(i128::MAX).mul(&small(6));
-        assert_eq!(b.exact_div(&small(-3)), small(i128::MAX).mul(&small(-2)));
+        let b = small(i64::MAX).mul(&small(6));
+        assert_eq!(b.exact_div(&small(-3)), small(i64::MAX).mul(&small(-2)));
     }
 
     #[test]
     #[should_panic(expected = "remainder")]
     fn exact_div_checks_divisibility() {
-        let b = small(i128::MAX).mul(&small(6)).add(&small(1));
+        let b = small(i64::MAX).mul(&small(6)).add(&small(1));
         let _ = b.exact_div(&small(3));
     }
 
@@ -476,21 +482,29 @@ mod tests {
     fn divrem_truncates_toward_zero() {
         let (q, r) = small(-7).divrem(&small(2));
         assert_eq!((q, r), (small(-3), small(-1)));
-        let big = small(i128::MAX).mul(&small(10)).add(&small(7));
+        let big = small(i64::MAX).mul(&small(10)).add(&small(7));
         let (q, r) = big.divrem(&small(10));
-        assert_eq!(q, small(i128::MAX));
+        assert_eq!(q, small(i64::MAX));
         assert_eq!(r, small(7));
     }
 
     #[test]
-    fn i128_min_edge_cases() {
-        let m = small(i128::MIN);
-        assert_eq!(m.neg().to_f64(), -(i128::MIN as f64));
-        assert!(m.neg().is_promoted());
-        assert_eq!(m.abs(), m.neg());
+    fn i64_min_edge_cases() {
+        let m = small(i64::MIN);
+        let two63 = DynInt::from_i128(1i128 << 63);
+        assert!(two63.is_promoted());
+        assert_eq!(m.neg(), two63);
+        assert_eq!(m.neg().to_f64(), -(i64::MIN as f64));
+        assert_eq!(m.abs(), two63);
+        assert_eq!(m.exact_div(&small(-1)), two63);
         let (q, r) = m.divrem(&small(-1));
-        assert!(r.is_zero());
-        assert_eq!(q, m.neg());
+        assert_eq!(r, small(0));
+        assert!(!r.is_promoted());
+        assert_eq!(q, two63);
+        assert_eq!(two63.neg(), m);
+        assert!(!two63.neg().is_promoted());
+        assert_eq!(m.gcd(&small(0)), two63);
+        assert_eq!(m.gcd(&m), two63);
     }
 
     #[test]
@@ -498,7 +512,7 @@ mod tests {
         assert_eq!(small(48).gcd(&small(-36)), small(12));
         assert_eq!(small(0).gcd(&small(0)), small(0));
         assert_eq!(small(0).gcd(&small(-7)), small(7));
-        let b = small(i128::MAX).mul(&small(4));
+        let b = small(i64::MAX).mul(&small(4));
         assert_eq!(b.gcd(&small(2)), small(2));
     }
 
@@ -506,26 +520,52 @@ mod tests {
     fn fused_comb_small_and_big() {
         // 3*5 - 2*7 = 1
         assert_eq!(DynInt::fused_comb(&small(3), &small(5), &small(2), &small(7)), small(1));
-        // Forces promotion through the products.
-        let big = small(i128::MAX);
+        // Promotes through the products and demotes on cancellation.
+        let big = small(i64::MAX);
         let r = DynInt::fused_comb(&big, &big, &big, &big.sub(&small(1)));
         assert_eq!(r, big);
+        assert!(!r.is_promoted());
+    }
+
+    #[test]
+    fn fused_comb_at_the_i64_extremes_matches_big_path() {
+        let ends = [small(i64::MIN), small(i64::MAX)];
+        for a in &ends {
+            for x in &ends {
+                for b in &ends {
+                    for y in &ends {
+                        let got = DynInt::fused_comb(a, x, b, y);
+                        let want = forced_big(&forced_big(a).mul(&forced_big(x)))
+                            .sub(&forced_big(&forced_big(b).mul(&forced_big(y))));
+                        assert_eq!(got, want, "{a}*{x} - {b}*{y}");
+                        assert_eq!(
+                            got.is_promoted(),
+                            got.to_i128().and_then(|v| i64::try_from(v).ok()).is_none()
+                        );
+                    }
+                }
+            }
+        }
+        // The widest result: (-2^63)^2 - (-2^63)(2^63 - 1) = 2^127 - 2^63.
+        let top = DynInt::fused_comb(&ends[0], &ends[0], &ends[0], &ends[1]);
+        assert_eq!(top.to_i128(), Some(i128::MAX - (1i128 << 63) + 1));
     }
 
     #[test]
     fn ordering_across_reprs() {
-        let b = small(i128::MAX).mul(&small(3));
-        assert!(b > small(i128::MAX));
-        assert!(b.neg() < small(i128::MIN));
+        let b = small(i64::MAX).mul(&small(3));
+        assert!(b > small(i64::MAX));
+        assert!(b.neg() < small(i64::MIN));
         assert!(small(2) > small(-2));
     }
 
     #[test]
     fn display() {
         assert_eq!(small(-42).to_string(), "-42");
-        let b = small(i128::MAX).add(&small(1));
-        assert_eq!(b.to_string(), "170141183460469231731687303715884105728");
-        assert_eq!(b.neg().to_string(), "-170141183460469231731687303715884105728");
+        let b = small(i64::MAX).add(&small(1));
+        assert_eq!(b.to_string(), "9223372036854775808");
+        assert_eq!(b.neg().to_string(), "-9223372036854775808");
+        assert!(!b.neg().is_promoted());
     }
 
     #[test]
@@ -534,12 +574,16 @@ mod tests {
             "0",
             "-1",
             "42",
+            "9223372036854775808",
+            "-9223372036854775809",
             "170141183460469231731687303715884105728",
             "-99999999999999999999999999999999999999999999",
         ] {
             let parsed: DynInt = v.parse().unwrap();
             assert_eq!(parsed.to_string(), v);
+            assert!(parsed.is_promoted() == (v.len() > 18), "{v}");
         }
+        assert!(!"-9223372036854775808".parse::<DynInt>().unwrap().is_promoted());
         assert!("".parse::<DynInt>().is_err());
         assert!("12a".parse::<DynInt>().is_err());
         assert!("--3".parse::<DynInt>().is_err());

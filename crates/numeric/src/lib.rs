@@ -8,7 +8,7 @@
 //! This crate provides, dependency-free:
 //!
 //! * [`BigUint`] — arbitrary-precision unsigned integers (limb vector),
-//! * [`DynInt`] — signed integers living in `i128` until overflow promotes
+//! * [`DynInt`] — signed integers living in `i64` until overflow promotes
 //!   them to a boxed big integer,
 //! * [`Rational`] — reduced exact rationals over [`DynInt`],
 //! * [`F64Tol`] — tolerance-based `f64` (the efmtool-style fast mode),
@@ -23,7 +23,7 @@ mod rational;
 mod scalar;
 
 pub use biguint::BigUint;
-pub use dynint::{gcd_u128, BigInt, DynInt};
+pub use dynint::{BigInt, DynInt};
 pub use f64tol::{F64Tol, DEFAULT_TOLERANCE};
 pub use rational::{to_primitive_integer_vec, Rational};
 pub use scalar::Scalar;

@@ -1,7 +1,8 @@
 //! Property-based tests for the arithmetic substrate: ring/field laws,
-//! small-vs-big path consistency, gcd/normalization invariants.
+//! small-vs-big path consistency, gcd/normalization invariants, and the
+//! `i64` boundary of `DynInt`'s small path.
 
-use efm_numeric::{BigUint, DynInt, Rational, Scalar};
+use efm_numeric::{BigInt, BigUint, DynInt, Rational, Scalar};
 use proptest::prelude::*;
 
 fn di(v: i128) -> DynInt {
@@ -154,5 +155,91 @@ proptest! {
         let (da, dx, db, dy) =
             (DynInt::from_i64(a), DynInt::from_i64(x), DynInt::from_i64(b), DynInt::from_i64(y));
         prop_assert_eq!(DynInt::fused_comb(&da, &dx, &db, &dy), da.mul(&dx).sub(&db.mul(&dy)));
+    }
+}
+
+/// An operand within 2^12 of `-2^63`, of `2^63`, of zero, or any `i64`
+/// widened: the cases straddle both ends of the small path.
+fn near_i64_boundary() -> impl Strategy<Value = i128> {
+    (0u8..4, -4096i128..4096, any::<i64>()).prop_map(|(kind, off, any)| match kind {
+        0 => i128::from(i64::MIN) + off,
+        1 => i128::from(i64::MAX) + 1 + off,
+        2 => off,
+        _ => i128::from(any),
+    })
+}
+
+/// `v` on the big path even when it fits in `i64`: every operation with a
+/// big operand runs on `BigUint` magnitudes, so this is the reference the
+/// small path is held to.
+fn forced_big(v: &DynInt) -> DynInt {
+    let w = v.to_i128().expect("operands fit in i128");
+    DynInt::Big(Box::new(BigInt {
+        negative: w < 0,
+        magnitude: BigUint::from_u128(w.unsigned_abs()),
+    }))
+}
+
+/// The canonical form the derived `Eq`/`Hash` rely on: promoted exactly
+/// when the value does not fit in `i64`.
+fn canonical(v: &DynInt) -> bool {
+    let fits = v.to_i128().is_some_and(|w| i64::try_from(w).is_ok());
+    v.is_promoted() != fits
+}
+
+proptest! {
+    // Default config so `PROPTEST_CASES` can raise the case count.
+
+    #[test]
+    fn i64_boundary_ring_ops_match_reference(a in near_i64_boundary(), b in near_i64_boundary()) {
+        let (da, db) = (di(a), di(b));
+        prop_assert!(canonical(&da) && canonical(&db));
+        let (ba, bb) = (forced_big(&da), forced_big(&db));
+        for (got, want, wide) in [
+            (da.add(&db), ba.add(&bb), a.checked_add(b)),
+            (da.sub(&db), ba.sub(&bb), a.checked_sub(b)),
+            (da.mul(&db), ba.mul(&bb), a.checked_mul(b)),
+            (da.neg(), ba.neg(), Some(-a)),
+            (da.abs(), ba.abs(), Some(a.abs())),
+        ] {
+            prop_assert!(canonical(&got), "{} not canonical", got);
+            prop_assert_eq!(&got, &want);
+            if let Some(w) = wide {
+                prop_assert_eq!(got, di(w));
+            }
+        }
+    }
+
+    #[test]
+    fn i64_boundary_divrem_and_gcd_match_reference(a in near_i64_boundary(), b in near_i64_boundary()) {
+        let (da, db) = (di(a), di(b));
+        let (ba, bb) = (forced_big(&da), forced_big(&db));
+        let g = da.gcd(&db);
+        prop_assert!(canonical(&g));
+        prop_assert_eq!(&g, &ba.gcd(&bb));
+        if b != 0 {
+            let (q, r) = da.divrem(&db);
+            prop_assert!(canonical(&q) && canonical(&r));
+            prop_assert_eq!((q.clone(), r.clone()), ba.divrem(&bb));
+            prop_assert_eq!((q, r), (di(a / b), di(a % b)));
+        }
+        if !g.is_zero() {
+            let back = da.exact_div(&g).mul(&g);
+            prop_assert_eq!(back, da);
+        }
+    }
+
+    #[test]
+    fn i64_boundary_fused_comb_matches_reference(a in near_i64_boundary(), x in near_i64_boundary(),
+                                                 b in near_i64_boundary(), y in near_i64_boundary()) {
+        let (da, dx, db, dy) = (di(a), di(x), di(b), di(y));
+        let got = DynInt::fused_comb(&da, &dx, &db, &dy);
+        prop_assert!(canonical(&got), "{} not canonical", got);
+        let want = forced_big(&forced_big(&da).mul(&forced_big(&dx)))
+            .sub(&forced_big(&forced_big(&db).mul(&forced_big(&dy))));
+        prop_assert_eq!(&got, &want);
+        if let Some(w) = a.checked_mul(x).zip(b.checked_mul(y)).and_then(|(p, q)| p.checked_sub(q)) {
+            prop_assert_eq!(got, di(w));
+        }
     }
 }

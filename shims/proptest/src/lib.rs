@@ -86,8 +86,13 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or the count in the `PROPTEST_CASES` environment variable
+    /// as upstream reads it. An explicit [`ProptestConfig::with_cases`]
+    /// ignores the variable, as upstream's does.
     fn default() -> Self {
-        ProptestConfig { cases: 256, max_global_rejects: 65_536 }
+        let cases =
+            std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256);
+        ProptestConfig { cases, max_global_rejects: 65_536 }
     }
 }
 

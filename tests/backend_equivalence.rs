@@ -294,7 +294,8 @@ fn kernel_on_off_agree_across_backends() {
 /// `EFM_KERNEL` (scalar in the forced-scalar CI lane, the detected tier
 /// otherwise), while an explicit `Auto` always runs the detected tier —
 /// which is what keeps the on/off tests above comparing scalar with AVX2
-/// in both lanes.
+/// in both lanes. Any other value of the variable fails the test, so a
+/// stale lane setting cannot pass unnoticed.
 #[test]
 fn kernel_tier_follows_env_default_and_explicit_auto() {
     let net = toy_network();
@@ -306,8 +307,11 @@ fn kernel_tier_follows_env_default_and_explicit_auto() {
             .kernel_tier
     };
     let detected = efm_bitset::detect_tier().name();
-    let want_default =
-        if std::env::var("EFM_KERNEL").as_deref() == Ok("scalar") { "scalar" } else { detected };
+    let want_default = match std::env::var("EFM_KERNEL").as_deref() {
+        Err(std::env::VarError::NotPresent) | Ok("" | "auto") => detected,
+        Ok("scalar") => "scalar",
+        other => panic!("EFM_KERNEL is {other:?}, neither auto nor scalar"),
+    };
     assert_eq!(tier(EfmOptions::default()), want_default, "default-options run");
     let auto = EfmOptions { kernel: KernelKind::Auto, ..Default::default() };
     assert_eq!(tier(auto), detected, "explicit KernelKind::Auto");
